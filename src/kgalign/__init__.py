@@ -5,7 +5,6 @@ from .compatibility import (
     Assignment,
     RelationStats,
     conditional_distribution,
-    enumerate_joint,
     estimate_relation_stats,
     local_compatibility,
     refine_rows,
@@ -15,13 +14,11 @@ from .kg import (
     KgPair,
     MappingSet,
     Partition,
-    factor_subset,
     load_dataset,
     load_kg,
-    markov_blanket,
     partition_mappings,
 )
-from .metrics import evaluate_rows, hit_at_k, mrr, pseudo_quality
+from .metrics import evaluate_rows, pseudo_quality
 from .models import (
     EmbeddingAligner,
     EmbeddingAlignerParams,

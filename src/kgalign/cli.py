@@ -34,7 +34,14 @@ from .selftrain import (
     config_from_mapping,
     parse_config_file,
 )
-from .simio import SimFormatError, read_sim_matrix, validate_against, write_sim_matrix
+from .models import SRC_TO_TGT
+from .simio import (
+    SimFormatError,
+    read_dense_sim,
+    read_sim_matrix,
+    validate_against,
+    write_sim_matrix,
+)
 
 
 def _add_run_parser(sub) -> None:
@@ -154,24 +161,26 @@ def _cmd_eval(args) -> int:
     part = partition_mappings(links, args.ratio, args.seed)
     out: dict[str, float | int | None] = {"n_test": len(part.test)}
     if args.sim_file:
-        matrix = read_sim_matrix(args.sim_file)
-        validate_against(matrix, pair.source.n_entities, pair.target.n_entities)
-        if hasattr(matrix, "to_dense"):
-            matrix = matrix.to_dense()
+        matrix = read_dense_sim(
+            args.sim_file, SRC_TO_TGT, pair.source.n_entities, pair.target.n_entities
+        )
         test_src = [s for s, _ in part.test.pairs]
         truth = np.array([t for _, t in part.test.pairs])
         report = evaluate_rows(matrix.scores[test_src], truth)
         out.update(hit1=report.hit1, hit10=report.hit10, mrr=report.mrr)
     if args.pseudo_file:
-        rows = []
-        with open(args.pseudo_file, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\r\n").split("\t")
-                if len(parts) >= 2:
-                    rows.append((parts[0], parts[1]))
         id_pairs = []
-        for s, t in rows:
-            if s in pair.source.entity_ids and t in pair.target.entity_ids:
+        with open(args.pseudo_file, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\r\n").split("\t")
+                s, t = parts[0], parts[1] if len(parts) > 1 else None
+                if s not in pair.source.entity_ids or t not in pair.target.entity_ids:
+                    raise ConfigError(
+                        f"{args.pseudo_file}:{lineno}: expected known source and "
+                        f"target labels, tab-separated; got {line.strip()!r}"
+                    )
                 id_pairs.append((pair.source.entity_ids[s], pair.target.entity_ids[t]))
         pseudo = MappingSet(tuple(dict.fromkeys(id_pairs)), kind="pseudo")
         precision, recall, empty = pseudo_quality(pseudo, part.test)

@@ -18,7 +18,7 @@ Incoming triples take part as inverse relations: directed relation id
 inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
-a frozen assignment) and may be parallelized across entities.
+a frozen assignment).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import numpy as np
 
 from .calibration import ProbRow, argmax_lowest_id
 from .kg import Kg, KgPair
-
-JOINT_ENUMERATION_CAP = 10**5
 
 
 @dataclass
@@ -50,15 +48,6 @@ class Assignment:
         missing = self.labelled - set(self.mapping)
         if missing:
             raise ValueError(f"labelled entities without assignment: {sorted(missing)[:5]}")
-
-
-def _directed_adjacency(kg: Kg, e: int) -> list[tuple[int, int]]:
-    """(directed relation, neighbor) pairs around ``e``; inverse ids for
-    incoming triples."""
-    n_rel = kg.n_relations
-    adj = [(r, n) for r, n in kg.out_index[e]]
-    adj += [(r + n_rel, n) for r, n in kg.in_index[e]]
-    return adj
 
 
 def relation_inverse_functionality(kg: Kg) -> dict[int, float]:
@@ -115,23 +104,6 @@ class RelationStats:
         return 1.0 / (self.src_trials.get(r_src, 0) + 2)
 
 
-def _directed_pair_relations(kg: Kg) -> dict[tuple[int, int], list[int]]:
-    """(head, tail) -> directed relations connecting them, both orientations."""
-    idx: dict[tuple[int, int], list[int]] = defaultdict(list)
-    n_rel = kg.n_relations
-    for h, r, t in kg.triples:
-        idx[(h, t)].append(r)
-        idx[(t, h)].append(r + n_rel)
-    return idx
-
-
-def _directed_triples(kg: Kg):
-    n_rel = kg.n_relations
-    for h, r, t in kg.triples:
-        yield h, r, t
-        yield t, r + n_rel, h
-
-
 def estimate_relation_stats(
     kg_pair: KgPair,
     assignment: Assignment,
@@ -154,33 +126,37 @@ def estimate_relation_stats(
     for e, t in fwd.items():
         rev[t].add(e)
 
-    src_pair_rels = _directed_pair_relations(kg_pair.source)
-    tgt_pair_rels = _directed_pair_relations(kg_pair.target)
+    src, tgt = kg_pair.source, kg_pair.target
 
     src_trials: dict[int, int] = defaultdict(int)
     src_support: dict[tuple[int, int], int] = defaultdict(int)
-    for h, rho, t in _directed_triples(kg_pair.source):
-        if h not in fwd or t not in fwd:
-            continue
-        src_trials[rho] += 1
-        for rho_t in tgt_pair_rels.get((fwd[h], fwd[t]), ()):
-            src_support[(rho, rho_t)] += 1
+    for h in fwd:
+        for t, rhos in src.adjacency[h].items():
+            if t not in fwd:
+                continue
+            mirrored = tgt.adjacency[fwd[h]].get(fwd[t], ())
+            for rho in rhos:
+                src_trials[rho] += 1
+                for rho_t in mirrored:
+                    src_support[(rho, rho_t)] += 1
 
     tgt_trials: dict[int, int] = defaultdict(int)
     tgt_support: dict[tuple[int, int], int] = defaultdict(int)
-    for h, rho, t in _directed_triples(kg_pair.target):
-        if h not in rev or t not in rev:
-            continue
-        tgt_trials[rho] += 1
-        mirrored: set[int] = set()
-        for a, b in itertools.product(rev[h], rev[t]):
-            mirrored.update(src_pair_rels.get((a, b), ()))
-        for rho_s in mirrored:
-            tgt_support[(rho, rho_s)] += 1
+    for h in rev:
+        for t, rhos in tgt.adjacency[h].items():
+            if t not in rev:
+                continue
+            mirrored_src: set[int] = set()
+            for a, b in itertools.product(rev[h], rev[t]):
+                mirrored_src.update(src.adjacency[a].get(b, ()))
+            for rho in rhos:
+                tgt_trials[rho] += 1
+                for rho_s in mirrored_src:
+                    tgt_support[(rho, rho_s)] += 1
 
     return RelationStats(
-        src_inv_fun=relation_inverse_functionality(kg_pair.source),
-        tgt_inv_fun=relation_inverse_functionality(kg_pair.target),
+        src_inv_fun=relation_inverse_functionality(src),
+        tgt_inv_fun=relation_inverse_functionality(tgt),
         subrel_tgt_in_src={
             (rt, rs): (n + 1) / (tgt_trials[rt] + 2)
             for (rt, rs), n in tgt_support.items()
@@ -215,25 +191,18 @@ def local_compatibility(
 
 
 def _local_compatibility(e, candidate, assigned, kg_pair, stats) -> float:
-    cand_adj: dict[int, list[int]] = defaultdict(list)
-    for rho_t, n_t in _directed_adjacency(kg_pair.target, candidate):
-        cand_adj[n_t].append(rho_t)
-
+    cand_adj = kg_pair.target.adjacency[candidate]
     survivor = 1.0
-    for rho_s, n in _directed_adjacency(kg_pair.source, e):
+    for n, rhos_s in kg_pair.source.adjacency[e].items():
         y_n = candidate if n == e else assigned(n)
         if y_n is None:
             continue
-        for rho_t in cand_adj.get(y_n, ()):
-            survivor *= 1.0 - stats.prob_tgt_in_src(rho_t, rho_s) * stats.src_inv_fun[rho_s]
-            survivor *= 1.0 - stats.prob_src_in_tgt(rho_s, rho_t) * stats.tgt_inv_fun[rho_t]
+        rhos_t = cand_adj.get(y_n, ())
+        for rho_s in rhos_s:
+            for rho_t in rhos_t:
+                survivor *= 1.0 - stats.prob_tgt_in_src(rho_t, rho_s) * stats.src_inv_fun[rho_s]
+                survivor *= 1.0 - stats.prob_src_in_tgt(rho_s, rho_t) * stats.tgt_inv_fun[rho_t]
     return 1.0 - survivor
-
-
-def _factor_anchors(kg: Kg, u: int) -> tuple[int, ...]:
-    """Anchors of all factors whose scope contains ``u``: u and its
-    one-hop neighbors.  Their scopes union to the Markov blanket of u."""
-    return (u,) + tuple(n for n in kg.neighbors(u) if n != u)
 
 
 def compatibility_sums(
@@ -245,9 +214,10 @@ def compatibility_sums(
 ) -> np.ndarray:
     """For each candidate ``c``: the sum of factor scores over all factors
     containing ``u``, evaluated with ``u`` mapped to ``c`` and everything
-    else frozen.  Factors not containing ``u`` cancel in the conditional and
-    are never evaluated."""
-    anchors = _factor_anchors(kg_pair.source, u)
+    else frozen.  The factors containing ``u`` are anchored at ``u`` and at
+    its one-hop neighbors; the others cancel in the conditional and are
+    never evaluated."""
+    anchors = (u,) + tuple(n for n in kg_pair.source.neighbors(u) if n != u)
     sums = np.zeros(len(candidates))
     for i, c in enumerate(candidates):
         def assigned(n, _c=c):
@@ -274,9 +244,13 @@ def conditional_distribution(
 
     Softmax over the candidate set of the per-candidate factor-score sums.
     """
+    sums = compatibility_sums(u, candidates, assignment, kg_pair, stats)
+    return _softmax_row(u, candidates, sums)
+
+
+def _softmax_row(u: int, candidates, sums: np.ndarray) -> ProbRow:
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
-    sums = compatibility_sums(u, candidates, assignment, kg_pair, stats)
     z = sums - sums.max()
     e = np.exp(z)
     return ProbRow(entity=u, cand_ids=tuple(candidates), probs=e / e.sum())
@@ -331,67 +305,11 @@ def refine_rows(
         # top-k by probability, ties to the lower candidate id
         order = np.lexsort((col_arr, -row))[:k]
         cands = tuple(int(col_arr[j]) for j in order)
-        refined = conditional_distribution(u, cands, assignment, kg_pair, stats)
+        sums = compatibility_sums(u, cands, assignment, kg_pair, stats)
+        refined = _softmax_row(u, cands, sums)
         out.append(refined)
         if debug_sink is not None:
-            sums = compatibility_sums(u, cands, assignment, kg_pair, stats)
             for c, s, p in zip(cands, sums, refined.probs):
                 debug_sink.append((u, c, float(s), float(p)))
     return out
 
-
-def enumerate_joint(
-    kg_pair: KgPair,
-    stats: RelationStats,
-    labelled: dict[int, int],
-    grids: dict[int, tuple[int, ...]],
-) -> dict[tuple[tuple[int, int], ...], float]:
-    """Exact normalized joint over small candidate grids (test oracle).
-
-    Enumerates every combination of the unlabelled grids with labelled
-    entities clamped, scoring each full assignment by the sum of all factor
-    scores.  Only usable on tiny instances; the state space is capped.
-    """
-    size = 1
-    for g in grids.values():
-        size *= len(g)
-        if size > JOINT_ENUMERATION_CAP:
-            raise ValueError(f"state space exceeds cap {JOINT_ENUMERATION_CAP}")
-    unlabelled = sorted(grids)
-    combos = list(itertools.product(*(grids[u] for u in unlabelled)))
-    weights = np.empty(len(combos))
-    for idx, combo in enumerate(combos):
-        mapping = dict(labelled)
-        mapping.update(zip(unlabelled, combo))
-        total = 0.0
-        for e in range(kg_pair.source.n_entities):
-            y_e = mapping.get(e)
-            if y_e is None:
-                continue
-            total += _local_compatibility(e, y_e, mapping.get, kg_pair, stats)
-        weights[idx] = total
-    weights = np.exp(weights - weights.max())
-    weights /= weights.sum()
-    return {
-        tuple(zip(unlabelled, combo)): float(w) for combo, w in zip(combos, weights)
-    }
-
-
-def conditional_from_joint(
-    joint: dict[tuple[tuple[int, int], ...], float],
-    u: int,
-    fixed: dict[int, int],
-) -> dict[int, float]:
-    """Read p(counterpart of u | everything else fixed) off a joint table.
-
-    ``fixed`` entries outside the enumerated grid (e.g. labelled entities)
-    were clamped during enumeration and are ignored here.
-    """
-    probs: dict[int, float] = {}
-    for combo, w in joint.items():
-        d = dict(combo)
-        if any(d[v] != c for v, c in fixed.items() if v != u and v in d):
-            continue
-        probs[d[u]] = probs.get(d[u], 0.0) + w
-    total = sum(probs.values())
-    return {c: w / total for c, w in probs.items()}

@@ -47,19 +47,6 @@ def truth_ranks(rows: np.ndarray, truth_cols: np.ndarray) -> np.ndarray:
     return 1 + ahead + tied_lower
 
 
-def hit_at_k(rows: np.ndarray, truth_cols: np.ndarray, k: int) -> float:
-    """Fraction of rows whose truth ranks in the top ``k``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranks = truth_ranks(rows, truth_cols)
-    return float((ranks <= k).mean())
-
-
-def mrr(rows: np.ndarray, truth_cols: np.ndarray) -> float:
-    """Mean reciprocal rank of the ground-truth counterparts."""
-    return float((1.0 / truth_ranks(rows, truth_cols)).mean())
-
-
 def evaluate_rows(rows: np.ndarray, truth_cols: np.ndarray) -> EvalReport:
     ranks = truth_ranks(rows, truth_cols)
     return EvalReport(

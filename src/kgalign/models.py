@@ -48,8 +48,9 @@ class SimMatrix:
 class TopKSimMatrix:
     """Top-K sparse similarity rows with a shared fill score for the tail.
 
-    Rows are sorted by descending score; ``n_cols`` is the full candidate
-    count of the dense equivalent.
+    Rows are sorted by descending score and hold distinct candidate ids in
+    ``[0, n_cols)``; ``n_cols`` is the full candidate count of the dense
+    equivalent.
     """
 
     cand_ids: np.ndarray   # (n_rows, k) int
@@ -63,6 +64,12 @@ class TopKSimMatrix:
             raise ValueError("cand_ids / scores shape mismatch")
         if np.any(np.diff(self.scores, axis=1) > 0):
             raise ValueError("top-k rows must be sorted descending")
+        ids = np.sort(self.cand_ids, axis=1)
+        bad = ((ids < 0) | (ids >= self.n_cols)).any(axis=1)
+        bad |= (np.diff(ids, axis=1) == 0).any(axis=1)
+        if bad.any():
+            raise ValueError(f"row {int(np.argmax(bad))}: candidate ids must be "
+                             f"distinct and in [0, {self.n_cols})")
 
     def to_dense(self) -> SimMatrix:
         dense = np.full((self.cand_ids.shape[0], self.n_cols), self.fill)

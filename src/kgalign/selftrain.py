@@ -41,7 +41,7 @@ from .models import (
     SimMatrix,
     SyntheticOracle,
 )
-from .simio import read_sim_matrix, validate_against
+from .simio import read_dense_sim
 
 MODEL_SEED_OFFSET = 1
 ORACLE_SEED_OFFSET = 2
@@ -78,7 +78,6 @@ class RunConfig:
     calib_epochs: int = 200
     sim_file: str | None = None
     sim_file_reverse: str | None = None
-    threads: int = 1
     debug_dump: bool = False
     out_dir: str = "runs"
 
@@ -101,8 +100,6 @@ class RunConfig:
             raise ConfigError("top_k must be >= 1")
         if self.refine_passes < 1:
             raise ConfigError("refine_passes must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not (0.0 <= self.oracle_noise <= 1.0):
             raise ConfigError("oracle_noise must be in [0,1]")
         if self.model == "external":
@@ -290,20 +287,11 @@ class SelfTrainRun:
                 self.pair, self.links, noise_rate=cfg.oracle_noise,
                 seed=cfg.seed + ORACLE_SEED_OFFSET,
             )
-        forward = read_sim_matrix(cfg.sim_file)
-        validate_against(
-            forward, self.pair.source.n_entities, self.pair.target.n_entities
-        )
-        if hasattr(forward, "to_dense"):
-            forward = forward.to_dense()
+        n_src, n_tgt = self.pair.source.n_entities, self.pair.target.n_entities
+        forward = read_dense_sim(cfg.sim_file, SRC_TO_TGT, n_src, n_tgt)
         reverse = None
         if cfg.sim_file_reverse:
-            reverse = read_sim_matrix(cfg.sim_file_reverse)
-            validate_against(
-                reverse, self.pair.source.n_entities, self.pair.target.n_entities
-            )
-            if hasattr(reverse, "to_dense"):
-                reverse = reverse.to_dense()
+            reverse = read_dense_sim(cfg.sim_file_reverse, TGT_TO_SRC, n_src, n_tgt)
         return ExternalSimilarityModel(forward=forward, reverse=reverse)
 
     # ------------------------------------------------------------------

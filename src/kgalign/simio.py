@@ -91,26 +91,27 @@ def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
         if "fill" not in header:
             raise SimFormatError(f"{path}: topk layout requires #fill")
         rows_ids, rows_scores = [], []
-        for i, ln in enumerate(body):
+        for ln in body:
             ids, scores = [], []
             for tok in ln.split("\t"):
                 ident, _, val = tok.partition(":")
                 ids.append(int(ident))
                 scores.append(float(val))
-            if max(ids) >= n_cols:
-                raise SimFormatError(f"{path}: row {i} references id >= #cols")
             rows_ids.append(ids)
             rows_scores.append(scores)
         widths = {len(r) for r in rows_ids}
         if len(widths) != 1:
             raise SimFormatError(f"{path}: inconsistent top-k row widths {widths}")
-        return TopKSimMatrix(
-            cand_ids=np.array(rows_ids, dtype=np.int64),
-            scores=np.array(rows_scores),
-            fill=float(header["fill"]),
-            n_cols=n_cols,
-            direction=header["direction"],
-        )
+        try:
+            return TopKSimMatrix(
+                cand_ids=np.array(rows_ids, dtype=np.int64),
+                scores=np.array(rows_scores),
+                fill=float(header["fill"]),
+                n_cols=n_cols,
+                direction=header["direction"],
+            )
+        except ValueError as exc:
+            raise SimFormatError(f"{path}: {exc}") from None
 
     raise SimFormatError(f"{path}: unknown layout {header['layout']!r}")
 
@@ -127,3 +128,15 @@ def validate_against(matrix: SimMatrix | TopKSimMatrix, n_src: int, n_tgt: int) 
             f"matrix is {rows}x{cols} but the loaded KGs require {want[0]}x{want[1]} "
             f"for direction {matrix.direction}"
         )
+
+
+def read_dense_sim(path: str | Path, direction: str, n_src: int, n_tgt: int) -> SimMatrix:
+    """Read a similarity file that must hold ``direction``, check it against
+    the loaded KG sizes and return it dense."""
+    matrix = read_sim_matrix(path)
+    if matrix.direction != direction:
+        raise SimFormatError(
+            f"{path}: direction is {matrix.direction}, expected {direction}"
+        )
+    validate_against(matrix, n_src, n_tgt)
+    return matrix.to_dense() if isinstance(matrix, TopKSimMatrix) else matrix

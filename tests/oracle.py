@@ -1,0 +1,208 @@
+"""Reference implementations the tests compare the package against.
+
+Everything here reads a graph straight off ``kg.triples`` and never touches
+``Kg.adjacency``, so it checks the index as well as the code that reads it.
+It is slow by design and only usable on tiny instances, such as those
+``random_kg`` draws.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import defaultdict
+
+import numpy as np
+from hypothesis import strategies as st
+
+from kgalign.compatibility import Assignment, RelationStats, relation_inverse_functionality
+from kgalign.kg import Kg
+
+JOINT_ENUMERATION_CAP = 10**5
+
+
+def random_kg(data, prefix: str, max_entities: int = 7) -> Kg:
+    """Draw a small KG with self-loops, parallel edges and isolated entities."""
+    n = data.draw(st.integers(1, max_entities))
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, n - 1)),
+        min_size=1, max_size=3 * n,
+    ))
+    return Kg.from_label_triples(
+        [(f"{prefix}{h}", f"r{r}", f"{prefix}{t}") for h, r, t in edges],
+        extra_entities=tuple(f"{prefix}{i}" for i in range(n)),
+    )
+
+
+def directed_adjacency(kg, e: int) -> list[tuple[int, int]]:
+    """(directed relation, neighbor) pairs around ``e``: outgoing triples in
+    triple order, then incoming ones as inverse ids ``r + n_relations``."""
+    n_rel = kg.n_relations
+    out = [(r, t) for h, r, t in kg.triples if h == e]
+    inc = [(r + n_rel, h) for h, r, t in kg.triples if t == e]
+    return out + inc
+
+
+def local_compatibility(e, candidate, assigned, kg_pair, stats) -> float:
+    """Factor score of ``e`` mapped to ``candidate``; ``assigned(n)`` gives
+    the counterpart of source entity ``n`` or None."""
+    cand_adj: dict[int, list[int]] = defaultdict(list)
+    for rho_t, n_t in directed_adjacency(kg_pair.target, candidate):
+        cand_adj[n_t].append(rho_t)
+
+    survivor = 1.0
+    for rho_s, n in directed_adjacency(kg_pair.source, e):
+        y_n = candidate if n == e else assigned(n)
+        if y_n is None:
+            continue
+        for rho_t in cand_adj.get(y_n, ()):
+            survivor *= 1.0 - stats.prob_tgt_in_src(rho_t, rho_s) * stats.src_inv_fun[rho_s]
+            survivor *= 1.0 - stats.prob_src_in_tgt(rho_s, rho_t) * stats.tgt_inv_fun[rho_t]
+    return 1.0 - survivor
+
+
+def compatibility_sums(u, candidates, assignment: Assignment, kg_pair, stats) -> np.ndarray:
+    """Per candidate, the factor scores summed over ``u`` and its one-hop
+    neighbors with ``u`` mapped to the candidate."""
+    neighbors = {n for _, n in directed_adjacency(kg_pair.source, u)} - {u}
+    anchors = [u] + sorted(neighbors)
+    sums = np.zeros(len(candidates))
+    for i, c in enumerate(candidates):
+        mapping = dict(assignment.mapping)
+        mapping[u] = c
+        sums[i] = sum(
+            local_compatibility(e, mapping[e], mapping.get, kg_pair, stats)
+            for e in anchors if e in mapping
+        )
+    return sums
+
+
+def softmax(sums: np.ndarray) -> np.ndarray:
+    e = np.exp(sums - sums.max())
+    return e / e.sum()
+
+
+def refine_rows(q, row_ids, col_ids, kg_pair, stats, labelled, top_k):
+    """``(candidates, sums)`` per row: the ``top_k`` columns by probability
+    (ties to the lower id) and their reference sums against the assignment
+    of labelled truths plus row argmaxes."""
+    q = np.asarray(q, dtype=np.float64)
+    mapping = dict(labelled)
+    ranked = []
+    for i, u in enumerate(row_ids):
+        order = sorted(range(len(col_ids)), key=lambda j: (-q[i, j], col_ids[j]))
+        ranked.append([col_ids[j] for j in order])
+        if u not in labelled:
+            mapping[u] = ranked[-1][0]
+    assignment = Assignment(mapping=mapping, labelled=set(labelled))
+    out = []
+    for u, cands in zip(row_ids, ranked):
+        cands = tuple(cands[:top_k])
+        out.append((cands, compatibility_sums(u, cands, assignment, kg_pair, stats)))
+    return out
+
+
+def estimate_relation_stats(kg_pair, assignment: Assignment) -> RelationStats:
+    """PARIS statistics counted over every directed triple of each side."""
+    fwd = dict(assignment.mapping)
+    rev: dict[int, set[int]] = defaultdict(set)
+    for e, t in fwd.items():
+        rev[t].add(e)
+
+    def pair_relations(kg):
+        idx: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for h, r, t in kg.triples:
+            idx[(h, t)].append(r)
+            idx[(t, h)].append(r + kg.n_relations)
+        return idx
+
+    def directed_triples(kg):
+        for h, r, t in kg.triples:
+            yield h, r, t
+            yield t, r + kg.n_relations, h
+
+    src_rels = pair_relations(kg_pair.source)
+    tgt_rels = pair_relations(kg_pair.target)
+    src_trials: dict[int, int] = defaultdict(int)
+    src_support: dict[tuple[int, int], int] = defaultdict(int)
+    for h, rho, t in directed_triples(kg_pair.source):
+        if h in fwd and t in fwd:
+            src_trials[rho] += 1
+            for rho_t in tgt_rels.get((fwd[h], fwd[t]), ()):
+                src_support[(rho, rho_t)] += 1
+    tgt_trials: dict[int, int] = defaultdict(int)
+    tgt_support: dict[tuple[int, int], int] = defaultdict(int)
+    for h, rho, t in directed_triples(kg_pair.target):
+        if h in rev and t in rev:
+            tgt_trials[rho] += 1
+            mirrored = set()
+            for a, b in itertools.product(rev[h], rev[t]):
+                mirrored.update(src_rels.get((a, b), ()))
+            for rho_s in mirrored:
+                tgt_support[(rho, rho_s)] += 1
+    return RelationStats(
+        src_inv_fun=relation_inverse_functionality(kg_pair.source),
+        tgt_inv_fun=relation_inverse_functionality(kg_pair.target),
+        subrel_tgt_in_src={(rt, rs): (n + 1) / (tgt_trials[rt] + 2)
+                           for (rt, rs), n in tgt_support.items()},
+        subrel_src_in_tgt={(rs, rt): (n + 1) / (src_trials[rs] + 2)
+                           for (rs, rt), n in src_support.items()},
+        tgt_trials=dict(tgt_trials),
+        src_trials=dict(src_trials),
+    )
+
+
+def enumerate_joint(
+    kg_pair,
+    stats: RelationStats,
+    labelled: dict[int, int],
+    grids: dict[int, tuple[int, ...]],
+) -> dict[tuple[tuple[int, int], ...], float]:
+    """Exact normalized joint over small candidate grids.
+
+    Enumerates every combination of the unlabelled grids with labelled
+    entities clamped, scoring each full assignment by the sum of all factor
+    scores.  The state space is capped.
+    """
+    size = 1
+    for g in grids.values():
+        size *= len(g)
+        if size > JOINT_ENUMERATION_CAP:
+            raise ValueError(f"state space exceeds cap {JOINT_ENUMERATION_CAP}")
+    unlabelled = sorted(grids)
+    combos = list(itertools.product(*(grids[u] for u in unlabelled)))
+    weights = np.empty(len(combos))
+    for idx, combo in enumerate(combos):
+        mapping = dict(labelled)
+        mapping.update(zip(unlabelled, combo))
+        total = 0.0
+        for e in range(kg_pair.source.n_entities):
+            y_e = mapping.get(e)
+            if y_e is None:
+                continue
+            total += local_compatibility(e, y_e, mapping.get, kg_pair, stats)
+        weights[idx] = total
+    weights = np.exp(weights - weights.max())
+    weights /= weights.sum()
+    return {
+        tuple(zip(unlabelled, combo)): float(w) for combo, w in zip(combos, weights)
+    }
+
+
+def conditional_from_joint(
+    joint: dict[tuple[tuple[int, int], ...], float],
+    u: int,
+    fixed: dict[int, int],
+) -> dict[int, float]:
+    """Read p(counterpart of u | everything else fixed) off a joint table.
+
+    ``fixed`` entries outside the enumerated grid (e.g. labelled entities)
+    were clamped during enumeration and are ignored here.
+    """
+    probs: dict[int, float] = {}
+    for combo, w in joint.items():
+        d = dict(combo)
+        if any(d[v] != c for v, c in fixed.items() if v != u and v in d):
+            continue
+        probs[d[u]] = probs.get(d[u], 0.0) + w
+    total = sum(probs.values())
+    return {c: w / total for c, w in probs.items()}

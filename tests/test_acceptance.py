@@ -22,8 +22,6 @@ from kgalign.compatibility import (
     Assignment,
     RelationStats,
     conditional_distribution,
-    conditional_from_joint,
-    enumerate_joint,
     estimate_relation_stats,
     local_compatibility,
 )
@@ -37,6 +35,11 @@ from kgalign.strategies import (
     uni_threshold,
 )
 from kgalign.synth import write_twin_dataset
+from oracle import (
+    conditional_from_joint,
+    enumerate_joint,
+    local_compatibility as reference_compatibility,
+)
 
 
 def _report(n: int, message: str) -> None:
@@ -176,13 +179,14 @@ def test_criterion_2_local_compatibility_oracle():
             }
             g = local_compatibility(0, 0, Assignment(mapping=mapping), pair, stats)
             assert 0.0 <= g < 1.0
+            assert abs(g - reference_compatibility(0, 0, mapping.get, pair, stats)) < 1e-12
             scores.append(g)
         assert all(a <= b + 1e-15 for a, b in zip(scores, scores[1:]))
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _report(2, f"hand cases exact to 1e-12; range and monotonicity on 1000 "
-               f"instances ({elapsed:.1f}s)")
+    _report(2, f"hand cases exact to 1e-12; range, monotonicity and reference "
+               f"agreement on 1000 instances ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from kgalign.cli import main
 from kgalign.kg import load_dataset
-from kgalign.models import SRC_TO_TGT, SimMatrix, top_k_of
+from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix, top_k_of
 from kgalign.simio import read_sim_matrix, write_sim_matrix
 
 
@@ -87,15 +87,16 @@ class TestRunCommand:
 
 
 class TestImportSim:
-    def make_sim_file(self, twin_dataset_dir, tmp_path, topk=False):
+    def make_sim_file(self, twin_dataset_dir, tmp_path, topk=False,
+                      direction=SRC_TO_TGT):
         pair, _ = load_dataset(twin_dataset_dir)
         rng = np.random.default_rng(0)
         dense = SimMatrix(
             scores=rng.uniform(-1, 1, (pair.source.n_entities, pair.target.n_entities)),
-            direction=SRC_TO_TGT,
+            direction=direction,
         )
         matrix = top_k_of(dense, k=5) if topk else dense
-        path = tmp_path / "sims.tsv"
+        path = tmp_path / f"sims-{direction}.tsv"
         write_sim_matrix(path, matrix)
         return path, dense
 
@@ -121,16 +122,36 @@ class TestImportSim:
                      "--sim-file", str(path)])
         assert code == 1
 
-    def test_external_model_run(self, twin_dataset_dir, tmp_path):
-        path, _ = self.make_sim_file(twin_dataset_dir, tmp_path)
-        code = main([
+    def test_import_accepts_either_direction(self, twin_dataset_dir, tmp_path):
+        path, _ = self.make_sim_file(twin_dataset_dir, tmp_path, direction=TGT_TO_SRC)
+        assert main(["import-sim", "--dataset-dir", str(twin_dataset_dir),
+                     "--sim-file", str(path)]) == 0
+
+    def run_external(self, twin_dataset_dir, tmp_path, forward, reverse=None):
+        extra = ["--sim-file-reverse", str(reverse)] if reverse else []
+        return main([
             "run", "--dataset-dir", str(twin_dataset_dir),
             "--mode", "selftrain", "--strategy", "SimThr", "--theta", "0.5",
-            "--model", "external", "--sim-file", str(path),
+            "--model", "external", "--sim-file", str(forward), *extra,
             "--iterations", "1", "--epochs", "1", "--ratio", "0.1",
             "--out-dir", str(tmp_path / "runs-ext"),
         ])
-        assert code == 0
+
+    def test_external_model_run(self, twin_dataset_dir, tmp_path):
+        path, _ = self.make_sim_file(twin_dataset_dir, tmp_path)
+        assert self.run_external(twin_dataset_dir, tmp_path, path) == 0
+
+    def test_external_run_checks_file_directions(self, twin_dataset_dir, tmp_path,
+                                                 capsys):
+        # the twin KGs are the same size, so only the header tells the
+        # directions apart
+        fwd, _ = self.make_sim_file(twin_dataset_dir, tmp_path)
+        rev, _ = self.make_sim_file(twin_dataset_dir, tmp_path, direction=TGT_TO_SRC)
+        assert self.run_external(twin_dataset_dir, tmp_path, fwd, rev) == 0
+        assert self.run_external(twin_dataset_dir, tmp_path, rev) == 1
+        assert "expected src_to_tgt" in capsys.readouterr().err
+        assert self.run_external(twin_dataset_dir, tmp_path, fwd, fwd) == 1
+        assert "expected tgt_to_src" in capsys.readouterr().err
 
 
 class TestStatsAndEval:
@@ -157,6 +178,33 @@ class TestStatsAndEval:
         out = json.loads(capsys.readouterr().out)
         assert 0.0 <= out["hit1"] <= 1.0
         assert out["n_test"] == 56
+
+    def test_eval_sim_file_must_be_forward(self, twin_dataset_dir, tmp_path, capsys):
+        pair, _ = load_dataset(twin_dataset_dir)
+        path = tmp_path / "s.tsv"
+        write_sim_matrix(path, SimMatrix(
+            scores=np.zeros((pair.target.n_entities, pair.source.n_entities)),
+            direction=TGT_TO_SRC,
+        ))
+        assert main(["eval", "--dataset-dir", str(twin_dataset_dir),
+                     "--sim-file", str(path)]) == 1
+        assert "expected src_to_tgt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", ["only-one-column", "nobody\tnobody"])
+    def test_eval_pseudo_file_rejects_bad_rows(self, twin_dataset_dir, tmp_path,
+                                               capsys, bad_row):
+        pair, _ = load_dataset(twin_dataset_dir)
+        good = f"{pair.source.entity_labels[0]}\t{pair.target.entity_labels[0]}"
+        path = tmp_path / "pseudo.tsv"
+        path.write_text(f"{good}\n\n{good}\t0\tMutHighestProb\t0.9\n{bad_row}\n",
+                        encoding="utf-8")
+        assert main(["eval", "--dataset-dir", str(twin_dataset_dir),
+                     "--pseudo-file", str(path)]) == 1
+        assert f"{path}:4" in capsys.readouterr().err
+        path.write_text(f"{good}\n\n{good}\n", encoding="utf-8")
+        assert main(["eval", "--dataset-dir", str(twin_dataset_dir),
+                     "--pseudo-file", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["pseudo_count"] == 1
 
     def test_eval_pseudo_file(self, twin_dataset_dir, tmp_path, run_conf, capsys):
         assert main(["run", "--config", str(run_conf)]) == 0

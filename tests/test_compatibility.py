@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from kgalign.compatibility import (
     Assignment,
     RelationStats,
     build_assignment,
     compatibility_sums,
     conditional_distribution,
-    conditional_from_joint,
-    enumerate_joint,
     estimate_relation_stats,
     local_compatibility,
     refine_rows,
@@ -254,9 +255,9 @@ class TestConditionalDistribution:
                 mapping[u] = grids[u][rng.integers(0, 3)]
             assignment = Assignment(mapping=mapping, labelled={0, 1})
             stats = estimate_relation_stats(pair, assignment)
-            joint = enumerate_joint(pair, stats, labelled, grids)
+            joint = oracle.enumerate_joint(pair, stats, labelled, grids)
             for u in unlabelled:
-                expected = conditional_from_joint(joint, u, mapping)
+                expected = oracle.conditional_from_joint(joint, u, mapping)
                 row = conditional_distribution(u, grids[u], assignment, pair, stats)
                 for c, p in zip(row.cand_ids, row.probs):
                     worst = max(worst, abs(p - expected[c]))
@@ -269,7 +270,7 @@ class TestEnumerateJoint:
         pair = random_tiny_pair(rng)
         stats = estimate_relation_stats(pair, Assignment(mapping={0: 0}))
         grids = {2: (0, 1, 2), 3: (1, 2, 3)}
-        joint = enumerate_joint(pair, stats, {0: 0}, grids)
+        joint = oracle.enumerate_joint(pair, stats, {0: 0}, grids)
         assert len(joint) == 9
         assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -277,7 +278,7 @@ class TestEnumerateJoint:
         rng = np.random.default_rng(2)
         pair = random_tiny_pair(rng)
         stats = estimate_relation_stats(pair, Assignment(mapping={0: 0}))
-        joint = enumerate_joint(pair, stats, {0: 0}, {1: (0, 3)})
+        joint = oracle.enumerate_joint(pair, stats, {0: 0}, {1: (0, 3)})
         assert len(joint) == 2
         assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -290,7 +291,7 @@ class TestEnumerateJoint:
         too_big = {u: tuple(range(6)) for u in range(6)}
         too_big.update({10 + u: tuple(range(6)) for u in range(2)})  # 6^8 > 1e5
         with pytest.raises(ValueError, match="cap"):
-            enumerate_joint(pair, stats, {}, too_big)
+            oracle.enumerate_joint(pair, stats, {}, too_big)
 
 
 class TestRefineRows:
@@ -365,6 +366,52 @@ class TestRefineRows:
         assert len(sink) == 3 * len(refined)
         for u, c, s, p in sink:
             assert u in row_ids and 0.0 <= p <= 1.0
+
+
+class TestAgainstOracle:
+    """The adjacency-index paths against the triple-scanning reference on
+    random small KG pairs, self-loops and parallel edges included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stats_sums_and_refined_rows_match_reference(self, data):
+        pair = KgPair(oracle.random_kg(data, "a"), oracle.random_kg(data, "b"))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        labelled = data.draw(st.dictionaries(
+            st.integers(0, n_src - 1), st.integers(0, n_tgt - 1), max_size=3))
+        row_ids = [u for u in range(n_src) if u not in labelled]
+        col_ids = list(range(n_tgt))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a coarse grid makes top-k and argmax ties common
+        q = rng.integers(0, 3, size=(len(row_ids), n_tgt)).astype(float)
+        top_k = data.draw(st.integers(1, n_tgt))
+
+        assignment = build_assignment(q, row_ids, col_ids, labelled)
+        stats = estimate_relation_stats(pair, assignment)
+        ref_stats = oracle.estimate_relation_stats(pair, assignment)
+        assert stats == ref_stats
+
+        u = data.draw(st.integers(0, n_src - 1))
+        c = data.draw(st.integers(0, n_tgt - 1))
+        assert local_compatibility(u, c, assignment, pair, stats) == pytest.approx(
+            oracle.local_compatibility(u, c, assignment.mapping.get, pair, stats),
+            rel=0, abs=1e-12,
+        )
+        np.testing.assert_allclose(
+            compatibility_sums(u, col_ids, assignment, pair, stats),
+            oracle.compatibility_sums(u, col_ids, assignment, pair, stats),
+            rtol=0, atol=1e-12,
+        )
+
+        refined = refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k=top_k)
+        reference = oracle.refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k)
+        assert len(refined) == len(reference)
+        for row, (cands, sums) in zip(refined, reference):
+            assert row.cand_ids == cands
+            probs = oracle.softmax(sums)
+            np.testing.assert_allclose(row.probs, probs, rtol=0, atol=1e-12)
+            best = min(range(len(cands)), key=lambda j: (-probs[j], cands[j]))
+            assert row.argmax_candidate() == cands[best]
 
 
 class TestStoryScenarios:

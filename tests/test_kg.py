@@ -1,18 +1,29 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgalign.compatibility import Assignment, compatibility_sums, estimate_relation_stats
 from kgalign.kg import (
     Kg,
     KgFormatError,
     KgPair,
     MappingSet,
-    factor_subset,
     load_dataset,
     load_kg,
-    markov_blanket,
     partition_mappings,
 )
+from oracle import random_kg
+
+
+def two_hop(kg: Kg, u: int) -> set[int]:
+    """``u`` plus everything within two undirected hops: the union of the
+    factor scopes ``{e} | neighbors(e)`` that contain ``u``."""
+    members = {u}
+    for n in kg.neighbors(u):
+        members.add(n)
+        members.update(kg.neighbors(n))
+    return members
 
 
 def write_triples(path, lines):
@@ -60,13 +71,30 @@ class TestLoadKg:
         kg = load_kg(dbp_sample_dir / "rel_triples_1")
         assert kg.n_entities == len(labels)
 
-    def test_indices_cover_each_triple_once(self, chain_kg):
-        out = [(h, r, t) for h in range(chain_kg.n_entities)
-               for r, t in chain_kg.out_index[h]]
-        inc = [(h, r, t) for t in range(chain_kg.n_entities)
-               for r, h in chain_kg.in_index[t]]
-        assert sorted(out) == sorted(chain_kg.triples)
-        assert sorted(inc) == sorted(chain_kg.triples)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_adjacency_holds_each_triple_once_per_orientation(self, data):
+        kg = random_kg(data, "e", max_entities=12)
+        n_rel = kg.n_relations
+        out, inc = [], []
+        for e, nbrs in enumerate(kg.adjacency):
+            for n, rhos in nbrs.items():
+                assert rhos == tuple(sorted(rhos, key=lambda rho: rho >= n_rel))
+                out += [(e, rho, n) for rho in rhos if rho < n_rel]
+                inc += [(n, rho - n_rel, e) for rho in rhos if rho >= n_rel]
+        assert sorted(out) == sorted(kg.triples)
+        assert sorted(inc) == sorted(kg.triples)
+
+    def test_adjacency_order_and_self_loop(self):
+        kg = Kg.from_label_triples(
+            [("a", "r", "b"), ("b", "q", "a"), ("a", "q", "b"), ("c", "r", "c")]
+        )
+        a, b, c = (kg.entity_ids[x] for x in "abc")
+        r, q, n_rel = kg.relation_ids["r"], kg.relation_ids["q"], kg.n_relations
+        assert kg.adjacency[a] == {b: (r, q, q + n_rel)}
+        assert kg.adjacency[b] == {a: (q, r + n_rel, q + n_rel)}
+        assert kg.adjacency[c] == {c: (r, r + n_rel)}
+        assert kg.neighbors(c) == (c,)
 
     def test_roundtrip_triples(self, tmp_path):
         lines = ["a\tr\tb", "b\tq\tc", "a\tr\tb", "c\tr\ta"]
@@ -124,55 +152,53 @@ class TestPartition:
 class TestNeighborhoods:
     def test_triangle_factor_subset(self):
         kg = Kg.from_label_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
-        fs = factor_subset(kg, kg.entity_ids["a"])
-        assert fs.members == {kg.entity_ids[x] for x in "abc"}
+        a = kg.entity_ids["a"]
+        assert {a} | set(kg.neighbors(a)) == {kg.entity_ids[x] for x in "abc"}
 
     def test_isolated_entity(self):
         kg = Kg.from_label_triples([("a", "r", "b")], extra_entities=("z",))
         z = kg.entity_ids["z"]
-        assert factor_subset(kg, z).members == {z}
-        assert markov_blanket(kg, z).members == {z}
+        assert kg.neighbors(z) == ()
+        assert two_hop(kg, z) == {z}
 
     def test_chain_counts_both_directions(self, chain_kg):
-        b = chain_kg.entity_ids["b"]
-        fs = factor_subset(chain_kg, b)
-        assert fs.members == {chain_kg.entity_ids[x] for x in "abc"}
+        ids = chain_kg.entity_ids
+        assert chain_kg.neighbors(ids["b"]) == tuple(sorted((ids["a"], ids["c"])))
 
     def test_chain_markov_blanket(self, chain_kg):
         a = chain_kg.entity_ids["a"]
-        mb = markov_blanket(chain_kg, a)
-        assert mb.members == {chain_kg.entity_ids[x] for x in "abc"}
+        assert two_hop(chain_kg, a) == {chain_kg.entity_ids[x] for x in "abc"}
 
     def test_star_markov_blanket(self):
         kg = Kg.from_label_triples(
             [("u", "r", "l1"), ("u", "r", "l2"), ("l3", "r", "u")]
         )
-        mb = markov_blanket(kg, kg.entity_ids["u"])
-        assert mb.members == {kg.entity_ids[x] for x in ("u", "l1", "l2", "l3")}
+        assert two_hop(kg, kg.entity_ids["u"]) == {
+            kg.entity_ids[x] for x in ("u", "l1", "l2", "l3")
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_blanket_is_union_of_containing_factors(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=50))
-        n_edges = data.draw(st.integers(min_value=1, max_value=80))
-        edges = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, n - 1), st.integers(0, 1), st.integers(0, n - 1)
-                ),
-                min_size=n_edges, max_size=n_edges,
-            )
-        )
-        triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges]
-        kg = Kg.from_label_triples(triples, extra_entities=tuple(f"e{i}" for i in range(n)))
-        u = data.draw(st.integers(0, kg.n_entities - 1))
-        expected = set()
-        for e in range(kg.n_entities):
-            fs = factor_subset(kg, e)
-            if u in fs.members:
-                expected |= fs.members
-        expected = expected or {u}
-        assert markov_blanket(kg, u).members == expected
+    def test_reassigning_outside_two_hops_leaves_sums_unchanged(self, data):
+        pair = KgPair(random_kg(data, "a", max_entities=12), random_kg(data, "b"))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        mapping = data.draw(st.dictionaries(
+            st.integers(0, n_src - 1), st.integers(0, n_tgt - 1)))
+        assignment = Assignment(mapping=mapping)
+        stats = estimate_relation_stats(pair, assignment)
+        u = data.draw(st.integers(0, n_src - 1))
+        cands = tuple(range(n_tgt))
+        before = compatibility_sums(u, cands, assignment, pair, stats)
+        for v in sorted(set(range(n_src)) - two_hop(pair.source, u)):
+            for moved in (None, data.draw(st.integers(0, n_tgt - 1))):
+                changed = dict(mapping)
+                changed.pop(v, None)
+                if moved is not None:
+                    changed[v] = moved
+                after = compatibility_sums(
+                    u, cands, Assignment(mapping=changed), pair, stats
+                )
+                assert np.array_equal(before, after)
 
 
 class TestKgPair:

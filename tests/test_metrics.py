@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign.kg import MappingSet
-from kgalign.metrics import evaluate_rows, hit_at_k, mrr, pseudo_quality, truth_ranks
+from kgalign.metrics import evaluate_rows, pseudo_quality, truth_ranks
 
 
 def naive_rank(row, truth_col):
@@ -16,24 +16,25 @@ class TestRanks:
     def test_rank_one_everywhere(self):
         rows = np.array([[0.9, 0.1], [0.8, 0.2]])
         truths = np.array([0, 0])
-        assert hit_at_k(rows, truths, 1) == 1.0
-        assert mrr(rows, truths) == 1.0
+        report = evaluate_rows(rows, truths)
+        assert (report.hit1, report.mrr) == (1.0, 1.0)
 
     def test_mixed_ranks(self):
         rows = np.array([[0.9, 0.1], [0.8, 0.9]])
         truths = np.array([0, 0])  # ranks 1 and 2
-        assert hit_at_k(rows, truths, 1) == 0.5
-        assert hit_at_k(rows, truths, 10) == 1.0
-        assert mrr(rows, truths) == pytest.approx(0.75)
+        report = evaluate_rows(rows, truths)
+        assert report.hit1 == 0.5
+        assert report.hit10 == 1.0
+        assert report.mrr == pytest.approx(0.75)
 
     def test_k_larger_than_row_width(self):
         rows = np.array([[0.1, 0.2, 0.3]])
-        assert hit_at_k(rows, np.array([0]), 10) == 1.0
+        assert evaluate_rows(rows, np.array([0])).hit10 == 1.0
 
     def test_truth_last_of_m(self):
         m = 5
         row = np.arange(m, dtype=float)[None, ::-1]
-        assert mrr(row, np.array([m - 1])) == pytest.approx(1 / m)
+        assert evaluate_rows(row, np.array([m - 1])).mrr == pytest.approx(1 / m)
 
     def test_tie_break_lowest_id(self):
         rows = np.array([[0.5, 0.5, 0.5]])
@@ -42,7 +43,7 @@ class TestRanks:
 
     def test_truth_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            hit_at_k(np.array([[0.1, 0.2]]), np.array([5]), 1)
+            evaluate_rows(np.array([[0.1, 0.2]]), np.array([5]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -66,17 +67,19 @@ class TestRanks:
         report = evaluate_rows(rows, truths)
         assert report.hit1 <= report.hit10 <= 1.0
         assert report.hit1 <= report.mrr <= 1.0
-        assert hit_at_k(rows, truths, 12) == 1.0
+        assert np.all(truth_ranks(rows, truths) <= 12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(7, 5))
         truths = rng.integers(0, 5, size=7)
         perm = rng.permutation(7)
-        assert mrr(rows, truths) == pytest.approx(mrr(rows[perm], truths[perm]))
-        assert hit_at_k(rows, truths, 2) == pytest.approx(
-            hit_at_k(rows[perm], truths[perm], 2)
-        )
+        a = evaluate_rows(rows, truths)
+        b = evaluate_rows(rows[perm], truths[perm])
+        assert a.mrr == pytest.approx(b.mrr)
+        assert a.hit1 == pytest.approx(b.hit1)
+        assert np.array_equal(np.sort(truth_ranks(rows, truths)),
+                              np.sort(truth_ranks(rows[perm], truths[perm])))
 
 
 class TestPseudoQuality:

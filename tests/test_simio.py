@@ -69,3 +69,16 @@ def test_validate_against_dimensions():
         validate_against(m, 4, 3)
     rev = SimMatrix(scores=np.zeros((4, 3)), direction="tgt_to_src")
     validate_against(rev, 3, 4)
+
+
+@pytest.mark.parametrize("row", ["2:0.9\t-1:0.5", "2:0.9\t2:0.5", "2:0.9\t3:0.5"])
+def test_topk_rejects_bad_candidate_ids(tmp_path, row):
+    # negative, duplicate and out-of-range ids; #cols is 3
+    p = tmp_path / "m.tsv"
+    p.write_text(
+        "#sim-format v1\n#direction src_to_tgt\n#rows 2\n#cols 3\n#layout topk\n"
+        f"#fill 0.0\n0:0.9\t1:0.5\n{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SimFormatError, match="row 1"):
+        read_sim_matrix(p)

@@ -6,6 +6,9 @@ Three implementations share one small interface (``fit`` +
 * ``EmbeddingAligner`` — a trainable translation-style embedding model with
   margin ranking loss and hard parameter sharing: entities joined by a
   training mapping collapse to a single vector through a union-find table.
+  Each SGD step scores every positive once against its k grouped negatives,
+  scatters the gradients through flat views of fresh dense tables in 2-d
+  ``np.add.at`` order, and renormalizes every entity row.
 * ``SyntheticOracle`` — a deterministic test double whose similarity rows
   are correct for a configurable fraction of entities; it isolates the
   self-training machinery from model quality.
@@ -135,32 +138,45 @@ def margin_ranking_loss_and_grad(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Total hinge loss over (positive, corrupted) triple pairs.
 
-    ``pos`` and ``neg`` are (n, 3) index arrays (head, relation, tail) into
-    ``ent`` / ``rel``; the loss per pair is
-    ``max(0, margin + |h + r - t| - |h' + r - t'|)`` with Euclidean norms.
+    ``pos`` is a (b, 3) and ``neg`` a (b*k, 3) index array (head, relation,
+    tail) into ``ent`` / ``rel``; negatives are grouped k per positive, so
+    ``neg[i*k : (i+1)*k]`` pair with ``pos[i]``.  The loss per pair is
+    ``max(0, margin + |h + r - t| - |h' + r' - t'|)`` with Euclidean norms.
     Returns the summed loss and dense gradients for both tables.
+
+    Each positive is scored once; the loss sums over the (b*k,) pair vector
+    and each gradient stream is scattered, in pair order, into the flat view
+    of a fresh table, so the result is bitwise that of the pairwise layout.
     """
+    k, rest = divmod(neg.shape[0], pos.shape[0])
+    if rest or k < 1:
+        raise ValueError("neg must hold k >= 1 rows per positive")
     d_pos = ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]]
     d_neg = ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]]
     norm_pos = np.sqrt((d_pos * d_pos).sum(axis=1))
     norm_neg = np.sqrt((d_neg * d_neg).sum(axis=1))
-    viol = margin + norm_pos - norm_neg
+    viol = np.repeat(margin + norm_pos, k) - norm_neg
     active = viol > 0
     loss = float(np.where(active, viol, 0.0).sum())
 
-    g_ent = np.zeros_like(ent)
-    g_rel = np.zeros_like(rel)
+    # fresh flat buffers: reshaping a non-contiguous table would copy
+    g_ent = np.zeros(ent.size)
+    g_rel = np.zeros(rel.size)
     if active.any():
-        u_pos = d_pos[active] / np.maximum(norm_pos[active], 1e-12)[:, None]
-        u_neg = d_neg[active] / np.maximum(norm_neg[active], 1e-12)[:, None]
-        p, q = pos[active], neg[active]
-        np.add.at(g_ent, p[:, 0], u_pos)
-        np.add.at(g_ent, p[:, 2], -u_pos)
-        np.add.at(g_rel, p[:, 1], u_pos)
-        np.add.at(g_ent, q[:, 0], -u_neg)
-        np.add.at(g_ent, q[:, 2], u_neg)
-        np.add.at(g_rel, q[:, 1], -u_neg)
-    return loss, g_ent, g_rel
+        pairs = np.flatnonzero(active)
+        owner = pairs // k
+        u_pos = (d_pos / np.maximum(norm_pos, 1e-12)[:, None])[owner].ravel()
+        u_neg = (d_neg[pairs] / np.maximum(norm_neg[pairs], 1e-12)[:, None]).ravel()
+        p, q = pos[owner], neg[pairs]
+        dim = ent.shape[1]
+        cols = np.arange(dim)
+        for ufunc, table, ids, u in (
+            (np.add, g_ent, p[:, 0], u_pos), (np.subtract, g_ent, p[:, 2], u_pos),
+            (np.add, g_rel, p[:, 1], u_pos), (np.subtract, g_ent, q[:, 0], u_neg),
+            (np.add, g_ent, q[:, 2], u_neg), (np.subtract, g_rel, q[:, 1], u_neg),
+        ):
+            ufunc.at(table, ((ids * dim)[:, None] + cols).ravel(), u)
+    return loss, g_ent.reshape(ent.shape), g_rel.reshape(rel.shape)
 
 
 @dataclass
@@ -169,7 +185,6 @@ class EmbeddingAlignerParams:
     margin: float = 1.0
     negatives: int = 5
     lr: float = 0.01
-    epochs: int = 50      # per self-training iteration
     batch_size: int = 256
 
 
@@ -265,29 +280,26 @@ class EmbeddingAligner:
         p = self.params
         n_src = pair.source.n_entities
         k = p.negatives
-        rep = np.repeat(batch, k, axis=0)
-        m = rep.shape[0]
+        m = batch.shape[0] * k
         corrupt_tail = self._rng.integers(0, 2, size=m).astype(bool)
-        src_side = rep[:, 3] == 0
         repl = np.where(
-            src_side,
+            np.repeat(batch[:, 3] == 0, k),
             self._rng.integers(0, n_src, size=m),
             n_src + self._rng.integers(0, pair.target.n_entities, size=m),
         )
         repl = root[repl]
-        neg = rep[:, :3].copy()
+        pos = batch[:, :3].copy()
+        pos[:, 1] += self._n_rel_src * batch[:, 3]
+        neg = np.repeat(pos, k, axis=0)
         neg[corrupt_tail, 2] = repl[corrupt_tail]
         neg[~corrupt_tail, 0] = repl[~corrupt_tail]
-
-        pos = rep[:, :3].copy()
-        pos[:, 1] = np.where(src_side, pos[:, 1], pos[:, 1] + self._n_rel_src)
-        neg[:, 1] = pos[:, 1]
 
         loss, g_ent, g_rel = margin_ranking_loss_and_grad(
             self._ent, self._rel, pos, neg, p.margin
         )
         self._ent -= p.lr * g_ent
         self._rel -= p.lr * g_rel
+        # all rows: renormalizing only touched ones would change the others' bits
         norms = np.linalg.norm(self._ent, axis=1, keepdims=True)
         self._ent /= np.maximum(norms, 1e-12)
         return loss

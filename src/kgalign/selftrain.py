@@ -11,11 +11,11 @@ as iteration 0.
 
 Outputs land in a per-run directory: a key-value manifest (deterministic,
 so repeat runs hash identically), a ``metrics.jsonl`` stream with one
-object per iteration, per-iteration wall-clock in ``timings.jsonl``, and
-the final pseudo mapping TSV.  The ``seconds`` field of ``metrics.jsonl``
-is written as 0.0 so the stream is byte-reproducible for a fixed config and
-seed; real timings live in ``timings.jsonl``, which is exempt from the
-reproducibility contract.
+object per iteration, per-iteration wall-clock and ``model.fit`` seconds in
+``timings.jsonl``, and the final pseudo mapping TSV.  The ``seconds`` field
+of ``metrics.jsonl`` is written as 0.0 so the stream is byte-reproducible
+for a fixed config and seed; real timings live in ``timings.jsonl``, which
+is exempt from the reproducibility contract.
 """
 
 from __future__ import annotations
@@ -278,8 +278,7 @@ class SelfTrainRun:
         cfg = self.config
         if cfg.model == "embedding":
             params = EmbeddingAlignerParams(
-                dim=cfg.dim, margin=cfg.margin, negatives=cfg.negatives,
-                lr=cfg.lr, epochs=cfg.epochs,
+                dim=cfg.dim, margin=cfg.margin, negatives=cfg.negatives, lr=cfg.lr,
             )
             return EmbeddingAligner(params, seed=cfg.seed + MODEL_SEED_OFFSET)
         if cfg.model == "oracle":
@@ -390,13 +389,13 @@ class SelfTrainRun:
             rows = sim_fwd.scores[test_src]
         return evaluate_rows(rows, truth_cols)
 
-    def _emit(self, report: IterationReport) -> None:
+    def _emit(self, report: IterationReport, fit_s: float) -> None:
         self.reports.append(report)
         with open(self.run_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
             fh.write(metrics_line(report) + "\n")
         with open(self.run_dir / "timings.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"iter": report.iteration,
-                                 "seconds": report.seconds}) + "\n")
+            fh.write(json.dumps({"iter": report.iteration, "seconds": report.seconds,
+                                 "fit_s": fit_s}) + "\n")
 
     def run(self) -> list[IterationReport]:
         cfg = self.config
@@ -407,6 +406,7 @@ class SelfTrainRun:
         for iteration in range(cfg.iterations):
             t0 = time.perf_counter()
             trace = self.model.fit(self.pair, train, cfg.epochs)
+            fit_s = time.perf_counter() - t0
             sim_fwd = self.model.similarities(SRC_TO_TGT)
             report_kwargs: dict = {}
             if cfg.mode == "selftrain":
@@ -429,7 +429,7 @@ class SelfTrainRun:
                 loss=float(trace[-1]) if trace else 0.0,
                 seconds=time.perf_counter() - t0, **report_kwargs,
             )
-            self._emit(report)
+            self._emit(report, fit_s)
         write_pseudo_tsv(
             self.run_dir / "pseudo_final.tsv", self.pair, pseudo,
             iteration=cfg.iterations - 1, strategy=cfg.strategy,

@@ -25,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import SimMatrix, TopKSimMatrix
+from .models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix, TopKSimMatrix
 
 FORMAT_TAG = "#sim-format v1"
+_HEADER_TYPES = {"rows": int, "cols": int, "fill": float}
 
 
 class SimFormatError(ValueError):
@@ -57,11 +58,17 @@ def write_sim_matrix(path: str | Path, matrix: SimMatrix | TopKSimMatrix) -> Non
 def _parse_header(lines: list[str], path) -> tuple[dict, int]:
     if not lines or lines[0].strip() != FORMAT_TAG:
         raise SimFormatError(f"{path}: missing '{FORMAT_TAG}' header")
-    header: dict[str, str] = {}
+    header: dict = {}
     i = 1
     while i < len(lines) and lines[i].startswith("#"):
         key, _, value = lines[i][1:].partition(" ")
-        header[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        try:
+            if key == "direction" and value not in (SRC_TO_TGT, TGT_TO_SRC):
+                raise ValueError
+            header[key] = _HEADER_TYPES.get(key, str)(value)
+        except ValueError:
+            raise SimFormatError(f"{path}:{i + 1}: bad #{key} {value!r}") from None
         i += 1
     for required in ("direction", "rows", "cols", "layout"):
         if required not in header:
@@ -73,32 +80,35 @@ def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, body_start = _parse_header(lines, path)
-    n_rows, n_cols = int(header["rows"]), int(header["cols"])
-    body = [ln for ln in lines[body_start:] if ln.strip()]
+    n_rows, n_cols = header["rows"], header["cols"]
+    body = [(n, ln) for n, ln in enumerate(lines, 1) if n > body_start and ln.strip()]
     if len(body) != n_rows:
         raise SimFormatError(f"{path}: expected {n_rows} rows, found {len(body)}")
 
     if header["layout"] == "dense":
         scores = np.empty((n_rows, n_cols))
-        for i, ln in enumerate(body):
+        for i, (lineno, ln) in enumerate(body):
             vals = ln.split("\t")
             if len(vals) != n_cols:
-                raise SimFormatError(f"{path}: row {i} has {len(vals)} columns")
-            scores[i] = [float(v) for v in vals]
+                raise SimFormatError(f"{path}:{lineno}: row {i} has {len(vals)} columns")
+            try:
+                scores[i] = [float(v) for v in vals]
+            except ValueError as exc:
+                raise SimFormatError(f"{path}:{lineno}: {exc}") from None
         return SimMatrix(scores=scores, direction=header["direction"])
 
     if header["layout"] == "topk":
         if "fill" not in header:
             raise SimFormatError(f"{path}: topk layout requires #fill")
         rows_ids, rows_scores = [], []
-        for ln in body:
-            ids, scores = [], []
-            for tok in ln.split("\t"):
-                ident, _, val = tok.partition(":")
-                ids.append(int(ident))
-                scores.append(float(val))
-            rows_ids.append(ids)
-            rows_scores.append(scores)
+        for lineno, ln in body:
+            toks = [tok.split(":") for tok in ln.split("\t")]
+            try:
+                rows_ids.append([int(ident) for ident, _ in toks])
+                rows_scores.append([float(val) for _, val in toks])
+            except ValueError as exc:
+                raise SimFormatError(
+                    f"{path}:{lineno}: expected id:score pairs ({exc})") from None
         widths = {len(r) for r in rows_ids}
         if len(widths) != 1:
             raise SimFormatError(f"{path}: inconsistent top-k row widths {widths}")
@@ -106,7 +116,7 @@ def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
             return TopKSimMatrix(
                 cand_ids=np.array(rows_ids, dtype=np.int64),
                 scores=np.array(rows_scores),
-                fill=float(header["fill"]),
+                fill=header["fill"],
                 n_cols=n_cols,
                 direction=header["direction"],
             )

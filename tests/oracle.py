@@ -4,6 +4,11 @@ Everything here reads a graph straight off ``kg.triples`` and never touches
 ``Kg.adjacency``, so it checks the index as well as the code that reads it.
 It is slow by design and only usable on tiny instances, such as those
 ``random_kg`` draws.
+
+The trainer references at the end are the pairwise formulation of the
+embedding model's SGD step: every positive repeated once per negative and
+the gradients scattered row by row into 2-d tables.  The package's step must
+reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -206,3 +211,63 @@ def conditional_from_joint(
         probs[d[u]] = probs.get(d[u], 0.0) + w
     total = sum(probs.values())
     return {c: w / total for c, w in probs.items()}
+
+
+def margin_ranking_loss_and_grad(ent, rel, pos, neg, margin):
+    """Hinge loss and dense gradients over row-aligned (n, 3) ``pos``/``neg``
+    pairs, scattered with 2-d ``np.add.at``."""
+    d_pos = ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]]
+    d_neg = ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]]
+    norm_pos = np.sqrt((d_pos * d_pos).sum(axis=1))
+    norm_neg = np.sqrt((d_neg * d_neg).sum(axis=1))
+    viol = margin + norm_pos - norm_neg
+    active = viol > 0
+    loss = float(np.where(active, viol, 0.0).sum())
+
+    g_ent = np.zeros_like(ent)
+    g_rel = np.zeros_like(rel)
+    if active.any():
+        u_pos = d_pos[active] / np.maximum(norm_pos[active], 1e-12)[:, None]
+        u_neg = d_neg[active] / np.maximum(norm_neg[active], 1e-12)[:, None]
+        p, q = pos[active], neg[active]
+        np.add.at(g_ent, p[:, 0], u_pos)
+        np.add.at(g_ent, p[:, 2], -u_pos)
+        np.add.at(g_rel, p[:, 1], u_pos)
+        np.add.at(g_ent, q[:, 0], -u_neg)
+        np.add.at(g_ent, q[:, 2], u_neg)
+        np.add.at(g_rel, q[:, 1], -u_neg)
+    return loss, g_ent, g_rel
+
+
+def embedding_step(model, batch, pair, root) -> float:
+    """``EmbeddingAligner._step`` on the repeated-positive layout: same RNG
+    draws, same update and renormalization."""
+    p = model.params
+    n_src = pair.source.n_entities
+    k = p.negatives
+    rep = np.repeat(batch, k, axis=0)
+    m = rep.shape[0]
+    corrupt_tail = model._rng.integers(0, 2, size=m).astype(bool)
+    src_side = rep[:, 3] == 0
+    repl = np.where(
+        src_side,
+        model._rng.integers(0, n_src, size=m),
+        n_src + model._rng.integers(0, pair.target.n_entities, size=m),
+    )
+    repl = root[repl]
+    neg = rep[:, :3].copy()
+    neg[corrupt_tail, 2] = repl[corrupt_tail]
+    neg[~corrupt_tail, 0] = repl[~corrupt_tail]
+
+    pos = rep[:, :3].copy()
+    pos[:, 1] = np.where(src_side, pos[:, 1], pos[:, 1] + model._n_rel_src)
+    neg[:, 1] = pos[:, 1]
+
+    loss, g_ent, g_rel = margin_ranking_loss_and_grad(
+        model._ent, model._rel, pos, neg, p.margin
+    )
+    model._ent -= p.lr * g_ent
+    model._rel -= p.lr * g_rel
+    norms = np.linalg.norm(model._ent, axis=1, keepdims=True)
+    model._ent /= np.maximum(norms, 1e-12)
+    return loss

@@ -122,6 +122,16 @@ class TestImportSim:
                      "--sim-file", str(path)])
         assert code == 1
 
+    def test_malformed_file_exits_one_naming_line(self, twin_dataset_dir, tmp_path,
+                                                  capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#sim-format v1\n#direction src_to_tgt\n#rows 1\n#cols 2\n"
+                        "#layout topk\n#fill 0.0\n0:0.9\t1\n", encoding="utf-8")
+        code = main(["import-sim", "--dataset-dir", str(twin_dataset_dir),
+                     "--sim-file", str(path)])
+        assert code == 1
+        assert f"{path}:7: " in capsys.readouterr().err
+
     def test_import_accepts_either_direction(self, twin_dataset_dir, tmp_path):
         path, _ = self.make_sim_file(twin_dataset_dir, tmp_path, direction=TGT_TO_SRC)
         assert main(["import-sim", "--dataset-dir", str(twin_dataset_dir),

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from kgalign.kg import MappingSet, partition_mappings
 from kgalign.models import (
     SRC_TO_TGT,
@@ -92,6 +95,24 @@ class TestEmbeddingAligner:
             runs.append(model.similarities(SRC_TO_TGT).scores)
         assert np.array_equal(runs[0], runs[1])
 
+    def test_step_bit_identical_to_pairwise_reference(self, small_twins, monkeypatch):
+        pair, links = small_twins
+        part = partition_mappings(links, 0.2, seed=7)
+        pseudo = MappingSet(part.test.pairs[:8], kind="pseudo")
+
+        def train():
+            model = EmbeddingAligner(EmbeddingAlignerParams(batch_size=64), seed=4)
+            model.fit(pair, part.labelled, epochs=2)
+            model.fit(pair, part.labelled.union(pseudo), epochs=2)
+            return model
+
+        fast = train()
+        monkeypatch.setattr(EmbeddingAligner, "_step", oracle.embedding_step)
+        ref = train()
+        assert np.array_equal(fast._ent, ref._ent)
+        assert np.array_equal(fast._rel, ref._rel)
+        assert np.array_equal(fast.loss_trace, ref.loss_trace)
+
     def test_orthogonal_embeddings_have_zero_similarity(self, small_twins):
         pair, links = small_twins
         model = EmbeddingAligner(EmbeddingAlignerParams(dim=4), seed=1)
@@ -105,20 +126,42 @@ class TestEmbeddingAligner:
         np.testing.assert_allclose(sims, 0.0, atol=1e-12)
 
 
+FD_CASES = [
+    # (pos, neg, margin); k=1: one negative per positive
+    (np.array([[0, 0, 1], [1, 1, 2], [3, 0, 4]]),
+     np.array([[2, 0, 1], [1, 1, 4], [0, 0, 4]]),
+     1.0),
+    # k=3 grouped negatives with a self-loop positive, a negative equal to
+    # its positive, and active and inactive pairs mixed
+    (np.array([[0, 0, 1], [1, 1, 2], [3, 0, 3]]),
+     np.array([[2, 0, 1], [0, 0, 4], [0, 0, 1],
+               [1, 1, 4], [3, 1, 2], [1, 1, 1],
+               [0, 0, 3], [3, 0, 2], [4, 0, 3]]),
+     0.5),
+]
+
+
 class TestMarginLossGradient:
     def test_matches_finite_differences(self):
+        for pos, neg, margin in FD_CASES:
+            self.check_finite_differences(pos, neg, margin)
+
+    @staticmethod
+    def check_finite_differences(pos, neg, margin):
+        k = neg.shape[0] // pos.shape[0]
         rng = np.random.default_rng(0)
         ent = rng.normal(size=(5, 6))
         rel = rng.normal(size=(2, 6))
-        pos = np.array([[0, 0, 1], [1, 1, 2], [3, 0, 4]])
-        neg = np.array([[2, 0, 1], [1, 1, 4], [0, 0, 4]])
-        margin = 1.0
         loss, g_ent, g_rel = margin_ranking_loss_and_grad(ent, rel, pos, neg, margin)
 
         # keep the check meaningful: every pair strictly on one hinge side
-        d_pos = np.linalg.norm(ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]], axis=1)
+        rep = np.repeat(pos, k, axis=0)
+        d_pos = np.linalg.norm(ent[rep[:, 0]] + rel[rep[:, 1]] - ent[rep[:, 2]], axis=1)
         d_neg = np.linalg.norm(ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]], axis=1)
-        assert np.all(np.abs(margin + d_pos - d_neg) > 1e-3)
+        viol = margin + d_pos - d_neg
+        assert np.all(np.abs(viol) > 1e-3)
+        if k > 1:
+            assert (viol > 0).any() and (viol < 0).any()
 
         h = 1e-6
         for table, grad in ((ent, g_ent), (rel, g_rel)):
@@ -135,6 +178,49 @@ class TestMarginLossGradient:
                 1.0, np.maximum(np.abs(grad), np.abs(num))
             )
             assert rel_err.max() < 1e-4
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_pairwise_reference(self, data):
+        n_ent = data.draw(st.integers(1, 6))
+        n_rel = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(1, 5))
+        b = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, 5))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        # a margin far below zero leaves every pair inactive
+        margin = data.draw(st.sampled_from([-100.0, 0.0, 0.5, 1.0, 3.0]))
+        rng = np.random.default_rng(seed)
+        ent = rng.normal(size=(n_ent, dim))
+        rel = rng.normal(size=(n_rel, dim))
+        if data.draw(st.booleans()):
+            # a reshape of a non-C-contiguous table copies; the scatter must
+            # still land in the returned gradients
+            ent, rel = np.asfortranarray(ent), np.asfortranarray(rel)
+        # few ids, so heads, tails and self-loops (h == t) repeat often
+        pos = np.stack([rng.integers(0, n_ent, b), rng.integers(0, n_rel, b),
+                        rng.integers(0, n_ent, b)], axis=1)
+        neg = np.repeat(pos, k, axis=0)
+        corrupt_tail = rng.integers(0, 2, b * k).astype(bool)
+        repl = rng.integers(0, n_ent, b * k)
+        neg[corrupt_tail, 2] = repl[corrupt_tail]
+        neg[~corrupt_tail, 0] = repl[~corrupt_tail]
+
+        got = margin_ranking_loss_and_grad(ent, rel, pos, neg, margin)
+        want = oracle.margin_ranking_loss_and_grad(
+            ent, rel, np.repeat(pos, k, axis=0), neg, margin
+        )
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        if margin == -100.0:
+            assert got[0] == 0.0 and not got[1].any() and not got[2].any()
+
+    def test_rejects_ungrouped_negatives(self):
+        ent, rel = np.zeros((3, 2)), np.zeros((1, 2))
+        pos = np.array([[0, 0, 1], [1, 0, 2]])
+        with pytest.raises(ValueError):
+            margin_ranking_loss_and_grad(ent, rel, pos, pos[:1], 1.0)
 
 
 class TestSyntheticOracle:

@@ -133,6 +133,12 @@ class TestMetricsStream:
         for name in ("manifest.txt", "metrics.jsonl", "pseudo_final.tsv",
                       "timings.jsonl"):
             assert (run.run_dir / name).exists()
+        timings = [json.loads(ln) for ln in
+                   (run.run_dir / "timings.jsonl").read_text().splitlines()]
+        assert [t["iter"] for t in timings] == list(range(cfg.iterations))
+        for t in timings:
+            assert set(t) == {"iter", "seconds", "fit_s"}
+            assert 0.0 <= t["fit_s"] <= t["seconds"]
 
 
 class TestSupervised:

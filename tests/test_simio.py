@@ -82,3 +82,31 @@ def test_topk_rejects_bad_candidate_ids(tmp_path, row):
     )
     with pytest.raises(SimFormatError, match="row 1"):
         read_sim_matrix(p)
+
+
+HEADER = "#sim-format v1\n#direction {direction}\n#rows {rows}\n#cols 2\n#layout {layout}\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    # top-K token without ":score"
+    (HEADER.format(direction="src_to_tgt", rows=1, layout="topk")
+     + "#fill 0.0\n0:0.9\t1\n", 7),
+    # non-numeric dense value
+    (HEADER.format(direction="src_to_tgt", rows=2, layout="dense")
+     + "0.1\t0.2\nabc\t0.3\n", 7),
+    # non-integer #rows
+    (HEADER.format(direction="src_to_tgt", rows="two", layout="dense")
+     + "0.1\t0.2\n0.3\t0.4\n", 3),
+    # non-numeric #fill
+    (HEADER.format(direction="src_to_tgt", rows=1, layout="topk")
+     + "#fill low\n0:0.9\t1:0.5\n", 6),
+    # a direction the format does not know
+    (HEADER.format(direction="sideways", rows=1, layout="dense")
+     + "0.1\t0.2\n", 2),
+], ids=["topk-missing-score", "dense-non-numeric", "rows-not-int", "fill-not-float",
+        "unknown-direction"])
+def test_malformed_file_names_file_and_line(tmp_path, text, line):
+    p = tmp_path / "m.tsv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(SimFormatError, match=f"m.tsv:{line}: "):
+        read_sim_matrix(p)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ProbRow, argmax_lowest_id
+from .calibration import ProbRow, _softmax, argmax_lowest_id
 from .kg import Kg, KgPair
 
 
@@ -104,24 +104,16 @@ class RelationStats:
         return 1.0 / (self.src_trials.get(r_src, 0) + 2)
 
 
-def estimate_relation_stats(
-    kg_pair: KgPair,
-    assignment: Assignment,
-    labelled_only: bool = False,
-) -> RelationStats:
+def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> RelationStats:
     """Estimate inverse functionalities and sub-relation probabilities.
 
     Sub-relation trials for a source relation count its directed triples
     whose endpoints both carry assignments; support counts those mirrored by
     an orientation-matched triple between the assigned counterparts.  The
     target-side statistics use the inverted assignment (a set-valued inverse:
-    predictions need not be injective).  ``labelled_only`` restricts the
-    evidence to ground-truth entries.
+    predictions need not be injective).
     """
-    if labelled_only:
-        fwd = {e: t for e, t in assignment.mapping.items() if e in assignment.labelled}
-    else:
-        fwd = dict(assignment.mapping)
+    fwd = assignment.mapping
     rev: dict[int, set[int]] = defaultdict(set)
     for e, t in fwd.items():
         rev[t].add(e)
@@ -251,9 +243,7 @@ def conditional_distribution(
 def _softmax_row(u: int, candidates, sums: np.ndarray) -> ProbRow:
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
-    z = sums - sums.max()
-    e = np.exp(z)
-    return ProbRow(entity=u, cand_ids=tuple(candidates), probs=e / e.sum())
+    return ProbRow(entity=u, cand_ids=tuple(candidates), probs=_softmax(sums))
 
 
 def build_assignment(
@@ -279,7 +269,7 @@ def refine_rows(
     col_ids,
     kg_pair: KgPair,
     stats: RelationStats,
-    labelled: dict[int, int],
+    assignment: Assignment,
     top_k: int = 10,
     debug_sink: list | None = None,
 ) -> list[ProbRow]:
@@ -287,16 +277,14 @@ def refine_rows(
 
     Every row independently keeps its ``top_k`` candidates by current
     probability and receives the Markov-blanket conditional over them.  The
-    assignment is built once (labelled truths + row argmaxes) so the result
-    does not depend on the iteration order over rows.
+    caller's ``assignment`` (see ``build_assignment``) stays fixed for the
+    whole block, so the result does not depend on the iteration order over
+    rows.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     q_matrix = np.asarray(q_matrix, dtype=np.float64)
-    row_ids = list(row_ids)
-    col_ids = list(col_ids)
-    col_arr = np.asarray(col_ids)
-    assignment = build_assignment(q_matrix, row_ids, col_ids, labelled)
+    col_arr = np.asarray(list(col_ids))
 
     out: list[ProbRow] = []
     k = min(top_k, q_matrix.shape[1])

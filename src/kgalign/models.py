@@ -65,6 +65,8 @@ class TopKSimMatrix:
     def __post_init__(self):
         if self.cand_ids.shape != self.scores.shape:
             raise ValueError("cand_ids / scores shape mismatch")
+        if not (np.all(np.isfinite(self.scores)) and np.isfinite(self.fill)):
+            raise ValueError("top-k scores and fill must be finite")
         if np.any(np.diff(self.scores, axis=1) > 0):
             raise ValueError("top-k rows must be sorted descending")
         ids = np.sort(self.cand_ids, axis=1)

@@ -2,12 +2,12 @@
 
 Each self-training iteration (a) fits the model on the current training
 set (labelled mappings plus the previous iteration's pseudo mappings),
-(b) computes similarity matrices for both directions, (c) fits the
-similarity calibration on labelled rows and calibrates the unlabelled ones,
-(d) estimates relation statistics and refines the distributions for both
-source-role choices, (e) generates pseudo mappings with the configured
-strategy and evaluates everything.  The first pseudo-generation pass counts
-as iteration 0.
+(b) computes the forward similarities (the reverse ones only for strategies
+that read them), (c) fits the similarity calibration on labelled rows and
+calibrates the unlabelled ones, (d) estimates relation statistics and
+refines the distributions for both source-role choices, (e) generates
+pseudo mappings with the configured strategy and evaluates everything.
+The first pseudo-generation pass counts as iteration 0.
 
 Outputs land in a per-run directory: a key-value manifest (deterministic,
 so repeat runs hash identically), a ``metrics.jsonl`` stream with one
@@ -69,11 +69,8 @@ class RunConfig:
     epochs: int = 50
     iterations: int = 10
     top_k: int = 10
-    refine_passes: int = 1
     oracle_noise: float = 0.3
     cold_restart: bool = False
-    rank_with_refined: bool = False
-    stats_labelled_only: bool = False
     calib_lr: float = 0.05
     calib_epochs: int = 200
     sim_file: str | None = None
@@ -98,8 +95,6 @@ class RunConfig:
             raise ConfigError("epochs must be >= 1")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.refine_passes < 1:
-            raise ConfigError("refine_passes must be >= 1")
         if not (0.0 <= self.oracle_noise <= 1.0):
             raise ConfigError("oracle_noise must be in [0,1]")
         if self.model == "external":
@@ -272,7 +267,6 @@ class SelfTrainRun:
         self.one_to_one_state = strategies.OneToOneState()
         self.reports: list[IterationReport] = []
         self._calibration_log: list[tuple[str, CalibrationParams]] = []
-        self._last_refined_fwd: list[ProbRow] | None = None
 
     def _build_model(self):
         cfg = self.config
@@ -310,20 +304,15 @@ class SelfTrainRun:
         )
         self._calibration_log.append((f"iter{iteration}.{tag}", calib))
         q = calibrate_matrix(sims.scores[np.ix_(row_ids, col_ids)], calib)
-        rows: list[ProbRow] = []
-        for _ in range(cfg.refine_passes):
-            assignment = compatibility.build_assignment(q, row_ids, col_ids, labelled)
-            stats = compatibility.estimate_relation_stats(
-                oriented, assignment, labelled_only=cfg.stats_labelled_only
-            )
-            sink: list | None = [] if cfg.debug_dump else None
-            rows = compatibility.refine_rows(
-                q, row_ids, col_ids, oriented, stats, labelled,
-                top_k=cfg.top_k, debug_sink=sink,
-            )
-            if sink is not None:
-                self._write_debug(sink, iteration, tag)
-            q = _rows_to_matrix(rows, row_ids, col_ids)
+        assignment = compatibility.build_assignment(q, row_ids, col_ids, labelled)
+        stats = compatibility.estimate_relation_stats(oriented, assignment)
+        sink: list | None = [] if cfg.debug_dump else None
+        rows = compatibility.refine_rows(
+            q, row_ids, col_ids, oriented, stats, assignment,
+            top_k=cfg.top_k, debug_sink=sink,
+        )
+        if sink is not None:
+            self._write_debug(sink, iteration, tag)
         return rows
 
     def _write_debug(self, sink: list, iteration: int, tag: str) -> None:
@@ -333,10 +322,12 @@ class SelfTrainRun:
             for u, c, s, p in sink:
                 fh.write(f"{u}\t{c}\t{s:.6g}\t{p:.6g}\n")
 
-    def _generate_pseudo(self, sim_fwd: SimMatrix, sim_rev: SimMatrix,
-                         iteration: int) -> MappingSet:
+    def _generate_pseudo(self, sim_fwd: SimMatrix, iteration: int) -> MappingSet:
         cfg = self.config
         if cfg.strategy in strategies.PROBABILITY_STRATEGIES:
+            # right after the forward product, so the BLAS worker threads
+            # spin idle after one burst of products per iteration, not two
+            sim_rev = self.model.similarities(TGT_TO_SRC)
             fwd_rows = self._refined_direction(
                 self.pair, sim_fwd, self.labelled_fwd,
                 self.unlab_src, self.unlab_tgt, iteration, "fwd",
@@ -345,7 +336,6 @@ class SelfTrainRun:
                 self.pair.swapped(), sim_rev, self.labelled_rev,
                 self.unlab_tgt, self.unlab_src, iteration, "rev",
             )
-            self._last_refined_fwd = fwd_rows
             if cfg.strategy == "UniThr":
                 if cfg.uni_source == "kg1":
                     return strategies.uni_threshold(fwd_rows, cfg.alpha)
@@ -364,6 +354,7 @@ class SelfTrainRun:
                 sub_fwd, self.unlab_src, self.unlab_tgt, cfg.theta,
                 self.one_to_one_state,
             )
+        sim_rev = self.model.similarities(TGT_TO_SRC)
         sub_rev = sim_rev.scores[np.ix_(self.unlab_tgt, self.unlab_src)]
         return strategies.mutual_nearest(
             sub_fwd, self.unlab_src, self.unlab_tgt,
@@ -374,20 +365,10 @@ class SelfTrainRun:
     # main loops
     # ------------------------------------------------------------------
 
-    def _evaluate(self, sim_fwd: SimMatrix,
-                  refined: list[ProbRow] | None = None):
+    def _evaluate(self, sim_fwd: SimMatrix):
         test_src = [s for s, _ in self.test.pairs]
         truth_cols = np.array([t for _, t in self.test.pairs])
-        if self.config.rank_with_refined and refined is not None:
-            by_entity = {row.entity: row for row in refined}
-            rows = np.zeros((len(test_src), self.pair.target.n_entities))
-            for i, s in enumerate(test_src):
-                row = by_entity.get(s)
-                if row is not None:
-                    rows[i, list(row.cand_ids)] = row.probs
-        else:
-            rows = sim_fwd.scores[test_src]
-        return evaluate_rows(rows, truth_cols)
+        return evaluate_rows(sim_fwd.scores[test_src], truth_cols)
 
     def _emit(self, report: IterationReport, fit_s: float) -> None:
         self.reports.append(report)
@@ -410,8 +391,7 @@ class SelfTrainRun:
             sim_fwd = self.model.similarities(SRC_TO_TGT)
             report_kwargs: dict = {}
             if cfg.mode == "selftrain":
-                sim_rev = self.model.similarities(TGT_TO_SRC)
-                pseudo = self._generate_pseudo(sim_fwd, sim_rev, iteration)
+                pseudo = self._generate_pseudo(sim_fwd, iteration)
                 precision, recall, empty = pseudo_quality(pseudo, self.test)
                 train = self.partition.labelled.union(pseudo)
                 report_kwargs = dict(
@@ -423,7 +403,7 @@ class SelfTrainRun:
                     pseudo_count=0, pseudo_precision=None,
                     pseudo_recall=None, pseudo_empty=True,
                 )
-            ev = self._evaluate(sim_fwd, self._last_refined_fwd)
+            ev = self._evaluate(sim_fwd)
             report = IterationReport(
                 iteration=iteration, hit1=ev.hit1, hit10=ev.hit10, mrr=ev.mrr,
                 loss=float(trace[-1]) if trace else 0.0,
@@ -469,13 +449,3 @@ def run_supervised(config: RunConfig,
     reports = SelfTrainRun(config, run_dir).run()
     return reports[-1]
 
-
-def _rows_to_matrix(rows: list[ProbRow], row_ids, col_ids) -> np.ndarray:
-    col_pos = {c: j for j, c in enumerate(col_ids)}
-    q = np.zeros((len(row_ids), len(col_ids)))
-    by_entity = {row.entity: row for row in rows}
-    for i, u in enumerate(row_ids):
-        row = by_entity[u]
-        for c, p in zip(row.cand_ids, row.probs):
-            q[i, col_pos[c]] = p
-    return q

@@ -67,6 +67,8 @@ def _parse_header(lines: list[str], path) -> tuple[dict, int]:
             if key == "direction" and value not in (SRC_TO_TGT, TGT_TO_SRC):
                 raise ValueError
             header[key] = _HEADER_TYPES.get(key, str)(value)
+            if key == "fill" and not np.isfinite(header[key]):
+                raise ValueError
         except ValueError:
             raise SimFormatError(f"{path}:{i + 1}: bad #{key} {value!r}") from None
         i += 1
@@ -74,6 +76,11 @@ def _parse_header(lines: list[str], path) -> tuple[dict, int]:
         if required not in header:
             raise SimFormatError(f"{path}: header missing #{required}")
     return header, i
+
+
+def _require_finite(scores, path, lineno: int) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise SimFormatError(f"{path}:{lineno}: similarities must be finite")
 
 
 def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
@@ -95,6 +102,7 @@ def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
                 scores[i] = [float(v) for v in vals]
             except ValueError as exc:
                 raise SimFormatError(f"{path}:{lineno}: {exc}") from None
+            _require_finite(scores[i], path, lineno)
         return SimMatrix(scores=scores, direction=header["direction"])
 
     if header["layout"] == "topk":
@@ -109,6 +117,7 @@ def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
             except ValueError as exc:
                 raise SimFormatError(
                     f"{path}:{lineno}: expected id:score pairs ({exc})") from None
+            _require_finite(rows_scores[-1], path, lineno)
         widths = {len(r) for r in rows_ids}
         if len(widths) != 1:
             raise SimFormatError(f"{path}: inconsistent top-k row widths {widths}")

@@ -6,6 +6,9 @@ strategies consume raw similarities (``SimThr``, ``OneToOne``,
 ``MutNearest``).  Rows handed to any strategy are expected to cover only
 unlabelled entities on both coordinates; outputs are sorted by source id.
 Argmax ties break to the lowest candidate id throughout.
+
+Each strategy reduces its rows to (entity, best candidate, best score) and
+picks pairs through a shared threshold core or a shared mutual-best core.
 """
 
 from __future__ import annotations
@@ -22,11 +25,6 @@ SIMILARITY_STRATEGIES = ("SimThr", "OneToOne", "MutNearest")
 ALL_STRATEGIES = PROBABILITY_STRATEGIES + SIMILARITY_STRATEGIES
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"probability threshold must be in (0,1), got {alpha}")
-
-
 def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:
     items = sorted(pairs_scores.items())
     return MappingSet(
@@ -36,16 +34,38 @@ def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:
     )
 
 
+def _row_best(rows: list[ProbRow]) -> tuple[list[int], list[int], list[float]]:
+    """Entities, argmax candidates and top probabilities of refined rows."""
+    return ([row.entity for row in rows], [row.argmax_candidate() for row in rows],
+            [row.top_prob() for row in rows])
+
+
+def _sim_best(sims, col_ids) -> tuple[list[int], list[float]]:
+    """Argmax column ids (lowest id on ties) and maxima of similarity rows."""
+    sims = np.asarray(sims, dtype=np.float64)
+    col_ids = list(col_ids)
+    best = [argmax_lowest_id(col_ids, row) for row in sims]
+    return best, [float(row.max()) for row in sims]
+
+
+def _threshold_pick(entities, best, scores, threshold: float) -> MappingSet:
+    """Each entity's best pair whose score exceeds ``threshold``."""
+    return _sorted_mapping({(u, b): s for u, b, s in zip(entities, best, scores)
+                            if s > threshold})
+
+
+def _mutual_pick(entities, best, scores, rev_entities, rev_best) -> MappingSet:
+    """Each entity's best pair whose candidate's reverse best points back."""
+    back = dict(zip(rev_entities, rev_best))
+    return _sorted_mapping({(u, b): s for u, b, s in zip(entities, best, scores)
+                            if back.get(b) == u})
+
+
 def uni_threshold(rows: list[ProbRow], alpha: float) -> MappingSet:
     """Keep each row's argmax pair when its probability clears ``alpha``."""
-    _check_alpha(alpha)
-    picked: dict[tuple[int, int], float] = {}
-    for row in rows:
-        best = row.argmax_candidate()
-        p = float(row.probs[row.cand_ids.index(best)])
-        if p > alpha:
-            picked[(row.entity, best)] = p
-    return _sorted_mapping(picked)
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"probability threshold must be in (0,1), got {alpha}")
+    return _threshold_pick(*_row_best(rows), alpha)
 
 
 def bi_threshold(
@@ -65,29 +85,15 @@ def mutual_highest_probability(
     rows_forward: list[ProbRow], rows_reverse: list[ProbRow]
 ) -> MappingSet:
     """Pairs whose two rows point at each other as argmax; no threshold."""
-    fwd_best = {row.entity: row.argmax_candidate() for row in rows_forward}
-    rev_best = {row.entity: row.argmax_candidate() for row in rows_reverse}
-    fwd_prob = {row.entity: row.top_prob() for row in rows_forward}
-    picked: dict[tuple[int, int], float] = {}
-    for u, u_prime in fwd_best.items():
-        if rev_best.get(u_prime) == u:
-            picked[(u, u_prime)] = fwd_prob[u]
-    return _sorted_mapping(picked)
+    rev_entities, rev_best, _ = _row_best(rows_reverse)
+    return _mutual_pick(*_row_best(rows_forward), rev_entities, rev_best)
 
 
 def similarity_threshold(
     sims: np.ndarray, row_ids, col_ids, theta: float
 ) -> MappingSet:
     """Baseline: keep each row's argmax pair when its similarity > theta."""
-    sims = np.asarray(sims, dtype=np.float64)
-    col_ids = list(col_ids)
-    picked: dict[tuple[int, int], float] = {}
-    for i, u in enumerate(row_ids):
-        best = argmax_lowest_id(col_ids, sims[i])
-        s = float(sims[i][col_ids.index(best)])
-        if s > theta:
-            picked[(u, best)] = s
-    return _sorted_mapping(picked)
+    return _threshold_pick(row_ids, *_sim_best(sims, col_ids), theta)
 
 
 @dataclass
@@ -115,13 +121,13 @@ def one_to_one_matching(
     of the higher-similarity pair (existing pairs win ties).
     """
     sims = np.asarray(sims, dtype=np.float64)
-    row_ids = list(row_ids)
-    col_ids = list(col_ids)
     ri, ci = np.nonzero(sims > theta)
-    edges = sorted(
-        ((float(sims[i, j]), row_ids[i], col_ids[j]) for i, j in zip(ri, ci)),
-        key=lambda e: (-e[0], e[1], e[2]),
-    )
+    score = sims[ri, ci]
+    src = np.asarray(list(row_ids), dtype=np.int64)[ri]
+    tgt = np.asarray(list(col_ids), dtype=np.int64)[ci]
+    # descending score, then ascending source and target id
+    order = np.lexsort((tgt, src, -score))
+    edges = zip(score[order].tolist(), src[order].tolist(), tgt[order].tolist())
     used_src: set[int] = set()
     used_tgt: set[int] = set()
     fresh: list[tuple[float, int, int]] = []
@@ -157,23 +163,6 @@ def mutual_nearest(
     rev_col_ids,
 ) -> MappingSet:
     """Baseline: pairs that are mutually nearest under raw similarity."""
-    sims_forward = np.asarray(sims_forward, dtype=np.float64)
-    sims_reverse = np.asarray(sims_reverse, dtype=np.float64)
-    fwd_col_ids = list(fwd_col_ids)
-    rev_col_ids = list(rev_col_ids)
-    fwd_best = {
-        u: argmax_lowest_id(fwd_col_ids, sims_forward[i])
-        for i, u in enumerate(fwd_row_ids)
-    }
-    fwd_score = {
-        u: float(sims_forward[i].max()) for i, u in enumerate(fwd_row_ids)
-    }
-    rev_best = {
-        t: argmax_lowest_id(rev_col_ids, sims_reverse[i])
-        for i, t in enumerate(rev_row_ids)
-    }
-    picked: dict[tuple[int, int], float] = {}
-    for u, t in fwd_best.items():
-        if rev_best.get(t) == u:
-            picked[(u, t)] = fwd_score[u]
-    return _sorted_mapping(picked)
+    rev_best, _ = _sim_best(sims_reverse, rev_col_ids)
+    return _mutual_pick(fwd_row_ids, *_sim_best(sims_forward, fwd_col_ids),
+                        rev_row_ids, rev_best)

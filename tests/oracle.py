@@ -5,10 +5,14 @@ Everything here reads a graph straight off ``kg.triples`` and never touches
 It is slow by design and only usable on tiny instances, such as those
 ``random_kg`` draws.
 
-The trainer references at the end are the pairwise formulation of the
-embedding model's SGD step: every positive repeated once per negative and
-the gradients scattered row by row into 2-d tables.  The package's step must
+The trainer references are the pairwise formulation of the embedding
+model's SGD step: every positive repeated once per negative and the
+gradients scattered row by row into 2-d tables.  The package's step must
 reproduce them bit for bit.
+
+The strategy references at the end pick pairs one strategy at a time, by
+dict lookups and rescans, and order the one-to-one edges with Python's
+``sorted``.  The package's strategies must return the same pairs and scores.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
+from kgalign.calibration import argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats, relation_inverse_functionality
-from kgalign.kg import Kg
+from kgalign.kg import Kg, MappingSet
+from kgalign.strategies import OneToOneState
 
 JOINT_ENUMERATION_CAP = 10**5
 
@@ -271,3 +277,104 @@ def embedding_step(model, batch, pair, root) -> float:
     norms = np.linalg.norm(model._ent, axis=1, keepdims=True)
     model._ent /= np.maximum(norms, 1e-12)
     return loss
+
+
+def _pseudo(picked: dict[tuple[int, int], float]) -> MappingSet:
+    items = sorted(picked.items())
+    return MappingSet(pairs=tuple(p for p, _ in items), kind="pseudo",
+                      scores=tuple(s for _, s in items))
+
+
+def uni_threshold(rows, alpha: float) -> MappingSet:
+    """Each row's argmax pair whose probability clears ``alpha``, the
+    probability looked up by candidate position."""
+    picked: dict[tuple[int, int], float] = {}
+    for row in rows:
+        best = row.argmax_candidate()
+        p = float(row.probs[row.cand_ids.index(best)])
+        if p > alpha:
+            picked[(row.entity, best)] = p
+    return _pseudo(picked)
+
+
+def mutual_highest_probability(rows_forward, rows_reverse) -> MappingSet:
+    """Pairs whose forward and reverse rows point at each other as argmax."""
+    fwd_best = {row.entity: row.argmax_candidate() for row in rows_forward}
+    rev_best = {row.entity: row.argmax_candidate() for row in rows_reverse}
+    fwd_prob = {row.entity: row.top_prob() for row in rows_forward}
+    picked: dict[tuple[int, int], float] = {}
+    for u, u_prime in fwd_best.items():
+        if rev_best.get(u_prime) == u:
+            picked[(u, u_prime)] = fwd_prob[u]
+    return _pseudo(picked)
+
+
+def similarity_threshold(sims, row_ids, col_ids, theta: float) -> MappingSet:
+    """Each row's argmax pair whose similarity exceeds ``theta``, the
+    similarity looked up by rescanning the column ids."""
+    sims = np.asarray(sims, dtype=np.float64)
+    col_ids = list(col_ids)
+    picked: dict[tuple[int, int], float] = {}
+    for i, u in enumerate(row_ids):
+        best = argmax_lowest_id(col_ids, sims[i])
+        s = float(sims[i][col_ids.index(best)])
+        if s > theta:
+            picked[(u, best)] = s
+    return _pseudo(picked)
+
+
+def mutual_nearest(sims_forward, fwd_row_ids, fwd_col_ids,
+                   sims_reverse, rev_row_ids, rev_col_ids) -> MappingSet:
+    """Pairs that are mutually nearest under raw similarity."""
+    sims_forward = np.asarray(sims_forward, dtype=np.float64)
+    sims_reverse = np.asarray(sims_reverse, dtype=np.float64)
+    fwd_col_ids = list(fwd_col_ids)
+    rev_col_ids = list(rev_col_ids)
+    fwd_best = {u: argmax_lowest_id(fwd_col_ids, sims_forward[i])
+                for i, u in enumerate(fwd_row_ids)}
+    fwd_score = {u: float(sims_forward[i].max()) for i, u in enumerate(fwd_row_ids)}
+    rev_best = {t: argmax_lowest_id(rev_col_ids, sims_reverse[i])
+                for i, t in enumerate(rev_row_ids)}
+    picked: dict[tuple[int, int], float] = {}
+    for u, t in fwd_best.items():
+        if rev_best.get(t) == u:
+            picked[(u, t)] = fwd_score[u]
+    return _pseudo(picked)
+
+
+def one_to_one_matching(sims, row_ids, col_ids, theta: float,
+                        state: OneToOneState) -> MappingSet:
+    """Greedy one-to-one matching over Python-sorted ``(score, u, t)``
+    edges, merged into the accumulator ``state``."""
+    sims = np.asarray(sims, dtype=np.float64)
+    row_ids = list(row_ids)
+    col_ids = list(col_ids)
+    ri, ci = np.nonzero(sims > theta)
+    edges = sorted(
+        ((float(sims[i, j]), row_ids[i], col_ids[j]) for i, j in zip(ri, ci)),
+        key=lambda e: (-e[0], e[1], e[2]),
+    )
+    used_src: set[int] = set()
+    used_tgt: set[int] = set()
+    fresh: list[tuple[float, int, int]] = []
+    for score, u, t in edges:
+        if u in used_src or t in used_tgt:
+            continue
+        used_src.add(u)
+        used_tgt.add(t)
+        fresh.append((score, u, t))
+
+    by_src = {u: (u, t) for (u, t) in state.scores}
+    by_tgt = {t: (u, t) for (u, t) in state.scores}
+    for score, u, t in fresh:
+        conflicts = {p for p in (by_src.get(u), by_tgt.get(t)) if p is not None}
+        if any(state.scores[p] >= score for p in conflicts):
+            continue
+        for p in conflicts:
+            del state.scores[p]
+            by_src.pop(p[0], None)
+            by_tgt.pop(p[1], None)
+        state.scores[(u, t)] = score
+        by_src[u] = (u, t)
+        by_tgt[t] = (u, t)
+    return _pseudo(state.scores)

@@ -95,16 +95,6 @@ class TestRelationStats:
         )
         assert all(0.0 <= v <= 1.0 for v in values)
 
-    def test_labelled_only_mode_ignores_predictions(self):
-        src = kg_of([("a", "r", "b")])
-        tgt = kg_of([("a'", "r'", "b'")])
-        pair = KgPair(src, tgt)
-        full = Assignment(
-            mapping={0: 0, 1: 1}, labelled={0},
-        )
-        stats = estimate_relation_stats(pair, full, labelled_only=True)
-        assert stats.tgt_trials == {}  # b' side never assigned in labelled-only view
-
 
 def hand_stats():
     """Stats for the worked single-pair example: P(r'⊆r)=0.8, if(r)=0.5,
@@ -302,18 +292,14 @@ class TestRefineRows:
         row_ids = [2, 3, 4, 5, 6]
         col_ids = [c for c in range(pair.target.n_entities) if c not in (0, 1)]
         q = rng.dirichlet(np.ones(len(col_ids)), size=len(row_ids))
-        return pair, labelled, row_ids, col_ids, q
-
-    def stats_for(self, pair, q, row_ids, col_ids, labelled):
         assignment = build_assignment(q, row_ids, col_ids, labelled)
-        return estimate_relation_stats(pair, assignment)
+        stats = estimate_relation_stats(pair, assignment)
+        return pair, assignment, stats, row_ids, col_ids, q
 
     def test_full_width_equals_conditional(self):
-        pair, labelled, row_ids, col_ids, q = self.scenario()
-        stats = self.stats_for(pair, q, row_ids, col_ids, labelled)
-        assignment = build_assignment(q, row_ids, col_ids, labelled)
+        pair, assignment, stats, row_ids, col_ids, q = self.scenario()
         refined = refine_rows(
-            q, row_ids, col_ids, pair, stats, labelled, top_k=len(col_ids)
+            q, row_ids, col_ids, pair, stats, assignment, top_k=len(col_ids)
         )
         for i, row in enumerate(refined):
             full = conditional_distribution(
@@ -323,12 +309,11 @@ class TestRefineRows:
             assert set(row.cand_ids) == set(col_ids)
 
     def test_top_k_is_renormalized_restriction(self):
-        pair, labelled, row_ids, col_ids, q = self.scenario()
-        stats = self.stats_for(pair, q, row_ids, col_ids, labelled)
-        full = refine_rows(q, row_ids, col_ids, pair, stats, labelled,
+        pair, assignment, stats, row_ids, col_ids, q = self.scenario()
+        full = refine_rows(q, row_ids, col_ids, pair, stats, assignment,
                            top_k=len(col_ids))
         k = 2
-        truncated = refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k=k)
+        truncated = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=k)
         for full_row, trunc_row in zip(full, truncated):
             dist = dict(zip(full_row.cand_ids, full_row.probs))
             kept = list(trunc_row.cand_ids)
@@ -342,13 +327,12 @@ class TestRefineRows:
         np.testing.assert_allclose(kept / kept.sum(), [0.625, 0.375])
 
     def test_deterministic_and_order_invariant(self):
-        pair, labelled, row_ids, col_ids, q = self.scenario()
-        stats = self.stats_for(pair, q, row_ids, col_ids, labelled)
-        a = refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k=3)
-        b = refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k=3)
+        pair, assignment, stats, row_ids, col_ids, q = self.scenario()
+        a = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=3)
+        b = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=3)
         # reversed row order computes against the same frozen assignment
         rev = refine_rows(q[::-1], row_ids[::-1], col_ids, pair, stats,
-                          labelled, top_k=3)
+                          assignment, top_k=3)
         by_entity = {r.entity: r for r in rev}
         for ra, rb in zip(a, b):
             assert ra.cand_ids == rb.cand_ids
@@ -358,10 +342,9 @@ class TestRefineRows:
             np.testing.assert_allclose(ra.probs, rr.probs, atol=0)
 
     def test_debug_sink_rows(self):
-        pair, labelled, row_ids, col_ids, q = self.scenario()
-        stats = self.stats_for(pair, q, row_ids, col_ids, labelled)
+        pair, assignment, stats, row_ids, col_ids, q = self.scenario()
         sink: list = []
-        refined = refine_rows(q, row_ids, col_ids, pair, stats, labelled,
+        refined = refine_rows(q, row_ids, col_ids, pair, stats, assignment,
                               top_k=3, debug_sink=sink)
         assert len(sink) == 3 * len(refined)
         for u, c, s, p in sink:
@@ -403,7 +386,7 @@ class TestAgainstOracle:
             rtol=0, atol=1e-12,
         )
 
-        refined = refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k=top_k)
+        refined = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=top_k)
         reference = oracle.refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k)
         assert len(refined) == len(reference)
         for row, (cands, sums) in zip(refined, reference):
@@ -458,19 +441,17 @@ class TestStoryScenarios:
         pair_a, labelled_a, e2_a, cand_a = self.scenario_a()
         cols_a = list(range(pair_a.target.n_entities))
         q_a = np.full((1, len(cols_a)), 1.0 / len(cols_a))
-        stats_a = estimate_relation_stats(
-            pair_a, build_assignment(q_a, [e2_a], cols_a, labelled_a)
-        )
-        rows_a = refine_rows(q_a, [e2_a], cols_a, pair_a, stats_a, labelled_a, top_k=3)
+        assign_a = build_assignment(q_a, [e2_a], cols_a, labelled_a)
+        stats_a = estimate_relation_stats(pair_a, assign_a)
+        rows_a = refine_rows(q_a, [e2_a], cols_a, pair_a, stats_a, assign_a, top_k=3)
         p_a = dict(zip(rows_a[0].cand_ids, rows_a[0].probs))[cand_a]
 
         pair_b, labelled_b, e2_b, cand_b = self.scenario_b()
         cols_b = list(range(pair_b.target.n_entities))
         q_b = np.full((1, len(cols_b)), 1.0 / len(cols_b))
-        stats_b = estimate_relation_stats(
-            pair_b, build_assignment(q_b, [e2_b], cols_b, labelled_b)
-        )
-        rows_b = refine_rows(q_b, [e2_b], cols_b, pair_b, stats_b, labelled_b, top_k=3)
+        assign_b = build_assignment(q_b, [e2_b], cols_b, labelled_b)
+        stats_b = estimate_relation_stats(pair_b, assign_b)
+        rows_b = refine_rows(q_b, [e2_b], cols_b, pair_b, stats_b, assign_b, top_k=3)
         p_b = dict(zip(rows_b[0].cand_ids, rows_b[0].probs))[cand_b]
 
         assert p_a > p_b

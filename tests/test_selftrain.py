@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kgalign import compatibility
+from kgalign.models import SRC_TO_TGT, TGT_TO_SRC
 from kgalign.selftrain import (
     ConfigError,
     RunConfig,
@@ -87,8 +88,10 @@ class TestConfig:
         assert cfg.cold_restart is True
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            config_from_mapping({"dataset_dir": "x", "bogus": "1"})
+        for key in ("bogus", "refine_passes", "rank_with_refined",
+                    "stats_labelled_only"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                config_from_mapping({"dataset_dir": "x", key: "1"})
 
     def test_hash_stable_under_key_order(self, twin_dataset_dir, tmp_path):
         a = base_config(twin_dataset_dir, tmp_path)
@@ -174,17 +177,20 @@ class TestSupervised:
 
 
 class _RecordingModel:
-    """Wraps a model to record every training set passed to fit."""
+    """Wraps a model to record every training set passed to fit and every
+    similarity direction asked for."""
 
     def __init__(self, inner):
         self.inner = inner
         self.train_sets: list[set] = []
+        self.directions: list[str] = []
 
     def fit(self, pair, train, epochs):
         self.train_sets.append(train.as_set())
         return self.inner.fit(pair, train, epochs)
 
     def similarities(self, direction):
+        self.directions.append(direction)
         return self.inner.similarities(direction)
 
 
@@ -202,6 +208,24 @@ class TestLoopContracts:
             train = recorder.train_sets[t]
             assert labelled <= train
             assert len(train) == len(labelled) + reports[t - 1].pseudo_count
+
+    @pytest.mark.parametrize("strategy, extra, reads_reverse", [
+        ("OneToOne", {"theta": 0.5}, False),
+        ("SimThr", {"theta": 0.5}, False),
+        ("MutNearest", {}, True),
+        ("MutHighestProb", {}, True),
+    ])
+    def test_reverse_similarities_only_when_read(
+        self, twin_dataset_dir, tmp_path, strategy, extra, reads_reverse
+    ):
+        cfg = base_config(twin_dataset_dir, tmp_path, strategy=strategy, **extra)
+        run = SelfTrainRun(cfg)
+        recorder = _RecordingModel(run.model)
+        run.model = recorder
+        run.run()
+        reverse = [TGT_TO_SRC] * cfg.iterations if reads_reverse else []
+        assert [d for d in recorder.directions if d == TGT_TO_SRC] == reverse
+        assert recorder.directions.count(SRC_TO_TGT) == cfg.iterations
 
     def test_baselines_never_touch_compatibility(
         self, twin_dataset_dir, tmp_path, monkeypatch
@@ -303,13 +327,6 @@ class TestLoopContracts:
 
 
 class TestAblationFlags:
-    def test_rank_with_refined_produces_valid_metrics(
-        self, twin_dataset_dir, tmp_path
-    ):
-        cfg = base_config(twin_dataset_dir, tmp_path, rank_with_refined=True)
-        reports = run_selftrain(cfg)
-        assert all(0.0 <= r.hit1 <= r.hit10 <= 1.0 for r in reports)
-
     def test_cold_restart_detaches_runs_from_history(
         self, twin_dataset_dir, tmp_path
     ):
@@ -321,12 +338,6 @@ class TestAblationFlags:
         b = run_selftrain(cold)
         # restart happens before the first fit, so single runs coincide
         assert a[0].hit1 == b[0].hit1
-
-    def test_refine_passes_knob(self, twin_dataset_dir, tmp_path):
-        cfg = base_config(twin_dataset_dir, tmp_path, refine_passes=2,
-                          iterations=1)
-        reports = run_selftrain(cfg)
-        assert reports[0].pseudo_count >= 0
 
 
 class TestOracleRuns:

@@ -103,10 +103,28 @@ HEADER = "#sim-format v1\n#direction {direction}\n#rows {rows}\n#cols 2\n#layout
     # a direction the format does not know
     (HEADER.format(direction="sideways", rows=1, layout="dense")
      + "0.1\t0.2\n", 2),
+    # non-finite dense value
+    (HEADER.format(direction="src_to_tgt", rows=2, layout="dense")
+     + "0.1\t0.2\nnan\t0.3\n", 7),
+    # non-finite top-K score
+    (HEADER.format(direction="src_to_tgt", rows=1, layout="topk")
+     + "#fill 0.0\n0:inf\t1:0.5\n", 7),
+    # non-finite #fill
+    (HEADER.format(direction="src_to_tgt", rows=1, layout="topk")
+     + "#fill nan\n0:0.9\t1:0.5\n", 6),
 ], ids=["topk-missing-score", "dense-non-numeric", "rows-not-int", "fill-not-float",
-        "unknown-direction"])
+        "unknown-direction", "dense-nan", "topk-inf", "fill-nan"])
 def test_malformed_file_names_file_and_line(tmp_path, text, line):
     p = tmp_path / "m.tsv"
     p.write_text(text, encoding="utf-8")
     with pytest.raises(SimFormatError, match=f"m.tsv:{line}: "):
         read_sim_matrix(p)
+
+
+@pytest.mark.parametrize("scores, fill", [
+    ([[0.9, np.nan]], 0.0), ([[np.inf, 0.5]], 0.0), ([[0.9, 0.5]], np.nan),
+], ids=["nan-score", "inf-score", "nan-fill"])
+def test_topk_matrix_rejects_nonfinite(scores, fill):
+    with pytest.raises(ValueError, match="finite"):
+        TopKSimMatrix(cand_ids=np.array([[0, 1]]), scores=np.array(scores),
+                      fill=fill, n_cols=2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from kgalign.calibration import ProbRow
 from kgalign.strategies import (
     OneToOneState,
@@ -208,3 +209,66 @@ class TestOutputOrder:
         rows = prob_rows([[0.9, 0.1], [0.95, 0.05]], [7, 2], [10, 11])
         got = uni_threshold(rows, alpha=0.5)
         assert got.pairs == ((2, 10), (7, 10))
+
+
+def drawn_ids(data, n: int, pool: int = 40) -> list[int]:
+    """``n`` distinct ids in drawn, usually unsorted, order."""
+    return data.draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n,
+                              unique=True))
+
+
+def grid_rows(rng, entities, cands) -> list[ProbRow]:
+    """Coarse-grid distributions, each row over its own candidate order."""
+    w = rng.integers(0, 3, size=(len(entities), len(cands))).astype(float)
+    w[w.sum(axis=1) == 0] = 1.0
+    return [ProbRow(entity=u, cand_ids=tuple(rng.permutation(cands).tolist()),
+                    probs=row / row.sum())
+            for u, row in zip(entities, w)]
+
+
+def assert_same(got, want):
+    assert got.pairs == want.pairs
+    assert got.scores == want.scores
+    assert all(type(u) is int and type(t) is int for u, t in got.pairs)
+    assert all(type(s) is float for s in got.scores)
+
+
+class TestAgainstOracle:
+    """The shared-core strategies against the one-at-a-time references of
+    ``tests/oracle.py`` on tie-heavy coarse grids with unsorted ids."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_pairs_and_scores(self, data):
+        src = drawn_ids(data, data.draw(st.integers(1, 6)))
+        tgt = drawn_ids(data, data.draw(st.integers(1, 6)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alpha = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.75]))
+        theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.75]))
+        fwd_rows, rev_rows = grid_rows(rng, src, tgt), grid_rows(rng, tgt, src)
+        fwd = rng.integers(0, 5, size=(len(src), len(tgt))) / 4.0
+        rev = rng.integers(0, 5, size=(len(tgt), len(src))) / 4.0
+
+        assert_same(uni_threshold(fwd_rows, alpha),
+                    oracle.uni_threshold(fwd_rows, alpha))
+        assert_same(mutual_highest_probability(fwd_rows, rev_rows),
+                    oracle.mutual_highest_probability(fwd_rows, rev_rows))
+        assert_same(similarity_threshold(fwd, src, tgt, theta),
+                    oracle.similarity_threshold(fwd, src, tgt, theta))
+        assert_same(mutual_nearest(fwd, src, tgt, rev, tgt, src),
+                    oracle.mutual_nearest(fwd, src, tgt, rev, tgt, src))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_to_one_matches_sorted_edge_order(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        state, reference = OneToOneState(), OneToOneState()
+        for _ in range(3):
+            # a small id pool lets later calls conflict with accumulated pairs
+            src = drawn_ids(data, data.draw(st.integers(0, 6)), pool=8)
+            tgt = drawn_ids(data, data.draw(st.integers(0, 6)), pool=8)
+            theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
+            sims = rng.integers(0, 5, size=(len(src), len(tgt))) / 4.0
+            assert_same(one_to_one_matching(sims, src, tgt, theta, state),
+                        oracle.one_to_one_matching(sims, src, tgt, theta, reference))
+        assert list(state.scores.items()) == list(reference.scores.items())

@@ -87,10 +87,18 @@ def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def calibrate_matrix(sims: np.ndarray, params: CalibrationParams) -> np.ndarray:
-    """Row-wise calibrated probabilities for a dense similarity matrix."""
+    """Row-wise calibrated probabilities for a dense similarity matrix.
+
+    Computed in one output array; ``sims`` is left untouched.
+    """
     sims = np.asarray(sims, dtype=np.float64)
-    z = (params.scale * sims + params.offset) / params.temperature
-    return _softmax(z, axis=-1)
+    z = np.multiply(params.scale, sims)
+    z += params.offset
+    z /= params.temperature
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def calibrate_row(
@@ -147,21 +155,32 @@ def cross_entropy_and_grad(
 
     Gradient is with respect to ``(offset, scale, log temperature)``.
     """
-    sims = np.asarray(sims, dtype=np.float64)
-    truth_cols = np.asarray(truth_cols, dtype=np.int64)
-    tau = params.temperature
-    z = (params.scale * sims + params.offset) / tau
-    p = _softmax(z, axis=-1)
-    rows = np.arange(sims.shape[0])
-    logp = z - z.max(axis=-1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
-    loss = float(-logp[rows, truth_cols].sum())
+    sims = np.ascontiguousarray(sims, dtype=np.float64)
+    return _cross_entropy_into(
+        sims, np.asarray(truth_cols, dtype=np.int64), params,
+        np.empty_like(sims), np.empty_like(sims),
+    )
 
-    d = p.copy()
-    d[rows, truth_cols] -= 1.0  # dL/dz
-    g_offset = float(d.sum() / tau)
-    g_scale = float((d * sims).sum() / tau)
-    g_logtau = float(-(d * z).sum())
+
+def _cross_entropy_into(sims, truth_cols, params, z, p) -> tuple[float, np.ndarray]:
+    """``cross_entropy_and_grad`` computed in the caller's buffers ``z``
+    and ``p``, each shaped like ``sims``; allocates no array of that shape."""
+    tau = params.temperature
+    rows = np.arange(sims.shape[0])
+    np.multiply(params.scale, sims, out=z)
+    z += params.offset
+    z /= tau
+    np.subtract(z, z.max(axis=-1, keepdims=True), out=p)
+    truth_logit = p[rows, truth_cols]
+    np.exp(p, out=p)
+    s = p.sum(axis=-1, keepdims=True)
+    loss = float(-(truth_logit - np.log(s[:, 0])).sum())
+
+    p /= s
+    p[rows, truth_cols] -= 1.0  # dL/dz
+    g_offset = float(p.sum() / tau)
+    g_logtau = float(-np.multiply(p, z, out=z).sum())
+    g_scale = float(np.multiply(p, sims, out=z).sum() / tau)
     return loss, np.array([g_offset, g_scale, g_logtau])
 
 
@@ -180,9 +199,13 @@ def fit_calibration(
     trace.  Raises ``CalibrationError`` if the loss leaves the finite range,
     reporting the offending epoch.
     """
-    sims = np.asarray(sims, dtype=np.float64)
+    sims = np.ascontiguousarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] == 0:
         raise ValueError("need at least one labelled row")
+    truth_cols = np.asarray(truth_cols, dtype=np.int64)
+    # the epochs reuse two buffers: freeing and reallocating row-sized
+    # temporaries every epoch costs a page fault per page
+    z, p = np.empty_like(sims), np.empty_like(sims)
     params = init or CalibrationParams()
     theta = np.array([params.offset, params.scale, np.log(params.temperature)])
 
@@ -199,7 +222,7 @@ def fit_calibration(
             offset=float(theta[0]), scale=float(theta[1]),
             temperature=float(np.exp(theta[2])),
         )
-        loss, grad = cross_entropy_and_grad(sims, truth_cols, cur)
+        loss, grad = _cross_entropy_into(sims, truth_cols, cur, z, p)
         if not np.isfinite(loss):
             raise CalibrationError(f"non-finite loss at epoch {epoch}")
         trace.append(loss)

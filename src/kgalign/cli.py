@@ -137,10 +137,7 @@ def _cmd_import_sim(args) -> int:
 def _cmd_stats(args) -> int:
     pair, links = load_dataset(args.dataset_dir)
     part = partition_mappings(links, args.ratio, args.seed)
-    labelled = dict(part.labelled.pairs)
-    assignment = compatibility.Assignment(
-        mapping=labelled, labelled=set(labelled)
-    )
+    assignment = compatibility.Assignment(mapping=dict(part.labelled.pairs))
     stats = compatibility.estimate_relation_stats(pair, assignment)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("kind\tkey\tvalue\n")

@@ -10,6 +10,9 @@ model's SGD step: every positive repeated once per negative and the
 gradients scattered row by row into 2-d tables.  The package's step must
 reproduce them bit for bit.
 
+The calibration references compute every step into a fresh temporary;
+the package's in-place versions must match them bit for bit.
+
 The strategy references at the end pick pairs one strategy at a time, by
 dict lookups and rescans, and order the one-to-one edges with Python's
 ``sorted``.  The package's strategies must return the same pairs and scores.
@@ -87,27 +90,32 @@ def compatibility_sums(u, candidates, assignment: Assignment, kg_pair, stats) ->
     return sums
 
 
-def softmax(sums: np.ndarray) -> np.ndarray:
-    e = np.exp(sums - sums.max())
-    return e / e.sum()
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def refine_rows(q, row_ids, col_ids, kg_pair, stats, labelled, top_k):
-    """``(candidates, sums)`` per row: the ``top_k`` columns by probability
-    (ties to the lower id) and their reference sums against the assignment
-    of labelled truths plus row argmaxes."""
+def build_assignment(q, row_ids, col_ids, labelled) -> Assignment:
+    """Labelled truths plus each unlabelled row's most probable column, ties
+    to the lower id."""
     q = np.asarray(q, dtype=np.float64)
     mapping = dict(labelled)
-    ranked = []
+    for i, u in enumerate(row_ids):
+        if u not in labelled:
+            best = min(range(len(col_ids)), key=lambda j: (-q[i, j], col_ids[j]))
+            mapping[u] = col_ids[best]
+    return Assignment(mapping=mapping)
+
+
+def refine_rows(q, row_ids, col_ids, kg_pair, stats, assignment: Assignment, top_k):
+    """``(candidates, sums)`` per row: the ``top_k`` columns by probability
+    (ties to the lower id) and their reference sums against ``assignment``."""
+    q = np.asarray(q, dtype=np.float64)
+    out = []
     for i, u in enumerate(row_ids):
         order = sorted(range(len(col_ids)), key=lambda j: (-q[i, j], col_ids[j]))
-        ranked.append([col_ids[j] for j in order])
-        if u not in labelled:
-            mapping[u] = ranked[-1][0]
-    assignment = Assignment(mapping=mapping, labelled=set(labelled))
-    out = []
-    for u, cands in zip(row_ids, ranked):
-        cands = tuple(cands[:top_k])
+        cands = tuple(col_ids[j] for j in order[:top_k])
         out.append((cands, compatibility_sums(u, cands, assignment, kg_pair, stats)))
     return out
 
@@ -217,6 +225,34 @@ def conditional_from_joint(
         probs[d[u]] = probs.get(d[u], 0.0) + w
     total = sum(probs.values())
     return {c: w / total for c, w in probs.items()}
+
+
+def calibrate_matrix(sims, params) -> np.ndarray:
+    """Row-wise calibrated probabilities, one temporary per step."""
+    sims = np.asarray(sims, dtype=np.float64)
+    z = (params.scale * sims + params.offset) / params.temperature
+    return softmax(z)
+
+
+def cross_entropy_and_grad(sims, truth_cols, params) -> tuple[float, np.ndarray]:
+    """Calibration cross-entropy and its gradient in ``(offset, scale, log
+    temperature)``, with the softmax and its exponentials computed twice."""
+    sims = np.asarray(sims, dtype=np.float64)
+    truth_cols = np.asarray(truth_cols, dtype=np.int64)
+    tau = params.temperature
+    z = (params.scale * sims + params.offset) / tau
+    p = softmax(z)
+    rows = np.arange(sims.shape[0])
+    logp = z - z.max(axis=-1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    loss = float(-logp[rows, truth_cols].sum())
+
+    d = p.copy()
+    d[rows, truth_cols] -= 1.0  # dL/dz
+    g_offset = float(d.sum() / tau)
+    g_scale = float((d * sims).sum() / tau)
+    g_logtau = float(-(d * z).sum())
+    return loss, np.array([g_offset, g_scale, g_logtau])
 
 
 def margin_ranking_loss_and_grad(ent, rel, pos, neg, margin):

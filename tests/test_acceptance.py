@@ -223,7 +223,7 @@ def test_criterion_3_conditional_joint_consistency():
         mapping = dict(labelled)
         for u in unlabelled:
             mapping[u] = grids[u][rng.integers(0, 4)]
-        assignment = Assignment(mapping=mapping, labelled={0, 1})
+        assignment = Assignment(mapping=mapping)
         stats = estimate_relation_stats(pair, assignment)
         joint = enumerate_joint(pair, stats, labelled, grids)
         assert abs(sum(joint.values()) - 1.0) < 1e-12
@@ -251,7 +251,7 @@ def test_criterion_4_scenario_compatibility_ordering():
     pair_a = KgPair(src, tgt_a)
     lab_a = {src.entity_ids["e1"]: tgt_a.entity_ids["e1'"],
              src.entity_ids["e3"]: tgt_a.entity_ids["e3'"]}
-    assign_a = Assignment(mapping=lab_a, labelled=set(lab_a))
+    assign_a = Assignment(mapping=lab_a)
     g_a = local_compatibility(
         src.entity_ids["e2"], tgt_a.entity_ids["e2'"], assign_a, pair_a,
         estimate_relation_stats(pair_a, assign_a),
@@ -261,7 +261,7 @@ def test_criterion_4_scenario_compatibility_ordering():
     pair_b = KgPair(src, tgt_b)
     lab_b = {src.entity_ids["e1"]: tgt_b.entity_ids["e1'"],
              src.entity_ids["e3"]: tgt_b.entity_ids["e3'"]}
-    assign_b = Assignment(mapping=lab_b, labelled=set(lab_b))
+    assign_b = Assignment(mapping=lab_b)
     g_b = local_compatibility(
         src.entity_ids["e2"], tgt_b.entity_ids["e4'"], assign_b, pair_b,
         estimate_relation_stats(pair_b, assign_b),

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from kgalign import calibration
 from kgalign.calibration import (
     CalibrationError,
     CalibrationParams,
@@ -183,3 +187,45 @@ class TestFit:
             )
             worst = max(worst, gradcheck_rel_error(sims, truth, params))
         assert worst < 1e-4
+
+
+def fit_or_error(sims, truth, init, epochs):
+    try:
+        return fit_calibration(sims, truth, init=init, epochs=epochs)
+    except CalibrationError as err:
+        return str(err)
+
+
+class TestAgainstOracle:
+    """The in-place calibration against the reference that computes each
+    step into a fresh temporary: results must be bitwise equal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_loss_grad_fit_and_matrix_equal_reference(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        # grid values make tied and repeated rows common
+        value = st.one_of(finite_floats, st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+        sims = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n)))
+        sims = sims.reshape(m, n)
+        truth = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        params = CalibrationParams(
+            offset=data.draw(finite_floats), scale=data.draw(finite_floats),
+            temperature=float(np.exp(data.draw(st.floats(-2.0, 2.0)))),
+        )
+        before = sims.copy()
+
+        loss, grad = cross_entropy_and_grad(sims, truth, params)
+        ref_loss, ref_grad = oracle.cross_entropy_and_grad(sims, truth, params)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(calibrate_matrix(sims, params),
+                              oracle.calibrate_matrix(sims, params))
+
+        epochs = data.draw(st.integers(0, 30))
+        fitted = fit_or_error(sims, truth, params, epochs)
+        with mock.patch.object(calibration, "_cross_entropy_into",
+                               lambda s, t, p, z, buf: oracle.cross_entropy_and_grad(s, t, p)):
+            reference = fit_or_error(sims, truth, params, epochs)
+        assert fitted == reference  # params and loss trace, or the same error
+        assert np.array_equal(sims, before)

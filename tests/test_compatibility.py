@@ -243,7 +243,7 @@ class TestConditionalDistribution:
             mapping = dict(labelled)
             for u in unlabelled:
                 mapping[u] = grids[u][rng.integers(0, 3)]
-            assignment = Assignment(mapping=mapping, labelled={0, 1})
+            assignment = Assignment(mapping=mapping)
             stats = estimate_relation_stats(pair, assignment)
             joint = oracle.enumerate_joint(pair, stats, labelled, grids)
             for u in unlabelled:
@@ -351,8 +351,34 @@ class TestRefineRows:
             assert u in row_ids and 0.0 <= p <= 1.0
 
 
+def assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u):
+    """Factor score, sums and refined rows against the triple-scanning
+    reference: scores within 1e-12, candidates and argmaxes exact."""
+    for c in col_ids:
+        assert local_compatibility(u, c, assignment, pair, stats) == pytest.approx(
+            oracle.local_compatibility(u, c, assignment.mapping.get, pair, stats),
+            rel=0, abs=1e-12,
+        )
+    np.testing.assert_allclose(
+        compatibility_sums(u, col_ids, assignment, pair, stats),
+        oracle.compatibility_sums(u, col_ids, assignment, pair, stats),
+        rtol=0, atol=1e-12,
+    )
+
+    refined = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=top_k)
+    reference = oracle.refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k)
+    assert [row.entity for row in refined] == list(row_ids)
+    assert len(refined) == len(reference)
+    for row, (cands, sums) in zip(refined, reference):
+        assert row.cand_ids == cands
+        probs = oracle.softmax(sums)
+        np.testing.assert_allclose(row.probs, probs, rtol=0, atol=1e-12)
+        best = min(range(len(cands)), key=lambda j: (-probs[j], cands[j]))
+        assert row.argmax_candidate() == cands[best]
+
+
 class TestAgainstOracle:
-    """The adjacency-index paths against the triple-scanning reference on
+    """The compiled factor model against the triple-scanning reference on
     random small KG pairs, self-loops and parallel edges included."""
 
     @settings(max_examples=150, deadline=None)
@@ -370,31 +396,74 @@ class TestAgainstOracle:
         top_k = data.draw(st.integers(1, n_tgt))
 
         assignment = build_assignment(q, row_ids, col_ids, labelled)
+        assert assignment == oracle.build_assignment(q, row_ids, col_ids, labelled)
         stats = estimate_relation_stats(pair, assignment)
-        ref_stats = oracle.estimate_relation_stats(pair, assignment)
-        assert stats == ref_stats
+        assert stats == oracle.estimate_relation_stats(pair, assignment)
 
         u = data.draw(st.integers(0, n_src - 1))
-        c = data.draw(st.integers(0, n_tgt - 1))
-        assert local_compatibility(u, c, assignment, pair, stats) == pytest.approx(
-            oracle.local_compatibility(u, c, assignment.mapping.get, pair, stats),
-            rel=0, abs=1e-12,
-        )
-        np.testing.assert_allclose(
-            compatibility_sums(u, col_ids, assignment, pair, stats),
-            oracle.compatibility_sums(u, col_ids, assignment, pair, stats),
-            rtol=0, atol=1e-12,
-        )
+        assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u)
 
-        refined = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=top_k)
-        reference = oracle.refine_rows(q, row_ids, col_ids, pair, stats, labelled, top_k)
-        assert len(refined) == len(reference)
-        for row, (cands, sums) in zip(refined, reference):
-            assert row.cand_ids == cands
-            probs = oracle.softmax(sums)
-            np.testing.assert_allclose(row.probs, probs, rtol=0, atol=1e-12)
-            best = min(range(len(cands)), key=lambda j: (-probs[j], cands[j]))
-            assert row.argmax_candidate() == cands[best]
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_partial_assignment_and_shuffled_ids_match_reference(self, data):
+        # rows and neighbours without a counterpart, rows and columns in
+        # any order, and top_k up to beyond the column count
+        pair = KgPair(oracle.random_kg(data, "a"), oracle.random_kg(data, "b"))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        row_ids = data.draw(st.permutations(range(n_src)))
+        row_ids = row_ids[:data.draw(st.integers(1, n_src))]
+        col_ids = data.draw(st.permutations(range(n_tgt)))
+        col_ids = col_ids[:data.draw(st.integers(1, n_tgt))]
+        mapping = data.draw(st.dictionaries(
+            st.integers(0, n_src - 1), st.integers(0, n_tgt - 1), max_size=n_src))
+        assignment = Assignment(mapping=mapping)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q = rng.integers(0, 3, size=(len(row_ids), len(col_ids))).astype(float)
+        top_k = data.draw(st.integers(1, len(col_ids) + 3))
+
+        stats = estimate_relation_stats(pair, assignment)
+        assert stats == oracle.estimate_relation_stats(pair, assignment)
+        u = data.draw(st.integers(0, n_src - 1))
+        assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u)
+
+
+class TestZeroSurvival:
+    """Sub-relation probability 1 and inverse functionality 1 make a matched
+    survival term exactly 0: the factor scores 1, its log survival is
+    -inf, and the sums stay finite."""
+
+    def scenario(self):
+        pair = KgPair(kg_of([("a0", "r", "a1"), ("a1", "r", "a2")]),
+                      kg_of([("b0", "s", "b1"), ("b1", "s", "b2")]))
+        certain = {(a, b): 1.0 for a in range(2) for b in range(2)}
+        stats = RelationStats(
+            src_inv_fun={0: 1.0, 1: 1.0}, tgt_inv_fun={0: 1.0, 1: 1.0},
+            subrel_tgt_in_src=certain, subrel_src_in_tgt=dict(certain),
+        )
+        return pair, stats, Assignment(mapping={0: 0, 1: 1, 2: 2})
+
+    def test_local_compatibility(self):
+        pair, stats, assignment = self.scenario()
+        assert local_compatibility(1, 1, assignment, pair, stats) == 1.0
+        assert local_compatibility(1, 0, assignment, pair, stats) == 0.0
+        assert local_compatibility(0, 0, assignment, pair, stats) == 1.0
+        assert local_compatibility(0, 1, assignment, pair, stats) == 0.0
+
+    def test_compatibility_sums(self):
+        pair, stats, assignment = self.scenario()
+        sums = compatibility_sums(1, (0, 1, 2), assignment, pair, stats)
+        assert np.array_equal(sums, [0.0, 3.0, 0.0])
+        assert np.array_equal(
+            sums, oracle.compatibility_sums(1, (0, 1, 2), assignment, pair, stats))
+
+    def test_refine_rows(self):
+        pair, stats, assignment = self.scenario()
+        q = np.full((1, 3), 1.0 / 3)
+        [row] = refine_rows(q, [1], [0, 1, 2], pair, stats, assignment, top_k=3)
+        assert row.cand_ids == (0, 1, 2)
+        np.testing.assert_allclose(row.probs, oracle.softmax(np.array([0.0, 3.0, 0.0])),
+                                   rtol=0, atol=1e-12)
+        assert row.argmax_candidate() == 1
 
 
 class TestStoryScenarios:
@@ -424,12 +493,12 @@ class TestStoryScenarios:
 
     def test_local_compatibility_prefers_supported_candidate(self):
         pair_a, labelled_a, e2_a, cand_a = self.scenario_a()
-        assign_a = Assignment(mapping=labelled_a, labelled=set(labelled_a))
+        assign_a = Assignment(mapping=labelled_a)
         stats_a = estimate_relation_stats(pair_a, assign_a)
         g_a = local_compatibility(e2_a, cand_a, assign_a, pair_a, stats_a)
 
         pair_b, labelled_b, e2_b, cand_b = self.scenario_b()
-        assign_b = Assignment(mapping=labelled_b, labelled=set(labelled_b))
+        assign_b = Assignment(mapping=labelled_b)
         stats_b = estimate_relation_stats(pair_b, assign_b)
         g_b = local_compatibility(e2_b, cand_b, assign_b, pair_b, stats_b)
 

@@ -1,19 +1,22 @@
-"""The benchmark's tracer against the package it wraps.
+"""The benchmark's tracer and self-test against the package they run.
 
 ``perfbench/tracing.py`` patches package functions by name and reads their
 parameters by name.  These runs install it, unchanged, around tiny twin
 runs, so renaming a traced function or parameter fails here and not only
-in a traced benchmark run.
+in a traced benchmark run.  The benchmark's self-test runs here as well.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from kgalign.selftrain import RunConfig, SelfTrainRun
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -47,3 +50,11 @@ def test_tracer_counts_work(twin_dataset_dir, tmp_path, strategy, extra, nonzero
     n_src, n_tgt = run.pair.source.n_entities, run.pair.target.n_entities
     directions = 2 if strategy == "MutHighestProb" else 1
     assert metrics["models.similarity_cells"] == directions * cfg.iterations * n_src * n_tgt
+
+
+def test_benchmark_selftest_passes():
+    # every workload at a tiny size, untraced and traced: run determinism,
+    # the output checks, injective pseudo sets and the traced work counts
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

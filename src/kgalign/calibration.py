@@ -122,30 +122,6 @@ def calibrate_row(
     return ProbRow(entity=entity, cand_ids=ids, probs=probs)
 
 
-def calibrate_topk_row(
-    top_scores: np.ndarray,
-    n_total: int,
-    fill: float,
-    params: CalibrationParams,
-) -> tuple[np.ndarray, float]:
-    """Top-K calibration where all tail candidates share the fill score.
-
-    Returns the probabilities of the K explicit candidates plus the total
-    tail mass; the full-row softmax is recovered without densifying.
-    """
-    top_scores = np.asarray(top_scores, dtype=np.float64)
-    k = top_scores.shape[0]
-    if n_total < k:
-        raise ValueError("n_total smaller than the explicit candidate count")
-    z_top = (params.scale * top_scores + params.offset) / params.temperature
-    z_fill = (params.scale * fill + params.offset) / params.temperature
-    m = max(float(z_top.max()), z_fill)
-    e_top = np.exp(z_top - m)
-    e_fill = float(np.exp(z_fill - m))
-    denom = float(e_top.sum()) + (n_total - k) * e_fill
-    return e_top / denom, (n_total - k) * e_fill / denom
-
-
 def cross_entropy_and_grad(
     sims: np.ndarray,
     truth_cols: np.ndarray,

@@ -18,15 +18,15 @@ Incoming triples take part as inverse relations: directed relation id
 inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
-a frozen assignment).  Factor scores come from ``_FactorModel``, the model
-compiled to arrays on every call; ``tests/oracle.py`` keeps the readable
-triple-scanning version they are checked against.
+a frozen assignment).  Every call builds the directed edges as arrays and
+joins target edges by endpoint pair; the statistics count over that join and
+``_FactorModel`` compiles the factor model onto it.  ``tests/oracle.py``
+keeps the readable triple-scanning versions they are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,22 +50,17 @@ def relation_inverse_functionality(kg: Kg) -> dict[int, float]:
     """Inverse functionality for every directed relation of ``kg``.
 
     For the base orientation this is distinct tails over distinct pairs;
-    for the inverse orientation, distinct heads over distinct pairs.
-    Duplicate triples never occur after load, but the counts are taken over
-    sets so pre-dedup inputs would give identical values.
+    for the inverse orientation, distinct heads over distinct pairs.  Triples
+    are unique after load, so these are distinct far ends over edges.
     """
-    pairs: dict[int, set[tuple[int, int]]] = defaultdict(set)
-    heads: dict[int, set[int]] = defaultdict(set)
-    tails: dict[int, set[int]] = defaultdict(set)
-    for h, r, t in kg.triples:
-        pairs[r].add((h, t))
-        heads[r].add(h)
-        tails[r].add(t)
-    inv_fun: dict[int, float] = {}
-    for r, pr in pairs.items():
-        inv_fun[r] = len(tails[r]) / len(pr)
-        inv_fun[r + kg.n_relations] = len(heads[r]) / len(pr)
-    return inv_fun
+    _, rel, far, _ = _edge_table(kg)
+    return _inverse_functionality(kg, rel, far)
+
+
+def _inverse_functionality(kg: Kg, rel: np.ndarray, far: np.ndarray) -> dict[int, float]:
+    # every relation has edges in both orientations, so the counts align
+    rel_far = _key_counts(rel * kg.n_entities + far)[0]
+    return dict(enumerate((np.bincount(rel_far // kg.n_entities) / np.bincount(rel)).tolist()))
 
 
 @dataclass
@@ -109,52 +104,40 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> Relation
     target-side statistics use the inverted assignment (a set-valued inverse:
     predictions need not be injective).
     """
-    fwd = assignment.mapping
-    rev: dict[int, set[int]] = defaultdict(set)
-    for e, t in fwd.items():
-        rev[t].add(e)
-
     src, tgt = kg_pair.source, kg_pair.target
+    n_src, n_tgt = 2 * src.n_relations, 2 * tgt.n_relations
+    s_near, s_rel, s_far, _ = _edge_table(src)
+    t_near, t_rel, t_far, _ = _edge_table(tgt)
+    y = _assigned(assignment, src.n_entities)
+    trial = np.flatnonzero((y[s_near] >= 0) & (y[s_far] >= 0))
+    # every (source edge, target edge) pair joining counterpart endpoints
+    i, j = _PairJoin(t_near, t_far, tgt.n_entities).matches(
+        y[s_near[trial]], y[s_far[trial]])
+    rho_s = s_rel[trial[i]]
+    image = np.zeros(tgt.n_entities, dtype=bool)
+    image[y[y >= 0]] = True
+    src_trials = np.bincount(s_rel[trial], minlength=n_src)
+    tgt_trials = np.bincount(t_rel[image[t_near] & image[t_far]], minlength=n_tgt)
+    src_pairs, src_support = _key_counts(rho_s * n_tgt + t_rel[j])
+    # a target edge supports each source relation mirrored onto it once
+    edge, rho = np.divmod(_key_counts(j * n_src + rho_s)[0], n_src)
+    tgt_pairs, tgt_support = _key_counts(t_rel[edge] * n_src + rho)
 
-    src_trials: dict[int, int] = defaultdict(int)
-    src_support: dict[tuple[int, int], int] = defaultdict(int)
-    for h in fwd:
-        for t, rhos in src.adjacency[h].items():
-            if t not in fwd:
-                continue
-            mirrored = tgt.adjacency[fwd[h]].get(fwd[t], ())
-            for rho in rhos:
-                src_trials[rho] += 1
-                for rho_t in mirrored:
-                    src_support[(rho, rho_t)] += 1
+    def subrel(pairs, support, n_other, trials):
+        a, b = np.divmod(pairs, n_other)
+        return dict(zip(zip(a.tolist(), b.tolist()),
+                        ((support + 1) / (trials[a] + 2)).tolist()))
 
-    tgt_trials: dict[int, int] = defaultdict(int)
-    tgt_support: dict[tuple[int, int], int] = defaultdict(int)
-    for h in rev:
-        for t, rhos in tgt.adjacency[h].items():
-            if t not in rev:
-                continue
-            mirrored_src: set[int] = set()
-            for a, b in itertools.product(rev[h], rev[t]):
-                mirrored_src.update(src.adjacency[a].get(b, ()))
-            for rho in rhos:
-                tgt_trials[rho] += 1
-                for rho_s in mirrored_src:
-                    tgt_support[(rho, rho_s)] += 1
+    def nonzero(trials):
+        return {r: n for r, n in enumerate(trials.tolist()) if n}
 
     return RelationStats(
-        src_inv_fun=relation_inverse_functionality(src),
-        tgt_inv_fun=relation_inverse_functionality(tgt),
-        subrel_tgt_in_src={
-            (rt, rs): (n + 1) / (tgt_trials[rt] + 2)
-            for (rt, rs), n in tgt_support.items()
-        },
-        subrel_src_in_tgt={
-            (rs, rt): (n + 1) / (src_trials[rs] + 2)
-            for (rs, rt), n in src_support.items()
-        },
-        tgt_trials=dict(tgt_trials),
-        src_trials=dict(src_trials),
+        src_inv_fun=_inverse_functionality(src, s_rel, s_far),
+        tgt_inv_fun=_inverse_functionality(tgt, t_rel, t_far),
+        subrel_tgt_in_src=subrel(tgt_pairs, tgt_support, n_src, tgt_trials),
+        subrel_src_in_tgt=subrel(src_pairs, src_support, n_tgt, src_trials),
+        tgt_trials=nonzero(tgt_trials),
+        src_trials=nonzero(src_trials),
     )
 
 
@@ -298,14 +281,56 @@ def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return ids[cc[order]].reshape(len(q), k)
 
 
-def _directed_edges(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(near, relation, far)`` for every triple in both orientations:
-    ``r`` read head to tail, ``r + n_relations`` tail to head."""
+def _edge_table(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(near, rel, far, ptr)``: every triple in both orientations, ``r``
+    read head to tail and ``r + n_relations`` tail to head, grouped by near
+    endpoint.  ``ptr[e]:ptr[e + 1]`` holds ``e``'s outgoing edges, then its
+    incoming ones, each in triple order; factor sums add in this order."""
     flat = np.fromiter(itertools.chain.from_iterable(kg.triples), np.int64,
                        3 * len(kg.triples))
     h, r, t = flat.reshape(-1, 3).T
-    return (np.concatenate([h, t]), np.concatenate([r, r + kg.n_relations]),
-            np.concatenate([t, h]))
+    near = np.concatenate([h, t])
+    order = np.argsort(near, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=kg.n_entities))])
+    return (near[order], np.concatenate([r, r + kg.n_relations])[order],
+            np.concatenate([t, h])[order], ptr)
+
+
+class _PairJoin:
+    """Edges grouped by endpoint pair ``near * n + far``, sorted stably so
+    each pair's edges keep their edge-table order: ``order[bounds[i]:
+    bounds[i + 1]]`` are the edges of the pair ``keys[i]``."""
+
+    def __init__(self, near: np.ndarray, far: np.ndarray, n: int):
+        keys = near * n + far
+        self.order = np.argsort(keys, kind="stable")
+        keys = keys[self.order]
+        starts = _run_starts(keys)
+        self.keys, self.n = keys[starts], n
+        self.bounds = np.append(starts, len(keys))
+
+    def find(self, near, far) -> tuple[np.ndarray, np.ndarray]:
+        """``(pair index, hit)`` per queried pair; ``hit`` is False where
+        ``far`` is -1 or no edge joins the pair."""
+        keys = near * self.n + far
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return pos, (far >= 0) & (self.keys[pos] == keys)
+
+    def matches(self, near, far) -> tuple[np.ndarray, np.ndarray]:
+        """``(query index, edge id)`` per edge joining each queried pair."""
+        pos, hit = self.find(near, far)
+        q = np.flatnonzero(hit)
+        owner, idx = _ranges(self.bounds, pos[q])
+        return q[owner], self.order[idx]
+
+
+def _assigned(assignment: Assignment, n: int) -> np.ndarray:
+    """The counterpart of each of ``n`` source entities, or -1."""
+    y = np.full(n, -1, dtype=np.int64)
+    mapping = assignment.mapping
+    y[np.fromiter(mapping.keys(), np.int64, len(mapping))] = np.fromiter(
+        mapping.values(), np.int64, len(mapping))
+    return y
 
 
 def _log_survival_table(stats: RelationStats, n_src: int, n_tgt: int) -> np.ndarray:
@@ -336,6 +361,21 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
+def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, and how often each occurs."""
+    keys = np.sort(keys)
+    starts = _run_starts(keys)
+    return keys[starts], np.diff(np.append(starts, len(keys)))
+
+
+def _ranges(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(position in ids, index)`` for every index of ``ptr[i]:ptr[i + 1]``
+    for each ``i`` in ``ids``."""
+    lo, counts = ptr[ids], ptr[ids + 1] - ptr[ids]
+    owner = np.repeat(np.arange(len(ids)), counts)
+    return owner, np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+
+
 def _row_sums(owner: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Sum the rows of ``vals`` into ``n`` rows by ``owner``, adding each
     output row's contributions in input order."""
@@ -347,61 +387,39 @@ def _row_sums(owner: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 class _FactorModel:
     """The factor model of one assignment compiled to arrays.
 
-    The source KG's directed edges are grouped by near endpoint
-    (``ptr``, ``rel``, ``far``), and ``y[e]`` is the counterpart assigned to
-    source entity ``e`` or -1.  ``table[i, rho_s]`` sums the log survival of
-    source relation ``rho_s`` against every directed target relation joining
-    the target pair ``pair_keys[i] = y * n_tgt + y2`` (sorted).  A factor's
-    log survival is a sum of ``table`` entries over its source edges, so
-    ``1 - exp(sum)`` is its score.
+    ``ptr``, ``rel`` and ``far`` are the source KG's edge table, and
+    ``y[e]`` is the counterpart assigned to source entity ``e`` or -1.
+    ``table[i, rho_s]`` sums the log survival of source relation ``rho_s``
+    against every directed target relation joining the target pair ``i`` of
+    ``pairs``.  A factor's log survival is a sum of ``table`` entries over
+    its source edges, so ``1 - exp(sum)`` is its score.
     """
 
     def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
         src, tgt = kg_pair.source, kg_pair.target
-        near, rel, far = _directed_edges(src)
-        order = np.argsort(near, kind="stable")
-        self.rel, self.far = rel[order], far[order]
-        self.ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(near, minlength=src.n_entities))])
-        self.y = np.full(src.n_entities, -1, dtype=np.int64)
-        mapping = assignment.mapping
-        self.y[np.fromiter(mapping.keys(), np.int64, len(mapping))] = np.fromiter(
-            mapping.values(), np.int64, len(mapping))
+        _, self.rel, self.far, self.ptr = _edge_table(src)
+        self.y = _assigned(assignment, src.n_entities)
 
         log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
-        t_near, t_rel, t_far = _directed_edges(tgt)
-        self.n_tgt = tgt.n_entities
-        keys = t_near * self.n_tgt + t_far
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = _run_starts(keys)
-        self.pair_keys = keys[starts]
-        self.table = np.add.reduceat(log_surv.T[t_rel[order]], starts, axis=0)
-
-    def edges_of(self, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(position in ents, edge id)`` for every edge near each entity."""
-        lo = self.ptr[ents]
-        counts = self.ptr[ents + 1] - lo
-        owner = np.repeat(np.arange(len(ents)), counts)
-        edge = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-        return owner, edge
+        t_near, t_rel, t_far, _ = _edge_table(tgt)
+        self.pairs = _PairJoin(t_near, t_far, tgt.n_entities)
+        self.table = np.add.reduceat(log_surv.T[t_rel[self.pairs.order]],
+                                     self.pairs.bounds[:-1], axis=0)
 
     def edge_log_survival(self, rel, y_near, y_far) -> np.ndarray:
         """Log survival of source edges with relation ``rel`` whose
         endpoints map to ``y_near`` and ``y_far`` (0 where ``y_far`` is -1
         or no target relation joins the pair); broadcasts."""
         rel, y_near, y_far = np.broadcast_arrays(rel, y_near, y_far)
-        keys = y_near * self.n_tgt + y_far
-        pos = np.minimum(np.searchsorted(self.pair_keys, keys), len(self.pair_keys) - 1)
-        hit = (y_far >= 0) & (self.pair_keys[pos] == keys)
-        out = np.zeros(keys.shape)
+        pos, hit = self.pairs.find(y_near, y_far)
+        out = np.zeros(pos.shape)
         out[hit] = self.table[pos[hit], rel[hit]]
         return out
 
     def own_log_survival(self, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
         """``(len(rows), k)``: log survival of the factor anchored at each
         row's entity ``u`` with ``u`` mapped to each of its candidates."""
-        owner, edge = self.edges_of(rows)
+        owner, edge = _ranges(self.ptr, rows)
         far = self.far[edge]
         c = cands[owner]
         y_far = np.where((far == rows[owner])[:, None], c, self.y[far][:, None])
@@ -415,16 +433,15 @@ class _FactorModel:
         n_rows, n_src = len(rows), len(self.y)
         own = 1.0 - np.exp(self.own_log_survival(rows, cands))
 
-        owner, edge = self.edges_of(rows)
+        owner, edge = _ranges(self.ptr, rows)
         far = self.far[edge]
         nbr = far != rows[owner]
-        pairs = np.sort(owner[nbr] * n_src + far[nbr])
-        a_row, a_ent = np.divmod(pairs[_run_starts(pairs)], n_src)
+        a_row, a_ent = np.divmod(_key_counts(owner[nbr] * n_src + far[nbr])[0], n_src)
         assigned = self.y[a_ent] >= 0
         a_row, a_ent = a_row[assigned], a_ent[assigned]
         a_y = self.y[a_ent]
 
-        owner, edge = self.edges_of(a_ent)
+        owner, edge = _ranges(self.ptr, a_ent)
         far = self.far[edge]
         to_u = far == rows[a_row[owner]]
         # an anchor's edges to entities other than u do not depend on the

@@ -1,9 +1,8 @@
-"""Knowledge-graph representation, neighborhood indexing, and dataset I/O.
+"""Knowledge-graph representation and dataset I/O.
 
 Entities and relations are interned to dense integer ids at load time (by
-first appearance); all downstream numerics work on ids.  A ``Kg`` and its
-neighborhood index are immutable after construction and safe to share
-across workers.
+first appearance); all downstream numerics work on ids.  A ``Kg`` is
+immutable after construction.
 
 File formats:
   * triples: UTF-8, one ``head<TAB>relation<TAB>tail`` per line (LF or CRLF)
@@ -46,20 +45,11 @@ def _read_rows(path: str | Path, n_fields: int) -> list[tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Kg:
-    """One knowledge graph with interned ids and a directed neighborhood index.
-
-    ``adjacency[e][n]`` holds the directed relation ids joining ``e`` to its
-    neighbor ``n``: ``r`` for a triple ``(e, r, n)`` and ``r + n_relations``
-    for a triple ``(n, r, e)``.  Outgoing ids come first, each group in
-    triple order, so every triple appears once per orientation (a self-loop
-    ``(e, r, e)`` gives ``adjacency[e][e] == (r, r + n_relations)``).  This
-    is the only neighborhood index; it is built once at load.
-    """
+    """One knowledge graph: interned labels and its unique id triples."""
 
     entity_labels: tuple[str, ...]
     relation_labels: tuple[str, ...]
     triples: tuple[tuple[int, int, int], ...]
-    adjacency: tuple[dict[int, tuple[int, ...]], ...]
     duplicates_dropped: int = 0
     entity_ids: dict[str, int] = field(repr=False, default_factory=dict)
     relation_ids: dict[str, int] = field(repr=False, default_factory=dict)
@@ -74,7 +64,8 @@ class Kg:
 
     def neighbors(self, e: int) -> tuple[int, ...]:
         """Unique out- and in-neighbors of ``e``, sorted by id."""
-        return tuple(sorted(self.adjacency[e]))
+        return tuple(sorted({t for h, _, t in self.triples if h == e}
+                            | {h for h, _, t in self.triples if t == e}))
 
     @staticmethod
     def from_label_triples(
@@ -115,23 +106,12 @@ class Kg:
         for label in extra_entities:
             ent(label)
 
-        # grow the tuples directly: building lists and converting them
-        # afterwards takes about 2.5 times as long, and the build is part of
-        # every load
-        n_rel = len(rel_ids)
-        adj: list[dict[int, tuple[int, ...]]] = [{} for _ in range(len(ent_ids))]
-        for h, r, t in id_triples:
-            adj[h][t] = adj[h].get(t, ()) + (r,)
-        for h, r, t in id_triples:
-            adj[t][h] = adj[t].get(h, ()) + (r + n_rel,)
-
         ent_labels = tuple(sorted(ent_ids, key=ent_ids.get))
         rel_labels = tuple(sorted(rel_ids, key=rel_ids.get))
         return Kg(
             entity_labels=ent_labels,
             relation_labels=rel_labels,
             triples=tuple(id_triples),
-            adjacency=tuple(adj),
             duplicates_dropped=dropped,
             entity_ids=ent_ids,
             relation_ids=rel_ids,
@@ -188,12 +168,6 @@ class MappingSet:
 
     def as_set(self) -> set[tuple[int, int]]:
         return set(self.pairs)
-
-    def source_ids(self) -> set[int]:
-        return {s for s, _ in self.pairs}
-
-    def target_ids(self) -> set[int]:
-        return {t for _, t in self.pairs}
 
     def flipped(self) -> "MappingSet":
         return MappingSet(

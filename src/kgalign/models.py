@@ -5,7 +5,7 @@ Three implementations share one small interface (``fit`` +
 
 * ``EmbeddingAligner`` — a trainable translation-style embedding model with
   margin ranking loss and hard parameter sharing: entities joined by a
-  training mapping collapse to a single vector through a union-find table.
+  training mapping collapse to one vector, that of their smallest id.
   Each SGD step scores every positive once against its k grouped negatives,
   scatters the gradients through flat views of fresh dense tables in 2-d
   ``np.add.at`` order, and renormalizes every entity row.
@@ -110,25 +110,19 @@ class AlignmentModel(Protocol):
         """Similarity matrix for the requested direction."""
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # smaller id wins the root for determinism
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest id in each of ``n`` nodes' component under the edges
+    ``(a[i], b[i])``: spread each edge's smaller root to both endpoints,
+    then jump pointers, until nothing changes."""
+    root = np.arange(n)
+    while True:
+        prev = root.copy()
+        m = np.minimum(root[a], root[b])
+        np.minimum.at(root, a, m)
+        np.minimum.at(root, b, m)
+        root = root[root]
+        if np.array_equal(root, prev):
+            return root
 
 
 def margin_ranking_loss_and_grad(
@@ -191,15 +185,15 @@ class EmbeddingAlignerParams:
 
 
 class EmbeddingAligner:
-    """Translation-embedding aligner with union-find parameter sharing.
+    """Translation-embedding aligner with parameter sharing.
 
     Entities of both graphs live in one table (target ids shifted by the
     source entity count); each training mapping merges its two entities into
-    one equivalence class whose root vector is the only one trained.  The
-    union-find table is rebuilt from the training set on every ``fit`` so
-    pseudo mappings regenerated between iterations never leave stale merges
-    behind.  Entity vectors are renormalized to unit length after every
-    update; the exposed similarity is the cosine.
+    one equivalence class whose root (smallest id) vector is the only one
+    trained.  The classes are recomputed from the training set on every
+    ``fit`` so pseudo mappings regenerated between iterations never leave
+    stale merges behind.  Entity vectors are renormalized to unit length
+    after every update; the exposed similarity is the cosine.
     """
 
     def __init__(self, params: EmbeddingAlignerParams | None = None, seed: int = 0):
@@ -245,10 +239,8 @@ class EmbeddingAligner:
         assert self._ent is not None
 
         n_src = kg_pair.source.n_entities
-        uf = _UnionFind(self._ent.shape[0])
-        for s, t in train.pairs:
-            uf.union(s, n_src + t)
-        root = np.array([uf.find(i) for i in range(self._ent.shape[0])])
+        pairs = np.array(train.pairs, dtype=np.int64)
+        root = _component_roots(self._ent.shape[0], pairs[:, 0], n_src + pairs[:, 1])
         # every member row follows its root vector from the start of the fit
         self._ent = self._ent[root].copy()
 
@@ -272,7 +264,7 @@ class EmbeddingAligner:
                 n_pairs += batch.shape[0] * p.negatives
             trace.append(epoch_loss / max(n_pairs, 1))
         # flatten: every entity row holds its effective (root) vector so the
-        # union-find can be rebuilt freely on the next fit
+        # classes can be recomputed freely on the next fit
         self._ent = self._ent[root]
         self._fitted = True
         self.loss_trace.extend(trace)

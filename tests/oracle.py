@@ -1,9 +1,12 @@
 """Reference implementations the tests compare the package against.
 
-Everything here reads a graph straight off ``kg.triples`` and never touches
-``Kg.adjacency``, so it checks the index as well as the code that reads it.
-It is slow by design and only usable on tiny instances, such as those
-``random_kg`` draws.
+Everything here reads a graph straight off ``kg.triples`` into dicts and
+sets and never touches the package's directed-edge arrays, so it checks them
+as well as the code that reads them.  It is slow by design and only usable
+on tiny instances, such as those ``random_kg`` draws.
+
+The trainer's parameter-sharing roots are checked against ``UnionFind``,
+a path-halving union-find that roots every class at its smallest id.
 
 The trainer references are the pairwise formulation of the embedding
 model's SGD step: every positive repeated once per negative and the
@@ -27,7 +30,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from kgalign.calibration import argmax_lowest_id
-from kgalign.compatibility import Assignment, RelationStats, relation_inverse_functionality
+from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet
 from kgalign.strategies import OneToOneState
 
@@ -118,6 +121,23 @@ def refine_rows(q, row_ids, col_ids, kg_pair, stats, assignment: Assignment, top
         cands = tuple(col_ids[j] for j in order[:top_k])
         out.append((cands, compatibility_sums(u, cands, assignment, kg_pair, stats)))
     return out
+
+
+def relation_inverse_functionality(kg) -> dict[int, float]:
+    """Distinct tails (base orientation) or heads (inverse orientation) over
+    distinct head-tail pairs, per relation."""
+    pairs: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    heads: dict[int, set[int]] = defaultdict(set)
+    tails: dict[int, set[int]] = defaultdict(set)
+    for h, r, t in kg.triples:
+        pairs[r].add((h, t))
+        heads[r].add(h)
+        tails[r].add(t)
+    inv_fun: dict[int, float] = {}
+    for r, pr in pairs.items():
+        inv_fun[r] = len(tails[r]) / len(pr)
+        inv_fun[r + kg.n_relations] = len(heads[r]) / len(pr)
+    return inv_fun
 
 
 def estimate_relation_stats(kg_pair, assignment: Assignment) -> RelationStats:
@@ -279,6 +299,27 @@ def margin_ranking_loss_and_grad(ent, rel, pos, neg, margin):
         np.add.at(g_ent, q[:, 2], u_neg)
         np.add.at(g_rel, q[:, 1], -u_neg)
     return loss, g_ent, g_rel
+
+
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        # smaller id wins the root for determinism
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
 
 
 def embedding_step(model, batch, pair, root) -> float:

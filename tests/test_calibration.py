@@ -13,7 +13,6 @@ from kgalign.calibration import (
     ProbRow,
     calibrate_matrix,
     calibrate_row,
-    calibrate_topk_row,
     cross_entropy_and_grad,
     fit_calibration,
 )
@@ -95,16 +94,6 @@ class TestTransform:
             sims = rng.normal(size=8)
             row = calibrate_row(sims, CalibrationParams(scale=1.7, temperature=0.8))
             assert row.argmax_candidate() == int(np.argmax(sims))
-
-    def test_topk_matches_dense(self):
-        params = CalibrationParams(offset=0.3, scale=1.5, temperature=0.7)
-        scores = np.array([0.9, 0.8, 0.5])
-        fill = 0.1
-        dense = np.concatenate([scores, np.full(7, fill)])
-        expected = calibrate_matrix(dense[None, :], params)[0]
-        top_probs, tail_mass = calibrate_topk_row(scores, 10, fill, params)
-        np.testing.assert_allclose(top_probs, expected[:3], atol=1e-12)
-        np.testing.assert_allclose(tail_mass, expected[3:].sum(), atol=1e-12)
 
 
 class TestProbRow:

@@ -15,6 +15,7 @@ from kgalign.compatibility import (
     refine_rows,
     relation_inverse_functionality,
 )
+from kgalign.compatibility import _edge_table
 from kgalign.kg import Kg, KgPair
 
 
@@ -35,6 +36,39 @@ def random_tiny_pair(rng, n=6, t=10, r=2):
     k1 = kg_of(sorted(tr1), extra=tuple(f"a{i}" for i in range(n)))
     k2 = kg_of(sorted(tr2), extra=tuple(f"b{i}" for i in range(n)))
     return KgPair(k1, k2)
+
+
+class TestEdgeTable:
+    """Each entity's edges, outgoing then incoming, each in triple order:
+    the order the factor sums add in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_edge_table_holds_each_triple_once_per_orientation(self, data):
+        kg = oracle.random_kg(data, "e", max_entities=12)
+        near, rel, far, ptr = _edge_table(kg)
+        assert ptr[-1] == len(near) == 2 * len(kg.triples)
+        for e in range(kg.n_entities):
+            span = slice(ptr[e], ptr[e + 1])
+            assert (near[span] == e).all()
+            assert list(zip(rel[span].tolist(), far[span].tolist())) == \
+                oracle.directed_adjacency(kg, e)
+
+    def test_edge_table_order_and_self_loop(self):
+        # b's edges are not sorted by far end: b->a, b->d, then a->b twice
+        kg = Kg.from_label_triples([("a", "r", "b"), ("b", "q", "a"), ("a", "q", "b"),
+                                    ("c", "r", "c"), ("b", "q", "d")])
+        a, b, c, d = (kg.entity_ids[x] for x in "abcd")
+        r, q, n_rel = kg.relation_ids["r"], kg.relation_ids["q"], kg.n_relations
+        _, rel, far, ptr = _edge_table(kg)
+        edges = [list(zip(rel[ptr[e]:ptr[e + 1]].tolist(), far[ptr[e]:ptr[e + 1]].tolist()))
+                 for e in range(kg.n_entities)]
+        assert edges[a] == [(r, b), (q, b), (q + n_rel, b)]
+        assert edges[b] == [(q, a), (q, d), (r + n_rel, a), (q + n_rel, a)]
+        assert edges[c] == [(r, c), (r + n_rel, c)]
+        assert edges[d] == [(q + n_rel, b)]
+        assert kg.neighbors(c) == (c,)
+        assert kg.neighbors(b) == (a, d)
 
 
 class TestRelationStats:

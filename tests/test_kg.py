@@ -71,31 +71,6 @@ class TestLoadKg:
         kg = load_kg(dbp_sample_dir / "rel_triples_1")
         assert kg.n_entities == len(labels)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_adjacency_holds_each_triple_once_per_orientation(self, data):
-        kg = random_kg(data, "e", max_entities=12)
-        n_rel = kg.n_relations
-        out, inc = [], []
-        for e, nbrs in enumerate(kg.adjacency):
-            for n, rhos in nbrs.items():
-                assert rhos == tuple(sorted(rhos, key=lambda rho: rho >= n_rel))
-                out += [(e, rho, n) for rho in rhos if rho < n_rel]
-                inc += [(n, rho - n_rel, e) for rho in rhos if rho >= n_rel]
-        assert sorted(out) == sorted(kg.triples)
-        assert sorted(inc) == sorted(kg.triples)
-
-    def test_adjacency_order_and_self_loop(self):
-        kg = Kg.from_label_triples(
-            [("a", "r", "b"), ("b", "q", "a"), ("a", "q", "b"), ("c", "r", "c")]
-        )
-        a, b, c = (kg.entity_ids[x] for x in "abc")
-        r, q, n_rel = kg.relation_ids["r"], kg.relation_ids["q"], kg.n_relations
-        assert kg.adjacency[a] == {b: (r, q, q + n_rel)}
-        assert kg.adjacency[b] == {a: (q, r + n_rel, q + n_rel)}
-        assert kg.adjacency[c] == {c: (r, r + n_rel)}
-        assert kg.neighbors(c) == (c,)
-
     def test_roundtrip_triples(self, tmp_path):
         lines = ["a\tr\tb", "b\tq\tc", "a\tr\tb", "c\tr\ta"]
         kg = load_kg(write_triples(tmp_path / "t.tsv", lines))

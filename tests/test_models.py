@@ -13,6 +13,7 @@ from kgalign.models import (
     SimMatrix,
     SyntheticOracle,
     TopKSimMatrix,
+    _component_roots,
     margin_ranking_loss_and_grad,
     top_k_of,
 )
@@ -124,6 +125,37 @@ class TestEmbeddingAligner:
         model._ent = ent
         sims = model.similarities(SRC_TO_TGT).scores
         np.testing.assert_allclose(sims, 0.0, atol=1e-12)
+
+
+def union_find_roots(n_src, n_tgt, pairs):
+    uf = oracle.UnionFind(n_src + n_tgt)
+    for s, t in pairs:
+        uf.union(s, n_src + t)
+    return [uf.find(i) for i in range(n_src + n_tgt)]
+
+
+class TestComponentRoots:
+    """The trainer's shared-parameter roots against a union-find."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_union_find_on_non_injective_pairs(self, data):
+        # few ids and many pairs: entities mapped twice, chained classes
+        n_src, n_tgt = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n_src - 1),
+                                             st.integers(0, n_tgt - 1)),
+                                   min_size=1, max_size=25))
+        s, t = np.array(pairs).T
+        got = _component_roots(n_src + n_tgt, s, n_src + t)
+        assert got.tolist() == union_find_roots(n_src, n_tgt, pairs)
+
+    def test_long_chain_roots_at_its_smallest_id(self):
+        # s_{i+1} - t_i - s_i zigzag, listed from the far end
+        n = 60
+        pairs = [(i + 1, i) for i in reversed(range(n - 1))] + [(i, i) for i in range(n)]
+        s, t = np.array(pairs).T
+        got = _component_roots(2 * n, s, n + t)
+        assert got.tolist() == union_find_roots(n, n, pairs) == [0] * (2 * n)
 
 
 FD_CASES = [

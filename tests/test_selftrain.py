@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from kgalign.selftrain import (
     run_selftrain,
     run_supervised,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 METRIC_FIELDS = [
     "iter", "hit1", "hit10", "mrr", "pseudo_count",
@@ -128,6 +131,18 @@ class TestMetricsStream:
         assert read(run_a, "metrics.jsonl") == read(run_b, "metrics.jsonl")
         assert read(run_a, "manifest.txt") == read(run_b, "manifest.txt")
         assert read(run_a, "pseudo_final.tsv") == read(run_b, "pseudo_final.tsv")
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("muthighestprob", dict(strategy="MutHighestProb")),
+        ("onetoone", dict(strategy="OneToOne", theta=0.45)),
+    ])
+    def test_outputs_match_golden_files(self, twin_dataset_dir, tmp_path, name, overrides):
+        # the oracle model runs no BLAS product, so these bytes do not
+        # depend on the thread count; the files change only with results
+        run = SelfTrainRun(base_config(twin_dataset_dir, tmp_path, **overrides))
+        run.run()
+        for f in ("metrics.jsonl", "pseudo_final.tsv"):
+            assert (run.run_dir / f).read_bytes() == (GOLDEN_DIR / name / f).read_bytes(), f
 
     def test_run_dir_contents(self, twin_dataset_dir, tmp_path):
         cfg = base_config(twin_dataset_dir, tmp_path)

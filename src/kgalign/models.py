@@ -1,7 +1,8 @@
 """Pluggable alignment models producing similarity matrices.
 
 Three implementations share one small interface (``fit`` +
-``similarities``):
+``similarities``); each hands out its one source-row matrix as a read-only
+view, the reverse direction as its transposed view, and never a copy:
 
 * ``EmbeddingAligner`` — a trainable translation-style embedding model with
   margin ranking loss and hard parameter sharing: entities joined by a
@@ -31,13 +32,14 @@ TGT_TO_SRC = "tgt_to_src"
 
 @dataclass(frozen=True)
 class SimMatrix:
-    """Dense similarity scores, one row per source-role entity."""
+    """Dense similarity scores, one row per source-role entity (read-only)."""
 
     scores: np.ndarray
     direction: str = SRC_TO_TGT
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
+        s = np.asarray(self.scores, dtype=np.float64).view()
+        s.flags.writeable = False  # on the view: the caller's array keeps its flags
         object.__setattr__(self, "scores", s)
         if s.ndim != 2:
             raise ValueError("scores must be a 2-d matrix")
@@ -107,7 +109,15 @@ class AlignmentModel(Protocol):
         per-epoch loss trace."""
 
     def similarities(self, direction: str) -> SimMatrix:
-        """Similarity matrix for the requested direction."""
+        """Read-only similarity matrix for the requested direction."""
+
+
+def _oriented(scores: np.ndarray, direction: str) -> SimMatrix:
+    """A source-row matrix as the similarity matrix of ``direction``: itself
+    for ``SRC_TO_TGT``, its transposed view for ``TGT_TO_SRC``; ``SimMatrix``
+    rejects any other direction."""
+    return SimMatrix(scores=scores.T if direction == TGT_TO_SRC else scores,
+                     direction=direction)
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,7 +208,6 @@ class EmbeddingAligner:
 
     def __init__(self, params: EmbeddingAlignerParams | None = None, seed: int = 0):
         self.params = params or EmbeddingAlignerParams()
-        self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._ent: np.ndarray | None = None
         self._rel: np.ndarray | None = None
@@ -206,14 +215,6 @@ class EmbeddingAligner:
         self._n_rel_src = 0
         self._fitted = False
         self.loss_trace: list[float] = []
-
-    def reset(self) -> None:
-        """Cold restart: re-seed the PRNG and drop all parameters."""
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
-        self._ent = None
-        self._rel = None
-        self._fitted = False
-        self.loss_trace = []
 
     def _init_tables(self, pair: KgPair) -> None:
         p = self.params
@@ -303,12 +304,8 @@ class EmbeddingAligner:
             raise RuntimeError("model must be fitted before querying similarities")
         src = self._ent[: self._n_src]
         tgt = self._ent[self._n_src :]
-        sims = src @ tgt.T  # rows are unit vectors, so this is the cosine
-        if direction == SRC_TO_TGT:
-            return SimMatrix(scores=sims, direction=direction)
-        if direction == TGT_TO_SRC:
-            return SimMatrix(scores=sims.T.copy(), direction=direction)
-        raise ValueError(f"bad direction: {direction!r}")
+        # rows are unit vectors, so this is the cosine
+        return _oriented(src @ tgt.T, direction)
 
 
 class SyntheticOracle:
@@ -350,7 +347,6 @@ class SyntheticOracle:
             else:
                 m[u, t] = rng.uniform(0.8, 1.0)
         self._matrix = m
-        self.noised_rows = noised
 
     def fit(self, kg_pair: KgPair, train: MappingSet, epochs: int) -> list[float]:
         if len(train) == 0:
@@ -360,11 +356,7 @@ class SyntheticOracle:
         return [0.0] * epochs
 
     def similarities(self, direction: str = SRC_TO_TGT) -> SimMatrix:
-        if direction == SRC_TO_TGT:
-            return SimMatrix(scores=self._matrix.copy(), direction=direction)
-        if direction == TGT_TO_SRC:
-            return SimMatrix(scores=self._matrix.T.copy(), direction=direction)
-        raise ValueError(f"bad direction: {direction!r}")
+        return _oriented(self._matrix, direction)
 
 
 @dataclass
@@ -380,10 +372,6 @@ class ExternalSimilarityModel:
         return [0.0] * max(epochs, 0)
 
     def similarities(self, direction: str = SRC_TO_TGT) -> SimMatrix:
-        if direction == SRC_TO_TGT:
-            return self.forward
-        if direction == TGT_TO_SRC:
-            if self.reverse is not None:
-                return self.reverse
-            return SimMatrix(scores=self.forward.scores.T.copy(), direction=direction)
-        raise ValueError(f"bad direction: {direction!r}")
+        if direction == TGT_TO_SRC and self.reverse is not None:
+            return self.reverse
+        return _oriented(self.forward.scores, direction)

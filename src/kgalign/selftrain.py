@@ -70,7 +70,6 @@ class RunConfig:
     iterations: int = 10
     top_k: int = 10
     oracle_noise: float = 0.3
-    cold_restart: bool = False
     calib_lr: float = 0.05
     calib_epochs: int = 200
     sim_file: str | None = None
@@ -89,12 +88,14 @@ class RunConfig:
             raise ConfigError(f"unknown model: {self.model!r}")
         if not (0.0 < self.ratio < 1.0):
             raise ConfigError("ratio must be in (0,1)")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
+        for name, low, strict in (  # (field, lower bound, bound excluded)
+            ("iterations", 1, False), ("epochs", 1, False), ("top_k", 1, False),
+            ("dim", 1, False), ("negatives", 1, False), ("margin", 0.0, False),
+            ("lr", 0.0, True), ("calib_lr", 0.0, True), ("calib_epochs", 0, False),
+        ):
+            value = getattr(self, name)
+            if not (value > low if strict else value >= low):
+                raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}")
         if not (0.0 <= self.oracle_noise <= 1.0):
             raise ConfigError("oracle_noise must be in [0,1]")
         if self.model == "external":
@@ -380,8 +381,9 @@ class SelfTrainRun:
 
     def run(self) -> list[IterationReport]:
         cfg = self.config
-        if cfg.cold_restart and hasattr(self.model, "reset"):
-            self.model.reset()
+        # _emit appends, and a run directory may be reused: start both empty
+        for name in ("metrics.jsonl", "timings.jsonl"):
+            (self.run_dir / name).write_text("", encoding="utf-8")
         train = self.partition.labelled
         pseudo = MappingSet((), kind="pseudo")
         for iteration in range(cfg.iterations):

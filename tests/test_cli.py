@@ -79,6 +79,11 @@ class TestRunCommand:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_bad_hyperparameter_exits_one(self, run_conf, capsys):
+        code = main(["run", "--config", str(run_conf), "--lr", "-0.01"])
+        assert code == 1
+        assert "lr" in capsys.readouterr().err
+
     def test_run_directories_never_overwritten(self, run_conf, tmp_path):
         assert main(["run", "--config", str(run_conf), "--iterations", "1"]) == 0
         assert main(["run", "--config", str(run_conf), "--iterations", "1"]) == 0

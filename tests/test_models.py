@@ -10,6 +10,7 @@ from kgalign.models import (
     TGT_TO_SRC,
     EmbeddingAligner,
     EmbeddingAlignerParams,
+    ExternalSimilarityModel,
     SimMatrix,
     SyntheticOracle,
     TopKSimMatrix,
@@ -318,3 +319,69 @@ class TestSimMatrix:
         dense = SimMatrix(scores=np.array([[0.1, 0.5, 0.3], [0.9, 0.2, 0.4]]))
         top = top_k_of(dense, k=2)
         assert np.all(np.diff(top.scores, axis=1) <= 0)
+
+
+def _fitted_aligner(pair, links):
+    model = EmbeddingAligner(seed=1)
+    model.fit(pair, links, epochs=1)
+    return model
+
+
+def _external(pair, links):
+    rng = np.random.default_rng(0)
+    shape = (pair.source.n_entities, pair.target.n_entities)
+    return ExternalSimilarityModel(forward=SimMatrix(scores=rng.uniform(size=shape)))
+
+
+MODEL_BUILDERS = {
+    "embedding": _fitted_aligner,
+    "oracle": lambda pair, links: SyntheticOracle(pair, links, noise_rate=0.3, seed=3),
+    "external": _external,
+}
+
+
+class TestReadOnlySimilarities:
+    """Every model hands out read-only matrices, the reverse one transposed."""
+
+    @pytest.mark.parametrize("direction", [SRC_TO_TGT, TGT_TO_SRC])
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_scores_read_only_and_reverse_transposed(self, small_twins, name,
+                                                     direction):
+        pair, links = small_twins
+        model = MODEL_BUILDERS[name](pair, links)
+        sims = model.similarities(direction)
+        before = sims.scores.copy()
+        assert sims.direction == direction
+        with pytest.raises(ValueError):
+            sims.scores[0, 0] = 7.0
+        assert np.array_equal(model.similarities(direction).scores, before)
+        assert np.array_equal(model.similarities(TGT_TO_SRC).scores,
+                              model.similarities(SRC_TO_TGT).scores.T)
+        if name == "oracle":
+            own = before if direction == SRC_TO_TGT else before.T
+            assert np.array_equal(model._matrix, own)
+
+    def test_external_reverse_file_is_served(self, small_twins):
+        pair, links = small_twins
+        rng = np.random.default_rng(1)
+        reverse = SimMatrix(
+            scores=rng.uniform(size=(pair.target.n_entities, pair.source.n_entities)),
+            direction=TGT_TO_SRC,
+        )
+        model = _external(pair, links)
+        model.reverse = reverse
+        assert model.similarities(TGT_TO_SRC) is reverse
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_bad_direction_rejected(self, small_twins, name):
+        pair, links = small_twins
+        with pytest.raises(ValueError, match="bad direction"):
+            MODEL_BUILDERS[name](pair, links).similarities("sideways")
+
+    def test_caller_array_stays_writable(self):
+        a = np.zeros((2, 3))
+        sims = SimMatrix(scores=a)
+        assert a.flags.writeable
+        assert not sims.scores.flags.writeable
+        a[0, 0] = 1.0
+        assert sims.scores[0, 0] == 1.0  # a view, not a copy

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -26,7 +27,8 @@ METRIC_FIELDS = [
 
 
 def base_config(dataset_dir, tmp_path, **overrides) -> RunConfig:
-    cfg = RunConfig(
+    # replace() rejects a misspelt or removed field instead of ignoring it
+    return dataclasses.replace(RunConfig(
         dataset_dir=str(dataset_dir),
         mode="selftrain",
         strategy="MutHighestProb",
@@ -37,10 +39,7 @@ def base_config(dataset_dir, tmp_path, **overrides) -> RunConfig:
         iterations=2,
         epochs=1,
         out_dir=str(tmp_path / "runs"),
-    )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    ), **overrides)
 
 
 class TestConfig:
@@ -72,6 +71,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="iterations"):
             cfg.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 0), ("negatives", 0), ("lr", -0.01), ("lr", 0.0),
+        ("margin", -1.0), ("calib_lr", 0.0), ("calib_epochs", -3),
+    ])
+    def test_bad_hyperparameter_rejected(self, twin_dataset_dir, tmp_path,
+                                         field, value):
+        cfg = base_config(twin_dataset_dir, tmp_path, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
     def test_config_file_roundtrip(self, twin_dataset_dir, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(
@@ -81,18 +90,18 @@ class TestConfig:
             "strategy = UniThr\n"
             "alpha = 0.6\n"
             "iterations = 3\n"
-            "cold_restart = true\n",
+            "debug_dump = true\n",
             encoding="utf-8",
         )
         cfg = config_from_mapping(parse_config_file(conf))
         assert cfg.strategy == "UniThr"
         assert cfg.alpha == 0.6
         assert cfg.iterations == 3
-        assert cfg.cold_restart is True
+        assert cfg.debug_dump is True
 
     def test_unknown_key_rejected(self):
         for key in ("bogus", "refine_passes", "rank_with_refined",
-                    "stats_labelled_only"):
+                    "stats_labelled_only", "cold_restart"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 config_from_mapping({"dataset_dir": "x", key: "1"})
 
@@ -143,6 +152,18 @@ class TestMetricsStream:
         run.run()
         for f in ("metrics.jsonl", "pseudo_final.tsv"):
             assert (run.run_dir / f).read_bytes() == (GOLDEN_DIR / name / f).read_bytes(), f
+
+    def test_reused_run_dir_starts_streams_empty(self, twin_dataset_dir, tmp_path):
+        cfg = base_config(twin_dataset_dir, tmp_path)
+        fresh = SelfTrainRun(cfg)
+        fresh.run()
+        reused = tmp_path / "reused"
+        for _ in range(2):
+            SelfTrainRun(cfg, reused).run()
+        assert ((reused / "metrics.jsonl").read_bytes()
+                == (fresh.run_dir / "metrics.jsonl").read_bytes())
+        timings = (reused / "timings.jsonl").read_text().splitlines()
+        assert len(timings) == cfg.iterations
 
     def test_run_dir_contents(self, twin_dataset_dir, tmp_path):
         cfg = base_config(twin_dataset_dir, tmp_path)
@@ -339,20 +360,6 @@ class TestLoopContracts:
         header, first, *_ = dumps[0].read_text().splitlines()
         assert header == "entity\tcandidate\tscore_sum\tprobability"
         assert len(first.split("\t")) == 4
-
-
-class TestAblationFlags:
-    def test_cold_restart_detaches_runs_from_history(
-        self, twin_dataset_dir, tmp_path
-    ):
-        warm = base_config(twin_dataset_dir, tmp_path, model="embedding",
-                           epochs=2)
-        cold = base_config(twin_dataset_dir, tmp_path, model="embedding",
-                           epochs=2, cold_restart=True)
-        a = run_selftrain(warm)
-        b = run_selftrain(cold)
-        # restart happens before the first fit, so single runs coincide
-        assert a[0].hit1 == b[0].hit1
 
 
 class TestOracleRuns:

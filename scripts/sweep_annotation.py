@@ -19,9 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kgalign.selftrain import RunConfig, run_selftrain, run_supervised
+from kgalign.strategies import THRESHOLD_FIELD
 from kgalign.synth import write_twin_dataset
-
-THRESHOLDED = {"UniThr": "alpha", "BiThr": "alpha", "SimThr": "theta", "OneToOne": "theta"}
 
 
 def parse_args():
@@ -73,8 +72,8 @@ def main():
                    run_supervised(RunConfig(mode="supervised", **base)))
             for strategy in args.strategies:
                 cfg = RunConfig(mode="selftrain", strategy=strategy, **base)
-                if strategy in THRESHOLDED:
-                    setattr(cfg, THRESHOLDED[strategy], args.threshold)
+                if strategy in THRESHOLD_FIELD:
+                    setattr(cfg, THRESHOLD_FIELD[strategy], args.threshold)
                 record(fh, ratio, strategy, run_selftrain(cfg)[-1])
     print(f"wrote {args.out}")
 

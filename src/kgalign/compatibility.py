@@ -46,17 +46,6 @@ class Assignment:
     mapping: dict[int, int]
 
 
-def relation_inverse_functionality(kg: Kg) -> dict[int, float]:
-    """Inverse functionality for every directed relation of ``kg``.
-
-    For the base orientation this is distinct tails over distinct pairs;
-    for the inverse orientation, distinct heads over distinct pairs.  Triples
-    are unique after load, so these are distinct far ends over edges.
-    """
-    _, rel, far, _ = _edge_table(kg)
-    return _inverse_functionality(kg, rel, far)
-
-
 def _inverse_functionality(kg: Kg, rel: np.ndarray, far: np.ndarray) -> dict[int, float]:
     # every relation has edges in both orientations, so the counts align
     rel_far = _key_counts(rel * kg.n_entities + far)[0]
@@ -67,10 +56,10 @@ def _inverse_functionality(kg: Kg, rel: np.ndarray, far: np.ndarray) -> dict[int
 class RelationStats:
     """PARIS statistics for one orientation of a KG pair.
 
-    ``subrel_*`` maps are sparse over co-observed directed relation pairs;
-    the accessors apply add-one smoothing, so a pair that was never trialed
-    reads as the pure prior 1/2 and a trialed pair without support reads as
-    ``1 / (trials + 2)``.
+    ``subrel_*`` maps are sparse over co-observed directed relation pairs
+    and already add-one smoothed; the refinement reads a missing pair as
+    ``1 / (trials + 2)`` of its first relation, so a pair that was never
+    trialed is the pure prior 1/2.
     """
 
     src_inv_fun: dict[int, float]
@@ -81,18 +70,6 @@ class RelationStats:
     subrel_src_in_tgt: dict[tuple[int, int], float] = field(default_factory=dict)
     tgt_trials: dict[int, int] = field(default_factory=dict)
     src_trials: dict[int, int] = field(default_factory=dict)
-
-    def prob_tgt_in_src(self, r_tgt: int, r_src: int) -> float:
-        got = self.subrel_tgt_in_src.get((r_tgt, r_src))
-        if got is not None:
-            return got
-        return 1.0 / (self.tgt_trials.get(r_tgt, 0) + 2)
-
-    def prob_src_in_tgt(self, r_src: int, r_tgt: int) -> float:
-        got = self.subrel_src_in_tgt.get((r_src, r_tgt))
-        if got is not None:
-            return got
-        return 1.0 / (self.src_trials.get(r_src, 0) + 2)
 
 
 def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> RelationStats:
@@ -338,7 +315,7 @@ def _log_survival_table(stats: RelationStats, n_src: int, n_tgt: int) -> np.ndar
     pair of directed relations, ``-inf`` where a term is 0."""
     src_if = np.array([stats.src_inv_fun[r] for r in range(n_src)])
     tgt_if = np.array([stats.tgt_inv_fun[r] for r in range(n_tgt)])
-    # the smoothing fallbacks of prob_tgt_in_src / prob_src_in_tgt
+    # a pair missing from subrel_* has no support: (0 + 1) / (trials + 2)
     tgt_trials = np.array([stats.tgt_trials.get(r, 0) for r in range(n_tgt)])
     src_trials = np.array([stats.src_trials.get(r, 0) for r in range(n_src)])
     p_ts = np.tile(1.0 / (tgt_trials + 2), (n_src, 1))

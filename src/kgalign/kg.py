@@ -62,11 +62,6 @@ class Kg:
     def n_relations(self) -> int:
         return len(self.relation_labels)
 
-    def neighbors(self, e: int) -> tuple[int, ...]:
-        """Unique out- and in-neighbors of ``e``, sorted by id."""
-        return tuple(sorted({t for h, _, t in self.triples if h == e}
-                            | {h for h, _, t in self.triples if t == e}))
-
     @staticmethod
     def from_label_triples(
         triples: list[tuple[str, str, str]],

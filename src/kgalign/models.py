@@ -1,15 +1,17 @@
 """Pluggable alignment models producing similarity matrices.
 
 Three implementations share one small interface (``fit`` +
-``similarities``); each hands out its one source-row matrix as a read-only
-view, the reverse direction as its transposed view, and never a copy:
+``similarities``); each holds one source-row matrix and hands it out as a
+read-only view, the reverse direction as its transposed view, and never a
+copy:
 
 * ``EmbeddingAligner`` — a trainable translation-style embedding model with
   margin ranking loss and hard parameter sharing: entities joined by a
   training mapping collapse to one vector, that of their smallest id.
   Each SGD step scores every positive once against its k grouped negatives,
   scatters the gradients through flat views of fresh dense tables in 2-d
-  ``np.add.at`` order, and renormalizes every entity row.
+  ``np.add.at`` order, and renormalizes every entity row.  Each ``fit``
+  ends by computing the one cosine product both directions read.
 * ``SyntheticOracle`` — a deterministic test double whose similarity rows
   are correct for a configurable fraction of entities; it isolates the
   self-training machinery from model quality.
@@ -83,22 +85,6 @@ class TopKSimMatrix:
         rows = np.arange(self.cand_ids.shape[0])[:, None]
         dense[rows, self.cand_ids] = self.scores
         return SimMatrix(scores=dense, direction=self.direction)
-
-
-def top_k_of(matrix: SimMatrix, k: int, fill: float | None = None) -> TopKSimMatrix:
-    """Keep the k best-scoring candidates per row (ties to lower ids)."""
-    s = matrix.scores
-    k = min(k, s.shape[1])
-    # stable sort on negated scores keeps the lowest ids on ties
-    ids = np.argsort(-s, axis=1, kind="stable")[:, :k]
-    rows = np.arange(s.shape[0])[:, None]
-    return TopKSimMatrix(
-        cand_ids=ids,
-        scores=s[rows, ids],
-        fill=float(s.min() if fill is None else fill),
-        n_cols=s.shape[1],
-        direction=matrix.direction,
-    )
 
 
 class AlignmentModel(Protocol):
@@ -203,7 +189,8 @@ class EmbeddingAligner:
     trained.  The classes are recomputed from the training set on every
     ``fit`` so pseudo mappings regenerated between iterations never leave
     stale merges behind.  Entity vectors are renormalized to unit length
-    after every update; the exposed similarity is the cosine.
+    after every update; the exposed similarity is their cosine, computed
+    once at the end of each ``fit``.
     """
 
     def __init__(self, params: EmbeddingAlignerParams | None = None, seed: int = 0):
@@ -213,7 +200,7 @@ class EmbeddingAligner:
         self._rel: np.ndarray | None = None
         self._n_src = 0
         self._n_rel_src = 0
-        self._fitted = False
+        self._sims: np.ndarray | None = None  # source-row cosines of the last fit
         self.loss_trace: list[float] = []
 
     def _init_tables(self, pair: KgPair) -> None:
@@ -243,7 +230,7 @@ class EmbeddingAligner:
         pairs = np.array(train.pairs, dtype=np.int64)
         root = _component_roots(self._ent.shape[0], pairs[:, 0], n_src + pairs[:, 1])
         # every member row follows its root vector from the start of the fit
-        self._ent = self._ent[root].copy()
+        self._ent = self._ent[root]
 
         triples = [(h, r, t, 0) for h, r, t in kg_pair.source.triples]
         triples += [
@@ -267,7 +254,8 @@ class EmbeddingAligner:
         # flatten: every entity row holds its effective (root) vector so the
         # classes can be recomputed freely on the next fit
         self._ent = self._ent[root]
-        self._fitted = True
+        # rows are unit vectors, so this is the cosine
+        self._sims = self._ent[: self._n_src] @ self._ent[self._n_src :].T
         self.loss_trace.extend(trace)
         return trace
 
@@ -300,12 +288,9 @@ class EmbeddingAligner:
         return loss
 
     def similarities(self, direction: str = SRC_TO_TGT) -> SimMatrix:
-        if not self._fitted or self._ent is None:
+        if self._sims is None:
             raise RuntimeError("model must be fitted before querying similarities")
-        src = self._ent[: self._n_src]
-        tgt = self._ent[self._n_src :]
-        # rows are unit vectors, so this is the cosine
-        return _oriented(src @ tgt.T, direction)
+        return _oriented(self._sims, direction)
 
 
 class SyntheticOracle:

@@ -104,6 +104,10 @@ class RunConfig:
             for path in (self.sim_file, self.sim_file_reverse):
                 if path and not Path(path).exists():
                     raise ConfigError(f"similarity file missing: {path}")
+        else:
+            for name in ("sim_file", "sim_file_reverse"):
+                if getattr(self, name):
+                    raise ConfigError(f"{name} needs model=external, got model={self.model}")
         if self.mode == "selftrain":
             self._validate_strategy()
 
@@ -111,27 +115,25 @@ class RunConfig:
         s = self.strategy
         if s not in strategies.ALL_STRATEGIES:
             raise ConfigError(f"unknown strategy: {s!r}")
-        if s in ("UniThr", "BiThr"):
-            if self.alpha is None:
-                raise ConfigError(f"strategy {s} requires alpha")
-            if not (0.0 < self.alpha < 1.0):
-                raise ConfigError("alpha must be in (0,1)")
-            if self.theta is not None:
-                raise ConfigError(f"strategy {s} takes alpha, not theta")
-        elif s in ("SimThr", "OneToOne"):
-            if self.theta is None:
-                raise ConfigError(f"strategy {s} requires theta")
-            if self.alpha is not None:
-                raise ConfigError(f"strategy {s} takes theta, not alpha")
-        else:  # MutHighestProb, MutNearest have no hyperparameters
+        wanted = strategies.THRESHOLD_FIELD.get(s)
+        if wanted is None:
             if self.alpha is not None or self.theta is not None:
                 raise ConfigError(f"strategy {s} takes no threshold")
+        else:
+            other = "theta" if wanted == "alpha" else "alpha"
+            if getattr(self, wanted) is None:
+                raise ConfigError(f"strategy {s} requires {wanted}")
+            if wanted == "alpha" and not (0.0 < self.alpha < 1.0):
+                raise ConfigError("alpha must be in (0,1)")
+            if getattr(self, other) is not None:
+                raise ConfigError(f"strategy {s} takes {wanted}, not {other}")
         if self.uni_source not in ("kg1", "kg2"):
             raise ConfigError("uni_source must be kg1 or kg2")
 
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
+_NUMBER_TYPES = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -167,10 +169,13 @@ def _coerce(key: str, value, type_str: str):
         return value
     if value.lower() == "none":
         return None
-    if type_str in ("int", "int | None"):
-        return int(value)
-    if type_str in ("float", "float | None"):
-        return float(value)
+    number = _NUMBER_TYPES.get(type_str.removesuffix(" | None"))
+    if number:
+        convert, what = number
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
     if type_str == "bool":
         try:
             return _BOOL_STRINGS[value.lower()]
@@ -326,8 +331,6 @@ class SelfTrainRun:
     def _generate_pseudo(self, sim_fwd: SimMatrix, iteration: int) -> MappingSet:
         cfg = self.config
         if cfg.strategy in strategies.PROBABILITY_STRATEGIES:
-            # right after the forward product, so the BLAS worker threads
-            # spin idle after one burst of products per iteration, not two
             sim_rev = self.model.similarities(TGT_TO_SRC)
             fwd_rows = self._refined_direction(
                 self.pair, sim_fwd, self.labelled_fwd,

@@ -23,6 +23,8 @@ from .kg import MappingSet
 PROBABILITY_STRATEGIES = ("UniThr", "BiThr", "MutHighestProb")
 SIMILARITY_STRATEGIES = ("SimThr", "OneToOne", "MutNearest")
 ALL_STRATEGIES = PROBABILITY_STRATEGIES + SIMILARITY_STRATEGIES
+# the config field holding each strategy's threshold; the others take none
+THRESHOLD_FIELD = {"UniThr": "alpha", "BiThr": "alpha", "SimThr": "theta", "OneToOne": "theta"}
 
 
 def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import Kg, KgPair, MappingSet
-
 
 def _random_label_triples(
     rng: np.random.Generator,
@@ -78,27 +76,6 @@ def twin_label_data(
         (f"{ent_prefixes[0]}{i}", f"{ent_prefixes[1]}{i}") for i in range(n_entities)
     ]
     return base, twin, links
-
-
-def twin_dataset(
-    n_entities: int = 300,
-    n_triples: int = 1200,
-    n_relations: int = 8,
-    perturbation: float = 0.1,
-    seed: int = 0,
-) -> tuple[KgPair, MappingSet]:
-    """In-memory twin KG pair with identity ground-truth links."""
-    base, twin, links = twin_label_data(
-        n_entities, n_triples, n_relations, perturbation, seed
-    )
-    extra1 = tuple(dict.fromkeys(s for s, _ in links))
-    extra2 = tuple(dict.fromkeys(t for _, t in links))
-    kg1 = Kg.from_label_triples(base, extra_entities=extra1)
-    kg2 = Kg.from_label_triples(twin, extra_entities=extra2)
-    pairs = tuple(
-        (kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in links
-    )
-    return KgPair(source=kg1, target=kg2), MappingSet(pairs, kind="labelled")
 
 
 def write_twin_dataset(

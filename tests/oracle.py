@@ -3,7 +3,10 @@
 Everything here reads a graph straight off ``kg.triples`` into dicts and
 sets and never touches the package's directed-edge arrays, so it checks them
 as well as the code that reads them.  It is slow by design and only usable
-on tiny instances, such as those ``random_kg`` draws.
+on tiny instances, such as those ``random_kg`` draws.  The add-one
+fallback of the sub-relation probabilities is stated here too, in
+``prob_tgt_in_src`` and ``prob_src_in_tgt``, and ``top_k_of`` truncates
+dense matrices for the top-K file-format tests.
 
 The trainer's parameter-sharing roots are checked against ``UnionFind``,
 a path-halving union-find that roots every class at its smallest id.
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 from kgalign.calibration import argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet
+from kgalign.models import SimMatrix, TopKSimMatrix
 from kgalign.strategies import OneToOneState
 
 JOINT_ENUMERATION_CAP = 10**5
@@ -59,6 +63,24 @@ def directed_adjacency(kg, e: int) -> list[tuple[int, int]]:
     return out + inc
 
 
+def neighbors(kg, e: int) -> tuple[int, ...]:
+    """Unique out- and in-neighbors of ``e`` (itself on a self-loop), sorted."""
+    return tuple(sorted({n for _, n in directed_adjacency(kg, e)}))
+
+
+def prob_tgt_in_src(stats: RelationStats, r_tgt: int, r_src: int) -> float:
+    """Add-one smoothed Pr(r_tgt is a sub-relation of r_src): a pair without
+    support reads ``1 / (trials + 2)``, the prior 1/2 when never trialed."""
+    return stats.subrel_tgt_in_src.get(
+        (r_tgt, r_src), 1.0 / (stats.tgt_trials.get(r_tgt, 0) + 2))
+
+
+def prob_src_in_tgt(stats: RelationStats, r_src: int, r_tgt: int) -> float:
+    """The same for Pr(r_src is a sub-relation of r_tgt)."""
+    return stats.subrel_src_in_tgt.get(
+        (r_src, r_tgt), 1.0 / (stats.src_trials.get(r_src, 0) + 2))
+
+
 def local_compatibility(e, candidate, assigned, kg_pair, stats) -> float:
     """Factor score of ``e`` mapped to ``candidate``; ``assigned(n)`` gives
     the counterpart of source entity ``n`` or None."""
@@ -72,8 +94,8 @@ def local_compatibility(e, candidate, assigned, kg_pair, stats) -> float:
         if y_n is None:
             continue
         for rho_t in cand_adj.get(y_n, ()):
-            survivor *= 1.0 - stats.prob_tgt_in_src(rho_t, rho_s) * stats.src_inv_fun[rho_s]
-            survivor *= 1.0 - stats.prob_src_in_tgt(rho_s, rho_t) * stats.tgt_inv_fun[rho_t]
+            survivor *= 1.0 - prob_tgt_in_src(stats, rho_t, rho_s) * stats.src_inv_fun[rho_s]
+            survivor *= 1.0 - prob_src_in_tgt(stats, rho_s, rho_t) * stats.tgt_inv_fun[rho_t]
     return 1.0 - survivor
 
 
@@ -245,6 +267,18 @@ def conditional_from_joint(
         probs[d[u]] = probs.get(d[u], 0.0) + w
     total = sum(probs.values())
     return {c: w / total for c, w in probs.items()}
+
+
+def top_k_of(matrix: SimMatrix, k: int, fill: float | None = None) -> TopKSimMatrix:
+    """The k best-scoring candidates per row (ties to lower ids); ``fill``
+    defaults to the matrix minimum."""
+    s = matrix.scores
+    ids = np.argsort(-s, axis=1, kind="stable")[:, :k]
+    return TopKSimMatrix(
+        cand_ids=ids, scores=np.take_along_axis(s, ids, axis=1),
+        fill=float(s.min() if fill is None else fill),
+        n_cols=s.shape[1], direction=matrix.direction,
+    )
 
 
 def calibrate_matrix(sims, params) -> np.ndarray:

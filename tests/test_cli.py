@@ -5,8 +5,9 @@ import pytest
 
 from kgalign.cli import main
 from kgalign.kg import load_dataset
-from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix, top_k_of
+from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.simio import read_sim_matrix, write_sim_matrix
+from oracle import top_k_of
 
 
 @pytest.fixture()
@@ -83,6 +84,17 @@ class TestRunCommand:
         code = main(["run", "--config", str(run_conf), "--lr", "-0.01"])
         assert code == 1
         assert "lr" in capsys.readouterr().err
+
+    def test_sim_file_with_internal_model_exits_one(self, run_conf, tmp_path, capsys):
+        code = main(["run", "--config", str(run_conf),
+                     "--sim-file", str(tmp_path / "nonexistent.tsv")])
+        assert code == 1
+        assert "sim_file" in capsys.readouterr().err
+
+    def test_bad_number_exits_one_naming_key(self, run_conf, capsys):
+        code = main(["run", "--config", str(run_conf), "--epochs", "abc"])
+        assert code == 1
+        assert "epochs: expected an integer, got 'abc'" in capsys.readouterr().err
 
     def test_run_directories_never_overwritten(self, run_conf, tmp_path):
         assert main(["run", "--config", str(run_conf), "--iterations", "1"]) == 0

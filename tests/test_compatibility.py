@@ -13,7 +13,6 @@ from kgalign.compatibility import (
     estimate_relation_stats,
     local_compatibility,
     refine_rows,
-    relation_inverse_functionality,
 )
 from kgalign.compatibility import _edge_table
 from kgalign.kg import Kg, KgPair
@@ -67,21 +66,25 @@ class TestEdgeTable:
         assert edges[b] == [(q, a), (q, d), (r + n_rel, a), (q + n_rel, a)]
         assert edges[c] == [(r, c), (r + n_rel, c)]
         assert edges[d] == [(q + n_rel, b)]
-        assert kg.neighbors(c) == (c,)
-        assert kg.neighbors(b) == (a, d)
+        assert oracle.neighbors(kg, c) == (c,)
+        assert oracle.neighbors(kg, b) == (a, d)
+
+
+def inverse_functionality(kg: Kg) -> dict[int, float]:
+    return estimate_relation_stats(KgPair(kg, kg), Assignment(mapping={})).src_inv_fun
 
 
 class TestRelationStats:
     def test_inverse_functionality_tail_and_head(self):
         kg = kg_of([("a", "r", "b"), ("a", "r", "c")])
-        inv_fun = relation_inverse_functionality(kg)
+        inv_fun = inverse_functionality(kg)
         assert inv_fun[0] == 1.0        # 2 distinct tails / 2 pairs
         assert inv_fun[0 + kg.n_relations] == 0.5  # 1 distinct head / 2 pairs
 
     def test_duplicated_input_leaves_inv_fun_unchanged(self):
         triples = [("a", "r", "b"), ("b", "r", "c"), ("a", "q", "c")]
-        a = relation_inverse_functionality(kg_of(triples))
-        b = relation_inverse_functionality(kg_of(triples * 2))
+        a = inverse_functionality(kg_of(triples))
+        b = inverse_functionality(kg_of(triples * 2))
         assert a == b
 
     def test_subrel_add_one_smoothing(self):
@@ -94,15 +97,17 @@ class TestRelationStats:
         )
         stats = estimate_relation_stats(pair, assignment)
         # one r'-trial supported by r between the counterparts: (1+1)/(1+2)
-        assert stats.prob_tgt_in_src(0, 0) == pytest.approx(2 / 3)
-        assert stats.prob_src_in_tgt(0, 0) == pytest.approx(2 / 3)
+        assert stats.subrel_tgt_in_src[(0, 0)] == pytest.approx(2 / 3)
+        assert stats.subrel_src_in_tgt[(0, 0)] == pytest.approx(2 / 3)
+        assert stats.tgt_trials[0] == stats.src_trials[0] == 1
 
     def test_subrel_zero_trials_is_half(self):
         src = kg_of([("a", "r", "b")])
         tgt = kg_of([("a'", "r'", "b'")])
         pair = KgPair(src, tgt)
         stats = estimate_relation_stats(pair, Assignment(mapping={}))
-        assert stats.prob_tgt_in_src(0, 0) == pytest.approx(0.5)
+        assert stats.subrel_tgt_in_src == {} and stats.tgt_trials == {}
+        assert oracle.prob_tgt_in_src(stats, 0, 0) == pytest.approx(0.5)
 
     def test_trialed_unsupported_pair_shrinks_toward_zero(self):
         src = kg_of([("a", "r", "b")])
@@ -115,7 +120,8 @@ class TestRelationStats:
         stats = estimate_relation_stats(pair, assignment)
         # r'(a',b') maps onto (b, a): no r triple there, but q'(b',a') does map
         assert stats.tgt_trials[0] == 1
-        assert stats.prob_tgt_in_src(0, 0) == pytest.approx(1 / 3)
+        assert (0, 0) not in stats.subrel_tgt_in_src
+        assert oracle.prob_tgt_in_src(stats, 0, 0) == pytest.approx(1 / 3)
 
     def test_all_values_in_unit_interval(self):
         rng = np.random.default_rng(0)

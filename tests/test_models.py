@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from kgalign.kg import MappingSet, partition_mappings
+from kgalign.kg import MappingSet, load_dataset, partition_mappings
 from kgalign.models import (
     SRC_TO_TGT,
     TGT_TO_SRC,
@@ -16,15 +16,15 @@ from kgalign.models import (
     TopKSimMatrix,
     _component_roots,
     margin_ranking_loss_and_grad,
-    top_k_of,
 )
-from kgalign.synth import twin_dataset
+from kgalign.synth import write_twin_dataset
 
 
 @pytest.fixture(scope="module")
-def small_twins():
-    return twin_dataset(n_entities=40, n_triples=160, n_relations=4,
-                        perturbation=0.0, seed=2)
+def small_twins(tmp_path_factory):
+    return load_dataset(write_twin_dataset(
+        tmp_path_factory.mktemp("twins"), n_entities=40, n_triples=160,
+        n_relations=4, perturbation=0.0, seed=2))
 
 
 class TestEmbeddingAligner:
@@ -115,17 +115,14 @@ class TestEmbeddingAligner:
         assert np.array_equal(fast._rel, ref._rel)
         assert np.array_equal(fast.loss_trace, ref.loss_trace)
 
-    def test_orthogonal_embeddings_have_zero_similarity(self, small_twins):
+    def test_similarities_are_the_fitted_cosines(self, small_twins):
         pair, links = small_twins
         model = EmbeddingAligner(EmbeddingAlignerParams(dim=4), seed=1)
         model.fit(pair, links, epochs=1)
-        ent = np.zeros_like(model._ent)
-        ent[:, 0] = 1.0
-        ent[pair.source.n_entities :, 0] = 0.0
-        ent[pair.source.n_entities :, 1] = 1.0
-        model._ent = ent
-        sims = model.similarities(SRC_TO_TGT).scores
-        np.testing.assert_allclose(sims, 0.0, atol=1e-12)
+        n_src = pair.source.n_entities
+        np.testing.assert_allclose(np.linalg.norm(model._ent, axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(model.similarities(SRC_TO_TGT).scores,
+                              model._ent[:n_src] @ model._ent[n_src:].T)
 
 
 def union_find_roots(n_src, n_tgt, pairs):
@@ -271,8 +268,9 @@ class TestSyntheticOracle:
         for s, t in links.pairs:
             assert sims[s].argmax() != t
 
-    def test_exact_noised_count(self):
-        pair, links = twin_dataset(n_entities=100, n_triples=300, n_relations=4, seed=5)
+    def test_exact_noised_count(self, tmp_path):
+        pair, links = load_dataset(write_twin_dataset(
+            tmp_path, n_entities=100, n_triples=300, n_relations=4, seed=5))
         oracle = SyntheticOracle(pair, links, noise_rate=0.3, seed=8)
         sims = oracle.similarities(SRC_TO_TGT).scores
         truth = dict(links.pairs)
@@ -305,7 +303,7 @@ class TestSimMatrix:
     def test_topk_roundtrip_dense(self):
         rng = np.random.default_rng(0)
         dense = SimMatrix(scores=rng.normal(size=(6, 9)))
-        top = top_k_of(dense, k=3, fill=-5.0)
+        top = oracle.top_k_of(dense, k=3, fill=-5.0)
         assert isinstance(top, TopKSimMatrix)
         back = top.to_dense()
         rows = np.arange(6)[:, None]
@@ -317,7 +315,7 @@ class TestSimMatrix:
 
     def test_topk_rows_sorted_descending(self):
         dense = SimMatrix(scores=np.array([[0.1, 0.5, 0.3], [0.9, 0.2, 0.4]]))
-        top = top_k_of(dense, k=2)
+        top = oracle.top_k_of(dense, k=2)
         assert np.all(np.diff(top.scores, axis=1) <= 0)
 
 
@@ -357,6 +355,9 @@ class TestReadOnlySimilarities:
         assert np.array_equal(model.similarities(direction).scores, before)
         assert np.array_equal(model.similarities(TGT_TO_SRC).scores,
                               model.similarities(SRC_TO_TGT).scores.T)
+        # one held matrix: neither direction computes or copies its own
+        assert np.shares_memory(model.similarities(TGT_TO_SRC).scores,
+                                model.similarities(SRC_TO_TGT).scores)
         if name == "oracle":
             own = before if direction == SRC_TO_TGT else before.T
             assert np.array_equal(model._matrix, own)

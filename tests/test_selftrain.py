@@ -81,6 +81,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             cfg.validate()
 
+    @pytest.mark.parametrize("field", ["sim_file", "sim_file_reverse"])
+    def test_sim_file_needs_external_model(self, twin_dataset_dir, tmp_path, field):
+        cfg = base_config(twin_dataset_dir, tmp_path, **{field: "sims.tsv"})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("epochs", "abc", "an integer"), ("top_k", "2.5", "an integer"),
+        ("ratio", "x", "a number"), ("alpha", "", "a number"),
+    ])
+    def test_bad_number_names_key(self, key, value, kind):
+        with pytest.raises(ConfigError, match=f"^{key}: expected {kind}, got"):
+            config_from_mapping({"dataset_dir": "x", key: value})
+
     def test_config_file_roundtrip(self, twin_dataset_dir, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(

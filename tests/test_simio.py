@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from kgalign.models import SimMatrix, TopKSimMatrix, top_k_of
+from kgalign.models import SimMatrix, TopKSimMatrix
 from kgalign.simio import (
     SimFormatError,
     read_sim_matrix,
     validate_against,
     write_sim_matrix,
 )
+from oracle import top_k_of
 
 
 def test_dense_roundtrip_exact(tmp_path):

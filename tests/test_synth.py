@@ -1,10 +1,11 @@
 from kgalign.kg import load_dataset
-from kgalign.synth import twin_dataset, twin_label_data, write_twin_dataset
+from kgalign.synth import twin_label_data, write_twin_dataset
 
 
 class TestTwinGenerator:
-    def test_sizes(self):
-        pair, links = twin_dataset(n_entities=50, n_triples=200, n_relations=4, seed=0)
+    def test_sizes(self, tmp_path):
+        pair, links = load_dataset(write_twin_dataset(
+            tmp_path, n_entities=50, n_triples=200, n_relations=4, seed=0))
         assert pair.source.n_entities == 50
         assert pair.target.n_entities == 50
         assert len(pair.source.triples) == 200

@@ -18,10 +18,13 @@ Incoming triples take part as inverse relations: directed relation id
 inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
-a frozen assignment).  Every call builds the directed edges as arrays and
-joins target edges by endpoint pair; the statistics count over that join and
-``_FactorModel`` compiles the factor model onto it.  ``tests/oracle.py``
-keeps the readable triple-scanning versions they are checked against.
+a frozen assignment).  Each KG's directed edges live in an ``EdgeTable`` of
+arrays, with its edges joined by endpoint pair; the statistics count over
+the target table's join and ``_FactorModel`` compiles the factor model onto
+it.  A KG never changes, so a caller can build its two tables once
+(``edge_tables``) and pass them to every call; without them a call builds
+its own.  ``tests/oracle.py`` keeps the readable triple-scanning versions
+they are checked against.
 """
 
 from __future__ import annotations
@@ -72,24 +75,29 @@ class RelationStats:
     src_trials: dict[int, int] = field(default_factory=dict)
 
 
-def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> RelationStats:
+def estimate_relation_stats(
+    kg_pair: KgPair,
+    assignment: Assignment,
+    edges: tuple[EdgeTable, EdgeTable] | None = None,
+) -> RelationStats:
     """Estimate inverse functionalities and sub-relation probabilities.
 
     Sub-relation trials for a source relation count its directed triples
     whose endpoints both carry assignments; support counts those mirrored by
     an orientation-matched triple between the assigned counterparts.  The
     target-side statistics use the inverted assignment (a set-valued inverse:
-    predictions need not be injective).
+    predictions need not be injective).  ``edges`` are the source and target
+    tables of ``edge_tables(kg_pair)``.
     """
     src, tgt = kg_pair.source, kg_pair.target
     n_src, n_tgt = 2 * src.n_relations, 2 * tgt.n_relations
-    s_near, s_rel, s_far, _ = _edge_table(src)
-    t_near, t_rel, t_far, _ = _edge_table(tgt)
+    s_edges, t_edges = _pair_edges(kg_pair, edges)
+    s_near, s_rel, s_far = s_edges.near, s_edges.rel, s_edges.far
+    t_near, t_rel, t_far = t_edges.near, t_edges.rel, t_edges.far
     y = _assigned(assignment, src.n_entities)
     trial = np.flatnonzero((y[s_near] >= 0) & (y[s_far] >= 0))
     # every (source edge, target edge) pair joining counterpart endpoints
-    i, j = _PairJoin(t_near, t_far, tgt.n_entities).matches(
-        y[s_near[trial]], y[s_far[trial]])
+    i, j = t_edges.pairs.matches(y[s_near[trial]], y[s_far[trial]])
     rho_s = s_rel[trial[i]]
     image = np.zeros(tgt.n_entities, dtype=bool)
     image[y[y >= 0]] = True
@@ -198,6 +206,7 @@ def refine_rows(
     assignment: Assignment,
     top_k: int = 10,
     debug_sink: list | None = None,
+    edges: tuple[EdgeTable, EdgeTable] | None = None,
 ) -> list[ProbRow]:
     """One block update of all unlabelled rows against a frozen assignment.
 
@@ -205,7 +214,8 @@ def refine_rows(
     probability and receives the Markov-blanket conditional over them.  The
     caller's ``assignment`` (see ``build_assignment``) stays fixed for the
     whole block, so the result does not depend on the iteration order over
-    rows.
+    rows.  ``edges`` are the source and target tables of
+    ``edge_tables(kg_pair)``.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -217,7 +227,7 @@ def refine_rows(
     if k == 0 and row_ids:
         raise ValueError("candidates must be nonempty")
 
-    model = _FactorModel(kg_pair, stats, assignment)
+    model = _FactorModel(kg_pair, stats, assignment, edges)
     by_id = np.argsort(col_arr, kind="stable")
     blocks = []
     for lo in range(0, len(rows), _ROW_BLOCK):
@@ -271,6 +281,39 @@ def _edge_table(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     ptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=kg.n_entities))])
     return (near[order], np.concatenate([r, r + kg.n_relations])[order],
             np.concatenate([t, h])[order], ptr)
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """One KG's directed-edge table (see ``_edge_table``) and its edges
+    joined by endpoint pair, built by ``EdgeTable.of(kg)``."""
+
+    kg: Kg
+    near: np.ndarray
+    rel: np.ndarray
+    far: np.ndarray
+    ptr: np.ndarray
+    pairs: _PairJoin
+
+    @classmethod
+    def of(cls, kg: Kg) -> EdgeTable:
+        near, rel, far, ptr = _edge_table(kg)
+        return cls(kg, near, rel, far, ptr, _PairJoin(near, far, kg.n_entities))
+
+
+def edge_tables(kg_pair: KgPair) -> tuple[EdgeTable, EdgeTable]:
+    """The source and target edge tables of ``kg_pair``; reversed, they are
+    those of ``kg_pair.swapped()``."""
+    return EdgeTable.of(kg_pair.source), EdgeTable.of(kg_pair.target)
+
+
+def _pair_edges(kg_pair: KgPair,
+                edges: tuple[EdgeTable, EdgeTable] | None) -> tuple[EdgeTable, EdgeTable]:
+    if edges is None:
+        return edge_tables(kg_pair)
+    if edges[0].kg is not kg_pair.source or edges[1].kg is not kg_pair.target:
+        raise ValueError("edge tables belong to another KG pair")
+    return edges
 
 
 class _PairJoin:
@@ -372,15 +415,16 @@ class _FactorModel:
     its source edges, so ``1 - exp(sum)`` is its score.
     """
 
-    def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
+    def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment,
+                 edges: tuple[EdgeTable, EdgeTable] | None = None):
         src, tgt = kg_pair.source, kg_pair.target
-        _, self.rel, self.far, self.ptr = _edge_table(src)
+        s_edges, t_edges = _pair_edges(kg_pair, edges)
+        self.rel, self.far, self.ptr = s_edges.rel, s_edges.far, s_edges.ptr
         self.y = _assigned(assignment, src.n_entities)
 
         log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
-        t_near, t_rel, t_far, _ = _edge_table(tgt)
-        self.pairs = _PairJoin(t_near, t_far, tgt.n_entities)
-        self.table = np.add.reduceat(log_surv.T[t_rel[self.pairs.order]],
+        self.pairs = t_edges.pairs
+        self.table = np.add.reduceat(log_surv.T[t_edges.rel[self.pairs.order]],
                                      self.pairs.bounds[:-1], axis=0)
 
     def edge_log_survival(self, rel, y_near, y_far) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Pluggable alignment models producing similarity matrices.
 
 Three implementations share one small interface (``fit`` +
-``similarities``); each holds one source-row matrix and hands it out as a
-read-only view, the reverse direction as its transposed view, and never a
-copy:
+``similarities``); each wraps one source-row matrix in a ``SimMatrix`` once,
+which checks it, and hands out that read-only view and, for the reverse
+direction, its transposed view, never a copy:
 
 * ``EmbeddingAligner`` — a trainable translation-style embedding model with
   margin ranking loss and hard parameter sharing: entities joined by a
   training mapping collapse to one vector, that of their smallest id.
   Each SGD step scores every positive once against its k grouped negatives,
-  scatters the gradients through flat views of fresh dense tables in 2-d
-  ``np.add.at`` order, and renormalizes every entity row.  Each ``fit``
-  ends by computing the one cosine product both directions read.
+  scatters the gradients through flat dense tables in 2-d ``np.add.at``
+  order, and renormalizes every entity row.  The step's arrays are
+  allocated once per ``fit`` and written in place.  Each ``fit`` ends by
+  computing the one cosine product both directions read.
 * ``SyntheticOracle`` — a deterministic test double whose similarity rows
   are correct for a configurable fraction of entities; it isolates the
   self-training machinery from model quality.
@@ -22,6 +23,7 @@ copy:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -49,6 +51,15 @@ class SimMatrix:
             raise ValueError("similarities must be finite")
         if self.direction not in (SRC_TO_TGT, TGT_TO_SRC):
             raise ValueError(f"bad direction: {self.direction!r}")
+
+    def transposed(self) -> SimMatrix:
+        """The other direction's matrix over the same scores: a transposed
+        view, with no second finiteness check."""
+        out = object.__new__(SimMatrix)
+        object.__setattr__(out, "scores", self.scores.T)
+        object.__setattr__(out, "direction",
+                           TGT_TO_SRC if self.direction == SRC_TO_TGT else SRC_TO_TGT)
+        return out
 
 
 @dataclass(frozen=True)
@@ -98,12 +109,26 @@ class AlignmentModel(Protocol):
         """Read-only similarity matrix for the requested direction."""
 
 
-def _oriented(scores: np.ndarray, direction: str) -> SimMatrix:
-    """A source-row matrix as the similarity matrix of ``direction``: itself
-    for ``SRC_TO_TGT``, its transposed view for ``TGT_TO_SRC``; ``SimMatrix``
-    rejects any other direction."""
-    return SimMatrix(scores=scores.T if direction == TGT_TO_SRC else scores,
-                     direction=direction)
+def _both_directions(forward: SimMatrix,
+                     reverse: SimMatrix | None = None) -> dict[str, SimMatrix]:
+    """A model's two matrices, built once: ``forward`` and ``reverse``, or
+    ``forward``'s transposed view where there is no ``reverse``."""
+    return {SRC_TO_TGT: forward,
+            TGT_TO_SRC: forward.transposed() if reverse is None else reverse}
+
+
+def _select(sims: dict[str, SimMatrix], direction: str) -> SimMatrix:
+    if direction not in sims:
+        raise ValueError(f"bad direction: {direction!r}")
+    return sims[direction]
+
+
+def _check_fit_args(train: MappingSet, epochs: int) -> None:
+    """The argument checks of every model's ``fit``."""
+    if len(train) == 0:
+        raise ValueError("training mappings must be nonempty")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,12 +146,41 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return root
 
 
+class _StepBuffers:
+    """The arrays an SGD step writes, sized for tables of ``n_ent`` and
+    ``n_rel`` rows of ``dim`` and for up to ``batch`` positives with ``k``
+    negatives each.  A step uses prefix slices, so one set serves every
+    step of a fit, and freed temporaries are not faulted back in."""
+
+    def __init__(self, n_ent: int, n_rel: int, dim: int, batch: int, k: int):
+        m = batch * k
+        self.d_pos = np.empty((batch, dim))
+        self.d_neg = np.empty((m, dim))
+        self.sq = np.empty((max(m, n_ent), dim))  # squares of d_pos, d_neg or ent
+        self.norm_pos = np.empty(batch)
+        self.norm_neg = np.empty(m)
+        self.flat = np.empty((m, dim), dtype=np.int64)  # flat scatter indices
+        self.cols = np.arange(dim)
+        # flat gradients: reshaping a non-contiguous table would copy
+        self.g_ent = np.empty(n_ent * dim)
+        self.g_rel = np.empty(n_rel * dim)
+        self.row_norm = np.empty(n_ent)
+
+
+def _row_norms(x: np.ndarray, buf: _StepBuffers, out: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``, computed as it does, into ``out``."""
+    sq = np.multiply(x, x, out=buf.sq[: len(x)])
+    np.add.reduce(sq, axis=1, out=out)
+    return np.sqrt(out, out=out)
+
+
 def margin_ranking_loss_and_grad(
     ent: np.ndarray,
     rel: np.ndarray,
     pos: np.ndarray,
     neg: np.ndarray,
     margin: float,
+    buf: _StepBuffers | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Total hinge loss over (positive, corrupted) triple pairs.
 
@@ -137,37 +191,51 @@ def margin_ranking_loss_and_grad(
     Returns the summed loss and dense gradients for both tables.
 
     Each positive is scored once; the loss sums over the (b*k,) pair vector
-    and each gradient stream is scattered, in pair order, into the flat view
-    of a fresh table, so the result is bitwise that of the pairwise layout.
+    and each gradient stream is scattered, in pair order, into a flat
+    table, so the result is bitwise that of the pairwise layout.  The work
+    arrays and the returned gradients live in ``buf``, which the trainer
+    allocates once per fit; without it the call allocates its own.
     """
     k, rest = divmod(neg.shape[0], pos.shape[0])
     if rest or k < 1:
         raise ValueError("neg must hold k >= 1 rows per positive")
-    d_pos = ent[pos[:, 0]] + rel[pos[:, 1]] - ent[pos[:, 2]]
-    d_neg = ent[neg[:, 0]] + rel[neg[:, 1]] - ent[neg[:, 2]]
-    norm_pos = np.sqrt((d_pos * d_pos).sum(axis=1))
-    norm_neg = np.sqrt((d_neg * d_neg).sum(axis=1))
+    b, m, dim = pos.shape[0], neg.shape[0], ent.shape[1]
+    if buf is None:
+        buf = _StepBuffers(ent.shape[0], rel.shape[0], dim, b, k)
+    d_pos, d_neg = buf.d_pos[:b], buf.d_neg[:m]
+    norm_pos, norm_neg = buf.norm_pos[:b], buf.norm_neg[:m]
+    # one gathered (rows, dim) temporary alive at a time: a freed pair of
+    # them is enough for malloc to return the heap top to the system, and
+    # the next step to fault it back in
+    for d, norm, idx in ((d_pos, norm_pos, pos), (d_neg, norm_neg, neg)):
+        d[...] = ent[idx[:, 0]]
+        d += rel[idx[:, 1]]
+        d -= ent[idx[:, 2]]
+        _row_norms(d, buf, norm)
     viol = np.repeat(margin + norm_pos, k) - norm_neg
     active = viol > 0
     loss = float(np.where(active, viol, 0.0).sum())
 
-    # fresh flat buffers: reshaping a non-contiguous table would copy
-    g_ent = np.zeros(ent.size)
-    g_rel = np.zeros(rel.size)
+    g_ent, g_rel = buf.g_ent[: ent.size], buf.g_rel[: rel.size]
+    g_ent.fill(0.0)
+    g_rel.fill(0.0)
     if active.any():
         pairs = np.flatnonzero(active)
-        owner = pairs // k
-        u_pos = (d_pos / np.maximum(norm_pos, 1e-12)[:, None])[owner].ravel()
-        u_neg = (d_neg[pairs] / np.maximum(norm_neg[pairs], 1e-12)[:, None]).ravel()
-        p, q = pos[owner], neg[pairs]
-        dim = ent.shape[1]
-        cols = np.arange(dim)
-        for ufunc, table, ids, u in (
-            (np.add, g_ent, p[:, 0], u_pos), (np.subtract, g_ent, p[:, 2], u_pos),
-            (np.add, g_rel, p[:, 1], u_pos), (np.subtract, g_ent, q[:, 0], u_neg),
-            (np.add, g_ent, q[:, 2], u_neg), (np.subtract, g_rel, q[:, 1], u_neg),
+        flat = buf.flat[: len(pairs)]
+        # the positive's streams first, then the negative's, in pair order
+        for d, norm, rows, idx, streams in (
+            (d_pos, norm_pos, pairs // k, pos,
+             ((np.add, g_ent, 0), (np.subtract, g_ent, 2), (np.add, g_rel, 1))),
+            (d_neg, norm_neg, pairs, neg,
+             ((np.subtract, g_ent, 0), (np.add, g_ent, 2), (np.subtract, g_rel, 1))),
         ):
-            ufunc.at(table, ((ids * dim)[:, None] + cols).ravel(), u)
+            u = d[rows]
+            u /= np.maximum(norm[rows], 1e-12)[:, None]
+            tri = idx[rows]
+            for ufunc, table, col in streams:
+                np.add((tri[:, col] * dim)[:, None], buf.cols, out=flat)
+                ufunc.at(table, flat.ravel(), u.ravel())
+            del u
     return loss, g_ent.reshape(ent.shape), g_rel.reshape(rel.shape)
 
 
@@ -200,7 +268,9 @@ class EmbeddingAligner:
         self._rel: np.ndarray | None = None
         self._n_src = 0
         self._n_rel_src = 0
-        self._sims: np.ndarray | None = None  # source-row cosines of the last fit
+        # both directions' cosines of the last fit
+        self._sims: dict[str, SimMatrix] | None = None
+        self._buf: _StepBuffers | None = None  # only while fitting
         self.loss_trace: list[float] = []
 
     def _init_tables(self, pair: KgPair) -> None:
@@ -218,10 +288,7 @@ class EmbeddingAligner:
         self._ent, self._rel = ent, rel
 
     def fit(self, kg_pair: KgPair, train: MappingSet, epochs: int) -> list[float]:
-        if len(train) == 0:
-            raise ValueError("training mappings must be nonempty")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_fit_args(train, epochs)
         if self._ent is None:
             self._init_tables(kg_pair)
         assert self._ent is not None
@@ -242,20 +309,27 @@ class EmbeddingAligner:
 
         p = self.params
         trace = []
-        for _ in range(epochs):
-            order = self._rng.permutation(trip.shape[0])
-            epoch_loss = 0.0
-            n_pairs = 0
-            for start in range(0, trip.shape[0], p.batch_size):
-                batch = trip[order[start : start + p.batch_size]]
-                epoch_loss += self._step(batch, kg_pair, root)
-                n_pairs += batch.shape[0] * p.negatives
-            trace.append(epoch_loss / max(n_pairs, 1))
+        # released on return: a model between fits holds no step buffers
+        self._buf = _StepBuffers(self._ent.shape[0], self._rel.shape[0], p.dim,
+                                 min(p.batch_size, trip.shape[0]), p.negatives)
+        try:
+            for _ in range(epochs):
+                order = self._rng.permutation(trip.shape[0])
+                epoch_loss = 0.0
+                n_pairs = 0
+                for start in range(0, trip.shape[0], p.batch_size):
+                    batch = trip[order[start : start + p.batch_size]]
+                    epoch_loss += self._step(batch, kg_pair, root)
+                    n_pairs += batch.shape[0] * p.negatives
+                trace.append(epoch_loss / max(n_pairs, 1))
+        finally:
+            self._buf = None
         # flatten: every entity row holds its effective (root) vector so the
         # classes can be recomputed freely on the next fit
         self._ent = self._ent[root]
         # rows are unit vectors, so this is the cosine
-        self._sims = self._ent[: self._n_src] @ self._ent[self._n_src :].T
+        self._sims = _both_directions(
+            SimMatrix(self._ent[: self._n_src] @ self._ent[self._n_src :].T))
         self.loss_trace.extend(trace)
         return trace
 
@@ -277,20 +351,22 @@ class EmbeddingAligner:
         neg[corrupt_tail, 2] = repl[corrupt_tail]
         neg[~corrupt_tail, 0] = repl[~corrupt_tail]
 
+        buf = self._buf
         loss, g_ent, g_rel = margin_ranking_loss_and_grad(
-            self._ent, self._rel, pos, neg, p.margin
+            self._ent, self._rel, pos, neg, p.margin, buf
         )
-        self._ent -= p.lr * g_ent
-        self._rel -= p.lr * g_rel
+        for table, grad in ((self._ent, g_ent), (self._rel, g_rel)):
+            grad *= p.lr
+            table -= grad
         # all rows: renormalizing only touched ones would change the others' bits
-        norms = np.linalg.norm(self._ent, axis=1, keepdims=True)
-        self._ent /= np.maximum(norms, 1e-12)
+        norms = _row_norms(self._ent, buf, buf.row_norm)
+        self._ent /= np.maximum(norms, 1e-12, out=norms)[:, None]
         return loss
 
     def similarities(self, direction: str = SRC_TO_TGT) -> SimMatrix:
         if self._sims is None:
             raise RuntimeError("model must be fitted before querying similarities")
-        return _oriented(self._sims, direction)
+        return _select(self._sims, direction)
 
 
 class SyntheticOracle:
@@ -334,29 +410,33 @@ class SyntheticOracle:
         self._matrix = m
 
     def fit(self, kg_pair: KgPair, train: MappingSet, epochs: int) -> list[float]:
-        if len(train) == 0:
-            raise ValueError("training mappings must be nonempty")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_fit_args(train, epochs)
         return [0.0] * epochs
 
+    @cached_property
+    def _sims(self) -> dict[str, SimMatrix]:
+        # on first use, so a run's set-up does not pay for the check
+        return _both_directions(SimMatrix(self._matrix))
+
     def similarities(self, direction: str = SRC_TO_TGT) -> SimMatrix:
-        return _oriented(self._matrix, direction)
+        return _select(self._sims, direction)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExternalSimilarityModel:
-    """Serves imported similarity matrices instead of training a model."""
+    """Serves imported similarity matrices instead of training a model;
+    without a ``reverse`` matrix the reverse direction reads ``forward``
+    transposed."""
 
     forward: SimMatrix
     reverse: SimMatrix | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "_sims", _both_directions(self.forward, self.reverse))
+
     def fit(self, kg_pair: KgPair, train: MappingSet, epochs: int) -> list[float]:
-        if len(train) == 0:
-            raise ValueError("training mappings must be nonempty")
-        return [0.0] * max(epochs, 0)
+        _check_fit_args(train, epochs)
+        return [0.0] * epochs
 
     def similarities(self, direction: str = SRC_TO_TGT) -> SimMatrix:
-        if direction == TGT_TO_SRC and self.reverse is not None:
-            return self.reverse
-        return _oriented(self.forward.scores, direction)
+        return _select(self._sims, direction)

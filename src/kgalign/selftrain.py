@@ -24,6 +24,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +298,15 @@ class SelfTrainRun:
     # per-direction pipeline
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _edges(self) -> tuple[compatibility.EdgeTable, compatibility.EdgeTable]:
+        """Both KGs' edge tables, built on the first refinement of the run."""
+        return compatibility.edge_tables(self.pair)
+
     def _refined_direction(
-        self, oriented: KgPair, sims: SimMatrix, labelled: dict[int, int],
+        self, oriented: KgPair,
+        edges: tuple[compatibility.EdgeTable, compatibility.EdgeTable],
+        sims: SimMatrix, labelled: dict[int, int],
         row_ids: list[int], col_ids: list[int], iteration: int, tag: str,
     ) -> list[ProbRow]:
         cfg = self.config
@@ -311,11 +319,11 @@ class SelfTrainRun:
         self._calibration_log.append((f"iter{iteration}.{tag}", calib))
         q = calibrate_matrix(sims.scores[np.ix_(row_ids, col_ids)], calib)
         assignment = compatibility.build_assignment(q, row_ids, col_ids, labelled)
-        stats = compatibility.estimate_relation_stats(oriented, assignment)
+        stats = compatibility.estimate_relation_stats(oriented, assignment, edges)
         sink: list | None = [] if cfg.debug_dump else None
         rows = compatibility.refine_rows(
             q, row_ids, col_ids, oriented, stats, assignment,
-            top_k=cfg.top_k, debug_sink=sink,
+            top_k=cfg.top_k, debug_sink=sink, edges=edges,
         )
         if sink is not None:
             self._write_debug(sink, iteration, tag)
@@ -333,11 +341,11 @@ class SelfTrainRun:
         if cfg.strategy in strategies.PROBABILITY_STRATEGIES:
             sim_rev = self.model.similarities(TGT_TO_SRC)
             fwd_rows = self._refined_direction(
-                self.pair, sim_fwd, self.labelled_fwd,
+                self.pair, self._edges, sim_fwd, self.labelled_fwd,
                 self.unlab_src, self.unlab_tgt, iteration, "fwd",
             )
             rev_rows = self._refined_direction(
-                self.pair.swapped(), sim_rev, self.labelled_rev,
+                self.pair.swapped(), self._edges[::-1], sim_rev, self.labelled_rev,
                 self.unlab_tgt, self.unlab_src, iteration, "rev",
             )
             if cfg.strategy == "UniThr":

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from kgalign.kg import MappingSet, load_dataset, partition_mappings
+from kgalign.kg import KgPair, MappingSet, load_dataset, partition_mappings
 from kgalign.models import (
     SRC_TO_TGT,
     TGT_TO_SRC,
@@ -15,6 +15,7 @@ from kgalign.models import (
     SyntheticOracle,
     TopKSimMatrix,
     _component_roots,
+    _StepBuffers,
     margin_ranking_loss_and_grad,
 )
 from kgalign.synth import write_twin_dataset
@@ -123,6 +124,61 @@ class TestEmbeddingAligner:
         np.testing.assert_allclose(np.linalg.norm(model._ent, axis=1), 1.0, atol=1e-12)
         assert np.array_equal(model.similarities(SRC_TO_TGT).scores,
                               model._ent[:n_src] @ model._ent[n_src:].T)
+
+
+class _ReferenceAligner(EmbeddingAligner):
+    """The trainer with the fresh-array pairwise step of ``tests/oracle.py``."""
+
+    _step = oracle.embedding_step
+
+
+class TestBufferedFit:
+    """``fit`` runs every step in buffers allocated once per fit; the
+    tables and loss traces are bit for bit those of the reference step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fit_bit_identical_to_reference_step(self, data):
+        pair = KgPair(oracle.random_kg(data, "a"), oracle.random_kg(data, "b"))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        n_triples = len(pair.source.triples) + len(pair.target.triples)
+        # past the triple count too: one batch shorter than batch_size, or
+        # a last batch shorter than the others
+        params = EmbeddingAlignerParams(
+            dim=data.draw(st.integers(1, 6)), negatives=data.draw(st.integers(1, 4)),
+            batch_size=data.draw(st.integers(1, n_triples + 3)))
+        links = data.draw(st.lists(
+            st.tuples(st.integers(0, n_src - 1), st.integers(0, n_tgt - 1)),
+            min_size=2, max_size=6, unique=True))
+        cut = data.draw(st.integers(1, len(links) - 1))
+        # successive fits on training sets of different sizes
+        trains = [MappingSet(tuple(links), kind="labelled"),
+                  MappingSet(tuple(links[:cut]), kind="labelled")]
+        if data.draw(st.booleans()):
+            trains.reverse()
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        epochs = data.draw(st.integers(1, 3))
+
+        fast, ref = EmbeddingAligner(params, seed), _ReferenceAligner(params, seed)
+        for model in (fast, ref):
+            for train in trains:
+                model.fit(pair, train, epochs)
+        assert np.array_equal(fast._ent, ref._ent)
+        assert np.array_equal(fast._rel, ref._rel)
+        assert np.array_equal(fast.loss_trace, ref.loss_trace)
+        assert fast._buf is None  # released when fit returns
+
+    def test_failed_fit_releases_buffers(self, small_twins, monkeypatch):
+        pair, links = small_twins
+        model = EmbeddingAligner(seed=1)
+
+        def fail(*args):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(model, "_step", fail)
+        with pytest.raises(RuntimeError):
+            model.fit(pair, links, epochs=1)
+        assert model._buf is None
 
 
 def union_find_roots(n_src, n_tgt, pairs):
@@ -246,6 +302,29 @@ class TestMarginLossGradient:
         if margin == -100.0:
             assert got[0] == 0.0 and not got[1].any() and not got[2].any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_reused_buffers_match_fresh_ones(self, data):
+        # buffers sized for more rows than the call needs, holding NaN from
+        # "earlier steps": only their prefixes are read, after being written
+        n_ent, n_rel = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        dim, b, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ent, rel = rng.normal(size=(n_ent, dim)), rng.normal(size=(n_rel, dim))
+        pos = np.stack([rng.integers(0, n_ent, b), rng.integers(0, n_rel, b),
+                        rng.integers(0, n_ent, b)], axis=1)
+        neg = np.repeat(pos, k, axis=0)
+        neg[:, 0] = rng.integers(0, n_ent, b * k)
+        buf = _StepBuffers(n_ent, n_rel, dim, b + data.draw(st.integers(0, 3)), k)
+        for arr in vars(buf).values():
+            if arr.dtype == np.float64:
+                arr.fill(np.nan)
+        got = margin_ranking_loss_and_grad(ent, rel, pos, neg, 1.0, buf)
+        want = margin_ranking_loss_and_grad(ent, rel, pos, neg, 1.0)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
     def test_rejects_ungrouped_negatives(self):
         ent, rel = np.zeros((3, 2)), np.zeros((1, 2))
         pos = np.array([[0, 0, 1], [1, 0, 2]])
@@ -338,6 +417,25 @@ MODEL_BUILDERS = {
 }
 
 
+class TestFitArguments:
+    """Every model's ``fit`` makes the same argument checks."""
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_nonpositive_epochs_rejected(self, small_twins, name, epochs):
+        pair, links = small_twins
+        model = MODEL_BUILDERS[name](pair, links)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            model.fit(pair, links, epochs=epochs)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_empty_train_rejected(self, small_twins, name):
+        pair, links = small_twins
+        model = MODEL_BUILDERS[name](pair, links)
+        with pytest.raises(ValueError, match="nonempty"):
+            model.fit(pair, MappingSet((), kind="labelled"), epochs=1)
+
+
 class TestReadOnlySimilarities:
     """Every model hands out read-only matrices, the reverse one transposed."""
 
@@ -362,6 +460,23 @@ class TestReadOnlySimilarities:
             own = before if direction == SRC_TO_TGT else before.T
             assert np.array_equal(model._matrix, own)
 
+    @pytest.mark.parametrize("direction", [SRC_TO_TGT, TGT_TO_SRC])
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_each_direction_built_once(self, small_twins, name, direction):
+        # the same object every call: its finiteness is checked once
+        pair, links = small_twins
+        model = MODEL_BUILDERS[name](pair, links)
+        assert model.similarities(direction) is model.similarities(direction)
+
+    def test_transposed_view_flips_direction(self):
+        sims = SimMatrix(scores=np.arange(6.0).reshape(2, 3))
+        rev = sims.transposed()
+        assert rev.direction == TGT_TO_SRC
+        assert rev.transposed().direction == SRC_TO_TGT
+        assert np.array_equal(rev.scores, sims.scores.T)
+        assert np.shares_memory(rev.scores, sims.scores)
+        assert not rev.scores.flags.writeable
+
     def test_external_reverse_file_is_served(self, small_twins):
         pair, links = small_twins
         rng = np.random.default_rng(1)
@@ -369,8 +484,8 @@ class TestReadOnlySimilarities:
             scores=rng.uniform(size=(pair.target.n_entities, pair.source.n_entities)),
             direction=TGT_TO_SRC,
         )
-        model = _external(pair, links)
-        model.reverse = reverse
+        model = ExternalSimilarityModel(forward=_external(pair, links).forward,
+                                        reverse=reverse)
         assert model.similarities(TGT_TO_SRC) is reverse
 
     @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))

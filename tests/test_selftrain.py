@@ -297,6 +297,21 @@ class TestLoopContracts:
         run_selftrain(cfg2)
         assert calls["n"] == 2 * cfg2.iterations  # both directions, every iteration
 
+    def test_edge_tables_built_once_per_run(self, twin_dataset_dir, tmp_path,
+                                            monkeypatch):
+        built = []
+        original = compatibility.EdgeTable.of.__func__
+
+        def counting(cls, kg):
+            built.append(kg)
+            return original(cls, kg)
+
+        monkeypatch.setattr(compatibility.EdgeTable, "of", classmethod(counting))
+        run = SelfTrainRun(base_config(twin_dataset_dir, tmp_path, iterations=3))
+        run.run()
+        assert len(built) == 2
+        assert built[0] is run.pair.source and built[1] is run.pair.target
+
     def test_pseudo_pairs_reference_only_unlabelled(self, twin_dataset_dir, tmp_path):
         for strategy, extra in (
             ("MutHighestProb", {}),

@@ -86,13 +86,16 @@ def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def calibrate_matrix(sims: np.ndarray, params: CalibrationParams) -> np.ndarray:
+def calibrate_matrix(
+    sims: np.ndarray, params: CalibrationParams, out: np.ndarray | None = None,
+) -> np.ndarray:
     """Row-wise calibrated probabilities for a dense similarity matrix.
 
-    Computed in one output array; ``sims`` is left untouched.
+    Computed in one output array: ``out`` when given, which may be ``sims``
+    itself, else a new one, and then ``sims`` is left untouched.
     """
     sims = np.asarray(sims, dtype=np.float64)
-    z = np.multiply(params.scale, sims)
+    z = np.multiply(params.scale, sims, out=out)
     z += params.offset
     z /= params.temperature
     z -= z.max(axis=-1, keepdims=True)
@@ -172,8 +175,13 @@ def fit_calibration(
     ``sims`` holds one similarity row per labelled source entity and
     ``truth_cols`` the column of its ground-truth counterpart.  Returns the
     best-loss iterate (never worse than ``init``) together with the loss
-    trace.  Raises ``CalibrationError`` if the loss leaves the finite range,
-    reporting the offending epoch.
+    trace of ``epochs + 1`` losses.  Raises ``CalibrationError`` if the loss
+    leaves the finite range, reporting the offending epoch.
+
+    An epoch is a pure function of the parameters, so once a step leaves
+    them bitwise unchanged (the gradient underflows against them, or is
+    exactly 0) every later epoch would repeat this one: the loop stops and
+    pads the trace with the current loss.
     """
     sims = np.ascontiguousarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] == 0:
@@ -207,7 +215,12 @@ def fit_calibration(
             best_theta = theta.copy()
         if epoch == epochs:
             break
-        theta = theta - lr * grad
+        nxt = theta - lr * grad
+        # bytes, not values: -0.0 == 0.0, and the sign of an offset is output
+        if nxt.tobytes() == theta.tobytes():
+            trace.extend([loss] * (epochs - epoch))
+            break
+        theta = nxt
 
     if epochs == 0:
         return params, trace

@@ -317,7 +317,9 @@ class SelfTrainRun:
             lab_sims, truth_cols, lr=cfg.calib_lr, epochs=cfg.calib_epochs
         )
         self._calibration_log.append((f"iter{iteration}.{tag}", calib))
-        q = calibrate_matrix(sims.scores[np.ix_(row_ids, col_ids)], calib)
+        # the fancy-indexed block is a fresh copy: calibrate it in place
+        block = sims.scores[np.ix_(row_ids, col_ids)]
+        q = calibrate_matrix(block, calib, out=block)
         assignment = compatibility.build_assignment(q, row_ids, col_ids, labelled)
         stats = compatibility.estimate_relation_stats(oriented, assignment, edges)
         sink: list | None = [] if cfg.debug_dump else None

@@ -17,7 +17,8 @@ gradients scattered row by row into 2-d tables.  The package's step must
 reproduce them bit for bit.
 
 The calibration references compute every step into a fresh temporary;
-the package's in-place versions must match them bit for bit.
+the package's in-place versions must match them bit for bit.  The fit
+reference runs every epoch, with no exit at a fixed point.
 
 The strategy references at the end pick pairs one strategy at a time, by
 dict lookups and rescans, and order the one-to-one edges with Python's
@@ -32,7 +33,7 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
-from kgalign.calibration import argmax_lowest_id
+from kgalign.calibration import CalibrationError, CalibrationParams, argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet
 from kgalign.models import SimMatrix, TopKSimMatrix
@@ -307,6 +308,34 @@ def cross_entropy_and_grad(sims, truth_cols, params) -> tuple[float, np.ndarray]
     g_scale = float((d * sims).sum() / tau)
     g_logtau = float(-(d * z).sum())
     return loss, np.array([g_offset, g_scale, g_logtau])
+
+
+def fit_calibration_every_epoch(sims, truth_cols, init=None, lr=0.05, epochs=200):
+    """``fit_calibration`` with all ``epochs + 1`` loss evaluations: the
+    best-loss parameters and the loss trace, or the same ``CalibrationError``."""
+    params = init or CalibrationParams()
+    theta = np.array([params.offset, params.scale, np.log(params.temperature)])
+    trace, best_theta, best_loss = [], theta.copy(), np.inf
+    for epoch in range(epochs + 1):
+        tau = float(np.exp(theta[2]))
+        if not (np.all(np.isfinite(theta)) and np.isfinite(tau) and tau > 0.0):
+            raise CalibrationError(
+                f"non-finite loss at epoch {epoch} (temperature left float range)"
+            )
+        cur = CalibrationParams(float(theta[0]), float(theta[1]), tau)
+        loss, grad = cross_entropy_and_grad(sims, truth_cols, cur)
+        if not np.isfinite(loss):
+            raise CalibrationError(f"non-finite loss at epoch {epoch}")
+        trace.append(loss)
+        if loss < best_loss:
+            best_loss, best_theta = loss, theta.copy()
+        if epoch < epochs:
+            theta = theta - lr * grad
+    if epochs == 0:
+        return params, trace
+    best = CalibrationParams(float(best_theta[0]), float(best_theta[1]),
+                             float(np.exp(best_theta[2])))
+    return best, trace
 
 
 def margin_ranking_loss_and_grad(ent, rel, pos, neg, margin):

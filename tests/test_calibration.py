@@ -47,6 +47,37 @@ def gradcheck_rel_error(sims, truth, params, h=1e-6):
     )
 
 
+def fit_bits(fit, *args, **kwargs):
+    """A fit's parameters and loss trace as bytes (so ``-0.0 != 0.0`` and
+    the trace length counts), or its error message."""
+    try:
+        params, trace = fit(*args, **kwargs)
+    except CalibrationError as err:
+        return str(err)
+    return (np.array([params.offset, params.scale, params.temperature]).tobytes(),
+            np.array(trace).tobytes())
+
+
+def draw_instance(data):
+    """Labelled similarity rows, their truth columns and a parameter point."""
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    # grid values make tied and repeated rows common
+    value = st.one_of(finite_floats, st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+    sims = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n)))
+    truth = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    params = CalibrationParams(
+        offset=data.draw(finite_floats), scale=data.draw(finite_floats),
+        temperature=float(np.exp(data.draw(st.floats(-2.0, 2.0)))),
+    )
+    return sims.reshape(m, n), truth, params
+
+
+def spy_evaluations():
+    """Patch the per-epoch loss with a spy that counts its calls."""
+    return mock.patch.object(calibration, "_cross_entropy_into",
+                             wraps=calibration._cross_entropy_into)
+
+
 class TestTransform:
     def test_hand_softmax(self):
         row = calibrate_row(np.array([2.0, 1.0, 0.0]), CalibrationParams())
@@ -177,12 +208,33 @@ class TestFit:
             worst = max(worst, gradcheck_rel_error(sims, truth, params))
         assert worst < 1e-4
 
+    def test_saturating_overshoot_stops_at_fixed_point(self):
+        # the loss sums 20 wrong-leaning rows, so the first step throws log
+        # temperature to ~72: the softmax is uniform and its ~1e-29
+        # gradient no longer moves the parameters
+        sims, truth = np.tile([1.0, 0.0], (20, 1)), np.ones(20, dtype=np.int64)
+        with spy_evaluations() as spy:
+            params, trace = fit_calibration(sims, truth, lr=5.0, epochs=50)
+        assert spy.call_count == 2
+        assert params.temperature > 1e30
+        assert len(trace) == 51 and trace[2:] == [trace[1]] * 49
+        assert (fit_bits(fit_calibration, sims, truth, lr=5.0, epochs=50)
+                == fit_bits(oracle.fit_calibration_every_epoch, sims, truth,
+                            lr=5.0, epochs=50))
 
-def fit_or_error(sims, truth, init, epochs):
-    try:
-        return fit_calibration(sims, truth, init=init, epochs=epochs)
-    except CalibrationError as err:
-        return str(err)
+    def test_exactly_zero_gradient_stops_after_one_evaluation(self):
+        # a margin of 800 underflows every wrong candidate's exp to 0: the
+        # softmax is exactly one-hot on the truth and the gradient exactly 0
+        sims, truth = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]]), np.array([0, 1])
+        with spy_evaluations() as spy:
+            params, trace = fit_calibration(sims, truth, epochs=50)
+        assert spy.call_count == 1
+        assert params == CalibrationParams()
+        assert len(trace) == 51 and set(trace) == {0.0}
+        assert (fit_bits(fit_calibration, sims, truth, epochs=50)
+                == fit_bits(oracle.fit_calibration_every_epoch, sims, truth, epochs=50))
+
+
 
 
 class TestAgainstOracle:
@@ -192,29 +244,35 @@ class TestAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_loss_grad_fit_and_matrix_equal_reference(self, data):
-        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
-        # grid values make tied and repeated rows common
-        value = st.one_of(finite_floats, st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
-        sims = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n)))
-        sims = sims.reshape(m, n)
-        truth = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
-        params = CalibrationParams(
-            offset=data.draw(finite_floats), scale=data.draw(finite_floats),
-            temperature=float(np.exp(data.draw(st.floats(-2.0, 2.0)))),
-        )
+        sims, truth, params = draw_instance(data)
         before = sims.copy()
 
         loss, grad = cross_entropy_and_grad(sims, truth, params)
         ref_loss, ref_grad = oracle.cross_entropy_and_grad(sims, truth, params)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(calibrate_matrix(sims, params),
-                              oracle.calibrate_matrix(sims, params))
+        q = calibrate_matrix(sims, params)
+        assert q.tobytes() == oracle.calibrate_matrix(sims, params).tobytes()
 
         epochs = data.draw(st.integers(0, 30))
-        fitted = fit_or_error(sims, truth, params, epochs)
+        fitted = fit_bits(fit_calibration, sims, truth, init=params, epochs=epochs)
         with mock.patch.object(calibration, "_cross_entropy_into",
                                lambda s, t, p, z, buf: oracle.cross_entropy_and_grad(s, t, p)):
-            reference = fit_or_error(sims, truth, params, epochs)
+            reference = fit_bits(fit_calibration, sims, truth, init=params, epochs=epochs)
         assert fitted == reference  # params and loss trace, or the same error
         assert np.array_equal(sims, before)
+
+        # in place: the same bytes, written over the input
+        assert calibrate_matrix(sims, params, out=sims) is sims
+        assert sims.tobytes() == q.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_equals_every_epoch_loop(self, data):
+        # large steps make fixed points and CalibrationErrors common
+        sims, truth, params = draw_instance(data)
+        lr = data.draw(st.sampled_from([0.05, 0.5, 5.0]))
+        epochs = data.draw(st.integers(0, 30))
+        assert (fit_bits(fit_calibration, sims, truth, init=params, lr=lr, epochs=epochs)
+                == fit_bits(oracle.fit_calibration_every_epoch, sims, truth,
+                            init=params, lr=lr, epochs=epochs))

@@ -38,3 +38,21 @@ def test_quick_start_scripts_run(tmp_path):
         "Supervised", "MutHighestProb", "SimThr", "MutNearest",
     ]
     assert all(set(r) == SWEEP_KEYS for r in records)
+
+
+def test_bench_collects_every_workload_untraced_and_traced(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text('[{"earlier": "record"}]')  # the script appends
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--tiny",
+                           "--seconds", "0", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    earlier, record = json.loads(out.read_text())
+    assert earlier == {"earlier": "record"}
+    assert {"commit", "nproc", "python", "numpy"} <= set(record)
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    assert list(record["workloads"]) == [w["name"] for w in spec["workloads"]]
+    for result in record["workloads"].values():
+        assert result["end_to_end"]["correct"] and result["per_layer"]["correct"]
+        assert "wall_s" in result["end_to_end"]["metrics"]
+        assert "calibration.fit_s" in result["per_layer"]["metrics"]

@@ -158,6 +158,8 @@ class TestMetricsStream:
     @pytest.mark.parametrize("name, overrides", [
         ("muthighestprob", dict(strategy="MutHighestProb")),
         ("onetoone", dict(strategy="OneToOne", theta=0.45)),
+        # the larger step reaches calibration fixed points in every fit
+        ("muthighestprob_lr05", dict(strategy="MutHighestProb", calib_lr=0.5)),
     ])
     def test_outputs_match_golden_files(self, twin_dataset_dir, tmp_path, name, overrides):
         # the oracle model runs no BLAS product, so these bytes do not
@@ -166,6 +168,10 @@ class TestMetricsStream:
         run.run()
         for f in ("metrics.jsonl", "pseudo_final.tsv"):
             assert (run.run_dir / f).read_bytes() == (GOLDEN_DIR / name / f).read_bytes(), f
+        # the fitted parameters; the rest of the manifest names tmp paths
+        calib = [line + "\n" for line in (run.run_dir / "manifest.txt").read_text().splitlines()
+                 if line.startswith("calibration.")]
+        assert "".join(calib) == (GOLDEN_DIR / name / "calibration.txt").read_text()
 
     def test_reused_run_dir_starts_streams_empty(self, twin_dataset_dir, tmp_path):
         cfg = base_config(twin_dataset_dir, tmp_path)

@@ -235,8 +235,6 @@ class TestFit:
                 == fit_bits(oracle.fit_calibration_every_epoch, sims, truth, epochs=50))
 
 
-
-
 class TestAgainstOracle:
     """The in-place calibration against the reference that computes each
     step into a fresh temporary: results must be bitwise equal."""

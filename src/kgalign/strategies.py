@@ -9,6 +9,8 @@ Argmax ties break to the lowest candidate id throughout.
 
 Each strategy reduces its rows to (entity, best candidate, best score) and
 picks pairs through a shared threshold core or a shared mutual-best core.
+A raw-similarity block must be ``len(row_ids) × len(col_ids)`` and is read
+in ascending id order, so an ``argmax``'s first index is the lowest id.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ProbRow, argmax_lowest_id
+from .calibration import ProbRow
 from .kg import MappingSet
 
 PROBABILITY_STRATEGIES = ("UniThr", "BiThr", "MutHighestProb")
@@ -42,12 +44,33 @@ def _row_best(rows: list[ProbRow]) -> tuple[list[int], list[int], list[float]]:
             [row.top_prob() for row in rows])
 
 
-def _sim_best(sims, col_ids) -> tuple[list[int], list[float]]:
-    """Argmax column ids (lowest id on ties) and maxima of similarity rows."""
+def _sim_block(sims, row_ids, col_ids) -> np.ndarray:
+    """``sims`` as float64, checked to hold one row per row id and one
+    column per column id."""
     sims = np.asarray(sims, dtype=np.float64)
-    col_ids = list(col_ids)
-    best = [argmax_lowest_id(col_ids, row) for row in sims]
-    return best, [float(row.max()) for row in sims]
+    if sims.shape != (len(row_ids), len(col_ids)):
+        raise ValueError(f"similarity block has shape {sims.shape}, but the ids "
+                         f"give shape {(len(row_ids), len(col_ids))}")
+    return sims
+
+
+def _by_id(sims: np.ndarray, ids, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sims`` and ``ids`` reordered along ``axis`` so the ids ascend; no
+    copy when they already do."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if np.all(ids[1:] > ids[:-1]):
+        return sims, ids
+    order = np.argsort(ids, kind="stable")
+    return sims.take(order, axis=axis), ids[order]
+
+
+def _sim_best(sims, row_ids, col_ids) -> tuple[list[int], list[float]]:
+    """Argmax column ids (lowest id on ties) and maxima of similarity rows."""
+    sims, cols = _by_id(_sim_block(sims, row_ids, col_ids), col_ids, axis=1)
+    if not sims.size:  # no rows, or rows without a column to pick
+        return [], []
+    best = sims.argmax(axis=1)
+    return cols[best].tolist(), sims[np.arange(len(sims)), best].tolist()
 
 
 def _threshold_pick(entities, best, scores, threshold: float) -> MappingSet:
@@ -95,7 +118,7 @@ def similarity_threshold(
     sims: np.ndarray, row_ids, col_ids, theta: float
 ) -> MappingSet:
     """Baseline: keep each row's argmax pair when its similarity > theta."""
-    return _threshold_pick(row_ids, *_sim_best(sims, col_ids), theta)
+    return _threshold_pick(row_ids, *_sim_best(sims, row_ids, col_ids), theta)
 
 
 @dataclass
@@ -117,28 +140,42 @@ def one_to_one_matching(
 ) -> MappingSet:
     """Baseline: greedy one-to-one matching merged into the accumulator.
 
-    Candidate edges are every pair above ``theta``; a greedy pass in
-    descending similarity yields a one-to-one set for this iteration, which
-    is then merged into the accumulated store, resolving conflicts in favor
-    of the higher-similarity pair (existing pairs win ties).
+    Greedy matching keeps each edge above ``theta`` whose ends are both
+    free, walking by descending similarity, then source id, then target id.
+    It is found in rounds: each keeps every edge that is first at both its
+    row and its column (a locally dominant edge, which greedy keeps too),
+    then drops the matched rows and columns and any left without an edge
+    above ``theta``.  The matching is merged into the accumulated store in
+    greedy order, resolving conflicts in favor of the higher-similarity
+    pair (existing pairs win ties).
     """
-    sims = np.asarray(sims, dtype=np.float64)
-    ri, ci = np.nonzero(sims > theta)
-    score = sims[ri, ci]
-    src = np.asarray(list(row_ids), dtype=np.int64)[ri]
-    tgt = np.asarray(list(col_ids), dtype=np.int64)[ci]
-    # descending score, then ascending source and target id
-    order = np.lexsort((tgt, src, -score))
-    edges = zip(score[order].tolist(), src[order].tolist(), tgt[order].tolist())
-    used_src: set[int] = set()
-    used_tgt: set[int] = set()
-    fresh: list[tuple[float, int, int]] = []
-    for score, u, t in edges:
-        if u in used_src or t in used_tgt:
-            continue
-        used_src.add(u)
-        used_tgt.add(t)
-        fresh.append((score, u, t))
+    sims, src = _by_id(_sim_block(sims, row_ids, col_ids), row_ids, axis=0)
+    sims, tgt = _by_id(sims, col_ids, axis=1)
+    match = np.full(len(src), -1)  # column matched to each row of ``sims``
+    rows, cols = np.arange(len(src)), np.arange(len(tgt))  # ``block`` in ``sims``
+    block = sims
+    while block.size:
+        at = np.arange(len(rows))
+        row_best = block.argmax(axis=1)
+        row_max = block[at, row_best]
+        col_max = block.max(axis=0)
+        # each column's first row at its max; argmax(axis=0) would first copy
+        # the block transposed, at twice the cost
+        col_best = (block == col_max).argmax(axis=0)
+        i = np.flatnonzero((row_max > theta) & (col_best[row_best] == at))
+        j = row_best[i]
+        match[rows[i]] = cols[j]
+        keep_rows, keep_cols = row_max > theta, col_max > theta
+        keep_rows[i] = keep_cols[j] = False
+        rows, cols = rows[keep_rows], cols[keep_cols]
+        block = block[np.ix_(keep_rows, keep_cols)]
+    r = np.flatnonzero(match >= 0)
+    c = match[r]
+    score = sims[r, c]
+    # sources ascend with ``r`` and are distinct: a stable sort by descending
+    # similarity is the greedy order
+    order = np.argsort(-score, kind="stable")
+    fresh = zip(score[order].tolist(), src[r[order]].tolist(), tgt[c[order]].tolist())
 
     by_src = {u: (u, t) for (u, t) in state.scores}
     by_tgt = {t: (u, t) for (u, t) in state.scores}
@@ -165,6 +202,6 @@ def mutual_nearest(
     rev_col_ids,
 ) -> MappingSet:
     """Baseline: pairs that are mutually nearest under raw similarity."""
-    rev_best, _ = _sim_best(sims_reverse, rev_col_ids)
-    return _mutual_pick(fwd_row_ids, *_sim_best(sims_forward, fwd_col_ids),
+    rev_best, _ = _sim_best(sims_reverse, rev_row_ids, rev_col_ids)
+    return _mutual_pick(fwd_row_ids, *_sim_best(sims_forward, fwd_row_ids, fwd_col_ids),
                         rev_row_ids, rev_best)

@@ -154,6 +154,16 @@ class TestOneToOne:
         got = one_to_one_matching(np.array([[0.2]]), [0], [10], theta=0.5, state=state)
         assert got.as_set() == {(3, 13)}
 
+    def test_staircase_settles_one_edge_per_round(self):
+        # every row and every column prefers its lowest free partner, so each
+        # round has exactly one locally dominant edge: the next diagonal one
+        n = 6
+        sims = 1.0 - (np.arange(n)[:, None] + np.arange(n)) / 20
+        got = one_to_one_matching(sims, range(n), range(10, 10 + n), theta=0.0,
+                                  state=OneToOneState())
+        assert got.pairs == tuple((i, 10 + i) for i in range(n))
+        assert got.scores == tuple(sims.diagonal().tolist())
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_one_to_one_after_accumulation(self, data):
@@ -202,6 +212,28 @@ class TestMutualNearest:
         tgts = [t for _, t in got.pairs]
         assert len(set(srcs)) == len(srcs)
         assert len(set(tgts)) == len(tgts)
+
+
+RAW_SIMILARITY_STRATEGIES = {
+    "SimThr": lambda sims, rows, cols: similarity_threshold(sims, rows, cols, 0.5),
+    "OneToOne": lambda sims, rows, cols: one_to_one_matching(sims, rows, cols, 0.5,
+                                                             OneToOneState()),
+    "MutNearest": lambda sims, rows, cols: mutual_nearest(sims, rows, cols,
+                                                          sims.T, cols, rows),
+}
+
+
+class TestBlockShape:
+    @pytest.mark.parametrize("n_ids", [3, 1])
+    @pytest.mark.parametrize("name", RAW_SIMILARITY_STRATEGIES)
+    def test_mis_shaped_block_rejected(self, name, n_ids):
+        ids = list(range(n_ids))
+        with pytest.raises(ValueError, match=rf"\(2, 2\).*\({n_ids}, {n_ids}\)"):
+            RAW_SIMILARITY_STRATEGIES[name](np.ones((2, 2)), ids, [10 + i for i in ids])
+
+    @pytest.mark.parametrize("name", RAW_SIMILARITY_STRATEGIES)
+    def test_rows_without_columns_pick_nothing(self, name):
+        assert len(RAW_SIMILARITY_STRATEGIES[name](np.ones((2, 0)), [0, 1], [])) == 0
 
 
 class TestOutputOrder:
@@ -258,17 +290,29 @@ class TestAgainstOracle:
         assert_same(mutual_nearest(fwd, src, tgt, rev, tgt, src),
                     oracle.mutual_nearest(fwd, src, tgt, rev, tgt, src))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_one_to_one_matches_sorted_edge_order(self, data):
+    @staticmethod
+    def check_one_to_one(data, max_ids: int, pool: int, levels: int):
+        """Three calls sharing one state, each on a ``levels``-valued grid."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         state, reference = OneToOneState(), OneToOneState()
         for _ in range(3):
-            # a small id pool lets later calls conflict with accumulated pairs
-            src = drawn_ids(data, data.draw(st.integers(0, 6)), pool=8)
-            tgt = drawn_ids(data, data.draw(st.integers(0, 6)), pool=8)
+            src = drawn_ids(data, data.draw(st.integers(0, max_ids)), pool=pool)
+            tgt = drawn_ids(data, data.draw(st.integers(0, max_ids)), pool=pool)
             theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
-            sims = rng.integers(0, 5, size=(len(src), len(tgt))) / 4.0
+            sims = rng.integers(0, levels, size=(len(src), len(tgt))) / (levels - 1)
             assert_same(one_to_one_matching(sims, src, tgt, theta, state),
                         oracle.one_to_one_matching(sims, src, tgt, theta, reference))
         assert list(state.scores.items()) == list(reference.scores.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_to_one_matches_sorted_edge_order(self, data):
+        # a small id pool lets later calls conflict with accumulated pairs
+        self.check_one_to_one(data, max_ids=6, pool=8, levels=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_to_one_many_rounds(self, data):
+        # blocks up to 30x30 on three levels: ties span rows and columns, and
+        # the matching takes several rounds
+        self.check_one_to_one(data, max_ids=30, pool=40, levels=3)

@@ -9,10 +9,12 @@ direction, its transposed view, never a copy:
   margin ranking loss and hard parameter sharing: entities joined by a
   training mapping collapse to one vector, that of their smallest id.
   Each SGD step scores every positive once against its k grouped negatives,
-  scatters the gradients through flat dense tables in 2-d ``np.add.at``
-  order, and renormalizes every entity row.  The step's arrays are
-  allocated once per ``fit`` and written in place.  Each ``fit`` ends by
-  computing the one cosine product both directions read.
+  scatters the gradients into flat dense tables through ``complex128``
+  views, one index per column pair, which adds every cell's terms exactly
+  as a row-wise 2-d ``np.add.at`` does, and renormalizes every entity row.
+  Rows of odd ``dim`` are padded by one column for the view.  The step's
+  arrays are allocated once per ``fit`` and written in place.  Each
+  ``fit`` ends by computing the one cosine product both directions read.
 * ``SyntheticOracle`` — a deterministic test double whose similarity rows
   are correct for a configurable fraction of entities; it isolates the
   self-training machinery from model quality.
@@ -150,20 +152,26 @@ class _StepBuffers:
     """The arrays an SGD step writes, sized for tables of ``n_ent`` and
     ``n_rel`` rows of ``dim`` and for up to ``batch`` positives with ``k``
     negatives each.  A step uses prefix slices, so one set serves every
-    step of a fit, and freed temporaries are not faulted back in."""
+    step of a fit, and freed temporaries are not faulted back in.
+
+    The difference rows and the flat gradient tables are ``w = dim +
+    dim % 2`` wide, so they can be viewed as ``complex128`` column pairs.
+    For odd ``dim`` the last column is padding: it never enters a norm,
+    the loss or a returned gradient."""
 
     def __init__(self, n_ent: int, n_rel: int, dim: int, batch: int, k: int):
         m = batch * k
-        self.d_pos = np.empty((batch, dim))
-        self.d_neg = np.empty((m, dim))
+        w = dim + dim % 2
+        self.d_pos = np.empty((batch, w))
+        self.d_neg = np.empty((m, w))
         self.sq = np.empty((max(m, n_ent), dim))  # squares of d_pos, d_neg or ent
         self.norm_pos = np.empty(batch)
         self.norm_neg = np.empty(m)
-        self.flat = np.empty((m, dim), dtype=np.int64)  # flat scatter indices
-        self.cols = np.arange(dim)
+        self.flat = np.empty((m, w // 2), dtype=np.int64)  # column-pair indices
+        self.pairs = np.arange(w // 2)
         # flat gradients: reshaping a non-contiguous table would copy
-        self.g_ent = np.empty(n_ent * dim)
-        self.g_rel = np.empty(n_rel * dim)
+        self.g_ent = np.empty(n_ent * w)
+        self.g_rel = np.empty(n_rel * w)
         self.row_norm = np.empty(n_ent)
 
 
@@ -190,11 +198,21 @@ def margin_ranking_loss_and_grad(
     ``max(0, margin + |h + r - t| - |h' + r' - t'|)`` with Euclidean norms.
     Returns the summed loss and dense gradients for both tables.
 
-    Each positive is scored once; the loss sums over the (b*k,) pair vector
-    and each gradient stream is scattered, in pair order, into a flat
-    table, so the result is bitwise that of the pairwise layout.  The work
-    arrays and the returned gradients live in ``buf``, which the trainer
-    allocates once per fit; without it the call allocates its own.
+    Each positive is scored once.  The loss sums over the (b*k,) pair
+    vector.  Every difference row is then divided by its norm once, in
+    place, and the active pairs gather the unit rows, a positive's once
+    per active pair; division is deterministic, so they equal the unit
+    vectors of the pairwise layout.  Each gradient stream is
+    scattered, in pair order, through ``complex128`` views of the unit
+    rows and of a flat gradient table, one index per column pair.  A
+    complex add or subtract is the IEEE float64 add or subtract of each
+    component, so every cell takes the same terms in the same order as a
+    row-wise 2-d scatter of the pairwise layout, and the result is bitwise
+    that layout's, signs of zero included.  Rows are padded to an even
+    width for the view (see ``_StepBuffers``); the gradients returned are
+    ``[:, :dim]`` views of the padded tables.  The work arrays and the
+    returned gradients live in ``buf``, which the trainer allocates once
+    per fit; without it the call allocates its own.
     """
     k, rest = divmod(neg.shape[0], pos.shape[0])
     if rest or k < 1:
@@ -202,12 +220,15 @@ def margin_ranking_loss_and_grad(
     b, m, dim = pos.shape[0], neg.shape[0], ent.shape[1]
     if buf is None:
         buf = _StepBuffers(ent.shape[0], rel.shape[0], dim, b, k)
+    w = buf.d_pos.shape[1]
     d_pos, d_neg = buf.d_pos[:b], buf.d_neg[:m]
     norm_pos, norm_neg = buf.norm_pos[:b], buf.norm_neg[:m]
     # one gathered (rows, dim) temporary alive at a time: a freed pair of
     # them is enough for malloc to return the heap top to the system, and
     # the next step to fault it back in
     for d, norm, idx in ((d_pos, norm_pos, pos), (d_neg, norm_neg, neg)):
+        d[:, dim:] = 0.0  # the pad column scatters only into the gradients' pad
+        d = d[:, :dim]
         d[...] = ent[idx[:, 0]]
         d += rel[idx[:, 1]]
         d -= ent[idx[:, 2]]
@@ -216,27 +237,30 @@ def margin_ranking_loss_and_grad(
     active = viol > 0
     loss = float(np.where(active, viol, 0.0).sum())
 
-    g_ent, g_rel = buf.g_ent[: ent.size], buf.g_rel[: rel.size]
+    g_ent, g_rel = buf.g_ent[: ent.shape[0] * w], buf.g_rel[: rel.shape[0] * w]
     g_ent.fill(0.0)
     g_rel.fill(0.0)
     if active.any():
         pairs = np.flatnonzero(active)
         flat = buf.flat[: len(pairs)]
+        c_ent, c_rel = g_ent.view(np.complex128), g_rel.view(np.complex128)
+        for d, norm in ((d_pos, norm_pos), (d_neg, norm_neg)):
+            d /= np.maximum(norm, 1e-12)[:, None]
         # the positive's streams first, then the negative's, in pair order
-        for d, norm, rows, idx, streams in (
-            (d_pos, norm_pos, pairs // k, pos,
-             ((np.add, g_ent, 0), (np.subtract, g_ent, 2), (np.add, g_rel, 1))),
-            (d_neg, norm_neg, pairs, neg,
-             ((np.subtract, g_ent, 0), (np.add, g_ent, 2), (np.subtract, g_rel, 1))),
+        for d, rows, idx, streams in (
+            (d_pos, pairs // k, pos,
+             ((np.add, c_ent, 0), (np.subtract, c_ent, 2), (np.add, c_rel, 1))),
+            (d_neg, pairs, neg,
+             ((np.subtract, c_ent, 0), (np.add, c_ent, 2), (np.subtract, c_rel, 1))),
         ):
             u = d[rows]
-            u /= np.maximum(norm[rows], 1e-12)[:, None]
             tri = idx[rows]
             for ufunc, table, col in streams:
-                np.add((tri[:, col] * dim)[:, None], buf.cols, out=flat)
-                ufunc.at(table, flat.ravel(), u.ravel())
+                np.add((tri[:, col] * (w // 2))[:, None], buf.pairs, out=flat)
+                ufunc.at(table, flat.ravel(), u.view(np.complex128).ravel())
             del u
-    return loss, g_ent.reshape(ent.shape), g_rel.reshape(rel.shape)
+    return (loss, g_ent.reshape(ent.shape[0], w)[:, :dim],
+            g_rel.reshape(rel.shape[0], w)[:, :dim])
 
 
 @dataclass

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -95,8 +96,9 @@ class RunConfig:
             ("lr", 0.0, True), ("calib_lr", 0.0, True), ("calib_epochs", 0, False),
         ):
             value = getattr(self, name)
-            if not (value > low if strict else value >= low):
-                raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}")
+            if not (math.isfinite(value) and (value > low if strict else value >= low)):
+                raise ConfigError(
+                    f"{name} must be finite and {'>' if strict else '>='} {low}")
         if not (0.0 <= self.oracle_noise <= 1.0):
             raise ConfigError("oracle_noise must be in [0,1]")
         if self.model == "external":
@@ -126,6 +128,8 @@ class RunConfig:
                 raise ConfigError(f"strategy {s} requires {wanted}")
             if wanted == "alpha" and not (0.0 < self.alpha < 1.0):
                 raise ConfigError("alpha must be in (0,1)")
+            if wanted == "theta" and not math.isfinite(self.theta):
+                raise ConfigError("theta must be finite")
             if getattr(self, other) is not None:
                 raise ConfigError(f"strategy {s} takes {wanted}, not {other}")
         if self.uni_source not in ("kg1", "kg2"):

@@ -85,6 +85,17 @@ class TestRunCommand:
         assert code == 1
         assert "lr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "SimThr", "--theta", "nan"], ["--margin", "inf"],
+        ["--lr", "inf"], ["--calib-lr", "inf"],
+    ])
+    def test_nonfinite_setting_exits_one_before_running(self, run_conf, tmp_path,
+                                                        capsys, flags):
+        code = main(["run", "--config", str(run_conf)] + flags)
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_sim_file_with_internal_model_exits_one(self, run_conf, tmp_path, capsys):
         code = main(["run", "--config", str(run_conf),
                      "--sim-file", str(tmp_path / "nonexistent.tsv")])

@@ -74,10 +74,16 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("dim", 0), ("negatives", 0), ("lr", -0.01), ("lr", 0.0),
         ("margin", -1.0), ("calib_lr", 0.0), ("calib_epochs", -3),
+        ("lr", float("inf")), ("lr", float("nan")), ("margin", float("inf")),
+        ("margin", float("nan")), ("calib_lr", float("inf")),
+        ("calib_lr", float("nan")), ("theta", float("nan")),
+        ("theta", float("inf")), ("theta", float("-inf")),
     ])
     def test_bad_hyperparameter_rejected(self, twin_dataset_dir, tmp_path,
                                          field, value):
-        cfg = base_config(twin_dataset_dir, tmp_path, **{field: value})
+        # theta is read only by the similarity-threshold strategies
+        strategy = {"strategy": "SimThr"} if field == "theta" else {}
+        cfg = base_config(twin_dataset_dir, tmp_path, **strategy, **{field: value})
         with pytest.raises(ConfigError, match=field):
             cfg.validate()
 

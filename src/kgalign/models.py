@@ -202,14 +202,14 @@ def margin_ranking_loss_and_grad(
     vector.  Every difference row is then divided by its norm once, in
     place, and the active pairs gather the unit rows, a positive's once
     per active pair; division is deterministic, so they equal the unit
-    vectors of the pairwise layout.  Each gradient stream is
-    scattered, in pair order, through ``complex128`` views of the unit
-    rows and of a flat gradient table, one index per column pair.  A
-    complex add or subtract is the IEEE float64 add or subtract of each
-    component, so every cell takes the same terms in the same order as a
-    row-wise 2-d scatter of the pairwise layout, and the result is bitwise
-    that layout's, signs of zero included.  Rows are padded to an even
-    width for the view (see ``_StepBuffers``); the gradients returned are
+    vectors of the pairwise layout.  Each gradient stream is scattered, in
+    pair order, through ``complex128`` views of the unit rows and of a
+    flat gradient table, one index per column pair.  A complex add or
+    subtract is the IEEE float64 add or subtract of each component, so
+    every cell takes the same terms in the same order as a row-wise 2-d
+    scatter of the pairwise layout, and the result is bitwise that
+    layout's, signs of zero included.  Rows are padded to an even width
+    for the view (see ``_StepBuffers``); the gradients returned are
     ``[:, :dim]`` views of the padded tables.  The work arrays and the
     returned gradients live in ``buf``, which the trainer allocates once
     per fit; without it the call allocates its own.
@@ -227,7 +227,7 @@ def margin_ranking_loss_and_grad(
     # them is enough for malloc to return the heap top to the system, and
     # the next step to fault it back in
     for d, norm, idx in ((d_pos, norm_pos, pos), (d_neg, norm_neg, neg)):
-        d[:, dim:] = 0.0  # the pad column scatters only into the gradients' pad
+        d[:, dim:] = 0.0  # scattered into the gradients' pad: keep it finite
         d = d[:, :dim]
         d[...] = ent[idx[:, 0]]
         d += rel[idx[:, 1]]

@@ -340,7 +340,10 @@ class TestMarginLossGradient:
         rng = np.random.default_rng(dim)
         ent = rng.normal(size=(n_ent, dim)) * np.exp2(rng.integers(-20, 21, (n_ent, 1)))
         rel = rng.normal(size=(n_rel, dim))
-        zipf = lambda size: (rng.zipf(1.3, size) - 1) % n_ent
+
+        def zipf(size):
+            return (rng.zipf(1.3, size) - 1) % n_ent
+
         pos = np.stack([zipf(b), rng.integers(0, n_rel, b),
                         rng.integers(0, n_ent, b)], axis=1)
         neg = np.repeat(pos, k, axis=0)

@@ -14,7 +14,7 @@ import numpy as np
 
 
 class CalibrationError(RuntimeError):
-    """Raised when the calibration fit produces a non-finite loss."""
+    """Raised when a calibration fit has a non-finite loss or reverses order."""
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,11 @@ def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def calibrate_matrix(
-    sims: np.ndarray, params: CalibrationParams, out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-wise calibrated probabilities for a dense similarity matrix.
-
-    Computed in one output array: ``out`` when given, which may be ``sims``
-    itself, else a new one, and then ``sims`` is left untouched.
-    """
+def calibrate_matrix(sims: np.ndarray, params: CalibrationParams) -> np.ndarray:
+    """Row-wise calibrated probabilities for a dense similarity matrix,
+    computed in one new array."""
     sims = np.asarray(sims, dtype=np.float64)
-    z = np.multiply(params.scale, sims, out=out)
+    z = params.scale * sims
     z += params.offset
     z /= params.temperature
     z -= z.max(axis=-1, keepdims=True)

@@ -186,8 +186,9 @@ def build_assignment(
     col_ids,
     labelled: dict[int, int],
 ) -> Assignment:
-    """Labelled truths plus the per-row argmax of the current distributions
-    (the single-sample approximation of the expectation)."""
+    """Labelled truths plus the per-row argmax of ``q_matrix``, lowest id on
+    ties (the single-sample approximation of the expectation); any scores in
+    the order of the current distributions will do."""
     col_ids = list(col_ids)
     mapping = dict(labelled)
     for i, u in enumerate(row_ids):
@@ -210,8 +211,9 @@ def refine_rows(
 ) -> list[ProbRow]:
     """One block update of all unlabelled rows against a frozen assignment.
 
-    Every row independently keeps its ``top_k`` candidates by current
-    probability and receives the Markov-blanket conditional over them.  The
+    Every row independently keeps its ``top_k`` candidates by descending
+    ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
+    conditional over them, which reads no score.  The
     caller's ``assignment`` (see ``build_assignment``) stays fixed for the
     whole block, so the result does not depend on the iteration order over
     rows.  ``edges`` are the source and target tables of
@@ -250,15 +252,15 @@ def refine_rows(
 
 def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Per row of ``q``, whose columns hold the ascending ``ids``, the ids of
-    its ``k`` most probable columns, by descending probability with ties to
-    the lower id."""
+    its ``k`` highest-scoring columns, by descending score with ties to the
+    lower id."""
     kth = np.partition(q, q.shape[1] - k, axis=1)[:, -k]
     rr, cc = np.nonzero(q >= kth[:, None])
     vals = q[rr, cc]
     tied = vals == kth[rr]
     # every value above the k-th is kept; the ties at it fill the rest,
-    # lowest ids first.  They can be most of a row where the softmax
-    # underflows to 0, so they are ranked in place, not sorted
+    # lowest ids first.  A tie can span a whole row (a constant similarity
+    # row), so the ties are ranked in place, not sorted
     ti = np.flatnonzero(tied)
     rank = np.arange(len(ti)) - np.searchsorted(rr[ti], np.arange(len(q)))[rr[ti]]
     keep = ~tied

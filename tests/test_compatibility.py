@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from kgalign.calibration import CalibrationParams, calibrate_matrix
 from kgalign.compatibility import (
     Assignment,
     RelationStats,
@@ -497,6 +498,49 @@ class TestAgainstOracle:
         assert stats == oracle.estimate_relation_stats(pair, assignment)
         u = data.draw(st.integers(0, n_src - 1))
         assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u)
+
+
+class TestRawOrderEqualsCalibratedOrder:
+    """The run refines the raw similarity block.  A calibration with a
+    positive scale is monotone, so where it keeps each row's distinct
+    values distinct, refining the calibrated block gives the same
+    assignment, candidates and probabilities, bytes included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refining_calibrated_and_raw_blocks_agree(self, data):
+        pair = KgPair(oracle.random_kg(data, "a"), oracle.random_kg(data, "b"))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        row_ids = data.draw(st.permutations(range(n_src)))
+        row_ids = row_ids[:data.draw(st.integers(1, n_src))]
+        col_ids = data.draw(st.permutations(range(n_tgt)))
+        col_ids = col_ids[:data.draw(st.integers(1, n_tgt))]
+        labelled = data.draw(st.dictionaries(
+            st.integers(0, n_src - 1), st.integers(0, n_tgt - 1), max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (len(row_ids), len(col_ids))
+        # a coarse grid makes raw ties common; they must break the same way
+        raw = (rng.integers(0, 4, size=shape) / 4 if data.draw(st.booleans())
+               else rng.uniform(-1, 1, size=shape))
+        finite = dict(allow_nan=False, allow_infinity=False)
+        params = CalibrationParams(
+            offset=data.draw(st.floats(-5, 5, **finite)),
+            scale=data.draw(st.floats(1e-3, 20, **finite)),
+            temperature=data.draw(st.floats(1e-2, 10, **finite)),
+        )
+        q = calibrate_matrix(raw, params)
+        assume(all(len(set(a.tolist())) == len(set(b.tolist())) for a, b in zip(q, raw)))
+        top_k = data.draw(st.integers(1, len(col_ids) + 2))
+
+        results = []
+        for block in (q, raw):
+            assignment = build_assignment(block, row_ids, col_ids, labelled)
+            stats = estimate_relation_stats(pair, assignment)
+            rows = refine_rows(block, row_ids, col_ids, pair, stats, assignment,
+                               top_k=top_k)
+            results.append((assignment, [(r.entity, r.cand_ids, r.probs.tobytes())
+                                         for r in rows]))
+        assert results[0] == results[1]
 
 
 class TestZeroSurvival:

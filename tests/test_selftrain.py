@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from kgalign import compatibility
+from kgalign import compatibility, selftrain
+from kgalign.calibration import CalibrationParams
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC
 from kgalign.selftrain import (
     ConfigError,
@@ -85,6 +86,19 @@ class TestConfig:
         strategy = {"strategy": "SimThr"} if field == "theta" else {}
         cfg = base_config(twin_dataset_dir, tmp_path, **strategy, **{field: value})
         with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"strategy": "Nope", "theta": float("nan")}, "unknown strategy"),
+        ({"strategy": "SimThr", "theta": float("nan")}, "theta"),
+        ({"alpha": 0.5}, "no threshold"),
+        ({"uni_source": "kg3"}, "uni_source"),
+    ])
+    def test_supervised_run_checks_strategy_fields(self, twin_dataset_dir, tmp_path,
+                                                   fields, message):
+        # a supervised run reads none of them, but records them in its manifest
+        cfg = base_config(twin_dataset_dir, tmp_path, mode="supervised", **fields)
+        with pytest.raises(ConfigError, match=message):
             cfg.validate()
 
     @pytest.mark.parametrize("field", ["sim_file", "sim_file_reverse"])
@@ -401,6 +415,30 @@ class TestLoopContracts:
         header, first, *_ = dumps[0].read_text().splitlines()
         assert header == "entity\tcandidate\tscore_sum\tprobability"
         assert len(first.split("\t")) == 4
+
+
+    def test_saturated_calibration_keeps_similarity_candidates(
+        self, twin_dataset_dir, tmp_path, monkeypatch
+    ):
+        # at this temperature every calibrated row underflows to 0 past its
+        # top entry; the candidates must still follow the similarities
+        def saturated(sims, truth_cols, **kwargs):
+            return CalibrationParams(temperature=1e-300), [0.0]
+
+        monkeypatch.setattr(selftrain, "fit_calibration", saturated)
+        cfg = base_config(twin_dataset_dir, tmp_path, iterations=1, debug_dump=True)
+        run = SelfTrainRun(cfg)
+        run.run()
+        scores = run.model.similarities(SRC_TO_TGT).scores
+        dumped: dict[int, list[int]] = {}
+        lines = (run.run_dir / "refine_debug_iter0_fwd.tsv").read_text().splitlines()
+        for line in lines[1:]:
+            entity, candidate, _, _ = line.split("\t")
+            dumped.setdefault(int(entity), []).append(int(candidate))
+        assert sorted(dumped) == run.unlab_src
+        for u, cands in dumped.items():
+            by_similarity = sorted(run.unlab_tgt, key=lambda c: (-scores[u, c], c))
+            assert cands == by_similarity[:cfg.top_k]
 
 
 class TestOracleRuns:

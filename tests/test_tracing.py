@@ -26,13 +26,16 @@ def load_tracing():
     return module
 
 
-@pytest.mark.parametrize("strategy, extra, nonzero", [
+# the refinement reads raw similarities, so no run calibrates a matrix
+@pytest.mark.parametrize("strategy, extra, nonzero, zero", [
     ("MutHighestProb", {}, ["compatibility.refine_rows", "strategies.candidate_edges",
-                            "strategies.pseudo_pairs", "calibration.fit_cells"]),
+                            "strategies.pseudo_pairs", "calibration.fit_cells"],
+     ["calibration.calibrate_cells"]),
     ("OneToOne", {"theta": 0.45}, ["strategies.candidate_edges",
-                                    "strategies.pseudo_pairs"]),
+                                    "strategies.pseudo_pairs"],
+     ["calibration.fit_cells", "calibration.calibrate_cells"]),
 ])
-def test_tracer_counts_work(twin_dataset_dir, tmp_path, strategy, extra, nonzero):
+def test_tracer_counts_work(twin_dataset_dir, tmp_path, strategy, extra, nonzero, zero):
     tracing = load_tracing()
     tracer = tracing.Tracer(run_id=0)
     tracer.install()
@@ -47,6 +50,7 @@ def test_tracer_counts_work(twin_dataset_dir, tmp_path, strategy, extra, nonzero
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.spans)
     assert sorted(k for k in nonzero if metrics[k] <= 0) == []
+    assert {k: metrics[k] for k in zero} == dict.fromkeys(zero, 0)
     n_src, n_tgt = run.pair.source.n_entities, run.pair.target.n_entities
     directions = 2 if strategy == "MutHighestProb" else 1
     assert metrics["models.similarity_cells"] == directions * cfg.iterations * n_src * n_tgt

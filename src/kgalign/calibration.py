@@ -4,6 +4,9 @@ A similarity row is first transformed linearly (``scale * sim + offset``)
 and then pushed through a temperature softmax.  The three parameters are
 fit by full-batch gradient descent on the cross-entropy of the labelled
 rows.  Temperature is kept positive by optimizing its log.
+
+The refinement and the strategies share its lowest-id argmax over a checked
+``len(row_ids) × len(col_ids)`` similarity block read in ascending id order.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ class CalibrationParams:
 class ProbRow:
     """A candidate distribution for one source entity.
 
-    Probabilities are nonnegative, sum to 1 within 1e-9, and candidate ids
-    are unique.
+    Probabilities are finite and nonnegative, sum to 1 within 1e-9, and
+    candidate ids are unique.
     """
 
     entity: int
@@ -56,28 +59,52 @@ class ProbRow:
             raise ValueError("cand_ids / probs length mismatch")
         if len(set(self.cand_ids)) != len(self.cand_ids):
             raise ValueError("duplicate candidate ids")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        # a NaN minimum fails ``>= 0`` (every NaN comparison is False), and an
+        # infinity fails the sum; ``initial`` lets an empty row reach the sum
+        if not (p.min(initial=0.0) >= 0 and abs(float(p.sum()) - 1.0) <= 1e-9):
+            raise ValueError("probabilities must be finite, nonnegative and sum to 1")
 
     def argmax_candidate(self) -> int:
         """Highest-probability candidate; ties break to the lowest id."""
         return argmax_lowest_id(self.cand_ids, self.probs)
 
-    def top_prob(self) -> float:
-        return float(self.probs[_argmax_index(self.cand_ids, self.probs)])
-
-
-def _argmax_index(cand_ids, values) -> int:
-    values = np.asarray(values)
-    best = np.flatnonzero(values == values.max())
-    if len(best) == 1:
-        return int(best[0])
-    return int(min(best, key=lambda i: cand_ids[i]))
-
 
 def argmax_lowest_id(cand_ids, values) -> int:
     """Candidate id with the maximal value, lowest id on ties."""
-    return cand_ids[_argmax_index(cand_ids, values)]
+    values = np.asarray(values)
+    return min(cand_ids[i] for i in np.flatnonzero(values == values.max()))
+
+
+def _sim_block(sims, row_ids, col_ids) -> np.ndarray:
+    """``sims`` as float64, checked to hold one row per row id and one
+    column per column id."""
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.shape != (len(row_ids), len(col_ids)):
+        raise ValueError(f"similarity block has shape {sims.shape}, but the ids "
+                         f"give shape {(len(row_ids), len(col_ids))}")
+    return sims
+
+
+def _by_id(sims: np.ndarray, ids, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sims`` and ``ids`` reordered along ``axis`` so the ids ascend; no
+    copy when they already do, else a C-ordered copy."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if np.all(ids[1:] > ids[:-1]):
+        return sims, ids
+    order = np.argsort(ids, kind="stable")
+    return sims.take(order, axis=axis), ids[order]
+
+
+def _sim_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row ids, argmax column ids, maxima)`` of a similarity block's rows,
+    lowest column id on ties; no rows when there is no column to pick."""
+    sims, cols = _by_id(_sim_block(sims, row_ids, col_ids), col_ids, axis=1)
+    rows = np.asarray(row_ids, dtype=np.int64)
+    if not sims.size:
+        rows = rows[:0]
+        return rows, rows, np.zeros(0)
+    best = sims.argmax(axis=1)
+    return rows, cols[best], sims[np.arange(len(sims)), best]
 
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ProbRow, _softmax, argmax_lowest_id
+from .calibration import ProbRow, _by_id, _sim_best, _sim_block, _softmax
 from .kg import Kg, KgPair
 
 # rows per refinement block: bounds the (rows x columns) top-k temporaries
@@ -188,13 +188,12 @@ def build_assignment(
 ) -> Assignment:
     """Labelled truths plus the per-row argmax of ``q_matrix``, lowest id on
     ties (the single-sample approximation of the expectation); any scores in
-    the order of the current distributions will do."""
-    col_ids = list(col_ids)
+    the order of the current distributions will do.  ``q_matrix`` must be
+    ``len(row_ids) × len(col_ids)``."""
+    rows, best, _ = _sim_best(q_matrix, row_ids, col_ids)
     mapping = dict(labelled)
-    for i, u in enumerate(row_ids):
-        if u in labelled:
-            continue
-        mapping[u] = argmax_lowest_id(col_ids, q_matrix[i])
+    mapping.update((u, c) for u, c in zip(rows.tolist(), best.tolist())
+                   if u not in labelled)
     return Assignment(mapping=mapping)
 
 
@@ -213,30 +212,28 @@ def refine_rows(
 
     Every row independently keeps its ``top_k`` candidates by descending
     ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
-    conditional over them, which reads no score.  The
-    caller's ``assignment`` (see ``build_assignment``) stays fixed for the
-    whole block, so the result does not depend on the iteration order over
-    rows.  ``edges`` are the source and target tables of
-    ``edge_tables(kg_pair)``.
+    conditional over them, which reads no score.  ``q_matrix`` must be
+    ``len(row_ids) × len(col_ids)``; its row blocks are read in place when
+    the column ids ascend.  The caller's ``assignment`` (see
+    ``build_assignment``) stays fixed for the whole block, so the result
+    does not depend on the iteration order over rows.  ``edges`` are the
+    source and target tables of ``edge_tables(kg_pair)``.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    q_matrix = np.asarray(q_matrix, dtype=np.float64)
-    col_arr = np.asarray(list(col_ids), dtype=np.int64)
-    row_ids = list(row_ids)
+    row_ids, col_arr = list(row_ids), np.asarray(list(col_ids), dtype=np.int64)
+    q_matrix = _sim_block(q_matrix, row_ids, col_arr)
     rows = np.asarray(row_ids, dtype=np.int64)
     k = min(top_k, q_matrix.shape[1])
     if k == 0 and row_ids:
         raise ValueError("candidates must be nonempty")
 
     model = _FactorModel(kg_pair, stats, assignment, edges)
-    by_id = np.argsort(col_arr, kind="stable")
     blocks = []
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = rows[lo:lo + _ROW_BLOCK]
-        # np.take keeps the block C-ordered; q[:, by_id] would not be
-        q_block = np.take(q_matrix[lo:lo + len(block)], by_id, axis=1)
-        cands = _top_candidates(q_block, col_arr[by_id], k)
+        q_block, ids = _by_id(q_matrix[lo:lo + len(block)], col_arr, axis=1)
+        cands = _top_candidates(q_block, ids, k)
         sums = model.factor_sums(block, cands)
         blocks.append((row_ids[lo:lo + _ROW_BLOCK], cands.tolist(), sums, _softmax(sums)))
 
@@ -255,7 +252,8 @@ def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     its ``k`` highest-scoring columns, by descending score with ties to the
     lower id."""
     kth = np.partition(q, q.shape[1] - k, axis=1)[:, -k]
-    rr, cc = np.nonzero(q >= kth[:, None])
+    # the 1-d flatnonzero is several times faster than a 2-d np.nonzero
+    rr, cc = np.divmod(np.flatnonzero(q >= kth[:, None]), q.shape[1])
     vals = q[rr, cc]
     tied = vals == kth[rr]
     # every value above the k-th is kept; the ties at it fill the rest,

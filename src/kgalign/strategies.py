@@ -7,19 +7,23 @@ strategies consume raw similarities (``SimThr``, ``OneToOne``,
 unlabelled entities on both coordinates; outputs are sorted by source id.
 Argmax ties break to the lowest candidate id throughout.
 
-Each strategy reduces its rows to (entity, best candidate, best score) and
-picks pairs through a shared threshold core or a shared mutual-best core.
+Each strategy reduces its rows to arrays of (entity, best candidate, best
+score) and picks pairs through a shared threshold core or a shared
+mutual-best core.  Refined rows are reduced over their concatenated
+candidates with segmented maxima, so rows of any lengths share one path.
 A raw-similarity block must be ``len(row_ids) × len(col_ids)`` and is read
-in ascending id order, so an ``argmax``'s first index is the lowest id.
+in ascending id order (``calibration._sim_best``, which the refinement's
+assignment uses too), so an ``argmax``'s first index is the lowest id.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ProbRow
+from .calibration import ProbRow, _by_id, _sim_best, _sim_block
 from .kg import MappingSet
 
 PROBABILITY_STRATEGIES = ("UniThr", "BiThr", "MutHighestProb")
@@ -38,52 +42,41 @@ def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:
     )
 
 
-def _row_best(rows: list[ProbRow]) -> tuple[list[int], list[int], list[float]]:
-    """Entities, argmax candidates and top probabilities of refined rows."""
-    return ([row.entity for row in rows], [row.argmax_candidate() for row in rows],
-            [row.top_prob() for row in rows])
+def _row_best(rows: list[ProbRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entities, argmax candidates (lowest id on ties) and top probabilities
+    of refined rows, reduced over their concatenated candidates."""
+    entities = np.fromiter((row.entity for row in rows), np.int64, len(rows))
+    if not rows:
+        return entities, entities, np.zeros(0)
+    sizes = np.fromiter((len(row.cand_ids) for row in rows), np.int64, len(rows))
+    starts = np.cumsum(sizes) - sizes  # every row holds at least one candidate
+    probs = np.concatenate([row.probs for row in rows])
+    ids = np.fromiter(itertools.chain.from_iterable(row.cand_ids for row in rows),
+                      np.int64, len(probs))
+    top = np.maximum.reduceat(probs, starts)
+    tied = probs == np.repeat(top, sizes)
+    best = np.minimum.reduceat(np.where(tied, ids, np.iinfo(np.int64).max), starts)
+    return entities, best, top
 
 
-def _sim_block(sims, row_ids, col_ids) -> np.ndarray:
-    """``sims`` as float64, checked to hold one row per row id and one
-    column per column id."""
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.shape != (len(row_ids), len(col_ids)):
-        raise ValueError(f"similarity block has shape {sims.shape}, but the ids "
-                         f"give shape {(len(row_ids), len(col_ids))}")
-    return sims
-
-
-def _by_id(sims: np.ndarray, ids, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sims`` and ``ids`` reordered along ``axis`` so the ids ascend; no
-    copy when they already do."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.all(ids[1:] > ids[:-1]):
-        return sims, ids
-    order = np.argsort(ids, kind="stable")
-    return sims.take(order, axis=axis), ids[order]
-
-
-def _sim_best(sims, row_ids, col_ids) -> tuple[list[int], list[float]]:
-    """Argmax column ids (lowest id on ties) and maxima of similarity rows."""
-    sims, cols = _by_id(_sim_block(sims, row_ids, col_ids), col_ids, axis=1)
-    if not sims.size:  # no rows, or rows without a column to pick
-        return [], []
-    best = sims.argmax(axis=1)
-    return cols[best].tolist(), sims[np.arange(len(sims)), best].tolist()
+def _picked(entities, best, scores, keep) -> MappingSet:
+    """The pairs ``(entities[i], best[i])`` with score ``scores[i]`` where
+    ``keep[i]``."""
+    return _sorted_mapping(dict(zip(zip(entities[keep].tolist(), best[keep].tolist()),
+                                    scores[keep].tolist())))
 
 
 def _threshold_pick(entities, best, scores, threshold: float) -> MappingSet:
     """Each entity's best pair whose score exceeds ``threshold``."""
-    return _sorted_mapping({(u, b): s for u, b, s in zip(entities, best, scores)
-                            if s > threshold})
+    return _picked(entities, best, scores, scores > threshold)
 
 
 def _mutual_pick(entities, best, scores, rev_entities, rev_best) -> MappingSet:
-    """Each entity's best pair whose candidate's reverse best points back."""
-    back = dict(zip(rev_entities, rev_best))
-    return _sorted_mapping({(u, b): s for u, b, s in zip(entities, best, scores)
-                            if back.get(b) == u})
+    """Each entity's best pair whose candidate's reverse best points back,
+    read through an id map of the reverse picks (ids are nonnegative)."""
+    back = np.full(max(best.max(initial=-1), rev_entities.max(initial=-1)) + 1, -1)
+    back[rev_entities] = rev_best
+    return _picked(entities, best, scores, back[best] == entities)
 
 
 def uni_threshold(rows: list[ProbRow], alpha: float) -> MappingSet:
@@ -118,7 +111,7 @@ def similarity_threshold(
     sims: np.ndarray, row_ids, col_ids, theta: float
 ) -> MappingSet:
     """Baseline: keep each row's argmax pair when its similarity > theta."""
-    return _threshold_pick(row_ids, *_sim_best(sims, row_ids, col_ids), theta)
+    return _threshold_pick(*_sim_best(sims, row_ids, col_ids), theta)
 
 
 @dataclass
@@ -202,6 +195,6 @@ def mutual_nearest(
     rev_col_ids,
 ) -> MappingSet:
     """Baseline: pairs that are mutually nearest under raw similarity."""
-    rev_best, _ = _sim_best(sims_reverse, rev_row_ids, rev_col_ids)
-    return _mutual_pick(fwd_row_ids, *_sim_best(sims_forward, fwd_row_ids, fwd_col_ids),
-                        rev_row_ids, rev_best)
+    rev_entities, rev_best, _ = _sim_best(sims_reverse, rev_row_ids, rev_col_ids)
+    return _mutual_pick(*_sim_best(sims_forward, fwd_row_ids, fwd_col_ids),
+                        rev_entities, rev_best)

@@ -437,11 +437,26 @@ def uni_threshold(rows, alpha: float) -> MappingSet:
     return _pseudo(picked)
 
 
+def bi_threshold(rows_forward, rows_reverse, alpha: float) -> MappingSet:
+    """Every forward row's argmax pair and every reverse row's flipped one
+    whose probability clears ``alpha``; a pair picked from both sides keeps
+    the larger probability."""
+    picked: dict[tuple[int, int], float] = {}
+    for rows, flip in ((rows_forward, False), (rows_reverse, True)):
+        for row in rows:
+            best = row.argmax_candidate()
+            p = float(row.probs[row.cand_ids.index(best)])
+            if p > alpha:
+                pair = (best, row.entity) if flip else (row.entity, best)
+                picked[pair] = max(p, picked.get(pair, p))
+    return _pseudo(picked)
+
+
 def mutual_highest_probability(rows_forward, rows_reverse) -> MappingSet:
     """Pairs whose forward and reverse rows point at each other as argmax."""
     fwd_best = {row.entity: row.argmax_candidate() for row in rows_forward}
     rev_best = {row.entity: row.argmax_candidate() for row in rows_reverse}
-    fwd_prob = {row.entity: row.top_prob() for row in rows_forward}
+    fwd_prob = {row.entity: float(max(row.probs)) for row in rows_forward}
     picked: dict[tuple[int, int], float] = {}
     for u, u_prime in fwd_best.items():
         if rev_best.get(u_prime) == u:

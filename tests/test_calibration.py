@@ -132,6 +132,13 @@ class TestProbRow:
         with pytest.raises(ValueError):
             ProbRow(entity=0, cand_ids=(0, 1), probs=np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0],
+                                       [np.inf, 0.0], [np.inf, -np.inf]])
+    def test_rejects_nonfinite(self, probs):
+        # NaN fails every comparison, so it must not slip past the checks
+        with pytest.raises(ValueError, match="finite"):
+            ProbRow(entity=0, cand_ids=(1, 2), probs=np.array(probs))
+
     def test_validates_unique_ids(self):
         with pytest.raises(ValueError):
             ProbRow(entity=0, cand_ids=(1, 1), probs=np.array([0.5, 0.5]))

@@ -641,3 +641,49 @@ class TestStoryScenarios:
 
         assert p_a > p_b
         assert p_a > 1 / 3 >= p_b
+
+
+class TestIdOrderedBlocks:
+    """The assignment and the refinement read a block whose columns may come
+    in any id order; both must keep the lowest id among tied columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_assignment_matches_reference_on_permuted_ids(self, data):
+        n_rows = data.draw(st.integers(0, 8))
+        col_ids = data.draw(st.permutations(range(data.draw(st.integers(1, 9)))))
+        col_ids = [3 * c + 1 for c in col_ids]  # ids that are not positions
+        row_ids = data.draw(st.permutations(range(n_rows)))
+        labelled = data.draw(st.dictionaries(st.integers(0, 9), st.integers(0, 9),
+                                             max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # two or three levels: most rows tie at their maximum
+        levels = data.draw(st.integers(2, 3))
+        q = rng.integers(0, levels, size=(n_rows, len(col_ids))).astype(float)
+        assert (build_assignment(q, row_ids, col_ids, labelled)
+                == oracle.build_assignment(q, row_ids, col_ids, labelled))
+
+    def test_refined_rows_equal_for_any_column_order(self):
+        rng = np.random.default_rng(5)
+        pair = random_tiny_pair(rng, n=7, t=12, r=2)
+        row_ids, cols = [2, 3, 4, 5, 6], list(range(pair.target.n_entities))
+        q = rng.integers(0, 3, size=(len(row_ids), len(cols))).astype(float)
+        perm = rng.permutation(len(cols))
+        assignment = build_assignment(q, row_ids, cols, {0: 0, 1: 1})
+        assert build_assignment(q[:, perm], row_ids, [cols[j] for j in perm],
+                                {0: 0, 1: 1}) == assignment
+        stats = estimate_relation_stats(pair, assignment)
+        refined = [refine_rows(block, row_ids, ids, pair, stats, assignment, top_k=4)
+                   for block, ids in ((q, cols), (q[:, perm], [cols[j] for j in perm]))]
+        assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[0]] == \
+               [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[1]]
+
+    def test_mis_shaped_block_rejected(self):
+        pair = random_tiny_pair(np.random.default_rng(6))
+        q = np.ones((2, 3))
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
+            build_assignment(q, [0, 1], [10, 11], {})
+        assignment = Assignment(mapping={})
+        stats = estimate_relation_stats(pair, assignment)
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
+            refine_rows(q, [0, 1], [4, 5], pair, stats, assignment, top_k=2)

@@ -180,6 +180,9 @@ class TestMetricsStream:
         ("onetoone", dict(strategy="OneToOne", theta=0.45)),
         # the larger step reaches calibration fixed points in every fit
         ("muthighestprob_lr05", dict(strategy="MutHighestProb", calib_lr=0.5)),
+        # with two candidates per row, refined probabilities clear 0.5 often
+        ("unithr", dict(strategy="UniThr", alpha=0.5, top_k=2)),
+        ("bithr", dict(strategy="BiThr", alpha=0.5, top_k=2)),
     ])
     def test_outputs_match_golden_files(self, twin_dataset_dir, tmp_path, name, overrides):
         # the oracle model runs no BLAS product, so these bytes do not

@@ -283,12 +283,38 @@ class TestAgainstOracle:
 
         assert_same(uni_threshold(fwd_rows, alpha),
                     oracle.uni_threshold(fwd_rows, alpha))
+        assert_same(bi_threshold(fwd_rows, rev_rows, alpha),
+                    oracle.bi_threshold(fwd_rows, rev_rows, alpha))
         assert_same(mutual_highest_probability(fwd_rows, rev_rows),
                     oracle.mutual_highest_probability(fwd_rows, rev_rows))
         assert_same(similarity_threshold(fwd, src, tgt, theta),
                     oracle.similarity_threshold(fwd, src, tgt, theta))
         assert_same(mutual_nearest(fwd, src, tgt, rev, tgt, src),
                     oracle.mutual_nearest(fwd, src, tgt, rev, tgt, src))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ragged_and_empty_rows(self, data):
+        # rows of different lengths, each over its own candidate subset, and
+        # possibly no rows at all on either side
+        src = drawn_ids(data, data.draw(st.integers(0, 6)))
+        tgt = drawn_ids(data, data.draw(st.integers(1, 6)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alpha = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.75]))
+
+        def ragged(entities, cands):
+            return [grid_rows(rng, [u], rng.choice(cands, size=rng.integers(1, len(cands) + 1),
+                                                   replace=False).tolist())[0]
+                    for u in entities]
+
+        fwd_rows = ragged(src, tgt)
+        rev_rows = ragged(tgt, src) if src and data.draw(st.booleans()) else []
+        assert_same(uni_threshold(fwd_rows, alpha),
+                    oracle.uni_threshold(fwd_rows, alpha))
+        assert_same(bi_threshold(fwd_rows, rev_rows, alpha),
+                    oracle.bi_threshold(fwd_rows, rev_rows, alpha))
+        assert_same(mutual_highest_probability(fwd_rows, rev_rows),
+                    oracle.mutual_highest_probability(fwd_rows, rev_rows))
 
     @staticmethod
     def check_one_to_one(data, max_ids: int, pool: int, levels: int):

@@ -114,16 +114,9 @@ def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def calibrate_matrix(sims: np.ndarray, params: CalibrationParams) -> np.ndarray:
-    """Row-wise calibrated probabilities for a dense similarity matrix,
-    computed in one new array."""
+    """Row-wise calibrated probabilities for a dense similarity matrix."""
     sims = np.asarray(sims, dtype=np.float64)
-    z = params.scale * sims
-    z += params.offset
-    z /= params.temperature
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    return _softmax((params.scale * sims + params.offset) / params.temperature)
 
 
 def calibrate_row(

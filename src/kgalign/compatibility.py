@@ -18,24 +18,21 @@ Incoming triples take part as inverse relations: directed relation id
 inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
-a frozen assignment).  Each KG's directed edges live in an ``EdgeTable`` of
-arrays, with its edges joined by endpoint pair; the statistics count over
-the target table's join and ``_FactorModel`` compiles the factor model onto
-it.  A KG never changes, so a caller can build its two tables once
-(``edge_tables``) and pass them to every call; without them a call builds
-its own.  ``tests/oracle.py`` keeps the readable triple-scanning versions
-they are checked against.
+a frozen assignment).  They read each KG's directed edges from its
+``Kg.edges`` table, with its edges joined by endpoint pair; the statistics
+count over the target table's join and ``_FactorModel`` compiles the
+factor model onto it.  ``tests/oracle.py`` keeps the readable
+triple-scanning versions they are checked against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import ProbRow, _by_id, _sim_best, _sim_block, _softmax
-from .kg import Kg, KgPair
+from .kg import Kg, KgPair, _ranges, _run_starts
 
 # rows per refinement block: bounds the (rows x columns) top-k temporaries
 _ROW_BLOCK = 256
@@ -75,29 +72,23 @@ class RelationStats:
     src_trials: dict[int, int] = field(default_factory=dict)
 
 
-def estimate_relation_stats(
-    kg_pair: KgPair,
-    assignment: Assignment,
-    edges: tuple[EdgeTable, EdgeTable] | None = None,
-) -> RelationStats:
+def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> RelationStats:
     """Estimate inverse functionalities and sub-relation probabilities.
 
     Sub-relation trials for a source relation count its directed triples
     whose endpoints both carry assignments; support counts those mirrored by
     an orientation-matched triple between the assigned counterparts.  The
     target-side statistics use the inverted assignment (a set-valued inverse:
-    predictions need not be injective).  ``edges`` are the source and target
-    tables of ``edge_tables(kg_pair)``.
+    predictions need not be injective).
     """
     src, tgt = kg_pair.source, kg_pair.target
     n_src, n_tgt = 2 * src.n_relations, 2 * tgt.n_relations
-    s_edges, t_edges = _pair_edges(kg_pair, edges)
-    s_near, s_rel, s_far = s_edges.near, s_edges.rel, s_edges.far
-    t_near, t_rel, t_far = t_edges.near, t_edges.rel, t_edges.far
+    s_near, s_rel, s_far = src.edges.near, src.edges.rel, src.edges.far
+    t_near, t_rel, t_far = tgt.edges.near, tgt.edges.rel, tgt.edges.far
     y = _assigned(assignment, src.n_entities)
     trial = np.flatnonzero((y[s_near] >= 0) & (y[s_far] >= 0))
     # every (source edge, target edge) pair joining counterpart endpoints
-    i, j = t_edges.pairs.matches(y[s_near[trial]], y[s_far[trial]])
+    i, j = tgt.edges.pairs.matches(y[s_near[trial]], y[s_far[trial]])
     rho_s = s_rel[trial[i]]
     image = np.zeros(tgt.n_entities, dtype=bool)
     image[y[y >= 0]] = True
@@ -206,7 +197,6 @@ def refine_rows(
     assignment: Assignment,
     top_k: int = 10,
     debug_sink: list | None = None,
-    edges: tuple[EdgeTable, EdgeTable] | None = None,
 ) -> list[ProbRow]:
     """One block update of all unlabelled rows against a frozen assignment.
 
@@ -216,8 +206,7 @@ def refine_rows(
     ``len(row_ids) × len(col_ids)``; its row blocks are read in place when
     the column ids ascend.  The caller's ``assignment`` (see
     ``build_assignment``) stays fixed for the whole block, so the result
-    does not depend on the iteration order over rows.  ``edges`` are the
-    source and target tables of ``edge_tables(kg_pair)``.
+    does not depend on the iteration order over rows.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -228,7 +217,7 @@ def refine_rows(
     if k == 0 and row_ids:
         raise ValueError("candidates must be nonempty")
 
-    model = _FactorModel(kg_pair, stats, assignment, edges)
+    model = _FactorModel(kg_pair, stats, assignment)
     blocks = []
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = rows[lo:lo + _ROW_BLOCK]
@@ -268,82 +257,6 @@ def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return ids[cc[order]].reshape(len(q), k)
 
 
-def _edge_table(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(near, rel, far, ptr)``: every triple in both orientations, ``r``
-    read head to tail and ``r + n_relations`` tail to head, grouped by near
-    endpoint.  ``ptr[e]:ptr[e + 1]`` holds ``e``'s outgoing edges, then its
-    incoming ones, each in triple order; factor sums add in this order."""
-    flat = np.fromiter(itertools.chain.from_iterable(kg.triples), np.int64,
-                       3 * len(kg.triples))
-    h, r, t = flat.reshape(-1, 3).T
-    near = np.concatenate([h, t])
-    order = np.argsort(near, kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=kg.n_entities))])
-    return (near[order], np.concatenate([r, r + kg.n_relations])[order],
-            np.concatenate([t, h])[order], ptr)
-
-
-@dataclass(frozen=True)
-class EdgeTable:
-    """One KG's directed-edge table (see ``_edge_table``) and its edges
-    joined by endpoint pair, built by ``EdgeTable.of(kg)``."""
-
-    kg: Kg
-    near: np.ndarray
-    rel: np.ndarray
-    far: np.ndarray
-    ptr: np.ndarray
-    pairs: _PairJoin
-
-    @classmethod
-    def of(cls, kg: Kg) -> EdgeTable:
-        near, rel, far, ptr = _edge_table(kg)
-        return cls(kg, near, rel, far, ptr, _PairJoin(near, far, kg.n_entities))
-
-
-def edge_tables(kg_pair: KgPair) -> tuple[EdgeTable, EdgeTable]:
-    """The source and target edge tables of ``kg_pair``; reversed, they are
-    those of ``kg_pair.swapped()``."""
-    return EdgeTable.of(kg_pair.source), EdgeTable.of(kg_pair.target)
-
-
-def _pair_edges(kg_pair: KgPair,
-                edges: tuple[EdgeTable, EdgeTable] | None) -> tuple[EdgeTable, EdgeTable]:
-    if edges is None:
-        return edge_tables(kg_pair)
-    if edges[0].kg is not kg_pair.source or edges[1].kg is not kg_pair.target:
-        raise ValueError("edge tables belong to another KG pair")
-    return edges
-
-
-class _PairJoin:
-    """Edges grouped by endpoint pair ``near * n + far``, sorted stably so
-    each pair's edges keep their edge-table order: ``order[bounds[i]:
-    bounds[i + 1]]`` are the edges of the pair ``keys[i]``."""
-
-    def __init__(self, near: np.ndarray, far: np.ndarray, n: int):
-        keys = near * n + far
-        self.order = np.argsort(keys, kind="stable")
-        keys = keys[self.order]
-        starts = _run_starts(keys)
-        self.keys, self.n = keys[starts], n
-        self.bounds = np.append(starts, len(keys))
-
-    def find(self, near, far) -> tuple[np.ndarray, np.ndarray]:
-        """``(pair index, hit)`` per queried pair; ``hit`` is False where
-        ``far`` is -1 or no edge joins the pair."""
-        keys = near * self.n + far
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return pos, (far >= 0) & (self.keys[pos] == keys)
-
-    def matches(self, near, far) -> tuple[np.ndarray, np.ndarray]:
-        """``(query index, edge id)`` per edge joining each queried pair."""
-        pos, hit = self.find(near, far)
-        q = np.flatnonzero(hit)
-        owner, idx = _ranges(self.bounds, pos[q])
-        return q[owner], self.order[idx]
-
-
 def _assigned(assignment: Assignment, n: int) -> np.ndarray:
     """The counterpart of each of ``n`` source entities, or -1."""
     y = np.full(n, -1, dtype=np.int64)
@@ -373,27 +286,11 @@ def _log_survival_table(stats: RelationStats, n_src: int, n_tgt: int) -> np.ndar
         return np.log(1.0 - p_ts * src_if[:, None]) + np.log(1.0 - p_st * tgt_if)
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal sorted ``keys``.
-    (``np.unique`` would do, but its first call imports ``numpy.ma``.)"""
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(first)
-
-
 def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``keys``, ascending, and how often each occurs."""
     keys = np.sort(keys)
     starts = _run_starts(keys)
     return keys[starts], np.diff(np.append(starts, len(keys)))
-
-
-def _ranges(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(position in ids, index)`` for every index of ``ptr[i]:ptr[i + 1]``
-    for each ``i`` in ``ids``."""
-    lo, counts = ptr[ids], ptr[ids + 1] - ptr[ids]
-    owner = np.repeat(np.arange(len(ids)), counts)
-    return owner, np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def _row_sums(owner: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -415,16 +312,14 @@ class _FactorModel:
     its source edges, so ``1 - exp(sum)`` is its score.
     """
 
-    def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment,
-                 edges: tuple[EdgeTable, EdgeTable] | None = None):
+    def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
         src, tgt = kg_pair.source, kg_pair.target
-        s_edges, t_edges = _pair_edges(kg_pair, edges)
-        self.rel, self.far, self.ptr = s_edges.rel, s_edges.far, s_edges.ptr
+        self.rel, self.far, self.ptr = src.edges.rel, src.edges.far, src.edges.ptr
         self.y = _assigned(assignment, src.n_entities)
 
         log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
-        self.pairs = t_edges.pairs
-        self.table = np.add.reduceat(log_surv.T[t_edges.rel[self.pairs.order]],
+        self.pairs = tgt.edges.pairs
+        self.table = np.add.reduceat(log_surv.T[tgt.edges.rel[self.pairs.order]],
                                      self.pairs.bounds[:-1], axis=0)
 
     def edge_log_survival(self, rel, y_near, y_far) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Entities and relations are interned to dense integer ids at load time (by
 first appearance); all downstream numerics work on ids.  A ``Kg`` is
-immutable after construction.
+immutable after construction, so its directed-edge table (``Kg.edges``) is
+built once, on first use, and never goes stale.
 
 File formats:
   * triples: UTF-8, one ``head<TAB>relation<TAB>tail`` per line (LF or CRLF)
@@ -15,8 +16,10 @@ pinned PRNG for cross-run reproducibility.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,12 @@ class Kg:
     @property
     def n_relations(self) -> int:
         return len(self.relation_labels)
+
+    @cached_property
+    def edges(self) -> EdgeTable:
+        """This KG's directed-edge table, built on first use."""
+        near, rel, far, ptr = _edge_table(self)
+        return EdgeTable(near, rel, far, ptr, _PairJoin(near, far, self.n_entities))
 
     @staticmethod
     def from_label_triples(
@@ -111,6 +120,77 @@ class Kg:
             entity_ids=ent_ids,
             relation_ids=rel_ids,
         )
+
+
+def _edge_table(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(near, rel, far, ptr)``: every triple in both orientations, ``r``
+    read head to tail and ``r + n_relations`` tail to head, grouped by near
+    endpoint.  ``ptr[e]:ptr[e + 1]`` holds ``e``'s outgoing edges, then its
+    incoming ones, each in triple order; factor sums add in this order."""
+    flat = np.fromiter(itertools.chain.from_iterable(kg.triples), np.int64,
+                       3 * len(kg.triples))
+    h, r, t = flat.reshape(-1, 3).T
+    near = np.concatenate([h, t])
+    order = np.argsort(near, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=kg.n_entities))])
+    return (near[order], np.concatenate([r, r + kg.n_relations])[order],
+            np.concatenate([t, h])[order], ptr)
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """One KG's directed-edge table (see ``_edge_table``) and its edges
+    joined by endpoint pair."""
+
+    near: np.ndarray
+    rel: np.ndarray
+    far: np.ndarray
+    ptr: np.ndarray
+    pairs: _PairJoin
+
+
+class _PairJoin:
+    """Edges grouped by endpoint pair ``near * n + far``, sorted stably so
+    each pair's edges keep their edge-table order: ``order[bounds[i]:
+    bounds[i + 1]]`` are the edges of the pair ``keys[i]``."""
+
+    def __init__(self, near: np.ndarray, far: np.ndarray, n: int):
+        keys = near * n + far
+        self.order = np.argsort(keys, kind="stable")
+        keys = keys[self.order]
+        starts = _run_starts(keys)
+        self.keys, self.n = keys[starts], n
+        self.bounds = np.append(starts, len(keys))
+
+    def find(self, near, far) -> tuple[np.ndarray, np.ndarray]:
+        """``(pair index, hit)`` per queried pair; ``hit`` is False where
+        ``far`` is -1 or no edge joins the pair."""
+        keys = near * self.n + far
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return pos, (far >= 0) & (self.keys[pos] == keys)
+
+    def matches(self, near, far) -> tuple[np.ndarray, np.ndarray]:
+        """``(query index, edge id)`` per edge joining each queried pair."""
+        pos, hit = self.find(near, far)
+        q = np.flatnonzero(hit)
+        owner, idx = _ranges(self.bounds, pos[q])
+        return q[owner], self.order[idx]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal sorted ``keys``.
+    (``np.unique`` would do, but its first call imports ``numpy.ma``.)"""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(first)
+
+
+def _ranges(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(position in ids, index)`` for every index of ``ptr[i]:ptr[i + 1]``
+    for each ``i`` in ``ids``."""
+    lo, counts = ptr[ids], ptr[ids + 1] - ptr[ids]
+    owner = np.repeat(np.arange(len(ids)), counts)
+    return owner, np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def load_kg(triples_path: str | Path) -> Kg:
@@ -203,9 +283,11 @@ class Partition:
 def partition_mappings(links: MappingSet, ratio: float, seed: int) -> Partition:
     """Shuffle links with PCG64(seed) and take a prefix as labelled data.
 
-    ``|labelled| = round(ratio * |links|)``.  Raises ``ValueError`` when the
-    rounded split would leave either side empty.
+    ``|labelled| = round(ratio * |links|)``.  Raises ``ValueError`` for a
+    negative seed and when the rounded split would leave either side empty.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
     if len(links) < 2:

@@ -25,7 +25,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +91,10 @@ class RunConfig:
         if not (0.0 < self.ratio < 1.0):
             raise ConfigError("ratio must be in (0,1)")
         for name, low, strict in (  # (field, lower bound, bound excluded)
-            ("iterations", 1, False), ("epochs", 1, False), ("top_k", 1, False),
-            ("dim", 1, False), ("negatives", 1, False), ("margin", 0.0, False),
-            ("lr", 0.0, True), ("calib_lr", 0.0, True), ("calib_epochs", 0, False),
+            ("seed", 0, False), ("iterations", 1, False), ("epochs", 1, False),
+            ("top_k", 1, False), ("dim", 1, False), ("negatives", 1, False),
+            ("margin", 0.0, False), ("lr", 0.0, True), ("calib_lr", 0.0, True),
+            ("calib_epochs", 0, False),
         ):
             value = getattr(self, name)
             if not (math.isfinite(value) and (value > low if strict else value >= low)):
@@ -260,11 +260,6 @@ class SelfTrainRun:
     def __init__(self, config: RunConfig, run_dir: str | Path | None = None):
         config.validate()
         self.config = config
-        if run_dir:
-            self.run_dir = Path(run_dir)
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-        else:
-            self.run_dir = prepare_run_dir(config)
         self.pair, self.links = load_dataset(config.dataset_dir)
         self.partition = partition_mappings(self.links, config.ratio, config.seed)
         self.labelled_fwd = dict(self.partition.labelled.pairs)
@@ -275,6 +270,12 @@ class SelfTrainRun:
         self.unlab_src = sorted(set(range(n_src)) - set(self.labelled_fwd))
         self.unlab_tgt = sorted(set(range(n_tgt)) - set(self.labelled_rev))
         self.model = self._build_model()
+        # made only now, so a failed set-up leaves no empty run directory
+        if run_dir:
+            self.run_dir = Path(run_dir)
+            self.run_dir.mkdir(parents=True, exist_ok=True)
+        else:
+            self.run_dir = prepare_run_dir(config)
         self.one_to_one_state = strategies.OneToOneState()
         self.reports: list[IterationReport] = []
         self._calibration_log: list[tuple[str, CalibrationParams]] = []
@@ -302,15 +303,8 @@ class SelfTrainRun:
     # per-direction pipeline
     # ------------------------------------------------------------------
 
-    @cached_property
-    def _edges(self) -> tuple[compatibility.EdgeTable, compatibility.EdgeTable]:
-        """Both KGs' edge tables, built on the first refinement of the run."""
-        return compatibility.edge_tables(self.pair)
-
     def _refined_direction(
-        self, oriented: KgPair,
-        edges: tuple[compatibility.EdgeTable, compatibility.EdgeTable],
-        sims: SimMatrix, labelled: dict[int, int],
+        self, oriented: KgPair, sims: SimMatrix, labelled: dict[int, int],
         row_ids: list[int], col_ids: list[int], iteration: int, tag: str,
     ) -> list[ProbRow]:
         cfg = self.config
@@ -326,11 +320,11 @@ class SelfTrainRun:
                                    f"reverses the similarity order: {calib}")
         block = sims.scores[np.ix_(row_ids, col_ids)]
         assignment = compatibility.build_assignment(block, row_ids, col_ids, labelled)
-        stats = compatibility.estimate_relation_stats(oriented, assignment, edges)
+        stats = compatibility.estimate_relation_stats(oriented, assignment)
         sink: list | None = [] if cfg.debug_dump else None
         rows = compatibility.refine_rows(
             block, row_ids, col_ids, oriented, stats, assignment,
-            top_k=cfg.top_k, debug_sink=sink, edges=edges,
+            top_k=cfg.top_k, debug_sink=sink,
         )
         if sink is not None:
             self._write_debug(sink, iteration, tag)
@@ -348,11 +342,11 @@ class SelfTrainRun:
         if cfg.strategy in strategies.PROBABILITY_STRATEGIES:
             sim_rev = self.model.similarities(TGT_TO_SRC)
             fwd_rows = self._refined_direction(
-                self.pair, self._edges, sim_fwd, self.labelled_fwd,
+                self.pair, sim_fwd, self.labelled_fwd,
                 self.unlab_src, self.unlab_tgt, iteration, "fwd",
             )
             rev_rows = self._refined_direction(
-                self.pair.swapped(), self._edges[::-1], sim_rev, self.labelled_rev,
+                self.pair.swapped(), sim_rev, self.labelled_rev,
                 self.unlab_tgt, self.unlab_src, iteration, "rev",
             )
             if cfg.strategy == "UniThr":

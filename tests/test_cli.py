@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from kgalign.kg import load_dataset
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.simio import read_sim_matrix, write_sim_matrix
 from oracle import top_k_of
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture()
@@ -96,6 +99,17 @@ class TestRunCommand:
         code = main(["run", "--config", str(run_conf)] + flags)
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ratio", "0.999"], "empty test set"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_failed_setup_leaves_no_run_directory(self, run_conf, tmp_path, capsys,
+                                                  flags, message):
+        code = main(["run", "--config", str(run_conf)] + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_sim_file_with_internal_model_exits_one(self, run_conf, tmp_path, capsys):
@@ -216,6 +230,27 @@ class TestImportSim:
 
 
 class TestStatsAndEval:
+    @pytest.mark.parametrize("command", ["partition", "stats", "eval"])
+    def test_negative_seed_exits_one_naming_seed(self, twin_dataset_dir, tmp_path,
+                                                 capsys, command):
+        args = {
+            "partition": ["--links", str(twin_dataset_dir / "ent_links"),
+                          "--ratio", "0.3", "--out", str(tmp_path / "p")],
+            "stats": ["--dataset-dir", str(twin_dataset_dir),
+                      "--out", str(tmp_path / "stats.tsv")],
+            "eval": ["--dataset-dir", str(twin_dataset_dir),
+                     "--pseudo-file", str(twin_dataset_dir / "ent_links")],
+        }[command]
+        assert main([command, "--seed", "-1"] + args) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stats_match_golden_files(self, dbp_sample_dir, tmp_path, seed):
+        out = tmp_path / "stats.tsv"
+        assert main(["stats", "--dataset-dir", str(dbp_sample_dir), "--ratio", "0.3",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "stats" / f"seed{seed}.tsv").read_bytes()
+
     def test_stats_dump(self, twin_dataset_dir, tmp_path):
         out = tmp_path / "stats.tsv"
         assert main(["stats", "--dataset-dir", str(twin_dataset_dir),

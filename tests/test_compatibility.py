@@ -15,8 +15,8 @@ from kgalign.compatibility import (
     local_compatibility,
     refine_rows,
 )
-from kgalign.compatibility import _edge_table, edge_tables
-from kgalign.kg import Kg, KgPair
+from kgalign import kg as kg_module
+from kgalign.kg import Kg, KgPair, _edge_table
 
 
 def kg_of(triples, extra=()):
@@ -71,36 +71,23 @@ class TestEdgeTable:
         assert oracle.neighbors(kg, b) == (a, d)
 
 
-class TestPrebuiltEdgeTables:
-    """Tables built once per KG pair serve both orientations and give the
-    results the calls get from tables of their own."""
+class TestSharedEdgeTables:
+    """Each KG builds its table once, and both orientations of a pair read
+    the same two tables."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_same_stats_and_rows_in_both_orientations(self, data):
-        pair = KgPair(oracle.random_kg(data, "a"), oracle.random_kg(data, "b"))
-        edges = edge_tables(pair)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        for oriented, tables in ((pair, edges), (pair.swapped(), edges[::-1])):
-            n_src, n_tgt = oriented.source.n_entities, oriented.target.n_entities
-            assignment = Assignment(mapping=data.draw(st.dictionaries(
-                st.integers(0, n_src - 1), st.integers(0, n_tgt - 1))))
-            stats = estimate_relation_stats(oriented, assignment, tables)
-            assert stats == estimate_relation_stats(oriented, assignment)
-            q = rng.integers(0, 3, size=(n_src, n_tgt)).astype(float)
-            args = (q, range(n_src), range(n_tgt), oriented, stats, assignment)
-            got = refine_rows(*args, top_k=2, edges=tables)
-            want = refine_rows(*args, top_k=2)
-            assert [(r.entity, r.cand_ids) for r in got] == [
-                (r.entity, r.cand_ids) for r in want]
-            for a, b in zip(got, want):
-                assert np.array_equal(a.probs, b.probs)
-
-    def test_tables_of_another_pair_rejected(self):
+    def test_tables_built_once_and_shared_by_both_orientations(self, monkeypatch):
+        built = []
+        original = kg_module._edge_table
+        monkeypatch.setattr(kg_module, "_edge_table",
+                            lambda kg: built.append(kg) or original(kg))
         pair = random_tiny_pair(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="another KG pair"):
-            estimate_relation_stats(pair.swapped(), Assignment(mapping={}),
-                                    edge_tables(pair))
+        assignment = Assignment(mapping={0: 1, 2: 3, 4: 0})
+        stats = estimate_relation_stats(pair, assignment)
+        assert [id(kg) for kg in built] == [id(pair.source), id(pair.target)]
+        assert estimate_relation_stats(pair, assignment) == stats
+        assert pair.swapped().source.edges is pair.target.edges
+        assert pair.swapped().target.edges is pair.source.edges
+        assert len(built) == 2
 
 
 def inverse_functionality(kg: Kg) -> dict[int, float]:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from kgalign import compatibility, selftrain
+from kgalign import kg as kg_module
 from kgalign.calibration import CalibrationParams
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC
 from kgalign.selftrain import (
@@ -78,7 +79,7 @@ class TestConfig:
         ("lr", float("inf")), ("lr", float("nan")), ("margin", float("inf")),
         ("margin", float("nan")), ("calib_lr", float("inf")),
         ("calib_lr", float("nan")), ("theta", float("nan")),
-        ("theta", float("inf")), ("theta", float("-inf")),
+        ("theta", float("inf")), ("theta", float("-inf")), ("seed", -1),
     ])
     def test_bad_hyperparameter_rejected(self, twin_dataset_dir, tmp_path,
                                          field, value):
@@ -329,13 +330,13 @@ class TestLoopContracts:
     def test_edge_tables_built_once_per_run(self, twin_dataset_dir, tmp_path,
                                             monkeypatch):
         built = []
-        original = compatibility.EdgeTable.of.__func__
+        original = kg_module._edge_table
 
-        def counting(cls, kg):
+        def counting(kg):
             built.append(kg)
-            return original(cls, kg)
+            return original(kg)
 
-        monkeypatch.setattr(compatibility.EdgeTable, "of", classmethod(counting))
+        monkeypatch.setattr(kg_module, "_edge_table", counting)
         run = SelfTrainRun(base_config(twin_dataset_dir, tmp_path, iterations=3))
         run.run()
         assert len(built) == 2

@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
         )
         test_src = [s for s, _ in part.test.pairs]
         truth = np.array([t for _, t in part.test.pairs])
-        report = evaluate_rows(matrix.scores[test_src], truth)
+        report = evaluate_rows(matrix.row_slabs(test_src), truth)
         out.update(hit1=report.hit1, hit10=report.hit10, mrr=report.mrr)
     if args.pseudo_file:
         id_pairs = []

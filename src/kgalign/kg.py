@@ -29,8 +29,8 @@ class KgFormatError(ValueError):
     """Raised for malformed triple/link files."""
 
 
-def _read_rows(path: str | Path, n_fields: int) -> list[tuple[str, ...]]:
-    rows = []
+def _numbered_rows(path: str | Path, n_fields: int):
+    """``(line number, fields)`` of each nonempty line of ``path``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -42,8 +42,11 @@ def _read_rows(path: str | Path, n_fields: int) -> list[tuple[str, ...]]:
                     f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
                     f"got {len(fields)}"
                 )
-            rows.append(tuple(fields))
-    return rows
+            yield lineno, tuple(fields)
+
+
+def _read_rows(path: str | Path, n_fields: int) -> list[tuple[str, ...]]:
+    return [fields for _, fields in _numbered_rows(path, n_fields)]
 
 
 @dataclass(frozen=True)
@@ -309,10 +312,23 @@ def partition_mappings(links: MappingSet, ratio: float, seed: int) -> Partition:
 
 
 def load_links_file(path: str | Path) -> list[tuple[str, str]]:
-    rows = _read_rows(path, 2)
+    """The ``(source, target)`` label rows of a links file.  Exact repeats
+    are kept (callers drop them); a source or target linked to a second,
+    different partner raises ``KgFormatError`` naming the line."""
+    rows: list[tuple[str, str]] = []
+    of_source: dict[str, str] = {}
+    of_target: dict[str, str] = {}
+    for lineno, (s, t) in _numbered_rows(path, 2):
+        for role, label, partner, linked in (("source", s, t, of_source),
+                                             ("target", t, s, of_target)):
+            first = linked.setdefault(label, partner)
+            if first != partner:
+                raise KgFormatError(
+                    f"{path}:{lineno}: {role} {label!r} is already linked to {first!r}")
+        rows.append((s, t))
     if not rows:
         raise KgFormatError(f"{path}: empty links file")
-    return rows  # type: ignore[return-value]
+    return rows
 
 
 def load_dataset(dataset_dir: str | Path) -> tuple[KgPair, MappingSet]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .kg import KgPair, MappingSet
 
 SRC_TO_TGT = "src_to_tgt"
 TGT_TO_SRC = "tgt_to_src"
+
+# rows per slab of a similarity pass: bounds its (rows x columns) temporaries
+SLAB_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,29 @@ class SimMatrix:
             raise ValueError("similarities must be finite")
         if self.direction not in (SRC_TO_TGT, TGT_TO_SRC):
             raise ValueError(f"bad direction: {self.direction!r}")
+
+    def row_slabs(self, row_ids) -> Iterator[np.ndarray]:
+        """``scores[row_ids]`` in consecutive slabs of ``SLAB_ROWS`` rows,
+        each a fresh C-ordered copy, so a pass holds one slab at a time.
+
+        A row of a transposed view is a column of the C-ordered matrix under
+        it.  A slab of such rows is copied from the column range its ids
+        span, in tiles of ``SLAB_ROWS`` rows of that matrix, instead of by
+        one strided gather over the whole matrix.
+        """
+        ids = np.asarray(row_ids, dtype=np.int64)
+        under = self.scores.T
+        for lo in range(0, len(ids), SLAB_ROWS):
+            slab = ids[lo:lo + SLAB_ROWS]
+            if not under.flags.c_contiguous:
+                yield self.scores[slab]
+                continue
+            first = slab.min()
+            span, local = slice(first, slab.max() + 1), slab - first
+            out = np.empty((len(slab), len(under)))
+            for t in range(0, len(under), SLAB_ROWS):
+                out[:, t:t + SLAB_ROWS] = under[t:t + SLAB_ROWS, span][:, local].T
+            yield out
 
     def transposed(self) -> SimMatrix:
         """The other direction's matrix over the same scores: a transposed

@@ -254,6 +254,47 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def refine_slabs(
+    oriented: KgPair, sims: SimMatrix, labelled: dict[int, int],
+    row_ids: list[int], col_ids: list[int], top_k: int,
+    debug_sink: list | None = None,
+) -> tuple[compatibility.Assignment, list[ProbRow]]:
+    """The frozen assignment and the refined ``row_ids`` rows over the
+    candidates ``col_ids``, read from ``sims`` one row slab at a time.
+
+    A first pass builds the assignment, a second refines against it.  Both
+    are row-independent, so they equal one pass over the
+    ``(row_ids, col_ids)`` block, which is never built.  Each slab spans all
+    columns, those outside ``col_ids`` at -inf, so ``top_k`` is capped by
+    the number of ``col_ids``.
+    """
+    top_k = min(top_k, len(col_ids))
+    if row_ids and not top_k:
+        raise ValueError("candidates must be nonempty")
+    all_cols = np.arange(sims.scores.shape[1])
+    keep = np.zeros(len(all_cols), dtype=bool)
+    keep[col_ids] = True
+    masked = np.flatnonzero(~keep)
+
+    def slabs():
+        lo = 0
+        for q in sims.row_slabs(row_ids):
+            q[:, masked] = -np.inf
+            yield row_ids[lo:lo + len(q)], q
+            lo += len(q)
+
+    mapping = dict(labelled)
+    for ids, q in slabs():
+        mapping.update(compatibility.build_assignment(q, ids, all_cols, labelled).mapping)
+    assignment = compatibility.Assignment(mapping=mapping)
+    stats = compatibility.estimate_relation_stats(oriented, assignment)
+    rows: list[ProbRow] = []
+    for ids, q in slabs():
+        rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, assignment,
+                                          top_k=top_k, debug_sink=debug_sink)
+    return assignment, rows
+
+
 class SelfTrainRun:
     """One experiment: loads data, partitions, builds the model, iterates."""
 
@@ -318,14 +359,9 @@ class SelfTrainRun:
         if not calib.scale > 0.0:  # only then is the raw order the calibrated one
             raise CalibrationError(f"{tag} calibration at iteration {iteration} "
                                    f"reverses the similarity order: {calib}")
-        block = sims.scores[np.ix_(row_ids, col_ids)]
-        assignment = compatibility.build_assignment(block, row_ids, col_ids, labelled)
-        stats = compatibility.estimate_relation_stats(oriented, assignment)
         sink: list | None = [] if cfg.debug_dump else None
-        rows = compatibility.refine_rows(
-            block, row_ids, col_ids, oriented, stats, assignment,
-            top_k=cfg.top_k, debug_sink=sink,
-        )
+        _, rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids,
+                               cfg.top_k, debug_sink=sink)
         if sink is not None:
             self._write_debug(sink, iteration, tag)
         return rows
@@ -381,7 +417,7 @@ class SelfTrainRun:
     def _evaluate(self, sim_fwd: SimMatrix):
         test_src = [s for s, _ in self.test.pairs]
         truth_cols = np.array([t for _, t in self.test.pairs])
-        return evaluate_rows(sim_fwd.scores[test_src], truth_cols)
+        return evaluate_rows(sim_fwd.row_slabs(test_src), truth_cols)
 
     def _emit(self, report: IterationReport, fit_s: float) -> None:
         self.reports.append(report)

@@ -20,6 +20,10 @@ The calibration references compute every step into a fresh temporary;
 the package's in-place versions must match them bit for bit.  The fit
 reference runs every epoch, with no exit at a fixed point.
 
+``refine_one_block`` is the refinement as one block over the gathered
+``(row_ids, col_ids)`` similarities; the package reads row slabs in place
+and must return the same assignment and rows.
+
 The strategy references at the end pick pairs one strategy at a time, by
 dict lookups and rescans, and order the one-to-one edges with Python's
 ``sorted``.  The package's strategies must return the same pairs and scores.
@@ -33,6 +37,7 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
+from kgalign import compatibility
 from kgalign.calibration import CalibrationError, CalibrationParams, argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet
@@ -144,6 +149,18 @@ def refine_rows(q, row_ids, col_ids, kg_pair, stats, assignment: Assignment, top
         cands = tuple(col_ids[j] for j in order[:top_k])
         out.append((cands, compatibility_sums(u, cands, assignment, kg_pair, stats)))
     return out
+
+
+def refine_one_block(oriented, sims: SimMatrix, labelled, row_ids, col_ids, top_k,
+                     debug_sink=None) -> tuple[Assignment, list]:
+    """The assignment and refined rows from one gathered block, with the
+    package's array kernels, as the run computed them before it read slabs."""
+    block = sims.scores[np.ix_(row_ids, col_ids)]
+    assignment = compatibility.build_assignment(block, row_ids, col_ids, labelled)
+    stats = compatibility.estimate_relation_stats(oriented, assignment)
+    return assignment, compatibility.refine_rows(
+        block, row_ids, col_ids, oriented, stats, assignment, top_k=top_k,
+        debug_sink=debug_sink)
 
 
 def relation_inverse_functionality(kg) -> dict[int, float]:

@@ -314,3 +314,37 @@ class TestStatsAndEval:
     def test_eval_without_inputs_fails(self, twin_dataset_dir, capsys):
         code = main(["eval", "--dataset-dir", str(twin_dataset_dir)])
         assert code == 1
+
+
+class TestLinksFile:
+    """A links file is one-to-one: exact repeats are dropped, but an entity
+    linked to a second partner is a format error."""
+
+    def dataset(self, tmp_path, links: str):
+        d = tmp_path / "ds"
+        d.mkdir()
+        (d / "rel_triples_1").write_text("a\tr\tb\nc\tr\td\n", encoding="utf-8")
+        (d / "rel_triples_2").write_text("w\ts\tx\ny\ts\tz\n", encoding="utf-8")
+        (d / "ent_links").write_text(links, encoding="utf-8")
+        return d
+
+    @pytest.mark.parametrize("links, line, message", [
+        ("a\tw\nb\tx\n\na\tx\n", 4, "source 'a' is already linked to 'w'"),
+        ("a\tw\nb\tw\n", 2, "target 'w' is already linked to 'a'"),
+    ])
+    @pytest.mark.parametrize("command", ["stats", "partition"])
+    def test_entity_linked_twice_exits_one_naming_line(self, tmp_path, capsys,
+                                                       links, line, message, command):
+        d = self.dataset(tmp_path, links)
+        args = {"stats": ["--dataset-dir", str(d), "--out", str(tmp_path / "s.tsv")],
+                "partition": ["--links", str(d / "ent_links"), "--ratio", "0.5",
+                              "--seed", "0", "--out", str(tmp_path / "p")]}[command]
+        assert main([command] + args) == 1
+        assert f"{d / 'ent_links'}:{line}: {message}" in capsys.readouterr().err
+
+    def test_exact_repeats_are_dropped(self, tmp_path, capsys):
+        d = self.dataset(tmp_path, "a\tw\nb\tx\na\tw\nc\ty\nd\tz\n")
+        assert main(["stats", "--dataset-dir", str(d), "--ratio", "0.5",
+                     "--out", str(tmp_path / "s.tsv")]) == 0
+        _, links = load_dataset(d)
+        assert links.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))

@@ -15,6 +15,7 @@ from kgalign.compatibility import (
     local_compatibility,
     refine_rows,
 )
+from kgalign import compatibility
 from kgalign import kg as kg_module
 from kgalign.kg import Kg, KgPair, _edge_table
 
@@ -567,6 +568,30 @@ class TestZeroSurvival:
         np.testing.assert_allclose(row.probs, oracle.softmax(np.array([0.0, 3.0, 0.0])),
                                    rtol=0, atol=1e-12)
         assert row.argmax_candidate() == 1
+
+
+class TestFactorTable:
+    """``_FactorModel.table`` sums each target pair's log survival rows as
+    ``np.add.reduceat`` over the gathered rows did, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_segment_sums_are_reduceat(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        n_rows, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        # magnitudes far apart make any change in the order of the adds show
+        rows = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-8, 8, (n_rows, width))
+        rows[rng.random((n_rows, width)) < 0.15] = -np.inf
+        # mostly one to four edges per pair, now and then past eight, where
+        # reduceat's pairwise sum of the later rows changes its order
+        counts = data.draw(st.lists(st.one_of(st.integers(1, 4), st.integers(5, 12)),
+                                    min_size=1, max_size=40))
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        idx = rng.integers(0, n_rows, size=bounds[-1])
+        got = compatibility._segment_sums(rows, idx, bounds)
+        want = np.add.reduceat(rows[idx], bounds[:-1], axis=0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestStoryScenarios:

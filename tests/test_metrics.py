@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgalign import models
 from kgalign.kg import MappingSet
 from kgalign.metrics import evaluate_rows, pseudo_quality, truth_ranks
+from kgalign.models import SimMatrix
 
 
 def naive_rank(row, truth_col):
@@ -68,6 +72,29 @@ class TestRanks:
         assert report.hit1 <= report.hit10 <= 1.0
         assert report.hit1 <= report.mrr <= 1.0
         assert np.all(truth_ranks(rows, truths) <= 12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_slabbed_evaluation_is_bitwise_the_gathered_one(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 8))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 3, size=(n_rows, n_cols)).astype(float)  # tie-heavy
+        sims = SimMatrix(scores=scores)
+        if data.draw(st.booleans(), label="transposed"):
+            sims = SimMatrix(scores=np.ascontiguousarray(scores.T)).transposed()
+        test_src = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1,
+                                      max_size=n_rows, unique=True))
+        truth = rng.integers(0, n_cols, size=len(test_src))
+        slab = data.draw(st.integers(1, len(test_src) + 1), label="slab rows")
+        with mock.patch.object(models, "SLAB_ROWS", slab):
+            got = evaluate_rows(sims.row_slabs(test_src), truth)
+        assert got == evaluate_rows(sims.scores[test_src], truth)
+
+    def test_slabs_must_cover_the_truths(self):
+        rows = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            evaluate_rows(iter([rows[:2]]), np.array([0, 1, 0]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)

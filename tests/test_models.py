@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from kgalign import models
 from kgalign.kg import KgPair, MappingSet, load_dataset, partition_mappings
 from kgalign.models import (
     SRC_TO_TGT,
@@ -430,6 +433,32 @@ class TestSimMatrix:
         dense = SimMatrix(scores=np.array([[0.1, 0.5, 0.3], [0.9, 0.2, 0.4]]))
         top = oracle.top_k_of(dense, k=2)
         assert np.all(np.diff(top.scores, axis=1) <= 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_row_slabs_equal_gathered_rows(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        base = np.random.default_rng(seed).normal(size=(n_cols, n_rows))
+        # the transposed view is read from column ranges of `base` in tiles,
+        # the C-ordered one row by row
+        sims = data.draw(st.sampled_from([
+            SimMatrix(scores=base).transposed(),
+            SimMatrix(scores=np.ascontiguousarray(base.T))]), label="layout")
+        # ascending ids with rows dropped, as the unlabelled rows are, or any order
+        ids = data.draw(st.lists(st.integers(0, n_rows - 1), unique=True, max_size=n_rows))
+        if data.draw(st.booleans(), label="sorted"):
+            ids.sort()
+        slab = data.draw(st.integers(1, n_rows + 1), label="slab rows")
+        with mock.patch.object(models, "SLAB_ROWS", slab):
+            slabs = list(sims.row_slabs(ids))
+        assert [len(q) for q in slabs] == [len(ids[lo:lo + slab])
+                                            for lo in range(0, len(ids), slab)]
+        for q in slabs:
+            assert q.flags.c_contiguous and q.flags.writeable
+            assert not np.shares_memory(q, sims.scores)
+        got = np.concatenate(slabs) if slabs else np.zeros((0, n_cols))
+        assert same_bits(got, sims.scores[ids])
 
 
 def _fitted_aligner(pair, links):

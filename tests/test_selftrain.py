@@ -1,13 +1,20 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgalign import compatibility, selftrain
+import oracle
+from kgalign import compatibility, models, selftrain
 from kgalign import kg as kg_module
 from kgalign.calibration import CalibrationParams
-from kgalign.models import SRC_TO_TGT, TGT_TO_SRC
+from kgalign.kg import KgPair
+from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import (
     ConfigError,
     RunConfig,
@@ -16,9 +23,11 @@ from kgalign.selftrain import (
     config_hash,
     metrics_line,
     parse_config_file,
+    refine_slabs,
     run_selftrain,
     run_supervised,
 )
+from kgalign.synth import write_twin_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -477,3 +486,67 @@ class TestMetricsLine:
         assert list(obj.keys()) == METRIC_FIELDS
         assert obj["seconds"] == 0.0
         assert obj["pseudo_count"] == 3
+
+
+class TestSlabbedRefinement:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_one_block(self, data):
+        pair = KgPair(oracle.random_kg(data, "a", 9), oracle.random_kg(data, "b", 9))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        n_lab = data.draw(st.integers(0, min(n_src, n_tgt)))
+        src = data.draw(st.permutations(range(n_src)))[:n_lab]
+        tgt = data.draw(st.permutations(range(n_tgt)))[:n_lab]
+        # a coarse grid makes ties common, in the argmax and in the top k
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        forward = SimMatrix(np.random.default_rng(seed).integers(
+            0, 4, size=(n_src, n_tgt)).astype(float))
+        if data.draw(st.booleans(), label="reverse"):
+            # rows of the transposed view: columns of the C-ordered product
+            oriented, sims, labelled = pair.swapped(), forward.transposed(), dict(zip(tgt, src))
+            n_rows, n_cols = n_tgt, n_src
+        else:
+            oriented, sims, labelled = pair, forward, dict(zip(src, tgt))
+            n_rows, n_cols = n_src, n_tgt
+        row_ids = sorted(set(range(n_rows)) - set(labelled))
+        col_ids = sorted(set(range(n_cols)) - set(labelled.values()))
+        top_k = data.draw(st.integers(1, 5))
+        slab = data.draw(st.sampled_from([1, 2, 3, n_rows + 1]), label="slab rows")
+
+        ref_sink: list = []
+        try:
+            ref_assignment, ref_rows = oracle.refine_one_block(
+                oriented, sims, labelled, row_ids, col_ids, top_k, ref_sink)
+        except ValueError as exc:  # unlabelled rows but no unlabelled column
+            with pytest.raises(ValueError, match=str(exc)):
+                refine_slabs(oriented, sims, labelled, row_ids, col_ids, top_k)
+            return
+        sink: list = []
+        with mock.patch.object(models, "SLAB_ROWS", slab):
+            assignment, rows = refine_slabs(oriented, sims, labelled, row_ids,
+                                            col_ids, top_k, debug_sink=sink)
+        assert list(assignment.mapping.items()) == list(ref_assignment.mapping.items())
+        assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in rows] == [
+            (r.entity, r.cand_ids, r.probs.tobytes()) for r in ref_rows]
+        assert sink == ref_sink
+
+    def test_memory_stays_below_half_a_matrix(self, tmp_path):
+        # one MutHighestProb iteration's pseudo generation and evaluation on
+        # the benchmark's n=3000 oracle twin; one gathered n x n block of
+        # either pass alone would exceed the bound
+        n = 3000
+        data = write_twin_dataset(tmp_path / "ds", n_entities=n, n_triples=4 * n,
+                                  n_relations=8, perturbation=0.1, seed=11)
+        run = SelfTrainRun(RunConfig(
+            dataset_dir=str(data), model="oracle", oracle_noise=0.3, ratio=0.05,
+            iterations=1, epochs=1, out_dir=str(tmp_path / "runs")))
+        sim_fwd = run.model.similarities(SRC_TO_TGT)
+        tracemalloc.start()
+        try:
+            run._generate_pseudo(sim_fwd, 0)
+            run._evaluate(sim_fwd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = sim_fwd.scores.size * sim_fwd.scores.itemsize
+        assert peak < 0.5 * matrix_bytes, f"peak {peak / matrix_bytes:.2f} x n*n"

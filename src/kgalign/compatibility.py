@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models
 from .calibration import ProbRow, _by_id, _sim_best, _sim_block, _softmax
 from .kg import Kg, KgPair, _ranges, _run_starts
 
@@ -200,29 +201,32 @@ def refine_rows(
     Every row independently keeps its ``top_k`` candidates by descending
     ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
     conditional over them, which reads no score.  ``q_matrix`` must be
-    ``len(row_ids) × len(col_ids)``; it is read in place when the column
-    ids ascend, and its rows × columns temporaries are the caller's to
-    bound (a run passes slabs of ``SLAB_ROWS`` rows).  The caller's
-    ``assignment`` (see ``build_assignment``) stays fixed for the whole
-    block, so the result does not depend on how the rows are split.
+    ``len(row_ids) × len(col_ids)``; its row slabs of ``models.SLAB_ROWS``
+    rows are read in place when the column ids ascend, which bounds the
+    temporaries.  The caller's ``assignment`` (see ``build_assignment``)
+    stays fixed for the whole block, so the result does not depend on how
+    the rows are split.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     row_ids, col_arr = list(row_ids), np.asarray(list(col_ids), dtype=np.int64)
-    q_matrix, ids = _by_id(_sim_block(q_matrix, row_ids, col_arr), col_arr, axis=1)
+    q_matrix = _sim_block(q_matrix, row_ids, col_arr)
     if not row_ids:
         return []
     k = min(top_k, q_matrix.shape[1])
     if k == 0:
         raise ValueError("candidates must be nonempty")
-    cands = _top_candidates(q_matrix, ids, k)
-    sums = _FactorModel(kg_pair, stats, assignment).factor_sums(
-        np.asarray(row_ids, dtype=np.int64), cands)
+    model = _FactorModel(kg_pair, stats, assignment)
     out: list[ProbRow] = []
-    for u, c, s, p in zip(row_ids, cands.tolist(), sums, _softmax(sums)):
-        out.append(ProbRow(entity=u, cand_ids=tuple(c), probs=p))
-        if debug_sink is not None:
-            debug_sink.extend((u, ci, float(si), float(pi)) for ci, si, pi in zip(c, s, p))
+    for lo in range(0, len(row_ids), models.SLAB_ROWS):
+        block = row_ids[lo:lo + models.SLAB_ROWS]
+        q_block, ids = _by_id(q_matrix[lo:lo + len(block)], col_arr, axis=1)
+        cands = _top_candidates(q_block, ids, k)
+        sums = model.factor_sums(np.asarray(block, dtype=np.int64), cands)
+        for u, c, s, p in zip(block, cands.tolist(), sums, _softmax(sums)):
+            out.append(ProbRow(entity=u, cand_ids=tuple(c), probs=p))
+            if debug_sink is not None:
+                debug_sink.extend((u, ci, float(si), float(pi)) for ci, si, pi in zip(c, s, p))
     return out
 
 
@@ -287,26 +291,16 @@ def _segment_sums(rows: np.ndarray, idx: np.ndarray, bounds: np.ndarray) -> np.n
     """``np.add.reduceat(rows[idx], bounds[:-1], axis=0)`` for nonempty
     segments, bit for bit, without gathering all of ``rows[idx]``.
 
-    ``reduceat`` copies a segment's first row and adds the pairwise sum of
-    the others, which below eight terms is their in-order sum.  Most
-    segments have one row; segments of two to eight rows are summed that
-    way, and the rare longer ones are left to ``reduceat``.
+    Most segments have one row, which is their sum; ``reduceat`` runs only
+    over the rows of the others, and sums each segment on its own.
     """
     starts, counts = bounds[:-1], np.diff(bounds)
     out = rows[idx[starts]]
-    short = np.flatnonzero((counts > 1) & (counts <= 8))
-    if len(short):
-        first, n = starts[short], counts[short]
-        rest = rows[idx[first + 1]]
-        for j in range(2, n.max()):
-            more = n > j
-            rest[more] += rows[idx[first[more] + j]]
-        out[short] += rest
-    long = np.flatnonzero(counts > 8)
-    if len(long):
-        n = counts[long]
-        out[long] = np.add.reduceat(rows[idx[_ranges(bounds, long)[1]]],
-                                    np.cumsum(n) - n, axis=0)
+    multi = np.flatnonzero(counts > 1)
+    if len(multi):
+        n = counts[multi]
+        out[multi] = np.add.reduceat(rows[idx[_ranges(bounds, multi)[1]]],
+                                     np.cumsum(n) - n, axis=0)
     return out
 
 

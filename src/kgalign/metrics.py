@@ -6,7 +6,6 @@ else in the package.  All functions are pure.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +49,11 @@ def truth_ranks(rows: np.ndarray, truth_cols: np.ndarray) -> np.ndarray:
 
 def evaluate_rows(rows, truth_cols: np.ndarray) -> EvalReport:
     """Hit@1, hit@10 and MRR of the truths' ranks.  ``rows`` is a 2-d score
-    matrix, or an iterator over its consecutive row slabs (such as
+    array, or any iterable of its consecutive row slabs (such as
     ``SimMatrix.row_slabs``), so no copy of all the rows is needed."""
     truth_cols = np.asarray(truth_cols, dtype=np.int64)
     ranks, lo = [np.zeros(0, dtype=np.int64)], 0
-    for slab in rows if isinstance(rows, Iterator) else [rows]:
+    for slab in [rows] if isinstance(rows, np.ndarray) else rows:
         ranks.append(truth_ranks(slab, truth_cols[lo:lo + len(slab)]))
         lo += len(slab)
     if lo != len(truth_cols):

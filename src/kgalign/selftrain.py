@@ -258,9 +258,9 @@ def refine_slabs(
     oriented: KgPair, sims: SimMatrix, labelled: dict[int, int],
     row_ids: list[int], col_ids: list[int], top_k: int,
     debug_sink: list | None = None,
-) -> tuple[compatibility.Assignment, list[ProbRow]]:
-    """The frozen assignment and the refined ``row_ids`` rows over the
-    candidates ``col_ids``, read from ``sims`` one row slab at a time.
+) -> list[ProbRow]:
+    """The refined ``row_ids`` rows over the candidates ``col_ids``, read
+    from ``sims`` one row slab at a time.
 
     A first pass builds the assignment, a second refines against it.  Both
     are row-independent, so they equal one pass over the
@@ -292,7 +292,7 @@ def refine_slabs(
     for ids, q in slabs():
         rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, assignment,
                                           top_k=top_k, debug_sink=debug_sink)
-    return assignment, rows
+    return rows
 
 
 class SelfTrainRun:
@@ -360,8 +360,8 @@ class SelfTrainRun:
             raise CalibrationError(f"{tag} calibration at iteration {iteration} "
                                    f"reverses the similarity order: {calib}")
         sink: list | None = [] if cfg.debug_dump else None
-        _, rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids,
-                               cfg.top_k, debug_sink=sink)
+        rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids,
+                            cfg.top_k, debug_sink=sink)
         if sink is not None:
             self._write_debug(sink, iteration, tag)
         return rows

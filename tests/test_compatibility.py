@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from kgalign.compatibility import (
     local_compatibility,
     refine_rows,
 )
-from kgalign import compatibility
+from kgalign import compatibility, models
 from kgalign import kg as kg_module
 from kgalign.kg import Kg, KgPair, _edge_table
 
@@ -689,6 +691,22 @@ class TestIdOrderedBlocks:
                    for block, ids in ((q, cols), (q[:, perm], [cols[j] for j in perm]))]
         assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[0]] == \
                [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[1]]
+
+    def test_tall_block_is_refined_in_slabs(self):
+        rng = np.random.default_rng(7)
+        pair = random_tiny_pair(rng, n=7, t=12, r=2)
+        row_ids, cols = [2, 3, 4, 5, 6], list(range(pair.target.n_entities))[::-1]
+        q = rng.integers(0, 3, size=(len(row_ids), len(cols))).astype(float)
+        assignment = build_assignment(q, row_ids, cols, {0: 0, 1: 1})
+        stats = estimate_relation_stats(pair, assignment)
+        whole = refine_rows(q, row_ids, cols, pair, stats, assignment, top_k=4)
+        with mock.patch.object(models, "SLAB_ROWS", 2), mock.patch.object(
+                compatibility, "_top_candidates",
+                wraps=compatibility._top_candidates) as top:
+            slabbed = refine_rows(q, row_ids, cols, pair, stats, assignment, top_k=4)
+        assert [len(c.args[0]) for c in top.call_args_list] == [2, 2, 1]
+        assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in slabbed] == \
+               [(r.entity, r.cand_ids, r.probs.tobytes()) for r in whole]
 
     def test_mis_shaped_block_rejected(self):
         pair = random_tiny_pair(np.random.default_rng(6))

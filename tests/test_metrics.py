@@ -91,6 +91,15 @@ class TestRanks:
             got = evaluate_rows(sims.row_slabs(test_src), truth)
         assert got == evaluate_rows(sims.scores[test_src], truth)
 
+    def test_any_iterable_of_slabs_is_read_as_slabs(self):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 3, size=(6, 6)).astype(float)
+        truths = rng.integers(0, 6, size=6)
+        want = evaluate_rows(rows, truths)
+        # equal-sized square slabs would rank the wrong axis if taken for one matrix
+        for slabs in ([rows[:3], rows[3:]], (rows[:3], rows[3:]), [rows[:1], rows[1:]]):
+            assert evaluate_rows(slabs, truths) == want
+
     def test_slabs_must_cover_the_truths(self):
         rows = np.zeros((3, 2))
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -522,9 +522,14 @@ class TestSlabbedRefinement:
                 refine_slabs(oriented, sims, labelled, row_ids, col_ids, top_k)
             return
         sink: list = []
-        with mock.patch.object(models, "SLAB_ROWS", slab):
-            assignment, rows = refine_slabs(oriented, sims, labelled, row_ids,
-                                            col_ids, top_k, debug_sink=sink)
+        with mock.patch.object(models, "SLAB_ROWS", slab), mock.patch.object(
+                compatibility, "estimate_relation_stats",
+                wraps=compatibility.estimate_relation_stats) as stats_of:
+            rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids, top_k,
+                                debug_sink=sink)
+        # the statistics are estimated once, from the merged frozen assignment
+        stats_of.assert_called_once()
+        assignment = stats_of.call_args.args[1]
         assert list(assignment.mapping.items()) == list(ref_assignment.mapping.items())
         assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in rows] == [
             (r.entity, r.cand_ids, r.probs.tobytes()) for r in ref_rows]

@@ -1,9 +1,11 @@
-"""Learned softmax calibration of similarity scores into probabilities.
+"""Softmax calibration of similarity scores into probabilities.
 
-A similarity row is first transformed linearly (``scale * sim + offset``)
-and then pushed through a temperature softmax.  The three parameters are
-fit by full-batch gradient descent on the cross-entropy of the labelled
-rows.  Temperature is kept positive by optimizing its log.
+A similarity row is transformed linearly (``scale * sim + offset``) and
+pushed through a temperature softmax.  The softmax cancels the offset and
+sees scale and temperature only through their ratio β = scale /
+temperature, so the fit has one parameter: β minimises the cross-entropy
+of the labelled rows, found by Newton's method on log β, and is ``inf``
+when every truth is a maximum of its row.
 
 The refinement and the strategies share its lowest-id argmax over a checked
 ``len(row_ids) × len(col_ids)`` similarity block read in ascending id order.
@@ -15,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_PASSES = 100  # Newton passes of one fit
+STEP_TOL = 1e-10  # a fit stops once its step in log β is this small
+
 
 class CalibrationError(RuntimeError):
     """Raised when a calibration fit has a non-finite loss or reverses order."""
@@ -24,8 +29,9 @@ class CalibrationError(RuntimeError):
 class CalibrationParams:
     """Parameters of the similarity-to-probability model.
 
-    ``temperature`` is stored directly but optimized as ``log temperature``
-    so it stays positive without projection.
+    The softmax sees only β = ``scale / temperature``, which
+    ``fit_calibration`` fits; ``cross_entropy_and_grad`` differentiates
+    with respect to ``log temperature``, which keeps it positive.
     """
 
     offset: float = 0.0       # additive term of the linear transform
@@ -150,21 +156,11 @@ def cross_entropy_and_grad(
     Gradient is with respect to ``(offset, scale, log temperature)``.
     """
     sims = np.ascontiguousarray(sims, dtype=np.float64)
-    return _cross_entropy_into(
-        sims, np.asarray(truth_cols, dtype=np.int64), params,
-        np.empty_like(sims), np.empty_like(sims),
-    )
-
-
-def _cross_entropy_into(sims, truth_cols, params, z, p) -> tuple[float, np.ndarray]:
-    """``cross_entropy_and_grad`` computed in the caller's buffers ``z``
-    and ``p``, each shaped like ``sims``; allocates no array of that shape."""
+    truth_cols = np.asarray(truth_cols, dtype=np.int64)
     tau = params.temperature
     rows = np.arange(sims.shape[0])
-    np.multiply(params.scale, sims, out=z)
-    z += params.offset
-    z /= tau
-    np.subtract(z, z.max(axis=-1, keepdims=True), out=p)
+    z = (params.scale * sims + params.offset) / tau
+    p = z - z.max(axis=-1, keepdims=True)
     truth_logit = p[rows, truth_cols]
     np.exp(p, out=p)
     s = p.sum(axis=-1, keepdims=True)
@@ -173,76 +169,69 @@ def _cross_entropy_into(sims, truth_cols, params, z, p) -> tuple[float, np.ndarr
     p /= s
     p[rows, truth_cols] -= 1.0  # dL/dz
     g_offset = float(p.sum() / tau)
-    g_logtau = float(-np.multiply(p, z, out=z).sum())
-    g_scale = float(np.multiply(p, sims, out=z).sum() / tau)
+    g_scale = float((p * sims).sum() / tau)
+    g_logtau = float(-(p * z).sum())
     return loss, np.array([g_offset, g_scale, g_logtau])
 
 
-def fit_calibration(
-    sims: np.ndarray,
-    truth_cols: np.ndarray,
-    init: CalibrationParams | None = None,
-    lr: float = 0.05,
-    epochs: int = 200,
-) -> tuple[CalibrationParams, list[float]]:
-    """Fit calibration parameters by full-batch gradient descent.
+def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, list[float]]:
+    """Fit the inverse temperature β of a row softmax to labelled rows.
 
     ``sims`` holds one similarity row per labelled source entity and
-    ``truth_cols`` the column of its ground-truth counterpart.  Returns the
-    best-loss iterate (never worse than ``init``) together with the loss
-    trace of ``epochs + 1`` losses.  Raises ``CalibrationError`` if the loss
-    leaves the finite range, reporting the offending epoch.
+    ``truth_cols`` the column of its ground-truth counterpart.  Returns β,
+    which minimises the summed cross-entropy L(β) of the softmax of
+    ``β * sims`` at the truths, and the trace of losses evaluated.
 
-    An epoch is a pure function of the parameters, so once a step leaves
-    them bitwise unchanged (the gradient underflows against them, or is
-    exactly 0) every later epoch would repeat this one: the loop stops and
-    pads the trace with the current loss.
+    L is convex, with slope Σ(E_p[row] - truth score).  If every truth is a
+    maximum of its row, the slope is never positive: β is ``inf`` and the
+    trace holds the limit loss, Σ log(entries tied at the row max).
+    Otherwise a slope ≥ 0 at β = 0 (truths no higher than their row means)
+    raises ``CalibrationError``.  Otherwise β is found by Newton's method on
+    log β from β = 1, with steps clamped to ±1 and kept inside the bracket
+    that the slope signs give.  A non-finite loss raises.
     """
-    sims = np.ascontiguousarray(sims, dtype=np.float64)
+    sims = np.asarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] == 0:
         raise ValueError("need at least one labelled row")
+    rows = np.arange(sims.shape[0])
     truth_cols = np.asarray(truth_cols, dtype=np.int64)
-    # the epochs reuse two buffers: freeing and reallocating row-sized
-    # temporaries every epoch costs a page fault per page
-    z, p = np.empty_like(sims), np.empty_like(sims)
-    params = init or CalibrationParams()
-    theta = np.array([params.offset, params.scale, np.log(params.temperature)])
+    d = sims - sims.max(axis=1, keepdims=True)  # <= 0, and 0 at each row's max
+    d_truth = d[rows, truth_cols]
+    if not d_truth.any():
+        return np.inf, [float(np.log((d == 0).sum(axis=1)).sum())]
+    slope = float((sims.mean(axis=1) - sims[rows, truth_cols]).sum())
+    if slope >= 0:
+        raise CalibrationError("reverses the similarity order: the loss slope at "
+                               f"beta = 0 is {slope!r}, not < 0")
 
+    truth_sum = float(d_truth.sum())
+    e = np.empty_like(d)
+    log_beta, lo, hi = 0.0, -np.inf, np.inf
     trace: list[float] = []
-    best_theta = theta.copy()
-    best_loss = np.inf
-    for epoch in range(epochs + 1):
-        tau = float(np.exp(theta[2]))
-        if not (np.all(np.isfinite(theta)) and np.isfinite(tau) and tau > 0.0):
-            raise CalibrationError(
-                f"non-finite loss at epoch {epoch} (temperature left float range)"
-            )
-        cur = CalibrationParams(
-            offset=float(theta[0]), scale=float(theta[1]),
-            temperature=float(np.exp(theta[2])),
-        )
-        loss, grad = _cross_entropy_into(sims, truth_cols, cur, z, p)
-        if not np.isfinite(loss):
-            raise CalibrationError(f"non-finite loss at epoch {epoch}")
+    for n_pass in range(1, MAX_PASSES + 1):
+        beta = float(np.exp(log_beta))
+        np.multiply(d, beta, out=e)
+        np.exp(e, out=e)
+        s0 = e.sum(axis=1)
+        # E_p[d] and E_p[d²] per row, each in one pass without a temporary
+        mean = np.einsum("ij,ij->i", e, d) / s0
+        square = np.einsum("ij,ij,ij->i", e, d, d) / s0
+        loss = float(np.log(s0).sum() - beta * truth_sum)
+        # slope and curvature of the loss in log β
+        grad = beta * float((mean - d_truth).sum())
+        if not (np.isfinite(loss) and np.isfinite(grad)):
+            raise CalibrationError(f"non-finite loss or slope at pass {n_pass}")
         trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_theta = theta.copy()
-        if epoch == epochs:
+        curv = beta * beta * float(np.maximum(square - mean * mean, 0.0).sum()) + grad
+        if grad < 0:
+            lo = log_beta
+        else:
+            hi = log_beta
+        step = -grad / curv if curv > 0 else -np.sign(grad)
+        step = min(max(step, -1.0), 1.0)
+        if not abs(step) > STEP_TOL:
             break
-        nxt = theta - lr * grad
-        # bytes, not values: -0.0 == 0.0, and the sign of an offset is output
-        if nxt.tobytes() == theta.tobytes():
-            trace.extend([loss] * (epochs - epoch))
-            break
-        theta = nxt
-
-    if epochs == 0:
-        return params, trace
-    return (
-        CalibrationParams(
-            offset=float(best_theta[0]), scale=float(best_theta[1]),
-            temperature=float(np.exp(best_theta[2])),
-        ),
-        trace,
-    )
+        log_beta += step
+        if not lo < log_beta < hi:
+            log_beta = (lo + hi) / 2
+    return beta, trace

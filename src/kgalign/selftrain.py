@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compatibility, strategies
-from .calibration import CalibrationError, CalibrationParams, ProbRow, fit_calibration
+from .calibration import CalibrationError, ProbRow, fit_calibration
 from .calibration import calibrate_matrix  # unused; the benchmark's tracer wraps it by name
 from .kg import KgPair, MappingSet, load_dataset, partition_mappings, write_pseudo_tsv
 from .metrics import evaluate_rows, pseudo_quality
@@ -72,8 +72,6 @@ class RunConfig:
     iterations: int = 10
     top_k: int = 10
     oracle_noise: float = 0.3
-    calib_lr: float = 0.05
-    calib_epochs: int = 200
     sim_file: str | None = None
     sim_file_reverse: str | None = None
     debug_dump: bool = False
@@ -93,8 +91,7 @@ class RunConfig:
         for name, low, strict in (  # (field, lower bound, bound excluded)
             ("seed", 0, False), ("iterations", 1, False), ("epochs", 1, False),
             ("top_k", 1, False), ("dim", 1, False), ("negatives", 1, False),
-            ("margin", 0.0, False), ("lr", 0.0, True), ("calib_lr", 0.0, True),
-            ("calib_epochs", 0, False),
+            ("margin", 0.0, False), ("lr", 0.0, True),
         ):
             value = getattr(self, name)
             if not (math.isfinite(value) and (value > low if strict else value >= low)):
@@ -319,7 +316,7 @@ class SelfTrainRun:
             self.run_dir = prepare_run_dir(config)
         self.one_to_one_state = strategies.OneToOneState()
         self.reports: list[IterationReport] = []
-        self._calibration_log: list[tuple[str, CalibrationParams]] = []
+        self._calibration_log: list[tuple[str, float]] = []
 
     def _build_model(self):
         cfg = self.config
@@ -352,13 +349,12 @@ class SelfTrainRun:
         lab_rows = sorted(labelled)
         lab_sims = sims.scores[lab_rows]
         truth_cols = np.array([labelled[e] for e in lab_rows])
-        calib, _ = fit_calibration(
-            lab_sims, truth_cols, lr=cfg.calib_lr, epochs=cfg.calib_epochs
-        )
-        self._calibration_log.append((f"iter{iteration}.{tag}", calib))
-        if not calib.scale > 0.0:  # only then is the raw order the calibrated one
-            raise CalibrationError(f"{tag} calibration at iteration {iteration} "
-                                   f"reverses the similarity order: {calib}")
+        try:
+            beta, _ = fit_calibration(lab_sims, truth_cols)
+        except CalibrationError as err:
+            raise CalibrationError(
+                f"{tag} calibration at iteration {iteration}: {err}") from None
+        self._calibration_log.append((f"iter{iteration}.{tag}", beta))
         sink: list | None = [] if cfg.debug_dump else None
         rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids,
                             cfg.top_k, debug_sink=sink)
@@ -474,10 +470,8 @@ class SelfTrainRun:
             lines.append(f"dataset.{name}.sha256 = {_file_sha256(d / name)}")
         lines.append(f"partition.n_labelled = {len(self.partition.labelled)}")
         lines.append(f"partition.n_test = {len(self.partition.test)}")
-        for tag, calib in self._calibration_log:
-            lines.append(f"calibration.{tag}.offset = {calib.offset!r}")
-            lines.append(f"calibration.{tag}.scale = {calib.scale!r}")
-            lines.append(f"calibration.{tag}.temperature = {calib.temperature!r}")
+        for tag, beta in self._calibration_log:
+            lines.append(f"calibration.{tag}.beta = {beta!r}")
         (self.run_dir / "manifest.txt").write_text(
             "\n".join(lines) + "\n", encoding="utf-8"
         )

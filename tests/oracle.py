@@ -17,8 +17,8 @@ gradients scattered row by row into 2-d tables.  The package's step must
 reproduce them bit for bit.
 
 The calibration references compute every step into a fresh temporary;
-the package's in-place versions must match them bit for bit.  The fit
-reference runs every epoch, with no exit at a fixed point.
+the package's in-place versions must match them bit for bit.  The fit of
+β is checked against a golden-section search over log β.
 
 ``refine_one_block`` is the refinement as one block over the gathered
 ``(row_ids, col_ids)`` similarities; the package reads row slabs in place
@@ -38,7 +38,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from kgalign import compatibility
-from kgalign.calibration import CalibrationError, CalibrationParams, argmax_lowest_id
+from kgalign.calibration import argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet
 from kgalign.models import SimMatrix, TopKSimMatrix
@@ -327,32 +327,33 @@ def cross_entropy_and_grad(sims, truth_cols, params) -> tuple[float, np.ndarray]
     return loss, np.array([g_offset, g_scale, g_logtau])
 
 
-def fit_calibration_every_epoch(sims, truth_cols, init=None, lr=0.05, epochs=200):
-    """``fit_calibration`` with all ``epochs + 1`` loss evaluations: the
-    best-loss parameters and the loss trace, or the same ``CalibrationError``."""
-    params = init or CalibrationParams()
-    theta = np.array([params.offset, params.scale, np.log(params.temperature)])
-    trace, best_theta, best_loss = [], theta.copy(), np.inf
-    for epoch in range(epochs + 1):
-        tau = float(np.exp(theta[2]))
-        if not (np.all(np.isfinite(theta)) and np.isfinite(tau) and tau > 0.0):
-            raise CalibrationError(
-                f"non-finite loss at epoch {epoch} (temperature left float range)"
-            )
-        cur = CalibrationParams(float(theta[0]), float(theta[1]), tau)
-        loss, grad = cross_entropy_and_grad(sims, truth_cols, cur)
-        if not np.isfinite(loss):
-            raise CalibrationError(f"non-finite loss at epoch {epoch}")
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss, best_theta = loss, theta.copy()
-        if epoch < epochs:
-            theta = theta - lr * grad
-    if epochs == 0:
-        return params, trace
-    best = CalibrationParams(float(best_theta[0]), float(best_theta[1]),
-                             float(np.exp(best_theta[2])))
-    return best, trace
+def calibration_loss(sims, truth_cols, beta: float) -> float:
+    """Summed cross-entropy of the row softmax of ``beta * sims`` at the
+    truths, with the log-softmax computed in one piece."""
+    z = beta * np.asarray(sims, dtype=np.float64)
+    logp = z - z.max(axis=-1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    return float(-logp[np.arange(len(z)), truth_cols].sum())
+
+
+def golden_section_beta(sims, truth_cols, lo=-40.0, hi=40.0, passes=80) -> float:
+    """The β that minimises ``calibration_loss``, by golden-section search
+    over log β in ``[lo, hi]``; the loss is unimodal in log β."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    loss = lambda u: calibration_loss(sims, truth_cols, float(np.exp(u)))
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = loss(c), loss(d)
+    for _ in range(passes):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = loss(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = loss(d)
+    return float(np.exp((a + b) / 2))
 
 
 def margin_ranking_loss_and_grad(ent, rel, pos, neg, margin):

@@ -105,7 +105,7 @@ def test_criterion_1_normalizer_correctness():
     truth = rng.integers(0, 10, size=20)
     sims = np.zeros((20, 10))
     sims[np.arange(20), truth] = 1.0
-    _, trace = fit_calibration(sims, truth, lr=0.05, epochs=200)
+    _, trace = fit_calibration(sims, truth)
     assert min(trace) < 0.01
 
     elapsed = time.perf_counter() - t0

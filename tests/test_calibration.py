@@ -1,8 +1,6 @@
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -47,17 +45,6 @@ def gradcheck_rel_error(sims, truth, params, h=1e-6):
     )
 
 
-def fit_bits(fit, *args, **kwargs):
-    """A fit's parameters and loss trace as bytes (so ``-0.0 != 0.0`` and
-    the trace length counts), or its error message."""
-    try:
-        params, trace = fit(*args, **kwargs)
-    except CalibrationError as err:
-        return str(err)
-    return (np.array([params.offset, params.scale, params.temperature]).tobytes(),
-            np.array(trace).tobytes())
-
-
 def draw_instance(data):
     """Labelled similarity rows, their truth columns and a parameter point."""
     m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
@@ -70,12 +57,6 @@ def draw_instance(data):
         temperature=float(np.exp(data.draw(st.floats(-2.0, 2.0)))),
     )
     return sims.reshape(m, n), truth, params
-
-
-def spy_evaluations():
-    """Patch the per-epoch loss with a spy that counts its calls."""
-    return mock.patch.object(calibration, "_cross_entropy_into",
-                             wraps=calibration._cross_entropy_into)
 
 
 class TestTransform:
@@ -156,50 +137,72 @@ class TestFit:
         sims[np.arange(n), truth] = 1.0
         return sims, truth
 
-    def test_idealized_reaches_low_loss(self):
-        sims, truth = self.idealized()
-        params, trace = fit_calibration(sims, truth, lr=0.05, epochs=200)
-        assert trace[-1] < 0.01
-        assert all(trace[i] > trace[i + 1] for i in range(10))
-        probs = calibrate_matrix(sims, params)
-        assert (probs.argmax(axis=1) == truth).all()
-
-    def test_zero_epochs_returns_init(self):
-        sims, truth = self.idealized()
-        init = CalibrationParams(offset=0.2, scale=1.3, temperature=0.9)
-        params, trace = fit_calibration(sims, truth, init=init, epochs=0)
-        assert params == init
-        assert len(trace) == 1
-
-    def test_single_entity_two_candidates(self):
-        sims = np.array([[1.0, 0.0]])
-        truth = np.array([0])
-        params, trace = fit_calibration(sims, truth, lr=0.05, epochs=100)
-        assert trace[-1] < trace[0]
-        assert params.scale / params.temperature > 1.0 / 1.0  # sharpened
-
-    def test_final_loss_never_worse_than_initial(self):
-        rng = np.random.default_rng(3)
+    def leaning(self, seed=3):
+        # truths lean high, but not every truth leads its row
+        rng = np.random.default_rng(seed)
         sims = rng.normal(size=(15, 6))
         truth = rng.integers(0, 6, size=15)
-        _, trace = fit_calibration(sims, truth, lr=0.5, epochs=50)
-        p, _ = fit_calibration(sims, truth, lr=0.5, epochs=50)
-        final, _ = cross_entropy_and_grad(sims, truth, p)
-        assert final <= trace[0] + 1e-12
+        sims[np.arange(15), truth] += 1.0
+        return sims, truth
+
+    def test_idealized_reaches_low_loss(self):
+        sims, truth = self.idealized()
+        beta, trace = fit_calibration(sims, truth)
+        # every truth strictly leads its row: the loss falls toward 0 as β grows
+        assert beta == np.inf and trace == [0.0]
+        losses = [oracle.calibration_loss(sims, truth, b) for b in (1.0, 10.0, 100.0)]
+        assert losses[0] > losses[1] > losses[2] and losses[2] < 0.01
+
+    def test_single_entity_two_candidates(self):
+        assert fit_calibration(np.array([[1.0, 0.0]]), np.array([0])) == (np.inf, [0.0])
+        with pytest.raises(CalibrationError, match="reverses the similarity order"):
+            fit_calibration(np.array([[1.0, 0.0]]), np.array([1]))
+
+    def test_closed_form_optimum(self):
+        # three of four identical rows pick the higher score: σ(β) = 3/4
+        sims, truth = np.tile([1.0, 0.0], (4, 1)), np.array([0, 0, 0, 1])
+        beta, _ = fit_calibration(sims, truth)
+        assert abs(beta - np.log(3.0)) <= 1e-12
+
+    def test_pass_cap_returns_last_evaluated_beta(self, monkeypatch):
+        sims, truth = self.leaning()
+        converged, _ = fit_calibration(sims, truth)
+        monkeypatch.setattr(calibration, "MAX_PASSES", 2)
+        beta, trace = fit_calibration(sims, truth)
+        assert len(trace) == 2 and beta != converged
+        assert trace[-1] == pytest.approx(oracle.calibration_loss(sims, truth, beta),
+                                          rel=1e-12)
+
+    def test_final_loss_never_worse_than_initial(self):
+        sims, truth = self.leaning()
+        beta, trace = fit_calibration(sims, truth)
+        assert np.isfinite(beta)
+        final = oracle.calibration_loss(sims, truth, beta)
+        assert final <= trace[0] + 1e-12  # the trace starts at β = 1
 
     def test_bit_reproducible(self):
-        sims, truth = self.idealized(seed=4)
+        sims, truth = self.leaning(seed=4)
         a, trace_a = fit_calibration(sims, truth)
         b, trace_b = fit_calibration(sims, truth)
-        assert a == b
+        assert a == b and np.isfinite(a)
         assert trace_a == trace_b
 
-    def test_nonfinite_loss_reports_epoch(self):
-        sims = np.array([[1.0, 0.0]])
-        truth = np.array([0])
-        # a huge learning rate blows temperature up/down into overflow
-        with pytest.raises(CalibrationError, match="epoch"):
-            fit_calibration(sims, truth, lr=1e6, epochs=50)
+    def test_constant_rows_give_inf(self):
+        # every entry ties the row max, so the limit is Σ log(row width)
+        beta, trace = fit_calibration(np.full((3, 4), 0.37), np.array([0, 2, 3]))
+        assert beta == np.inf
+        assert trace == [pytest.approx(3 * np.log(4.0), rel=1e-15)]
+
+    def test_zero_slope_at_zero_raises(self):
+        # truths at the max and at the min of two equal rows: slope exactly 0
+        with pytest.raises(CalibrationError, match="reverses the similarity order"):
+            fit_calibration(np.tile([1.0, 0.0], (2, 1)), np.array([0, 1]))
+
+    def test_nonfinite_loss_reports_pass(self):
+        # the first row spans more than the float range: sims - max is -inf
+        sims = np.array([[1e308, -1e308], [0.0, 1.0]])
+        with pytest.raises(CalibrationError, match="non-finite loss or slope at pass 1"):
+            fit_calibration(sims, np.array([0, 0]))
 
     def test_gradcheck_random_instances(self):
         rng = np.random.default_rng(11)
@@ -215,36 +218,23 @@ class TestFit:
             worst = max(worst, gradcheck_rel_error(sims, truth, params))
         assert worst < 1e-4
 
-    def test_saturating_overshoot_stops_at_fixed_point(self):
-        # the loss sums 20 wrong-leaning rows, so the first step throws log
-        # temperature to ~72: the softmax is uniform and its ~1e-29
-        # gradient no longer moves the parameters
-        sims, truth = np.tile([1.0, 0.0], (20, 1)), np.ones(20, dtype=np.int64)
-        with spy_evaluations() as spy:
-            params, trace = fit_calibration(sims, truth, lr=5.0, epochs=50)
-        assert spy.call_count == 2
-        assert params.temperature > 1e30
-        assert len(trace) == 51 and trace[2:] == [trace[1]] * 49
-        assert (fit_bits(fit_calibration, sims, truth, lr=5.0, epochs=50)
-                == fit_bits(oracle.fit_calibration_every_epoch, sims, truth,
-                            lr=5.0, epochs=50))
 
-    def test_exactly_zero_gradient_stops_after_one_evaluation(self):
-        # a margin of 800 underflows every wrong candidate's exp to 0: the
-        # softmax is exactly one-hot on the truth and the gradient exactly 0
-        sims, truth = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]]), np.array([0, 1])
-        with spy_evaluations() as spy:
-            params, trace = fit_calibration(sims, truth, epochs=50)
-        assert spy.call_count == 1
-        assert params == CalibrationParams()
-        assert len(trace) == 51 and set(trace) == {0.0}
-        assert (fit_bits(fit_calibration, sims, truth, epochs=50)
-                == fit_bits(oracle.fit_calibration_every_epoch, sims, truth, epochs=50))
+def slope_at_zero(sims, truth) -> float:
+    """The loss slope at β = 0: Σ(row mean - truth score)."""
+    return float(sum(row.mean() - row[t] for row, t in zip(sims, truth)))
+
+
+def ties_at_max(sims, truth):
+    """Whether every truth is a maximum of its row, and the log of each
+    row's count of entries tied at its max."""
+    at_max = all(row[t] == row.max() for row, t in zip(sims, truth))
+    return at_max, [np.log(np.count_nonzero(row == row.max())) for row in sims]
 
 
 class TestAgainstOracle:
     """The in-place calibration against the reference that computes each
-    step into a fresh temporary: results must be bitwise equal."""
+    step into a fresh temporary, and the fit of β against a brute-force
+    minimiser."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -258,22 +248,50 @@ class TestAgainstOracle:
         assert np.array_equal(grad, ref_grad)
         q = calibrate_matrix(sims, params)
         assert q.tobytes() == oracle.calibrate_matrix(sims, params).tobytes()
-
-        epochs = data.draw(st.integers(0, 30))
-        fitted = fit_bits(fit_calibration, sims, truth, init=params, epochs=epochs)
-        with mock.patch.object(calibration, "_cross_entropy_into",
-                               lambda s, t, p, z, buf: oracle.cross_entropy_and_grad(s, t, p)):
-            reference = fit_bits(fit_calibration, sims, truth, init=params, epochs=epochs)
-        assert fitted == reference  # params and loss trace, or the same error
+        try:
+            fit_calibration(sims, truth)
+        except CalibrationError:
+            pass
         assert np.array_equal(sims, before)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_fit_equals_every_epoch_loop(self, data):
-        # large steps make fixed points and CalibrationErrors common
-        sims, truth, params = draw_instance(data)
-        lr = data.draw(st.sampled_from([0.05, 0.5, 5.0]))
-        epochs = data.draw(st.integers(0, 30))
-        assert (fit_bits(fit_calibration, sims, truth, init=params, lr=lr, epochs=epochs)
-                == fit_bits(oracle.fit_calibration_every_epoch, sims, truth,
-                            init=params, lr=lr, epochs=epochs))
+    def test_fit_matches_golden_section_minimum(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 8))
+        # eighths keep a truth below its row max by at least 1/8, so the
+        # optimum is finite and the loss curves enough around it to place β
+        eighths = st.integers(-40, 40).map(lambda k: k / 8)
+        sims = np.array(data.draw(st.lists(eighths, min_size=m * n,
+                                           max_size=m * n))).reshape(m, n)
+        truth = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        assume(not ties_at_max(sims, truth)[0] and slope_at_zero(sims, truth) < -1e-6)
+        best = oracle.golden_section_beta(sims, truth)
+        assume(np.exp(-35.0) < best < np.exp(35.0))  # an interior optimum
+        beta, trace = fit_calibration(sims, truth)
+        loss = oracle.calibration_loss(sims, truth, beta)
+        assert loss == pytest.approx(oracle.calibration_loss(sims, truth, best), rel=1e-12)
+        assert beta == pytest.approx(best, rel=1e-6, abs=1e-6)
+        assert trace[-1] == pytest.approx(loss, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truths_at_row_max_give_inf_and_tie_limit(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        # a coarse grid makes ties at the max common
+        sims = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                           min_size=m * n, max_size=m * n))).reshape(m, n)
+        truth = np.array([data.draw(st.sampled_from(np.flatnonzero(row == row.max()).tolist()))
+                          for row in sims])
+        at_max, logs = ties_at_max(sims, truth)
+        assert at_max
+        beta, trace = fit_calibration(sims, truth)
+        assert beta == np.inf
+        assert trace == [pytest.approx(sum(logs), rel=1e-12, abs=0.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_slope_not_negative_at_zero_raises(self, data):
+        sims, truth, _ = draw_instance(data)
+        assume(not ties_at_max(sims, truth)[0] and slope_at_zero(sims, truth) > 1e-9)
+        with pytest.raises(CalibrationError, match="reverses the similarity order"):
+            fit_calibration(sims, truth)

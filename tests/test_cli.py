@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from kgalign.cli import main
 from kgalign.kg import load_dataset
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.simio import read_sim_matrix, write_sim_matrix
+from kgalign.synth import write_twin_dataset
 from oracle import top_k_of
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -90,7 +92,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--strategy", "SimThr", "--theta", "nan"], ["--margin", "inf"],
-        ["--lr", "inf"], ["--calib-lr", "inf"],
+        ["--lr", "inf"], ["--lr", "nan"],
         # a supervised run reads no threshold, but records it
         ["--mode", "supervised", "--strategy", "SimThr", "--theta", "nan"],
     ])
@@ -122,6 +124,22 @@ class TestRunCommand:
         code = main(["run", "--config", str(run_conf), "--epochs", "abc"])
         assert code == 1
         assert "epochs: expected an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_paper_default_ratio_runs(self, tmp_path, capsys):
+        # at ratio 0.3 the labelled rows are many and overlap, and the
+        # calibration's optimum is finite; a fit that diverged exited 2 here
+        data = write_twin_dataset(tmp_path / "ds", n_entities=1000, n_triples=4000,
+                                  n_relations=8, perturbation=0.1, seed=11)
+        code = main(["run", "--dataset-dir", str(data), "--model", "oracle",
+                     "--ratio", "0.3", "--iterations", "1", "--epochs", "1",
+                     "--out-dir", str(tmp_path / "runs")])
+        assert code == 0, capsys.readouterr().err
+        manifest = next((tmp_path / "runs").glob("*/manifest.txt")).read_text()
+        beta = dict(line.split(" = ") for line in manifest.splitlines()
+                    if line.startswith("calibration."))
+        assert beta.keys() == {"calibration.iter0.fwd.beta", "calibration.iter0.rev.beta"}
+        assert float(beta["calibration.iter0.fwd.beta"]) == pytest.approx(12.98015, abs=1e-5)
+        assert float(beta["calibration.iter0.rev.beta"]) == pytest.approx(14.19650, abs=1e-5)
 
     def test_run_directories_never_overwritten(self, run_conf, tmp_path):
         assert main(["run", "--config", str(run_conf), "--iterations", "1"]) == 0
@@ -197,8 +215,8 @@ class TestImportSim:
 
     def test_order_reversing_calibration_exits_two(self, twin_dataset_dir, tmp_path,
                                                    capsys):
-        # each row's truth holds its lowest similarity, so the calibration
-        # fits a negative scale, and the raw order is not the calibrated one
+        # each row's truth holds its lowest similarity, so the loss rises
+        # from β = 0, and the raw order is not the calibrated one
         pair, links = load_dataset(twin_dataset_dir)
         scores = np.random.default_rng(0).uniform(
             0, 1, (pair.source.n_entities, pair.target.n_entities))
@@ -213,8 +231,9 @@ class TestImportSim:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert "reverses the similarity order" in err
-        assert "offset=" in err and "scale=-" in err and "temperature=" in err
+        assert "fwd calibration at iteration 0: reverses the similarity order" in err
+        slope = re.search(r"loss slope at beta = 0 is (\S+), not < 0", err)
+        assert slope and float(slope.group(1)) > 0
 
     def test_external_run_checks_file_directions(self, twin_dataset_dir, tmp_path,
                                                  capsys):

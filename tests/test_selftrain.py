@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import oracle
 from kgalign import compatibility, models, selftrain
 from kgalign import kg as kg_module
-from kgalign.calibration import CalibrationParams
 from kgalign.kg import KgPair
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import (
@@ -84,10 +83,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("dim", 0), ("negatives", 0), ("lr", -0.01), ("lr", 0.0),
-        ("margin", -1.0), ("calib_lr", 0.0), ("calib_epochs", -3),
+        ("margin", -1.0),
         ("lr", float("inf")), ("lr", float("nan")), ("margin", float("inf")),
-        ("margin", float("nan")), ("calib_lr", float("inf")),
-        ("calib_lr", float("nan")), ("theta", float("nan")),
+        ("margin", float("nan")), ("theta", float("nan")),
         ("theta", float("inf")), ("theta", float("-inf")), ("seed", -1),
     ])
     def test_bad_hyperparameter_rejected(self, twin_dataset_dir, tmp_path,
@@ -145,7 +143,7 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         for key in ("bogus", "refine_passes", "rank_with_refined",
-                    "stats_labelled_only", "cold_restart"):
+                    "stats_labelled_only", "cold_restart", "calib_lr", "calib_epochs"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 config_from_mapping({"dataset_dir": "x", key: "1"})
 
@@ -188,8 +186,8 @@ class TestMetricsStream:
     @pytest.mark.parametrize("name, overrides", [
         ("muthighestprob", dict(strategy="MutHighestProb")),
         ("onetoone", dict(strategy="OneToOne", theta=0.45)),
-        # the larger step reaches calibration fixed points in every fit
-        ("muthighestprob_lr05", dict(strategy="MutHighestProb", calib_lr=0.5)),
+        # every labelled truth leads its row: each fitted β is inf
+        ("muthighestprob_noisefree", dict(strategy="MutHighestProb", oracle_noise=0.0)),
         # with two candidates per row, refined probabilities clear 0.5 often
         ("unithr", dict(strategy="UniThr", alpha=0.5, top_k=2)),
         ("bithr", dict(strategy="BiThr", alpha=0.5, top_k=2)),
@@ -433,10 +431,10 @@ class TestLoopContracts:
     def test_saturated_calibration_keeps_similarity_candidates(
         self, twin_dataset_dir, tmp_path, monkeypatch
     ):
-        # at this temperature every calibrated row underflows to 0 past its
-        # top entry; the candidates must still follow the similarities
-        def saturated(sims, truth_cols, **kwargs):
-            return CalibrationParams(temperature=1e-300), [0.0]
+        # at this β every calibrated row underflows to 0 past its top
+        # entry; the candidates must still follow the similarities
+        def saturated(sims, truth_cols):
+            return 1e300, [0.0]
 
         monkeypatch.setattr(selftrain, "fit_calibration", saturated)
         cfg = base_config(twin_dataset_dir, tmp_path, iterations=1, debug_dump=True)

@@ -26,10 +26,12 @@ def load_tracing():
     return module
 
 
-# exact counts pin what the tracer reads from the refinement and the
-# strategy: 2 directions x 2 iterations x 72 unlabelled rows, 10 candidates
-# each, and the argmaxes the refinement moved
+# exact counts pin what the tracer reads from the calibration fit, the
+# refinement and the strategy: one fit per direction and iteration over 8
+# labelled rows x 80 columns; 2 directions x 2 iterations x 72 unlabelled
+# rows, 10 candidates each, and the argmaxes the refinement moved
 EXACT_COUNTS = {"MutHighestProb": {
+    "calibration.fit_cells": 2560,
     "compatibility.refine_rows": 288, "compatibility.refine_candidates": 2880,
     "compatibility.refine_moved_rows": 128, "strategies.candidate_edges": 144,
     "strategies.pseudo_pairs": 80}}

@@ -187,8 +187,9 @@ def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, li
     trace holds the limit loss, Σ log(entries tied at the row max).
     Otherwise a slope ≥ 0 at β = 0 (truths no higher than their row means)
     raises ``CalibrationError``.  Otherwise β is found by Newton's method on
-    log β from β = 1, with steps clamped to ±1 and kept inside the bracket
-    that the slope signs give.  A non-finite loss raises.
+    log β from β = 1, with steps clamped to ±1, a step of ±1 toward the
+    minimum where the loss is concave in log β, and at most ``MAX_PASSES``
+    passes.  A non-finite loss raises.
     """
     sims = np.asarray(sims, dtype=np.float64)
     if sims.ndim != 2 or sims.shape[0] == 0:
@@ -206,7 +207,7 @@ def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, li
 
     truth_sum = float(d_truth.sum())
     e = np.empty_like(d)
-    log_beta, lo, hi = 0.0, -np.inf, np.inf
+    log_beta = 0.0
     trace: list[float] = []
     for n_pass in range(1, MAX_PASSES + 1):
         beta = float(np.exp(log_beta))
@@ -223,15 +224,9 @@ def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, li
             raise CalibrationError(f"non-finite loss or slope at pass {n_pass}")
         trace.append(loss)
         curv = beta * beta * float(np.maximum(square - mean * mean, 0.0).sum()) + grad
-        if grad < 0:
-            lo = log_beta
-        else:
-            hi = log_beta
         step = -grad / curv if curv > 0 else -np.sign(grad)
         step = min(max(step, -1.0), 1.0)
         if not abs(step) > STEP_TOL:
             break
         log_beta += step
-        if not lo < log_beta < hi:
-            log_beta = (lo + hi) / 2
     return beta, trace

@@ -7,7 +7,7 @@ temperature, so the fit has one parameter: β minimises the cross-entropy
 of the labelled rows, found by Newton's method on log β, and is ``inf``
 when every truth is a maximum of its row.
 
-The refinement and the strategies share its lowest-id argmax over a checked
+The refinement's assignment takes its lowest-id argmax over a checked
 ``len(row_ids) × len(col_ids)`` similarity block read in ascending id order.
 """
 

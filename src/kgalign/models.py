@@ -39,6 +39,30 @@ TGT_TO_SRC = "tgt_to_src"
 SLAB_ROWS = 256
 
 
+def row_slabs(scores: np.ndarray, row_ids) -> Iterator[np.ndarray]:
+    """``scores[row_ids]`` in consecutive slabs of ``SLAB_ROWS`` rows, each
+    a fresh C-ordered copy, so a pass holds one slab at a time.
+
+    A row of a transposed view is a column of the C-ordered matrix under
+    it.  A slab of such rows is copied from the column range its ids span,
+    in tiles of ``SLAB_ROWS`` rows of that matrix, instead of by one strided
+    gather over the whole matrix.
+    """
+    ids = np.asarray(row_ids, dtype=np.int64)
+    under = scores.T
+    for lo in range(0, len(ids), SLAB_ROWS):
+        slab = ids[lo:lo + SLAB_ROWS]
+        if not under.flags.c_contiguous:
+            yield scores[slab]
+            continue
+        first = slab.min()
+        span, local = slice(first, slab.max() + 1), slab - first
+        out = np.empty((len(slab), len(under)))
+        for t in range(0, len(under), SLAB_ROWS):
+            out[:, t:t + SLAB_ROWS] = under[t:t + SLAB_ROWS, span][:, local].T
+        yield out
+
+
 @dataclass(frozen=True)
 class SimMatrix:
     """Dense similarity scores, one row per source-role entity (read-only)."""
@@ -58,27 +82,8 @@ class SimMatrix:
             raise ValueError(f"bad direction: {self.direction!r}")
 
     def row_slabs(self, row_ids) -> Iterator[np.ndarray]:
-        """``scores[row_ids]`` in consecutive slabs of ``SLAB_ROWS`` rows,
-        each a fresh C-ordered copy, so a pass holds one slab at a time.
-
-        A row of a transposed view is a column of the C-ordered matrix under
-        it.  A slab of such rows is copied from the column range its ids
-        span, in tiles of ``SLAB_ROWS`` rows of that matrix, instead of by
-        one strided gather over the whole matrix.
-        """
-        ids = np.asarray(row_ids, dtype=np.int64)
-        under = self.scores.T
-        for lo in range(0, len(ids), SLAB_ROWS):
-            slab = ids[lo:lo + SLAB_ROWS]
-            if not under.flags.c_contiguous:
-                yield self.scores[slab]
-                continue
-            first = slab.min()
-            span, local = slice(first, slab.max() + 1), slab - first
-            out = np.empty((len(slab), len(under)))
-            for t in range(0, len(under), SLAB_ROWS):
-                out[:, t:t + SLAB_ROWS] = under[t:t + SLAB_ROWS, span][:, local].T
-            yield out
+        """``scores[row_ids]`` in slabs; see ``row_slabs``."""
+        return row_slabs(self.scores, row_ids)
 
     def transposed(self) -> SimMatrix:
         """The other direction's matrix over the same scores: a transposed

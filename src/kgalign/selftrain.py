@@ -389,21 +389,19 @@ class SelfTrainRun:
                 return strategies.bi_threshold(fwd_rows, rev_rows, cfg.alpha)
             return strategies.mutual_highest_probability(fwd_rows, rev_rows)
 
-        sub_fwd = sim_fwd.scores[np.ix_(self.unlab_src, self.unlab_tgt)]
         if cfg.strategy == "SimThr":
             return strategies.similarity_threshold(
-                sub_fwd, self.unlab_src, self.unlab_tgt, cfg.theta
+                sim_fwd.scores, self.unlab_src, self.unlab_tgt, cfg.theta
             )
         if cfg.strategy == "OneToOne":
             return strategies.one_to_one_matching(
-                sub_fwd, self.unlab_src, self.unlab_tgt, cfg.theta,
+                sim_fwd.scores, self.unlab_src, self.unlab_tgt, cfg.theta,
                 self.one_to_one_state,
             )
         sim_rev = self.model.similarities(TGT_TO_SRC)
-        sub_rev = sim_rev.scores[np.ix_(self.unlab_tgt, self.unlab_src)]
         return strategies.mutual_nearest(
-            sub_fwd, self.unlab_src, self.unlab_tgt,
-            sub_rev, self.unlab_tgt, self.unlab_src,
+            sim_fwd.scores, self.unlab_src, self.unlab_tgt,
+            sim_rev.scores, self.unlab_tgt, self.unlab_src,
         )
 
     # ------------------------------------------------------------------

@@ -11,9 +11,11 @@ Each strategy reduces its rows to arrays of (entity, best candidate, best
 score) and picks pairs through a shared threshold core or a shared
 mutual-best core.  Refined rows are reduced over their concatenated
 candidates with segmented maxima, so rows of any lengths share one path.
-A raw-similarity block must be ``len(row_ids) × len(col_ids)`` and is read
-in ascending id order (``calibration._sim_best``, which the refinement's
-assignment uses too), so an ``argmax``'s first index is the lowest id.
+A raw-similarity strategy takes a model's whole matrix and the distinct
+``row_ids`` and ``col_ids`` to match over, which index it.  It reads the
+rows in ascending id order in slabs of ``models.SLAB_ROWS`` rows, with the
+columns outside ``col_ids`` at -inf, so an ``argmax``'s first index is the
+lowest id and the ``(row_ids, col_ids)`` block is never gathered.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ProbRow, _by_id, _sim_best, _sim_block
+from . import models
+from .calibration import ProbRow
 from .kg import MappingSet
 
 PROBABILITY_STRATEGIES = ("UniThr", "BiThr", "MutHighestProb")
@@ -31,6 +34,9 @@ SIMILARITY_STRATEGIES = ("SimThr", "OneToOne", "MutNearest")
 ALL_STRATEGIES = PROBABILITY_STRATEGIES + SIMILARITY_STRATEGIES
 # the config field holding each strategy's threshold; the others take none
 THRESHOLD_FIELD = {"UniThr": "alpha", "BiThr": "alpha", "SimThr": "theta", "OneToOne": "theta"}
+# a OneToOne round that settles fewer than this share of its rows ends the
+# rounds, and the sorted greedy loop matches what is left
+ROUND_SHARE = 1 / 8
 
 
 def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:
@@ -107,11 +113,68 @@ def mutual_highest_probability(
     return _mutual_pick(*_row_best(rows_forward), rev_entities, rev_best)
 
 
+def _checked_ids(ids, n: int, axis: str) -> np.ndarray:
+    """``ids`` ascending, checked to be distinct and in ``[0, n)``."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    if len(ids) and not (0 <= ids[0] and ids[-1] < n):
+        raise ValueError(f"{axis} ids must be in [0, {n})")
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError(f"{axis} ids must be distinct")
+    return ids
+
+
+def _checked(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sims`` as float64 and its ascending row and column ids; no rows
+    when there is no column to pick."""
+    sims = np.asarray(sims, dtype=np.float64)
+    rows = _checked_ids(row_ids, sims.shape[0], "row")
+    cols = _checked_ids(col_ids, sims.shape[1], "column")
+    return sims, rows if len(cols) else rows[:0], cols
+
+
+def _slab_best(sims: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """``(row_max, row_best, col_max, col_best)`` of the ``(rows, cols)``
+    block of ``sims``, both ids ascending: each row's maximum and the
+    position in ``cols`` of its first column at it, and each column's
+    maximum and the position in ``rows`` of its first row at it.
+
+    The rows are read in slabs, with the columns outside ``cols`` at -inf.
+    """
+    masked = np.ones(sims.shape[1], dtype=bool)
+    masked[cols] = False
+    masked = np.flatnonzero(masked)
+    row_max, row_best = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
+    col_max = np.full(sims.shape[1], -np.inf)
+    col_best = np.zeros(sims.shape[1], dtype=np.int64)
+    lo = 0
+    for q in models.row_slabs(sims, rows):
+        q[:, masked] = -np.inf
+        at = q.argmax(axis=1)
+        row_best[lo:lo + len(q)] = at
+        row_max[lo:lo + len(q)] = q[np.arange(len(q)), at]
+        top = q.max(axis=0)
+        # a later slab's rows are higher, so only a strictly larger max moves
+        # a column's first row
+        new = top > col_max
+        col_max[new] = top[new]
+        col_best[new] = lo + (q == top).argmax(axis=0)[new]
+        lo += len(q)
+    return row_max, np.searchsorted(cols, row_best), col_max[cols], col_best[cols]
+
+
+def _raw_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row ids, argmax column ids, maxima)`` of the rows, lowest column id
+    on ties; no rows when there is no column to pick."""
+    sims, rows, cols = _checked(sims, row_ids, col_ids)
+    row_max, row_best, _, _ = _slab_best(sims, rows, cols)
+    return rows, cols[row_best], row_max
+
+
 def similarity_threshold(
     sims: np.ndarray, row_ids, col_ids, theta: float
 ) -> MappingSet:
     """Baseline: keep each row's argmax pair when its similarity > theta."""
-    return _threshold_pick(*_sim_best(sims, row_ids, col_ids), theta)
+    return _threshold_pick(*_raw_best(sims, row_ids, col_ids), theta)
 
 
 @dataclass
@@ -128,6 +191,20 @@ class OneToOneState:
         return _sorted_mapping(self.scores)
 
 
+def _sorted_finish(block: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of ``block`` that greedy matching pairs, walking its
+    edges above ``theta`` by descending score, then row, then column."""
+    r, c = np.nonzero(block > theta)  # row-major: by row, then column
+    order = np.argsort(-block[r, c], kind="stable")
+    free_r, free_c = [True] * len(block), [True] * block.shape[1]
+    pairs = []
+    for a, b in zip(r[order].tolist(), c[order].tolist()):
+        if free_r[a] and free_c[b]:
+            free_r[a] = free_c[b] = False
+            pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
 def one_to_one_matching(
     sims: np.ndarray, row_ids, col_ids, theta: float, state: OneToOneState
 ) -> MappingSet:
@@ -138,33 +215,37 @@ def one_to_one_matching(
     It is found in rounds: each keeps every edge that is first at both its
     row and its column (a locally dominant edge, which greedy keeps too),
     then drops the matched rows and columns and any left without an edge
-    above ``theta``.  The matching is merged into the accumulated store in
-    greedy order, resolving conflicts in favor of the higher-similarity
-    pair (existing pairs win ties).
+    above ``theta``.  The first round reads ``sims`` in row slabs; each
+    later one reads the gathered block left.  Once a round settles fewer
+    than ``ROUND_SHARE`` of its rows, the sorted greedy loop matches the
+    rest.  The matching is merged into the accumulated store in greedy
+    order, resolving conflicts in favor of the higher-similarity pair
+    (existing pairs win ties).
     """
-    sims, src = _by_id(_sim_block(sims, row_ids, col_ids), row_ids, axis=0)
-    sims, tgt = _by_id(sims, col_ids, axis=1)
-    match = np.full(len(src), -1)  # column matched to each row of ``sims``
-    rows, cols = np.arange(len(src)), np.arange(len(tgt))  # ``block`` in ``sims``
-    block = sims
-    while block.size:
-        at = np.arange(len(rows))
-        row_best = block.argmax(axis=1)
-        row_max = block[at, row_best]
-        col_max = block.max(axis=0)
-        # each column's first row at its max; argmax(axis=0) would first copy
-        # the block transposed, at twice the cost
-        col_best = (block == col_max).argmax(axis=0)
-        i = np.flatnonzero((row_max > theta) & (col_best[row_best] == at))
+    sims, src, tgt = _checked(sims, row_ids, col_ids)
+    match = np.full(len(src), -1)  # position in ``tgt`` matched to each source
+    rows, cols = np.arange(len(src)), np.arange(len(tgt))  # the block left
+    best = _slab_best(sims, src, tgt)
+    while True:
+        row_max, row_best, col_max, col_best = best
+        i = np.flatnonzero((row_max > theta) & (col_best[row_best] == np.arange(len(rows))))
         j = row_best[i]
         match[rows[i]] = cols[j]
         keep_rows, keep_cols = row_max > theta, col_max > theta
         keep_rows[i] = keep_cols[j] = False
+        finish = len(i) < ROUND_SHARE * len(rows)
         rows, cols = rows[keep_rows], cols[keep_cols]
-        block = block[np.ix_(keep_rows, keep_cols)]
+        block = sims[np.ix_(src[rows], tgt[cols])]
+        if not block.size:
+            break
+        if finish:
+            i, j = _sorted_finish(block, theta)
+            match[rows[i]] = cols[j]
+            break
+        best = _slab_best(block, np.arange(len(rows)), np.arange(len(cols)))
     r = np.flatnonzero(match >= 0)
     c = match[r]
-    score = sims[r, c]
+    score = sims[src[r], tgt[c]]
     # sources ascend with ``r`` and are distinct: a stable sort by descending
     # similarity is the greedy order
     order = np.argsort(-score, kind="stable")
@@ -195,6 +276,6 @@ def mutual_nearest(
     rev_col_ids,
 ) -> MappingSet:
     """Baseline: pairs that are mutually nearest under raw similarity."""
-    rev_entities, rev_best, _ = _sim_best(sims_reverse, rev_row_ids, rev_col_ids)
-    return _mutual_pick(*_sim_best(sims_forward, fwd_row_ids, fwd_col_ids),
+    rev_entities, rev_best, _ = _raw_best(sims_reverse, rev_row_ids, rev_col_ids)
+    return _mutual_pick(*_raw_best(sims_forward, fwd_row_ids, fwd_col_ids),
                         rev_entities, rev_best)

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from kgalign import models, strategies
 from kgalign.calibration import ProbRow
 from kgalign.strategies import (
     OneToOneState,
@@ -14,6 +17,19 @@ from kgalign.strategies import (
     similarity_threshold,
     uni_threshold,
 )
+
+
+def embed(block, row_ids, col_ids) -> np.ndarray:
+    """A matrix holding ``block`` at ``(row_ids, col_ids)``, its other rows
+    and columns, two past the largest ids included, filled with a decoy
+    above every block value: a strategy that reads outside its ids then
+    changes its picks."""
+    block = np.asarray(block, dtype=np.float64).reshape(len(row_ids), len(col_ids))
+    row_ids, col_ids = list(row_ids), list(col_ids)
+    full = np.full((max(row_ids, default=-1) + 3, max(col_ids, default=-1) + 3),
+                   block.max(initial=0.0) + 1.0)
+    full[np.ix_(row_ids, col_ids)] = block
+    return full
 
 
 def prob_rows(matrix, row_ids, col_ids):
@@ -108,15 +124,17 @@ class TestMutualHighestProbability:
 
 class TestSimilarityThreshold:
     def test_basic(self):
-        got = similarity_threshold(np.array([[0.9, 0.1]]), [0], [10, 11], theta=0.5)
+        got = similarity_threshold(embed([[0.9, 0.1]], [0], [10, 11]), [0], [10, 11],
+                                   theta=0.5)
         assert got.as_set() == {(0, 10)}
 
     def test_above_max_empty(self):
-        got = similarity_threshold(np.array([[0.9, 0.1]]), [0], [10, 11], theta=0.95)
+        got = similarity_threshold(embed([[0.9, 0.1]], [0], [10, 11]), [0], [10, 11],
+                                   theta=0.95)
         assert len(got) == 0
 
     def test_theta_below_range_keeps_all_argmaxes(self):
-        sims = np.array([[0.9, 0.1], [0.2, 0.8]])
+        sims = embed([[0.9, 0.1], [0.2, 0.8]], [0, 1], [10, 11])
         got = similarity_threshold(sims, [0, 1], [10, 11], theta=-1.0)
         assert got.as_set() == {(0, 10), (1, 11)}
 
@@ -133,25 +151,27 @@ class TestSimilarityThreshold:
 
 class TestOneToOne:
     def test_greedy_trace(self):
-        sims = np.array([[0.9, 0.8], [0.85, 0.2]])
+        sims = embed([[0.9, 0.8], [0.85, 0.2]], [0, 1], [10, 11])
         got = one_to_one_matching(sims, [0, 1], [10, 11], theta=0.5, state=OneToOneState())
         assert got.as_set() == {(0, 10)}
 
     def test_conflict_resolved_by_similarity(self):
         state = OneToOneState(scores={(0, 12): 0.6})
-        sims = np.array([[0.9]])
-        got = one_to_one_matching(sims, [0], [10], theta=0.5, state=state)
+        got = one_to_one_matching(embed([[0.9]], [0], [10]), [0], [10], theta=0.5,
+                                  state=state)
         assert got.as_set() == {(0, 10)}
         assert state.scores == {(0, 10): 0.9}
 
     def test_lower_scored_newcomer_dropped(self):
         state = OneToOneState(scores={(0, 12): 0.8})
-        got = one_to_one_matching(np.array([[0.7]]), [0], [10], theta=0.5, state=state)
+        got = one_to_one_matching(embed([[0.7]], [0], [10]), [0], [10], theta=0.5,
+                                  state=state)
         assert got.as_set() == {(0, 12)}
 
     def test_theta_above_all_returns_accumulated(self):
         state = OneToOneState(scores={(3, 13): 0.9})
-        got = one_to_one_matching(np.array([[0.2]]), [0], [10], theta=0.5, state=state)
+        got = one_to_one_matching(embed([[0.2]], [0], [10]), [0], [10], theta=0.5,
+                                  state=state)
         assert got.as_set() == {(3, 13)}
 
     def test_staircase_settles_one_edge_per_round(self):
@@ -159,10 +179,25 @@ class TestOneToOne:
         # round has exactly one locally dominant edge: the next diagonal one
         n = 6
         sims = 1.0 - (np.arange(n)[:, None] + np.arange(n)) / 20
-        got = one_to_one_matching(sims, range(n), range(10, 10 + n), theta=0.0,
-                                  state=OneToOneState())
+        got = one_to_one_matching(embed(sims, range(n), range(10, 10 + n)), range(n),
+                                  range(10, 10 + n), theta=0.0, state=OneToOneState())
         assert got.pairs == tuple((i, 10 + i) for i in range(n))
         assert got.scores == tuple(sims.diagonal().tolist())
+
+    def test_staircase_finishes_with_the_sorted_loop(self):
+        # the first round settles one row of 300, fewer than ROUND_SHARE of
+        # them, so the sorted greedy loop matches the other 299
+        n = 300
+        sims = 1.0 - (np.arange(n)[:, None] + np.arange(n)) / (4 * n)
+        with mock.patch.object(strategies, "_sorted_finish",
+                               wraps=strategies._sorted_finish) as finish:
+            got = one_to_one_matching(embed(sims, range(n), range(10, 10 + n)), range(n),
+                                      range(10, 10 + n), theta=0.0, state=OneToOneState())
+        assert finish.call_count == 1
+        assert finish.call_args.args[0].shape == (n - 1, n - 1)
+        assert_same(got, oracle.one_to_one_matching(sims, range(n), range(10, 10 + n),
+                                                    0.0, OneToOneState()))
+        assert got.pairs == tuple((i, 10 + i) for i in range(n))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -171,7 +206,7 @@ class TestOneToOne:
         rng = np.random.default_rng(seed)
         state = OneToOneState()
         for _ in range(3):
-            sims = rng.uniform(0, 1, size=(5, 5))
+            sims = embed(rng.uniform(0, 1, size=(5, 5)), range(5), range(10, 15))
             got = one_to_one_matching(sims, range(5), range(10, 15), theta=0.4,
                                       state=state)
             srcs = [s for s, _ in got.pairs]
@@ -182,17 +217,17 @@ class TestOneToOne:
 
 class TestMutualNearest:
     def test_asymmetric_argmaxes(self):
-        fwd = np.array([[0.9, 0.8], [0.7, 0.6]])
+        fwd = embed([[0.9, 0.8], [0.7, 0.6]], [0, 1], [10, 11])
         got = mutual_nearest(fwd, [0, 1], [10, 11], fwd.T, [10, 11], [0, 1])
         assert got.as_set() == {(0, 10)}
 
     def test_identity_matrix_selects_all(self):
-        eye = np.eye(3)
+        eye = embed(np.eye(3), range(3), range(10, 13))
         got = mutual_nearest(eye, range(3), range(10, 13), eye.T, range(10, 13), range(3))
         assert got.as_set() == {(i, 10 + i) for i in range(3)}
 
     def test_all_equal_similarities_tie_break(self):
-        ones = np.ones((2, 2))
+        ones = embed(np.ones((2, 2)), [0, 1], [10, 11])
         got = mutual_nearest(ones, [0, 1], [10, 11], ones.T, [10, 11], [0, 1])
         # every argmax resolves to the lowest id; only (0, 10) is mutual
         assert got.as_set() == {(0, 10)}
@@ -204,8 +239,8 @@ class TestMutualNearest:
         m = data.draw(st.integers(2, 7))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        fwd = rng.uniform(size=(n, m))
-        rev = rng.uniform(size=(m, n))
+        fwd = embed(rng.uniform(size=(n, m)), range(n), range(50, 50 + m))
+        rev = embed(rng.uniform(size=(m, n)), range(50, 50 + m), range(n))
         got = mutual_nearest(fwd, range(n), range(50, 50 + m),
                              rev, range(50, 50 + m), range(n))
         srcs = [s for s, _ in got.pairs]
@@ -224,16 +259,24 @@ RAW_SIMILARITY_STRATEGIES = {
 
 
 class TestBlockShape:
-    @pytest.mark.parametrize("n_ids", [3, 1])
+    """The ids name a block of distinct rows and columns of the matrix."""
+
+    @pytest.mark.parametrize("bad_id", [3, 1, -1])
     @pytest.mark.parametrize("name", RAW_SIMILARITY_STRATEGIES)
-    def test_mis_shaped_block_rejected(self, name, n_ids):
-        ids = list(range(n_ids))
-        with pytest.raises(ValueError, match=rf"\(2, 2\).*\({n_ids}, {n_ids}\)"):
-            RAW_SIMILARITY_STRATEGIES[name](np.ones((2, 2)), ids, [10 + i for i in ids])
+    def test_mis_shaped_block_rejected(self, name, bad_id):
+        # on a 2 x 2 matrix, the ids [3, 1] and [-1, 1] leave it and [1, 1]
+        # repeat an id, on either axis
+        bad = [bad_id, 1]
+        why = "distinct" if bad_id == 1 else r"in \[0, 2\)"
+        for rows, cols in ((bad, [0, 1]), ([0, 1], bad)):
+            with pytest.raises(ValueError, match=why):
+                RAW_SIMILARITY_STRATEGIES[name](np.ones((2, 2)), rows, cols)
 
     @pytest.mark.parametrize("name", RAW_SIMILARITY_STRATEGIES)
     def test_rows_without_columns_pick_nothing(self, name):
-        assert len(RAW_SIMILARITY_STRATEGIES[name](np.ones((2, 0)), [0, 1], [])) == 0
+        # a matrix without columns, and one whose columns are all left out
+        for sims in (np.ones((2, 0)), np.ones((2, 2))):
+            assert len(RAW_SIMILARITY_STRATEGIES[name](sims, [0, 1], [])) == 0
 
 
 class TestOutputOrder:
@@ -256,6 +299,11 @@ def grid_rows(rng, entities, cands) -> list[ProbRow]:
     return [ProbRow(entity=u, cand_ids=tuple(rng.permutation(cands).tolist()),
                     probs=row / row.sum())
             for u, row in zip(entities, w)]
+
+
+def draw_slab_rows(data, row_ids) -> int:
+    """Slabs of one, two or three rows, or one slab for all of them."""
+    return data.draw(st.sampled_from([1, 2, 3, len(row_ids) + 1]), label="slab rows")
 
 
 def assert_same(got, want):
@@ -287,10 +335,15 @@ class TestAgainstOracle:
                     oracle.bi_threshold(fwd_rows, rev_rows, alpha))
         assert_same(mutual_highest_probability(fwd_rows, rev_rows),
                     oracle.mutual_highest_probability(fwd_rows, rev_rows))
-        assert_same(similarity_threshold(fwd, src, tgt, theta),
-                    oracle.similarity_threshold(fwd, src, tgt, theta))
-        assert_same(mutual_nearest(fwd, src, tgt, rev, tgt, src),
-                    oracle.mutual_nearest(fwd, src, tgt, rev, tgt, src))
+        # the raw-similarity strategies read the blocks inside decoy-filled
+        # matrices in slabs; the reverse one is a transposed view, read in tiles
+        full_fwd = embed(fwd, src, tgt)
+        full_rev = np.ascontiguousarray(embed(rev, tgt, src).T).T
+        with mock.patch.object(models, "SLAB_ROWS", draw_slab_rows(data, src)):
+            assert_same(similarity_threshold(full_fwd, src, tgt, theta),
+                        oracle.similarity_threshold(fwd, src, tgt, theta))
+            assert_same(mutual_nearest(full_fwd, src, tgt, full_rev, tgt, src),
+                        oracle.mutual_nearest(fwd, src, tgt, rev, tgt, src))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -318,7 +371,8 @@ class TestAgainstOracle:
 
     @staticmethod
     def check_one_to_one(data, max_ids: int, pool: int, levels: int):
-        """Three calls sharing one state, each on a ``levels``-valued grid."""
+        """Three calls sharing one state, each on a ``levels``-valued grid
+        embedded in a decoy-filled matrix and read in drawn slabs."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         state, reference = OneToOneState(), OneToOneState()
         for _ in range(3):
@@ -326,8 +380,9 @@ class TestAgainstOracle:
             tgt = drawn_ids(data, data.draw(st.integers(0, max_ids)), pool=pool)
             theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
             sims = rng.integers(0, levels, size=(len(src), len(tgt))) / (levels - 1)
-            assert_same(one_to_one_matching(sims, src, tgt, theta, state),
-                        oracle.one_to_one_matching(sims, src, tgt, theta, reference))
+            with mock.patch.object(models, "SLAB_ROWS", draw_slab_rows(data, src)):
+                got = one_to_one_matching(embed(sims, src, tgt), src, tgt, theta, state)
+            assert_same(got, oracle.one_to_one_matching(sims, src, tgt, theta, reference))
         assert list(state.scores.items()) == list(reference.scores.items())
 
     @settings(max_examples=200, deadline=None)
@@ -342,3 +397,12 @@ class TestAgainstOracle:
         # blocks up to 30x30 on three levels: ties span rows and columns, and
         # the matching takes several rounds
         self.check_one_to_one(data, max_ids=30, pool=40, levels=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_to_one_any_round_share(self, data):
+        # rounds to the end, the sorted loop after the first round, and the
+        # module's share in between all give the greedy matching
+        share = data.draw(st.sampled_from([0.0, 1 / 8, 1.0]), label="round share")
+        with mock.patch.object(strategies, "ROUND_SHARE", share):
+            self.check_one_to_one(data, max_ids=30, pool=40, levels=3)

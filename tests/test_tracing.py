@@ -29,12 +29,15 @@ def load_tracing():
 # exact counts pin what the tracer reads from the calibration fit, the
 # refinement and the strategy: one fit per direction and iteration over 8
 # labelled rows x 80 columns; 2 directions x 2 iterations x 72 unlabelled
-# rows, 10 candidates each, and the argmaxes the refinement moved
+# rows, 10 candidates each, and the argmaxes the refinement moved.
+# OneToOne is handed the whole 80 x 80 matrix, so its candidate edges are
+# those above theta in every row and column, labelled ones included
 EXACT_COUNTS = {"MutHighestProb": {
     "calibration.fit_cells": 2560,
     "compatibility.refine_rows": 288, "compatibility.refine_candidates": 2880,
     "compatibility.refine_moved_rows": 128, "strategies.candidate_edges": 144,
-    "strategies.pseudo_pairs": 80}}
+    "strategies.pseudo_pairs": 80},
+    "OneToOne": {"strategies.candidate_edges": 1448, "strategies.pseudo_pairs": 136}}
 
 
 @pytest.mark.parametrize("strategy, extra, nonzero", [

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .calibration import ProbRow
+from .calibration import ProbRow, _sim_best
 from .kg import MappingSet
 
 PROBABILITY_STRATEGIES = ("UniThr", "BiThr", "MutHighestProb")
@@ -34,9 +34,6 @@ SIMILARITY_STRATEGIES = ("SimThr", "OneToOne", "MutNearest")
 ALL_STRATEGIES = PROBABILITY_STRATEGIES + SIMILARITY_STRATEGIES
 # the config field holding each strategy's threshold; the others take none
 THRESHOLD_FIELD = {"UniThr": "alpha", "BiThr": "alpha", "SimThr": "theta", "OneToOne": "theta"}
-# a OneToOne round that settles fewer than this share of its rows ends the
-# rounds, and the sorted greedy loop matches what is left
-ROUND_SHARE = 1 / 8
 
 
 def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:
@@ -132,42 +129,28 @@ def _checked(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return sims, rows if len(cols) else rows[:0], cols
 
 
-def _slab_best(sims: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """``(row_max, row_best, col_max, col_best)`` of the ``(rows, cols)``
-    block of ``sims``, both ids ascending: each row's maximum and the
-    position in ``cols`` of its first column at it, and each column's
-    maximum and the position in ``rows`` of its first row at it.
-
-    The rows are read in slabs, with the columns outside ``cols`` at -inf.
-    """
+def _masked_slabs(sims: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """``(ids, slab)`` for the ``rows`` of ``sims`` in row slabs, with the
+    columns outside ``cols`` at -inf."""
     masked = np.ones(sims.shape[1], dtype=bool)
     masked[cols] = False
     masked = np.flatnonzero(masked)
-    row_max, row_best = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
-    col_max = np.full(sims.shape[1], -np.inf)
-    col_best = np.zeros(sims.shape[1], dtype=np.int64)
     lo = 0
     for q in models.row_slabs(sims, rows):
         q[:, masked] = -np.inf
-        at = q.argmax(axis=1)
-        row_best[lo:lo + len(q)] = at
-        row_max[lo:lo + len(q)] = q[np.arange(len(q)), at]
-        top = q.max(axis=0)
-        # a later slab's rows are higher, so only a strictly larger max moves
-        # a column's first row
-        new = top > col_max
-        col_max[new] = top[new]
-        col_best[new] = lo + (q == top).argmax(axis=0)[new]
+        yield rows[lo:lo + len(q)], q
         lo += len(q)
-    return row_max, np.searchsorted(cols, row_best), col_max[cols], col_best[cols]
 
 
 def _raw_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(row ids, argmax column ids, maxima)`` of the rows, lowest column id
     on ties; no rows when there is no column to pick."""
     sims, rows, cols = _checked(sims, row_ids, col_ids)
-    row_max, row_best, _, _ = _slab_best(sims, rows, cols)
-    return rows, cols[row_best], row_max
+    all_cols = np.arange(sims.shape[1])
+    parts = [_sim_best(q, ids, all_cols) for ids, q in _masked_slabs(sims, rows, cols)]
+    if not parts:
+        return rows[:0], rows[:0], np.zeros(0)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def similarity_threshold(
@@ -191,6 +174,33 @@ class OneToOneState:
         return _sorted_mapping(self.scores)
 
 
+def _dominant_edges(sims, src, tgt, theta: float):
+    """``(i, j, rows, cols)``: positions in ``src`` and ``tgt`` of the
+    block's locally dominant edges above ``theta``, each first at both its
+    row and its column, and of the rows and columns left unmatched with an
+    edge above ``theta``; the rows are read in slabs."""
+    all_cols = np.arange(sims.shape[1])
+    row_max, row_best = np.empty(len(src)), np.empty(len(src), dtype=np.int64)
+    col_max = np.full(sims.shape[1], -np.inf)
+    col_first = np.zeros(sims.shape[1], dtype=np.int64)
+    lo = 0
+    for ids, q in _masked_slabs(sims, src, tgt):
+        _, row_best[lo:lo + len(q)], row_max[lo:lo + len(q)] = _sim_best(q, ids, all_cols)
+        at = q.argmax(axis=0)
+        top = q[at, all_cols]
+        # a later slab's rows are higher, so only a strictly larger max moves
+        # a column's first row
+        new = top > col_max
+        col_max[new] = top[new]
+        col_first[new] = lo + at[new]
+        lo += len(q)
+    i = np.flatnonzero((row_max > theta) & (col_first[row_best] == np.arange(len(src))))
+    j = np.searchsorted(tgt, row_best[i])
+    keep_rows, keep_cols = row_max > theta, col_max[tgt] > theta
+    keep_rows[i] = keep_cols[j] = False
+    return i, j, np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
+
+
 def _sorted_finish(block: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of ``block`` that greedy matching pairs, walking its
     edges above ``theta`` by descending score, then row, then column."""
@@ -212,43 +222,21 @@ def one_to_one_matching(
 
     Greedy matching keeps each edge above ``theta`` whose ends are both
     free, walking by descending similarity, then source id, then target id.
-    It is found in rounds: each keeps every edge that is first at both its
-    row and its column (a locally dominant edge, which greedy keeps too),
-    then drops the matched rows and columns and any left without an edge
-    above ``theta``.  The first round reads ``sims`` in row slabs; each
-    later one reads the gathered block left.  Once a round settles fewer
-    than ``ROUND_SHARE`` of its rows, the sorted greedy loop matches the
-    rest.  The matching is merged into the accumulated store in greedy
-    order, resolving conflicts in favor of the higher-similarity pair
-    (existing pairs win ties).
+    It keeps every locally dominant edge, first at both its row and its
+    column, so a slab pass over ``sims`` settles those; the sorted greedy
+    loop then matches the block of rows and columns left with an edge above
+    ``theta``, the only part gathered.  The matching is merged into the
+    accumulated store in greedy order, resolving conflicts in favor of the
+    higher-similarity pair (existing pairs win ties).
     """
     sims, src, tgt = _checked(sims, row_ids, col_ids)
-    match = np.full(len(src), -1)  # position in ``tgt`` matched to each source
-    rows, cols = np.arange(len(src)), np.arange(len(tgt))  # the block left
-    best = _slab_best(sims, src, tgt)
-    while True:
-        row_max, row_best, col_max, col_best = best
-        i = np.flatnonzero((row_max > theta) & (col_best[row_best] == np.arange(len(rows))))
-        j = row_best[i]
-        match[rows[i]] = cols[j]
-        keep_rows, keep_cols = row_max > theta, col_max > theta
-        keep_rows[i] = keep_cols[j] = False
-        finish = len(i) < ROUND_SHARE * len(rows)
-        rows, cols = rows[keep_rows], cols[keep_cols]
-        block = sims[np.ix_(src[rows], tgt[cols])]
-        if not block.size:
-            break
-        if finish:
-            i, j = _sorted_finish(block, theta)
-            match[rows[i]] = cols[j]
-            break
-        best = _slab_best(block, np.arange(len(rows)), np.arange(len(cols)))
-    r = np.flatnonzero(match >= 0)
-    c = match[r]
+    i, j, rows, cols = _dominant_edges(sims, src, tgt, theta)
+    r, c = _sorted_finish(sims[np.ix_(src[rows], tgt[cols])], theta)
+    r, c = np.concatenate([i, rows[r]]), np.concatenate([j, cols[c]])
     score = sims[src[r], tgt[c]]
-    # sources ascend with ``r`` and are distinct: a stable sort by descending
-    # similarity is the greedy order
-    order = np.argsort(-score, kind="stable")
+    # sources are distinct and ascend with ``r``: by descending similarity,
+    # then ``r``, is the greedy order
+    order = np.lexsort((r, -score))
     fresh = zip(score[order].tolist(), src[r[order]].tolist(), tgt[c[order]].tolist())
 
     by_src = {u: (u, t) for (u, t) in state.scores}

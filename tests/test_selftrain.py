@@ -540,7 +540,7 @@ class TestSlabbedRefinement:
         # one iteration's pseudo generation and evaluation on the benchmark's
         # n=3000 oracle twin; one gathered n x n block of either pass alone
         # would exceed the bound.  The raw-similarity strategies read slabs
-        # and gather no more than what OneToOne's first round leaves
+        # and gather no more than what OneToOne's slab pass leaves
         n = 3000
         data = write_twin_dataset(tmp_path / "ds", n_entities=n, n_triples=4 * n,
                                   n_relations=8, perturbation=0.1, seed=11)

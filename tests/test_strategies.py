@@ -175,8 +175,9 @@ class TestOneToOne:
         assert got.as_set() == {(3, 13)}
 
     def test_staircase_settles_one_edge_per_round(self):
-        # every row and every column prefers its lowest free partner, so each
-        # round has exactly one locally dominant edge: the next diagonal one
+        # every row and every column prefers its lowest free partner, so the
+        # only locally dominant edge is the first diagonal one, and greedy
+        # settles one diagonal edge at a time
         n = 6
         sims = 1.0 - (np.arange(n)[:, None] + np.arange(n)) / 20
         got = one_to_one_matching(embed(sims, range(n), range(10, 10 + n)), range(n),
@@ -185,8 +186,8 @@ class TestOneToOne:
         assert got.scores == tuple(sims.diagonal().tolist())
 
     def test_staircase_finishes_with_the_sorted_loop(self):
-        # the first round settles one row of 300, fewer than ROUND_SHARE of
-        # them, so the sorted greedy loop matches the other 299
+        # the slab pass settles one row of 300, and the sorted greedy loop
+        # matches the other 299 in the one block it gathers
         n = 300
         sims = 1.0 - (np.arange(n)[:, None] + np.arange(n)) / (4 * n)
         with mock.patch.object(strategies, "_sorted_finish",
@@ -395,14 +396,5 @@ class TestAgainstOracle:
     @given(st.data())
     def test_one_to_one_many_rounds(self, data):
         # blocks up to 30x30 on three levels: ties span rows and columns, and
-        # the matching takes several rounds
+        # the sorted greedy loop matches much of the block after the slab pass
         self.check_one_to_one(data, max_ids=30, pool=40, levels=3)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_one_to_one_any_round_share(self, data):
-        # rounds to the end, the sorted loop after the first round, and the
-        # module's share in between all give the greedy matching
-        share = data.draw(st.sampled_from([0.0, 1 / 8, 1.0]), label="round share")
-        with mock.patch.object(strategies, "ROUND_SHARE", share):
-            self.check_one_to_one(data, max_ids=30, pool=40, levels=3)

@@ -34,7 +34,7 @@ from .selftrain import (
     config_from_mapping,
     parse_config_file,
 )
-from .models import SRC_TO_TGT, TopKSimMatrix
+from .models import SRC_TO_TGT, TopKSimMatrix, row_slabs
 from .simio import (
     SimFormatError,
     read_dense_sim,
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
         )
         test_src = [s for s, _ in part.test.pairs]
         truth = np.array([t for _, t in part.test.pairs])
-        report = evaluate_rows(matrix.row_slabs(test_src), truth)
+        report = evaluate_rows(row_slabs(matrix.scores, test_src), truth)
         out.update(hit1=report.hit1, hit10=report.hit10, mrr=report.mrr)
     if args.pseudo_file:
         id_pairs = []

@@ -195,35 +195,42 @@ def refine_rows(
     assignment: Assignment,
     top_k: int = 10,
     debug_sink: list | None = None,
+    *,
+    factors: _FactorModel | None = None,
 ) -> list[ProbRow]:
     """One block update of all unlabelled rows against a frozen assignment.
 
     Every row independently keeps its ``top_k`` candidates by descending
     ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
     conditional over them, which reads no score.  ``q_matrix`` must be
-    ``len(row_ids) × len(col_ids)``; its row slabs of ``models.SLAB_ROWS``
+    ``len(row_ids) × len(col_ids)``; its row slabs of ``models.slab_rows``
     rows are read in place when the column ids ascend, which bounds the
     temporaries.  The caller's ``assignment`` (see ``build_assignment``)
     stays fixed for the whole block, so the result does not depend on how
-    the rows are split.
+    the rows are split.  ``factors`` is the ``_FactorModel`` of ``kg_pair``,
+    ``stats`` and ``assignment``, compiled here when not given; a caller
+    that refines one assignment in many calls compiles it once.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    row_ids, col_arr = list(row_ids), np.asarray(list(col_ids), dtype=np.int64)
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    col_arr = np.asarray(col_ids, dtype=np.int64)
     q_matrix = _sim_block(q_matrix, row_ids, col_arr)
-    if not row_ids:
+    if not len(row_ids):
         return []
     k = min(top_k, q_matrix.shape[1])
     if k == 0:
         raise ValueError("candidates must be nonempty")
-    model = _FactorModel(kg_pair, stats, assignment)
+    if factors is None:
+        factors = _FactorModel(kg_pair, stats, assignment)
     out: list[ProbRow] = []
-    for lo in range(0, len(row_ids), models.SLAB_ROWS):
-        block = row_ids[lo:lo + models.SLAB_ROWS]
+    step = models.slab_rows(q_matrix.shape[1])
+    for lo in range(0, len(row_ids), step):
+        block = row_ids[lo:lo + step]
         q_block, ids = _by_id(q_matrix[lo:lo + len(block)], col_arr, axis=1)
         cands = _top_candidates(q_block, ids, k)
-        sums = model.factor_sums(np.asarray(block, dtype=np.int64), cands)
-        for u, c, s, p in zip(block, cands.tolist(), sums, _softmax(sums)):
+        sums = factors.factor_sums(block, cands)
+        for u, c, s, p in zip(block.tolist(), cands.tolist(), sums, _softmax(sums)):
             out.append(ProbRow(entity=u, cand_ids=tuple(c), probs=p))
             if debug_sink is not None:
                 debug_sink.extend((u, ci, float(si), float(pi)) for ci, si, pi in zip(c, s, p))

@@ -39,18 +39,25 @@ def truth_ranks(rows: np.ndarray, truth_cols: np.ndarray) -> np.ndarray:
         raise ValueError("rows/truths shape mismatch")
     if np.any(truth_cols < 0) or np.any(truth_cols >= rows.shape[1]):
         raise ValueError("truth column out of range")
-    idx = np.arange(rows.shape[0])
-    truth_scores = rows[idx, truth_cols][:, None]
-    ahead = (rows > truth_scores).sum(axis=1)
-    col_ids = np.arange(rows.shape[1])[None, :]
-    tied_lower = ((rows == truth_scores) & (col_ids < truth_cols[:, None])).sum(axis=1)
-    return 1 + ahead + tied_lower
+    truth_scores = rows[np.arange(rows.shape[0]), truth_cols][:, None]
+    ahead = _row_counts(rows > truth_scores)
+    # only a row whose truth score occurs more than once has a lower-id tie
+    tied = rows == truth_scores
+    multi = np.flatnonzero(_row_counts(tied) > 1)
+    lower = np.arange(rows.shape[1]) < truth_cols[multi, None]
+    ahead[multi] += _row_counts(tied[multi] & lower)
+    return 1 + ahead.astype(np.int64)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The ``True`` cells in each row of a 2-d bool array, summed as bytes."""
+    return mask.view(np.uint8).sum(axis=1, dtype=np.uint32)
 
 
 def evaluate_rows(rows, truth_cols: np.ndarray) -> EvalReport:
     """Hit@1, hit@10 and MRR of the truths' ranks.  ``rows`` is a 2-d score
     array, or any iterable of its consecutive row slabs (such as
-    ``SimMatrix.row_slabs``), so no copy of all the rows is needed."""
+    ``models.row_slabs``), so no copy of all the rows is needed."""
     truth_cols = np.asarray(truth_cols, dtype=np.int64)
     ranks, lo = [np.zeros(0, dtype=np.int64)], 0
     for slab in [rows] if isinstance(rows, np.ndarray) else rows:

@@ -35,32 +35,57 @@ from .kg import KgPair, MappingSet
 SRC_TO_TGT = "src_to_tgt"
 TGT_TO_SRC = "tgt_to_src"
 
-# rows per slab of a similarity pass: bounds its (rows x columns) temporaries
-SLAB_ROWS = 256
+# bytes per slab of a similarity pass: a slab fits in a core's L2 cache, so
+# the passes over it after its copy read no main memory
+SLAB_BYTES = 1 << 20
+# product rows per tile of a transposed slab's copy: a tile of a slab's
+# columns is then small enough to transpose in cache, whatever the slab size
+TILE_ROWS = 256
+
+
+def slab_rows(n_cols: int) -> int:
+    """Rows of ``n_cols`` float64 scores in one slab: at least one, and no
+    more than fit in ``SLAB_BYTES``."""
+    return max(1, SLAB_BYTES // (8 * max(n_cols, 1)))
 
 
 def row_slabs(scores: np.ndarray, row_ids) -> Iterator[np.ndarray]:
-    """``scores[row_ids]`` in consecutive slabs of ``SLAB_ROWS`` rows, each
+    """``scores[row_ids]`` in consecutive slabs of ``slab_rows`` rows, each
     a fresh C-ordered copy, so a pass holds one slab at a time.
 
     A row of a transposed view is a column of the C-ordered matrix under
     it.  A slab of such rows is copied from the column range its ids span,
-    in tiles of ``SLAB_ROWS`` rows of that matrix, instead of by one strided
+    in tiles of ``TILE_ROWS`` rows of that matrix, instead of by one strided
     gather over the whole matrix.
     """
     ids = np.asarray(row_ids, dtype=np.int64)
     under = scores.T
-    for lo in range(0, len(ids), SLAB_ROWS):
-        slab = ids[lo:lo + SLAB_ROWS]
+    step = slab_rows(scores.shape[1])
+    for lo in range(0, len(ids), step):
+        slab = ids[lo:lo + step]
         if not under.flags.c_contiguous:
             yield scores[slab]
             continue
         first = slab.min()
         span, local = slice(first, slab.max() + 1), slab - first
         out = np.empty((len(slab), len(under)))
-        for t in range(0, len(under), SLAB_ROWS):
-            out[:, t:t + SLAB_ROWS] = under[t:t + SLAB_ROWS, span][:, local].T
+        for t in range(0, len(under), TILE_ROWS):
+            out[:, t:t + TILE_ROWS] = under[t:t + TILE_ROWS, span][:, local].T
         yield out
+
+
+def masked_slabs(scores: np.ndarray, row_ids, col_ids):
+    """``(ids, slab)`` for the ``row_ids`` of ``scores`` in the slabs of
+    ``row_slabs``, with the columns outside ``col_ids`` at -inf."""
+    rows = np.asarray(row_ids, dtype=np.int64)
+    masked = np.ones(scores.shape[1], dtype=bool)
+    masked[col_ids] = False
+    masked = np.flatnonzero(masked)
+    lo = 0
+    for q in row_slabs(scores, rows):
+        q[:, masked] = -np.inf
+        yield rows[lo:lo + len(q)], q
+        lo += len(q)
 
 
 @dataclass(frozen=True)
@@ -76,14 +101,15 @@ class SimMatrix:
         object.__setattr__(self, "scores", s)
         if s.ndim != 2:
             raise ValueError("scores must be a 2-d matrix")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("similarities must be finite")
+        # NaN propagates through both extremes, which each row slab gives
+        # from cache; no n x n mask is built
+        step = slab_rows(s.shape[1])
+        for lo in range(0, len(s), step):
+            q = s[lo:lo + step]
+            if not (np.isfinite(q.max(initial=0.0)) and np.isfinite(q.min(initial=0.0))):
+                raise ValueError("similarities must be finite")
         if self.direction not in (SRC_TO_TGT, TGT_TO_SRC):
             raise ValueError(f"bad direction: {self.direction!r}")
-
-    def row_slabs(self, row_ids) -> Iterator[np.ndarray]:
-        """``scores[row_ids]`` in slabs; see ``row_slabs``."""
-        return row_slabs(self.scores, row_ids)
 
     def transposed(self) -> SimMatrix:
         """The other direction's matrix over the same scores: a transposed

@@ -42,6 +42,8 @@ from .models import (
     ExternalSimilarityModel,
     SimMatrix,
     SyntheticOracle,
+    masked_slabs,
+    row_slabs,
 )
 from .simio import read_dense_sim
 
@@ -269,26 +271,18 @@ def refine_slabs(
     if row_ids and not top_k:
         raise ValueError("candidates must be nonempty")
     all_cols = np.arange(sims.scores.shape[1])
-    keep = np.zeros(len(all_cols), dtype=bool)
-    keep[col_ids] = True
-    masked = np.flatnonzero(~keep)
-
-    def slabs():
-        lo = 0
-        for q in sims.row_slabs(row_ids):
-            q[:, masked] = -np.inf
-            yield row_ids[lo:lo + len(q)], q
-            lo += len(q)
-
     mapping = dict(labelled)
-    for ids, q in slabs():
+    for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
         mapping.update(compatibility.build_assignment(q, ids, all_cols, labelled).mapping)
     assignment = compatibility.Assignment(mapping=mapping)
     stats = compatibility.estimate_relation_stats(oriented, assignment)
+    # compiled once: each slab's call would otherwise build its own
+    factors = compatibility._FactorModel(oriented, stats, assignment)
     rows: list[ProbRow] = []
-    for ids, q in slabs():
+    for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
         rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, assignment,
-                                          top_k=top_k, debug_sink=debug_sink)
+                                          top_k=top_k, debug_sink=debug_sink,
+                                          factors=factors)
     return rows
 
 
@@ -411,7 +405,7 @@ class SelfTrainRun:
     def _evaluate(self, sim_fwd: SimMatrix):
         test_src = [s for s, _ in self.test.pairs]
         truth_cols = np.array([t for _, t in self.test.pairs])
-        return evaluate_rows(sim_fwd.row_slabs(test_src), truth_cols)
+        return evaluate_rows(row_slabs(sim_fwd.scores, test_src), truth_cols)
 
     def _emit(self, report: IterationReport, fit_s: float) -> None:
         self.reports.append(report)

@@ -13,9 +13,9 @@ mutual-best core.  Refined rows are reduced over their concatenated
 candidates with segmented maxima, so rows of any lengths share one path.
 A raw-similarity strategy takes a model's whole matrix and the distinct
 ``row_ids`` and ``col_ids`` to match over, which index it.  It reads the
-rows in ascending id order in slabs of ``models.SLAB_ROWS`` rows, with the
-columns outside ``col_ids`` at -inf, so an ``argmax``'s first index is the
-lowest id and the ``(row_ids, col_ids)`` block is never gathered.
+rows in ascending id order in ``models.masked_slabs``, cache-sized row slabs
+with the columns outside ``col_ids`` at -inf, so an ``argmax``'s first index
+is the lowest id and the ``(row_ids, col_ids)`` block is never gathered.
 """
 
 from __future__ import annotations
@@ -129,25 +129,12 @@ def _checked(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return sims, rows if len(cols) else rows[:0], cols
 
 
-def _masked_slabs(sims: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """``(ids, slab)`` for the ``rows`` of ``sims`` in row slabs, with the
-    columns outside ``cols`` at -inf."""
-    masked = np.ones(sims.shape[1], dtype=bool)
-    masked[cols] = False
-    masked = np.flatnonzero(masked)
-    lo = 0
-    for q in models.row_slabs(sims, rows):
-        q[:, masked] = -np.inf
-        yield rows[lo:lo + len(q)], q
-        lo += len(q)
-
-
 def _raw_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(row ids, argmax column ids, maxima)`` of the rows, lowest column id
     on ties; no rows when there is no column to pick."""
     sims, rows, cols = _checked(sims, row_ids, col_ids)
     all_cols = np.arange(sims.shape[1])
-    parts = [_sim_best(q, ids, all_cols) for ids, q in _masked_slabs(sims, rows, cols)]
+    parts = [_sim_best(q, ids, all_cols) for ids, q in models.masked_slabs(sims, rows, cols)]
     if not parts:
         return rows[:0], rows[:0], np.zeros(0)
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -184,15 +171,15 @@ def _dominant_edges(sims, src, tgt, theta: float):
     col_max = np.full(sims.shape[1], -np.inf)
     col_first = np.zeros(sims.shape[1], dtype=np.int64)
     lo = 0
-    for ids, q in _masked_slabs(sims, src, tgt):
+    for ids, q in models.masked_slabs(sims, src, tgt):
         _, row_best[lo:lo + len(q)], row_max[lo:lo + len(q)] = _sim_best(q, ids, all_cols)
-        at = q.argmax(axis=0)
-        top = q[at, all_cols]
         # a later slab's rows are higher, so only a strictly larger max moves
-        # a column's first row
-        new = top > col_max
+        # a column's first row; only those columns are searched for it, and
+        # ``max(axis=0)`` reads the slab in place where ``argmax`` copies it
+        top = q.max(axis=0)
+        new = np.flatnonzero(top > col_max)
+        col_first[new] = lo + (q[:, new] == top[new]).argmax(axis=0)
         col_max[new] = top[new]
-        col_first[new] = lo + at[new]
         lo += len(q)
     i = np.flatnonzero((row_max > theta) & (col_first[row_best] == np.arange(len(src))))
     j = np.searchsorted(tgt, row_best[i])
@@ -204,11 +191,18 @@ def _dominant_edges(sims, src, tgt, theta: float):
 def _sorted_finish(block: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of ``block`` that greedy matching pairs, walking its
     edges above ``theta`` by descending score, then row, then column."""
-    r, c = np.nonzero(block > theta)  # row-major: by row, then column
-    order = np.argsort(-block[r, c], kind="stable")
+    flat = np.flatnonzero(block > theta)  # row-major: by row, then column
+    score = -block.ravel()[flat]
+    order = np.argsort(score)
+    # any sort gives the one order when no two scores are equal; the stable
+    # sort, which keeps ties in row-major order, runs only when some are
+    ranked = score[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(score, kind="stable")
+    r, c = np.divmod(flat[order], block.shape[1])
     free_r, free_c = [True] * len(block), [True] * block.shape[1]
     pairs = []
-    for a, b in zip(r[order].tolist(), c[order].tolist()):
+    for a, b in zip(r.tolist(), c.tolist()):
         if free_r[a] and free_c[b]:
             free_r[a] = free_c[b] = False
             pairs.append((a, b))

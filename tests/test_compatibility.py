@@ -700,7 +700,7 @@ class TestIdOrderedBlocks:
         assignment = build_assignment(q, row_ids, cols, {0: 0, 1: 1})
         stats = estimate_relation_stats(pair, assignment)
         whole = refine_rows(q, row_ids, cols, pair, stats, assignment, top_k=4)
-        with mock.patch.object(models, "SLAB_ROWS", 2), mock.patch.object(
+        with mock.patch.object(models, "SLAB_BYTES", 2 * 8 * len(cols)), mock.patch.object(
                 compatibility, "_top_candidates",
                 wraps=compatibility._top_candidates) as top:
             slabbed = refine_rows(q, row_ids, cols, pair, stats, assignment, top_k=4)

@@ -62,6 +62,24 @@ class TestRanks:
         expected = np.array([naive_rank(rows[i], truths[i]) for i in range(n)])
         assert np.array_equal(truth_ranks(rows, truths), expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ties_on_both_sides_of_the_truth(self, data):
+        n, width = data.draw(st.integers(1, 8)), data.draw(st.integers(3, 40))
+        levels = data.draw(st.sampled_from([3, 50]), label="levels")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = rng.integers(0, levels, size=(n, width)).astype(float)
+        truths = rng.integers(1, width - 1, size=n)
+        # each truth's score also sits at a lower id, a higher id, both or
+        # neither, so a row holds it once, twice or more
+        sides, idx = rng.integers(0, 4, size=n), np.arange(n)
+        lower, higher = rng.integers(0, truths), rng.integers(truths + 1, width)
+        rows[idx, np.where(sides & 1, lower, truths)] = rows[idx, truths]
+        rows[idx, np.where(sides & 2, higher, truths)] = rows[idx, truths]
+        expected = np.array([naive_rank(rows[i], truths[i]) for i in range(n)])
+        got = truth_ranks(rows, truths)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_metric_ordering_invariants(self, seed):
@@ -87,8 +105,8 @@ class TestRanks:
                                       max_size=n_rows, unique=True))
         truth = rng.integers(0, n_cols, size=len(test_src))
         slab = data.draw(st.integers(1, len(test_src) + 1), label="slab rows")
-        with mock.patch.object(models, "SLAB_ROWS", slab):
-            got = evaluate_rows(sims.row_slabs(test_src), truth)
+        with mock.patch.object(models, "SLAB_BYTES", 8 * n_cols * slab):
+            got = evaluate_rows(models.row_slabs(sims.scores, test_src), truth)
         assert got == evaluate_rows(sims.scores[test_src], truth)
 
     def test_any_iterable_of_slabs_is_read_as_slabs(self):

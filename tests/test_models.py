@@ -416,6 +416,21 @@ class TestSimMatrix:
         with pytest.raises(ValueError):
             SimMatrix(scores=np.array([[np.nan, 0.0]]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rejects_a_nonfinite_cell_anywhere(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        scores = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+            size=(n_rows, n_cols))
+        cell = data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_cols - 1))
+        scores[cell] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            SimMatrix(scores=scores)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_is_finite(self, shape):
+        assert SimMatrix(scores=np.zeros(shape)).scores.shape == shape
+
     def test_topk_roundtrip_dense(self):
         rng = np.random.default_rng(0)
         dense = SimMatrix(scores=rng.normal(size=(6, 9)))
@@ -450,8 +465,8 @@ class TestSimMatrix:
         if data.draw(st.booleans(), label="sorted"):
             ids.sort()
         slab = data.draw(st.integers(1, n_rows + 1), label="slab rows")
-        with mock.patch.object(models, "SLAB_ROWS", slab):
-            slabs = list(sims.row_slabs(ids))
+        with mock.patch.object(models, "SLAB_BYTES", 8 * n_cols * slab):
+            slabs = list(models.row_slabs(sims.scores, ids))
         assert [len(q) for q in slabs] == [len(ids[lo:lo + slab])
                                             for lo in range(0, len(ids), slab)]
         for q in slabs:
@@ -459,6 +474,31 @@ class TestSimMatrix:
             assert not np.shares_memory(q, sims.scores)
         got = np.concatenate(slabs) if slabs else np.zeros((0, n_cols))
         assert same_bits(got, sims.scores[ids])
+
+
+    @pytest.mark.parametrize("n_cols", [1, 7, 3000, 15_000, models.SLAB_BYTES // 8,
+                                        models.SLAB_BYTES // 8 + 1, 10**6])
+    def test_slab_rows_fill_the_byte_budget(self, n_cols):
+        rows = models.slab_rows(n_cols)
+        if 8 * n_cols > models.SLAB_BYTES:
+            assert rows == 1
+        else:
+            assert rows * 8 * n_cols <= models.SLAB_BYTES < (rows + 1) * 8 * n_cols
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_no_slab_exceeds_the_byte_budget(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        base = np.arange(float(n_rows * n_cols)).reshape(n_cols, n_rows)
+        sims = data.draw(st.sampled_from([base.T, np.ascontiguousarray(base.T)]),
+                         label="layout")
+        budget = data.draw(st.integers(1, 8 * n_rows * n_cols + 8), label="slab bytes")
+        with mock.patch.object(models, "SLAB_BYTES", budget):
+            slabs = list(models.row_slabs(sims, np.arange(n_rows)))
+        assert sum(len(q) for q in slabs) == n_rows
+        for q in slabs:
+            # a row wider than the budget is a slab of its own
+            assert len(q) == 1 if 8 * n_cols > budget else q.nbytes <= budget
 
 
 def _fitted_aligner(pair, links):

@@ -200,6 +200,24 @@ class TestOneToOne:
                                                     0.0, OneToOneState()))
         assert got.pairs == tuple((i, 10 + i) for i in range(n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sorted_finish_is_greedy_matching(self, data):
+        # on two or three levels most scores tie, so the order comes from the
+        # stable sort; on a thousand levels mostly from the first sort alone
+        n_rows, n_cols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+        levels = data.draw(st.sampled_from([2, 3, 1000]), label="levels")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        block = rng.integers(0, levels, size=(n_rows, n_cols)) / (levels - 1)
+        theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
+        r, c = strategies._sorted_finish(block, theta)
+        want = oracle.one_to_one_matching(block, range(n_rows), range(n_cols), theta,
+                                          OneToOneState())
+        assert sorted(zip(r.tolist(), c.tolist())) == list(want.pairs)
+        # greedy order: by descending score, then row, then column
+        keys = list(zip((-block[r, c]).tolist(), r.tolist(), c.tolist()))
+        assert keys == sorted(keys)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_one_to_one_after_accumulation(self, data):
@@ -302,9 +320,11 @@ def grid_rows(rng, entities, cands) -> list[ProbRow]:
             for u, row in zip(entities, w)]
 
 
-def draw_slab_rows(data, row_ids) -> int:
-    """Slabs of one, two or three rows, or one slab for all of them."""
-    return data.draw(st.sampled_from([1, 2, 3, len(row_ids) + 1]), label="slab rows")
+def draw_slab_bytes(data, row_ids, n_cols: int) -> int:
+    """A slab size giving slabs of one, two or three rows of ``n_cols``
+    scores, or one slab for all of them."""
+    rows = data.draw(st.sampled_from([1, 2, 3, len(row_ids) + 1]), label="slab rows")
+    return 8 * n_cols * rows
 
 
 def assert_same(got, want):
@@ -340,7 +360,8 @@ class TestAgainstOracle:
         # matrices in slabs; the reverse one is a transposed view, read in tiles
         full_fwd = embed(fwd, src, tgt)
         full_rev = np.ascontiguousarray(embed(rev, tgt, src).T).T
-        with mock.patch.object(models, "SLAB_ROWS", draw_slab_rows(data, src)):
+        with mock.patch.object(models, "SLAB_BYTES",
+                               draw_slab_bytes(data, src, full_fwd.shape[1])):
             assert_same(similarity_threshold(full_fwd, src, tgt, theta),
                         oracle.similarity_threshold(fwd, src, tgt, theta))
             assert_same(mutual_nearest(full_fwd, src, tgt, full_rev, tgt, src),
@@ -381,8 +402,10 @@ class TestAgainstOracle:
             tgt = drawn_ids(data, data.draw(st.integers(0, max_ids)), pool=pool)
             theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
             sims = rng.integers(0, levels, size=(len(src), len(tgt))) / (levels - 1)
-            with mock.patch.object(models, "SLAB_ROWS", draw_slab_rows(data, src)):
-                got = one_to_one_matching(embed(sims, src, tgt), src, tgt, theta, state)
+            full = embed(sims, src, tgt)
+            with mock.patch.object(models, "SLAB_BYTES",
+                                   draw_slab_bytes(data, src, full.shape[1])):
+                got = one_to_one_matching(full, src, tgt, theta, state)
             assert_same(got, oracle.one_to_one_matching(sims, src, tgt, theta, reference))
         assert list(state.scores.items()) == list(reference.scores.items())
 

@@ -10,7 +10,8 @@ with ``--trace 0`` (end-to-end metrics) and once with ``--trace 1``
 (per-layer metrics), and keeps the JSON object each prints last.  It
 appends one record to the list in ``--out``: those objects under the
 workload's name, together with the core count, the Python and numpy
-versions and the checkout's commit.  Run it in two checkouts with the same
+versions, the checkout's commit and whether ``src/`` has uncommitted
+changes (``dirty``).  Run it in two checkouts with the same
 ``--out`` for a before/after file.  All timing is the benchmark's own; this
 script adds none.
 """
@@ -44,10 +45,19 @@ def _commit() -> str:
     return head.stdout.strip() if head.returncode == 0 else "unknown"
 
 
+def _dirty() -> bool:
+    """Whether ``src/`` differs from the commit: a record of an edited tree
+    does not measure its commit.  Outside a git checkout it counts as dirty."""
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                            capture_output=True, text=True)
+    return status.returncode != 0 or bool(status.stdout.strip())
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    record = {"commit": _commit(), "nproc": len(os.sched_getaffinity(0)),
+    record = {"commit": _commit(), "dirty": _dirty(),
+              "nproc": len(os.sched_getaffinity(0)),
               "python": platform.python_version(), "numpy": numpy.__version__,
               "seed": args.seed, "seconds": args.seconds, "tiny": args.tiny,
               "workloads": {}}

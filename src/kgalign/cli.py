@@ -199,7 +199,8 @@ _COMMANDS = {
     "eval": _cmd_eval,
 }
 
-_CONFIG_ERRORS = (ConfigError, KgFormatError, SimFormatError, ValueError)
+_CONFIG_ERRORS = (ConfigError, KgFormatError, SimFormatError, ValueError,
+                  FileNotFoundError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,8 +20,9 @@ inverse functionality and sub-relation entries.
 All functions here are pure over immutable snapshots (graphs, statistics,
 a frozen assignment).  They read each KG's directed edges from its
 ``Kg.edges`` table, with its edges joined by endpoint pair; the statistics
-count over the target table's join and ``_FactorModel`` compiles the
-factor model onto it.  ``tests/oracle.py`` keeps the readable
+count over the target table's join, and ``_FactorModel`` reads each
+factor's relation evidence through the same join from one dense matrix
+over pairs of directed relations.  ``tests/oracle.py`` keeps the readable
 triple-scanning versions they are checked against.
 """
 
@@ -294,23 +295,6 @@ def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.diff(np.append(starts, len(keys)))
 
 
-def _segment_sums(rows: np.ndarray, idx: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``np.add.reduceat(rows[idx], bounds[:-1], axis=0)`` for nonempty
-    segments, bit for bit, without gathering all of ``rows[idx]``.
-
-    Most segments have one row, which is their sum; ``reduceat`` runs only
-    over the rows of the others, and sums each segment on its own.
-    """
-    starts, counts = bounds[:-1], np.diff(bounds)
-    out = rows[idx[starts]]
-    multi = np.flatnonzero(counts > 1)
-    if len(multi):
-        n = counts[multi]
-        out[multi] = np.add.reduceat(rows[idx[_ranges(bounds, multi)[1]]],
-                                     np.cumsum(n) - n, axis=0)
-    return out
-
-
 def _row_sums(owner: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Sum the rows of ``vals`` into ``n`` rows by ``owner``, adding each
     output row's contributions in input order."""
@@ -324,31 +308,34 @@ class _FactorModel:
 
     ``ptr``, ``rel`` and ``far`` are the source KG's edge table, and
     ``y[e]`` is the counterpart assigned to source entity ``e`` or -1.
-    ``table[i, rho_s]`` sums the log survival of source relation ``rho_s``
-    against every directed target relation joining the target pair ``i`` of
-    ``pairs``.  A factor's log survival is a sum of ``table`` entries over
-    its source edges, so ``1 - exp(sum)`` is its score.
+    ``log_surv[rho_s, rho_t]`` is the log survival of one matched pair of
+    directed relations, and ``pair_rel`` the relations of the target edges
+    in the order of ``pairs``, so each target pair's relations are one run
+    of it.  A factor's log survival is the sum of ``log_surv`` entries over
+    its source edges and the target edges joining their mapped endpoints,
+    so ``1 - exp(sum)`` is its score.
     """
 
     def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
         src, tgt = kg_pair.source, kg_pair.target
         self.rel, self.far, self.ptr = src.edges.rel, src.edges.far, src.edges.ptr
         self.y = _assigned(assignment, src.n_entities)
-
-        log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
+        self.log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
         self.pairs = tgt.edges.pairs
-        self.table = _segment_sums(log_surv.T, tgt.edges.rel[self.pairs.order],
-                                   self.pairs.bounds)
+        self.pair_rel = tgt.edges.rel[self.pairs.order]
 
     def edge_log_survival(self, rel, y_near, y_far) -> np.ndarray:
         """Log survival of source edges with relation ``rel`` whose
         endpoints map to ``y_near`` and ``y_far`` (0 where ``y_far`` is -1
-        or no target relation joins the pair); broadcasts."""
+        or no target relation joins the pair); broadcasts.  Each sums its
+        target edges' terms left to right in edge-table order."""
         rel, y_near, y_far = np.broadcast_arrays(rel, y_near, y_far)
         pos, hit = self.pairs.find(y_near, y_far)
-        out = np.zeros(pos.shape)
-        out[hit] = self.table[pos[hit], rel[hit]]
-        return out
+        owner, idx = _ranges(self.pairs.bounds, pos[hit])
+        terms = self.log_surv[rel[hit][owner], self.pair_rel[idx]]
+        # an empty bincount is integer, whatever its weights
+        out = np.bincount(np.flatnonzero(hit)[owner], terms, minlength=hit.size)
+        return out.reshape(hit.shape).astype(float, copy=False)
 
     def own_log_survival(self, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
         """``(len(rows), k)``: log survival of the factor anchored at each

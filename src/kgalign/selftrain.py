@@ -171,7 +171,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 def _coerce(key: str, value, type_str: str):
     if not isinstance(value, str):
         return value
-    if value.lower() == "none":
+    if type_str.endswith(" | None") and value.lower() == "none":
         return None
     number = _NUMBER_TYPES.get(type_str.removesuffix(" | None"))
     if number:

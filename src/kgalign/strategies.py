@@ -232,6 +232,9 @@ def one_to_one_matching(
     # then ``r``, is the greedy order
     order = np.lexsort((r, -score))
     fresh = zip(score[order].tolist(), src[r[order]].tolist(), tgt[c[order]].tolist())
+    # fresh pairs are one-to-one, so one that the store already holds at the
+    # same or a higher score conflicts only with itself, and would lose
+    fresh = [(s, u, t) for s, u, t in fresh if state.scores.get((u, t), -np.inf) < s]
 
     by_src = {u: (u, t) for (u, t) in state.scores}
     by_tgt = {t: (u, t) for (u, t) in state.scores}

@@ -8,6 +8,7 @@ import pytest
 from kgalign.cli import main
 from kgalign.kg import load_dataset
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
+from kgalign.selftrain import config_from_mapping
 from kgalign.simio import read_sim_matrix, write_sim_matrix
 from kgalign.synth import write_twin_dataset
 from oracle import top_k_of
@@ -124,6 +125,27 @@ class TestRunCommand:
         code = main(["run", "--config", str(run_conf), "--epochs", "abc"])
         assert code == 1
         assert "epochs: expected an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--epochs", "epochs: expected an integer, got 'none'"),
+        ("--seed", "seed: expected an integer, got 'none'"),
+        ("--ratio", "ratio: expected a number, got 'none'"),
+        ("--oracle-noise", "oracle_noise: expected a number, got 'none'"),
+        ("--debug-dump", "debug_dump: expected a boolean, got 'none'"),
+        # a path field keeps the word, and names the missing file
+        ("--dataset-dir", "dataset file missing: none"),
+    ])
+    def test_none_only_clears_optional_fields(self, run_conf, tmp_path, capsys,
+                                              flag, message):
+        code = main(["run", "--config", str(run_conf), flag, "none"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_none_clears_an_optional_field(self):
+        config = config_from_mapping({"dataset_dir": "d", "theta": "None",
+                                      "sim_file": "none"})
+        assert config.theta is None and config.sim_file is None
 
     def test_paper_default_ratio_runs(self, tmp_path, capsys):
         # at ratio 0.3 the labelled rows are many and overlap, and the
@@ -333,6 +355,21 @@ class TestStatsAndEval:
     def test_eval_without_inputs_fails(self, twin_dataset_dir, capsys):
         code = main(["eval", "--dataset-dir", str(twin_dataset_dir)])
         assert code == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--config"), ("eval", "--sim-file"), ("eval", "--pseudo-file"),
+        ("partition", "--links"), ("import-sim", "--sim-file"),
+        ("stats", "--out"),  # an output file whose directory is missing
+    ])
+    def test_missing_file_exits_one_naming_it(self, twin_dataset_dir, tmp_path, capsys,
+                                              command, flag):
+        missing = tmp_path / "absent" / "file.tsv"
+        others = {
+            "run": [],
+            "partition": ["--ratio", "0.3", "--seed", "0", "--out", str(tmp_path / "p")],
+        }.get(command, ["--dataset-dir", str(twin_dataset_dir)])
+        assert main([command, flag, str(missing)] + others) == 1
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestLinksFile:

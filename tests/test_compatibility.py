@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from kgalign.compatibility import (
 from kgalign import compatibility, models
 from kgalign import kg as kg_module
 from kgalign.kg import Kg, KgPair, _edge_table
+from kgalign.synth import twin_label_data
 
 
 def kg_of(triples, extra=()):
@@ -572,28 +574,66 @@ class TestZeroSurvival:
         assert row.argmax_candidate() == 1
 
 
-class TestFactorTable:
-    """``_FactorModel.table`` sums each target pair's log survival rows as
-    ``np.add.reduceat`` over the gathered rows did, bit for bit."""
+class TestFactorModel:
+    """``_FactorModel`` reads relation evidence through the target KG's pair
+    join: no table with a per-target-pair dimension."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_segment_sums_are_reduceat(self, data):
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        rng = np.random.default_rng(seed)
-        n_rows, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
-        # magnitudes far apart make any change in the order of the adds show
-        rows = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-8, 8, (n_rows, width))
-        rows[rng.random((n_rows, width)) < 0.15] = -np.inf
-        # mostly one to four edges per pair, now and then past eight, where
-        # reduceat's pairwise sum of the later rows changes its order
-        counts = data.draw(st.lists(st.one_of(st.integers(1, 4), st.integers(5, 12)),
-                                    min_size=1, max_size=40))
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        idx = rng.integers(0, n_rows, size=bounds[-1])
-        got = compatibility._segment_sums(rows, idx, bounds)
-        want = np.add.reduceat(rows[idx], bounds[:-1], axis=0)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    def test_edge_log_survival_sums_left_to_right(self):
+        # target pairs joined by 1, 2, 3 and 5 directed edges, with parallel
+        # relations in both orientations
+        tgt = kg_of([("b0", "s0", "b1"),
+                     ("b2", "s0", "b3"), ("b3", "s1", "b2"),
+                     ("b4", "s0", "b5"), ("b4", "s1", "b5"), ("b5", "s2", "b4"),
+                     ("b6", "s0", "b7"), ("b6", "s1", "b7"), ("b7", "s2", "b6"),
+                     ("b6", "s3", "b7"), ("b7", "s4", "b6")])
+        src = kg_of([("a0", "r0", "a1"), ("a1", "r1", "a2")])
+        pair = KgPair(src, tgt)
+        f = compatibility._FactorModel(pair, estimate_relation_stats(pair, Assignment({})),
+                                       Assignment({}))
+        edges = tgt.edges
+        counts = np.diff(edges.pairs.bounds)
+        assert sorted(counts.tolist()) == [1, 1, 2, 2, 3, 3, 5, 5]
+        near = np.append(edges.near[edges.pairs.order], [0, 0])
+        far = np.append(edges.far[edges.pairs.order], [2, -1])  # two misses
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            # magnitudes far apart make any change in the order of the adds show
+            f.log_surv = (rng.normal(size=f.log_surv.shape)
+                          * 10.0 ** rng.integers(-8, 8, f.log_surv.shape))
+            rel = np.arange(len(f.log_surv))[:, None]
+            got = f.edge_log_survival(rel, near[None, :], far[None, :])
+            want = np.zeros(got.shape)
+            for r in range(len(rel)):
+                for q, (a, b) in enumerate(zip(near.tolist(), far.tolist())):
+                    for e in edges.pairs.order.tolist():  # edge-table order per pair
+                        if (edges.near[e], edges.far[e]) == (a, b):
+                            want[r, q] += f.log_surv[r, edges.rel[e]]
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        no_hit = f.edge_log_survival(0, np.array([0, 0]), np.array([-1, 2]))
+        assert no_hit.dtype == np.float64 and not no_hit.any()
+
+    def test_memory_grows_with_relations_not_with_pairs(self):
+        # an n=1000 twin with 400 relations: 7958 target pairs, so a table
+        # of pairs x 800 directed relations alone is 49 MiB, ten times the
+        # 800 x 800 log survival matrix.  Measured peak: 5.0 of those
+        # matrices; a per-pair table peaked at 11.1
+        base, twin, links = twin_label_data(1000, 4000, 400, 0.1, 11)
+        src, tgt = Kg.from_label_triples(base), Kg.from_label_triples(twin)
+        pair = KgPair(src, tgt)
+        assignment = Assignment({src.entity_ids[a]: tgt.entity_ids[b]
+                                 for a, b in links[:500]})
+        stats = estimate_relation_stats(pair, assignment)
+        rows = np.arange(500, 756)
+        cands = np.random.default_rng(0).integers(0, tgt.n_entities, (len(rows), 10))
+        _ = src.edges, tgt.edges.pairs  # built once per KG, on first use
+        tracemalloc.start()
+        try:
+            compatibility._FactorModel(pair, stats, assignment).factor_sums(rows, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log_surv_bytes = (2 * 400) ** 2 * 8
+        assert peak < 6 * log_surv_bytes, f"peak {peak / log_surv_bytes:.1f} x L"
 
 
 class TestStoryScenarios:

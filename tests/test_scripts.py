@@ -50,6 +50,7 @@ def test_bench_collects_every_workload_untraced_and_traced(tmp_path):
     earlier, record = json.loads(out.read_text())
     assert earlier == {"earlier": "record"}
     assert {"commit", "nproc", "python", "numpy"} <= set(record)
+    assert isinstance(record["dirty"], bool)
     spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
     assert list(record["workloads"]) == [w["name"] for w in spec["workloads"]]
     for result in record["workloads"].values():

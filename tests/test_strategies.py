@@ -393,8 +393,9 @@ class TestAgainstOracle:
 
     @staticmethod
     def check_one_to_one(data, max_ids: int, pool: int, levels: int):
-        """Three calls sharing one state, each on a ``levels``-valued grid
-        embedded in a decoy-filled matrix and read in drawn slabs."""
+        """Calls sharing one state on three matrices, each matched once or
+        twice in a row; each is a ``levels``-valued grid embedded in a
+        decoy-filled matrix and read in drawn slabs."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         state, reference = OneToOneState(), OneToOneState()
         for _ in range(3):
@@ -403,10 +404,13 @@ class TestAgainstOracle:
             theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
             sims = rng.integers(0, levels, size=(len(src), len(tgt))) / (levels - 1)
             full = embed(sims, src, tgt)
-            with mock.patch.object(models, "SLAB_BYTES",
-                                   draw_slab_bytes(data, src, full.shape[1])):
-                got = one_to_one_matching(full, src, tgt, theta, state)
-            assert_same(got, oracle.one_to_one_matching(sims, src, tgt, theta, reference))
+            # a repeated call finds every fresh pair already held
+            for _ in range(data.draw(st.integers(1, 2))):
+                with mock.patch.object(models, "SLAB_BYTES",
+                                       draw_slab_bytes(data, src, full.shape[1])):
+                    got = one_to_one_matching(full, src, tgt, theta, state)
+                assert_same(got, oracle.one_to_one_matching(sims, src, tgt, theta,
+                                                            reference))
         assert list(state.scores.items()) == list(reference.scores.items())
 
     @settings(max_examples=200, deadline=None)

@@ -10,10 +10,11 @@ with ``--trace 0`` (end-to-end metrics) and once with ``--trace 1``
 (per-layer metrics), and keeps the JSON object each prints last.  It
 appends one record to the list in ``--out``: those objects under the
 workload's name, together with the core count, the Python and numpy
-versions, the checkout's commit and whether ``src/`` has uncommitted
-changes (``dirty``).  Run it in two checkouts with the same
-``--out`` for a before/after file.  All timing is the benchmark's own; this
-script adds none.
+versions, the checkout's commit, whether ``src/`` has uncommitted
+changes (``dirty``) and the line count of ``src/kgalign/*.py``
+(``src_lines``), from which a change's net src delta is taken.  Run it in
+two checkouts with the same ``--out`` for a before/after file.  All timing
+is the benchmark's own; this script adds none.
 """
 
 import argparse
@@ -53,10 +54,15 @@ def _dirty() -> bool:
     return status.returncode != 0 or bool(status.stdout.strip())
 
 
+def _src_lines() -> int:
+    """Total line count of ``src/kgalign/*.py``, as ``wc -l`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "kgalign").glob("*.py"))
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    record = {"commit": _commit(), "dirty": _dirty(),
+    record = {"commit": _commit(), "dirty": _dirty(), "src_lines": _src_lines(),
               "nproc": len(os.sched_getaffinity(0)),
               "python": platform.python_version(), "numpy": numpy.__version__,
               "seed": args.seed, "seconds": args.seconds, "tiny": args.tiny,

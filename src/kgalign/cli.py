@@ -200,7 +200,7 @@ _COMMANDS = {
 }
 
 _CONFIG_ERRORS = (ConfigError, KgFormatError, SimFormatError, ValueError,
-                  FileNotFoundError)
+                  FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError)
 
 
 def main(argv: list[str] | None = None) -> int:

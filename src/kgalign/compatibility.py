@@ -19,9 +19,9 @@ inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
 a frozen assignment).  They read each KG's directed edges from its
-``Kg.edges`` table, with its edges joined by endpoint pair; the statistics
-count over the target table's join, and ``_FactorModel`` reads each
-factor's relation evidence through the same join from one dense matrix
+``Kg.edges`` table, sorted by endpoint pair and so its own join on pairs:
+the statistics count over the target table's join, and ``_FactorModel``
+reads each factor's relation evidence through it from one dense matrix
 over pairs of directed relations.  ``tests/oracle.py`` keeps the readable
 triple-scanning versions they are checked against.
 """
@@ -87,7 +87,7 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> Relation
     y = _assigned(assignment, src.n_entities)
     trial = np.flatnonzero((y[s_near] >= 0) & (y[s_far] >= 0))
     # every (source edge, target edge) pair joining counterpart endpoints
-    i, j = tgt.edges.pairs.matches(y[s_near[trial]], y[s_far[trial]])
+    i, j = tgt.edges.matches(y[s_near[trial]], y[s_far[trial]])
     rho_s = s_rel[trial[i]]
     image = np.zeros(tgt.n_entities, dtype=bool)
     image[y[y >= 0]] = True
@@ -270,22 +270,28 @@ def _assigned(assignment: Assignment, n: int) -> np.ndarray:
 
 def _log_survival_table(stats: RelationStats, n_src: int, n_tgt: int) -> np.ndarray:
     """``L[rho_s, rho_t]``: the log of both survival terms of one matched
-    pair of directed relations, ``-inf`` where a term is 0."""
+    pair of directed relations, ``-inf`` where a term is 0.  Each term is a
+    broadcast of per-relation defaults, written over at co-observed pairs."""
     src_if = np.array([stats.src_inv_fun[r] for r in range(n_src)])
     tgt_if = np.array([stats.tgt_inv_fun[r] for r in range(n_tgt)])
     # a pair missing from subrel_* has no support: (0 + 1) / (trials + 2)
-    tgt_trials = np.array([stats.tgt_trials.get(r, 0) for r in range(n_tgt)])
-    src_trials = np.array([stats.src_trials.get(r, 0) for r in range(n_src)])
-    p_ts = np.tile(1.0 / (tgt_trials + 2), (n_src, 1))
-    p_st = np.tile((1.0 / (src_trials + 2))[:, None], (1, n_tgt))
-    for (rt, rs), p in stats.subrel_tgt_in_src.items():
-        if rs < n_src and rt < n_tgt:
-            p_ts[rs, rt] = p
-    for (rs, rt), p in stats.subrel_src_in_tgt.items():
-        if rs < n_src and rt < n_tgt:
-            p_st[rs, rt] = p
+    p_ts = 1.0 / (np.array([stats.tgt_trials.get(r, 0) for r in range(n_tgt)]) + 2)
+    p_st = 1.0 / (np.array([stats.src_trials.get(r, 0) for r in range(n_src)]) + 2)
+    rt_ts, rs_ts, ts = _subrel_arrays(stats.subrel_tgt_in_src, n_tgt, n_src)
+    rs_st, rt_st, st = _subrel_arrays(stats.subrel_src_in_tgt, n_src, n_tgt)
     with np.errstate(divide="ignore"):
-        return np.log(1.0 - p_ts * src_if[:, None]) + np.log(1.0 - p_st * tgt_if)
+        table = np.log(1.0 - p_ts * src_if[:, None])
+        table[rs_ts, rt_ts] = np.log(1.0 - ts * src_if[rs_ts])
+        other = np.log(1.0 - p_st[:, None] * tgt_if)
+        other[rs_st, rt_st] = np.log(1.0 - st * tgt_if[rt_st])
+    return table + other
+
+
+def _subrel_arrays(subrel: dict, n_a: int, n_b: int) -> tuple[np.ndarray, ...]:
+    """``(a, b, p)`` arrays of the pairs of ``subrel`` inside ``n_a × n_b``."""
+    a, b = np.array(list(subrel), dtype=np.int64).reshape(-1, 2).T
+    keep = (a < n_a) & (b < n_b)
+    return a[keep], b[keep], np.fromiter(subrel.values(), float, len(subrel))[keep]
 
 
 def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,14 +312,12 @@ def _row_sums(owner: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 class _FactorModel:
     """The factor model of one assignment compiled to arrays.
 
-    ``ptr``, ``rel`` and ``far`` are the source KG's edge table, and
-    ``y[e]`` is the counterpart assigned to source entity ``e`` or -1.
-    ``log_surv[rho_s, rho_t]`` is the log survival of one matched pair of
-    directed relations, and ``pair_rel`` the relations of the target edges
-    in the order of ``pairs``, so each target pair's relations are one run
-    of it.  A factor's log survival is the sum of ``log_surv`` entries over
-    its source edges and the target edges joining their mapped endpoints,
-    so ``1 - exp(sum)`` is its score.
+    ``ptr``, ``rel`` and ``far`` are the source KG's edge table, ``tgt``
+    the target KG's, and ``y[e]`` is the counterpart assigned to source
+    entity ``e`` or -1.  ``log_surv[rho_s, rho_t]`` is the log survival of
+    one matched pair of directed relations.  A factor's log survival is the
+    sum of ``log_surv`` entries over its source edges and the target edges
+    joining their mapped endpoints, so ``1 - exp(sum)`` is its score.
     """
 
     def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
@@ -321,8 +325,7 @@ class _FactorModel:
         self.rel, self.far, self.ptr = src.edges.rel, src.edges.far, src.edges.ptr
         self.y = _assigned(assignment, src.n_entities)
         self.log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
-        self.pairs = tgt.edges.pairs
-        self.pair_rel = tgt.edges.rel[self.pairs.order]
+        self.tgt = tgt.edges
 
     def edge_log_survival(self, rel, y_near, y_far) -> np.ndarray:
         """Log survival of source edges with relation ``rel`` whose
@@ -330,9 +333,9 @@ class _FactorModel:
         or no target relation joins the pair); broadcasts.  Each sums its
         target edges' terms left to right in edge-table order."""
         rel, y_near, y_far = np.broadcast_arrays(rel, y_near, y_far)
-        pos, hit = self.pairs.find(y_near, y_far)
-        owner, idx = _ranges(self.pairs.bounds, pos[hit])
-        terms = self.log_surv[rel[hit][owner], self.pair_rel[idx]]
+        pos, hit = self.tgt.find(y_near, y_far)
+        owner, idx = _ranges(self.tgt.bounds, pos[hit])
+        terms = self.log_surv[rel[hit][owner], self.tgt.rel[idx]]
         # an empty bincount is integer, whatever its weights
         out = np.bincount(np.flatnonzero(hit)[owner], terms, minlength=hit.size)
         return out.reshape(hit.shape).astype(float, copy=False)
@@ -357,7 +360,8 @@ class _FactorModel:
         owner, edge = _ranges(self.ptr, rows)
         far = self.far[edge]
         nbr = far != rows[owner]
-        a_row, a_ent = np.divmod(_key_counts(owner[nbr] * n_src + far[nbr])[0], n_src)
+        keys = owner[nbr] * n_src + far[nbr]  # ascending: edges run by far end
+        a_row, a_ent = np.divmod(keys[_run_starts(keys)], n_src)
         assigned = self.y[a_ent] >= 0
         a_row, a_ent = a_row[assigned], a_ent[assigned]
         a_y = self.y[a_ent]

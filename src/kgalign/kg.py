@@ -2,8 +2,8 @@
 
 Entities and relations are interned to dense integer ids at load time (by
 first appearance); all downstream numerics work on ids.  A ``Kg`` is
-immutable after construction, so its directed-edge table (``Kg.edges``) is
-built once, on first use, and never goes stale.
+immutable after construction, so its directed-edge table (``Kg.edges``),
+sorted by endpoint pair, is built once, on first use, and never goes stale.
 
 File formats:
   * triples: UTF-8, one ``head<TAB>relation<TAB>tail`` per line (LF or CRLF)
@@ -71,8 +71,7 @@ class Kg:
     @cached_property
     def edges(self) -> EdgeTable:
         """This KG's directed-edge table, built on first use."""
-        near, rel, far, ptr = _edge_table(self)
-        return EdgeTable(near, rel, far, ptr, _PairJoin(near, far, self.n_entities))
+        return EdgeTable(*_edge_table(self), self.n_entities)
 
     @staticmethod
     def from_label_triples(
@@ -127,43 +126,29 @@ class Kg:
 
 def _edge_table(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(near, rel, far, ptr)``: every triple in both orientations, ``r``
-    read head to tail and ``r + n_relations`` tail to head, grouped by near
-    endpoint.  ``ptr[e]:ptr[e + 1]`` holds ``e``'s outgoing edges, then its
-    incoming ones, each in triple order; factor sums add in this order."""
+    read head to tail and ``r + n_relations`` tail to head, sorted stably by
+    endpoint pair ``near * n + far``.  ``ptr[e]:ptr[e + 1]`` holds ``e``'s
+    edges by far end; one pair's edges run outgoing, then incoming, each in
+    triple order.  Factor sums add in this order."""
     flat = np.fromiter(itertools.chain.from_iterable(kg.triples), np.int64,
                        3 * len(kg.triples))
     h, r, t = flat.reshape(-1, 3).T
-    near = np.concatenate([h, t])
-    order = np.argsort(near, kind="stable")
+    near, far = np.concatenate([h, t]), np.concatenate([t, h])
+    order = np.argsort(near * kg.n_entities + far, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=kg.n_entities))])
-    return (near[order], np.concatenate([r, r + kg.n_relations])[order],
-            np.concatenate([t, h])[order], ptr)
+    return near[order], np.concatenate([r, r + kg.n_relations])[order], far[order], ptr
 
 
-@dataclass(frozen=True)
 class EdgeTable:
-    """One KG's directed-edge table (see ``_edge_table``) and its edges
-    joined by endpoint pair."""
+    """One KG's directed-edge table (see ``_edge_table``).  Sorted by
+    endpoint pair, it is its own join on pairs: ``bounds[i]:bounds[i + 1]``
+    are the edges of the pair ``keys[i]``."""
 
-    near: np.ndarray
-    rel: np.ndarray
-    far: np.ndarray
-    ptr: np.ndarray
-    pairs: _PairJoin
-
-
-class _PairJoin:
-    """Edges grouped by endpoint pair ``near * n + far``, sorted stably so
-    each pair's edges keep their edge-table order: ``order[bounds[i]:
-    bounds[i + 1]]`` are the edges of the pair ``keys[i]``."""
-
-    def __init__(self, near: np.ndarray, far: np.ndarray, n: int):
+    def __init__(self, near, rel, far, ptr, n: int):
+        self.near, self.rel, self.far, self.ptr, self.n = near, rel, far, ptr, n
         keys = near * n + far
-        self.order = np.argsort(keys, kind="stable")
-        keys = keys[self.order]
         starts = _run_starts(keys)
-        self.keys, self.n = keys[starts], n
-        self.bounds = np.append(starts, len(keys))
+        self.keys, self.bounds = keys[starts], np.append(starts, len(keys))
 
     def find(self, near, far) -> tuple[np.ndarray, np.ndarray]:
         """``(pair index, hit)`` per queried pair; ``hit`` is False where
@@ -177,7 +162,7 @@ class _PairJoin:
         pos, hit = self.find(near, far)
         q = np.flatnonzero(hit)
         owner, idx = _ranges(self.bounds, pos[q])
-        return q[owner], self.order[idx]
+        return q[owner], idx
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:

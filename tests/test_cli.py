@@ -270,6 +270,19 @@ class TestImportSim:
         assert "expected tgt_to_src" in capsys.readouterr().err
 
 
+# (command, flag, kind of bad path)
+BAD_PATHS = [
+    ("run", "--config", "missing"), ("eval", "--sim-file", "missing"),
+    ("eval", "--pseudo-file", "missing"), ("partition", "--links", "missing"),
+    ("import-sim", "--sim-file", "missing"),
+    ("stats", "--out", "missing"),  # an output file whose directory is missing
+    ("run", "--config", "dir"), ("eval", "--sim-file", "dir"),
+    ("eval", "--pseudo-file", "dir"), ("import-sim", "--sim-file", "dir"),
+    ("stats", "--out", "dir"), ("stats", "--out", "under_file"),
+    ("run", "--out-dir", "file"), ("partition", "--out", "file"),
+]
+
+
 class TestStatsAndEval:
     @pytest.mark.parametrize("command", ["partition", "stats", "eval"])
     def test_negative_seed_exits_one_naming_seed(self, twin_dataset_dir, tmp_path,
@@ -356,20 +369,26 @@ class TestStatsAndEval:
         code = main(["eval", "--dataset-dir", str(twin_dataset_dir)])
         assert code == 1
 
-    @pytest.mark.parametrize("command, flag", [
-        ("run", "--config"), ("eval", "--sim-file"), ("eval", "--pseudo-file"),
-        ("partition", "--links"), ("import-sim", "--sim-file"),
-        ("stats", "--out"),  # an output file whose directory is missing
-    ])
+    @pytest.mark.parametrize("command, flag, kind", BAD_PATHS, ids=[
+        "-".join(case[:2] if case[2] == "missing" else case) for case in BAD_PATHS])
     def test_missing_file_exits_one_naming_it(self, twin_dataset_dir, tmp_path, capsys,
-                                              command, flag):
-        missing = tmp_path / "absent" / "file.tsv"
+                                              command, flag, kind):
+        """A missing path, or one of the wrong kind (a directory where a file
+        is read or written, a file where a directory is made), exits 1."""
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("x\n", encoding="utf-8")
+        path = {"missing": tmp_path / "absent" / "file.tsv", "dir": tmp_path / "adir",
+                "under_file": tmp_path / "afile" / "x.tsv", "file": tmp_path / "afile"}[kind]
         others = {
-            "run": [],
-            "partition": ["--ratio", "0.3", "--seed", "0", "--out", str(tmp_path / "p")],
+            "run": [] if flag == "--config" else [
+                "--dataset-dir", str(twin_dataset_dir), "--model", "oracle",
+                "--iterations", "1", "--epochs", "1"],
+            "partition": ["--ratio", "0.3", "--seed", "0"] + (
+                ["--out", str(tmp_path / "p")] if flag == "--links"
+                else ["--links", str(twin_dataset_dir / "ent_links")]),
         }.get(command, ["--dataset-dir", str(twin_dataset_dir)])
-        assert main([command, flag, str(missing)] + others) == 1
-        assert str(missing) in capsys.readouterr().err
+        assert main([command, flag, str(path)] + others) == 1
+        assert str(path) in capsys.readouterr().err
 
 
 class TestLinksFile:

@@ -44,8 +44,9 @@ def random_tiny_pair(rng, n=6, t=10, r=2):
 
 
 class TestEdgeTable:
-    """Each entity's edges, outgoing then incoming, each in triple order:
-    the order the factor sums add in."""
+    """Each entity's edges by far end, and one pair's edges outgoing then
+    incoming, each in triple order: the order the factor sums add in.  The
+    table is its own join on endpoint pairs."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -57,10 +58,11 @@ class TestEdgeTable:
             span = slice(ptr[e], ptr[e + 1])
             assert (near[span] == e).all()
             assert list(zip(rel[span].tolist(), far[span].tolist())) == \
-                oracle.directed_adjacency(kg, e)
+                sorted(oracle.directed_adjacency(kg, e), key=lambda edge: edge[1])
 
     def test_edge_table_order_and_self_loop(self):
-        # b's edges are not sorted by far end: b->a, b->d, then a->b twice
+        # b's edges run by far end: its three edges to a, outgoing first,
+        # then its edge to d
         kg = Kg.from_label_triples([("a", "r", "b"), ("b", "q", "a"), ("a", "q", "b"),
                                     ("c", "r", "c"), ("b", "q", "d")])
         a, b, c, d = (kg.entity_ids[x] for x in "abcd")
@@ -69,11 +71,30 @@ class TestEdgeTable:
         edges = [list(zip(rel[ptr[e]:ptr[e + 1]].tolist(), far[ptr[e]:ptr[e + 1]].tolist()))
                  for e in range(kg.n_entities)]
         assert edges[a] == [(r, b), (q, b), (q + n_rel, b)]
-        assert edges[b] == [(q, a), (q, d), (r + n_rel, a), (q + n_rel, a)]
+        assert edges[b] == [(q, a), (r + n_rel, a), (q + n_rel, a), (q, d)]
         assert edges[c] == [(r, c), (r + n_rel, c)]
         assert edges[d] == [(q + n_rel, b)]
         assert oracle.neighbors(kg, c) == (c,)
         assert oracle.neighbors(kg, b) == (a, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_find_and_matches_equal_a_scan(self, data):
+        kg = oracle.random_kg(data, "e", max_entities=8)
+        table, n = kg.edges, kg.n_entities
+        queries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)),
+                                     max_size=20))
+        near = np.array([a for a, _ in queries], dtype=np.int64)
+        far = np.array([b for _, b in queries], dtype=np.int64)
+        scan = [[e for e in range(len(table.near)) if (table.near[e], table.far[e]) == ab]
+                for ab in queries]
+        pos, hit = table.find(near, far)
+        assert hit.tolist() == [bool(edges) for edges in scan]
+        for p, edges in zip(pos[hit].tolist(), [edges for edges in scan if edges]):
+            assert list(range(table.bounds[p], table.bounds[p + 1])) == edges
+        q, e = table.matches(near, far)
+        assert list(zip(q.tolist(), e.tolist())) == \
+            [(i, edge) for i, edges in enumerate(scan) for edge in edges]
 
 
 class TestSharedEdgeTables:
@@ -591,10 +612,10 @@ class TestFactorModel:
         f = compatibility._FactorModel(pair, estimate_relation_stats(pair, Assignment({})),
                                        Assignment({}))
         edges = tgt.edges
-        counts = np.diff(edges.pairs.bounds)
+        counts = np.diff(edges.bounds)
         assert sorted(counts.tolist()) == [1, 1, 2, 2, 3, 3, 5, 5]
-        near = np.append(edges.near[edges.pairs.order], [0, 0])
-        far = np.append(edges.far[edges.pairs.order], [2, -1])  # two misses
+        near = np.append(edges.near, [0, 0])
+        far = np.append(edges.far, [2, -1])  # two misses
         rng = np.random.default_rng(5)
         for _ in range(20):
             # magnitudes far apart make any change in the order of the adds show
@@ -605,7 +626,7 @@ class TestFactorModel:
             want = np.zeros(got.shape)
             for r in range(len(rel)):
                 for q, (a, b) in enumerate(zip(near.tolist(), far.tolist())):
-                    for e in edges.pairs.order.tolist():  # edge-table order per pair
+                    for e in range(len(edges.near)):  # edge-table order
                         if (edges.near[e], edges.far[e]) == (a, b):
                             want[r, q] += f.log_surv[r, edges.rel[e]]
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
@@ -615,8 +636,9 @@ class TestFactorModel:
     def test_memory_grows_with_relations_not_with_pairs(self):
         # an n=1000 twin with 400 relations: 7958 target pairs, so a table
         # of pairs x 800 directed relations alone is 49 MiB, ten times the
-        # 800 x 800 log survival matrix.  Measured peak: 5.0 of those
-        # matrices; a per-pair table peaked at 11.1
+        # 800 x 800 log survival matrix.  Measured peak: 3.0 of those
+        # matrices; tiled default probabilities peaked at 5.0, a per-pair
+        # table at 11.1
         base, twin, links = twin_label_data(1000, 4000, 400, 0.1, 11)
         src, tgt = Kg.from_label_triples(base), Kg.from_label_triples(twin)
         pair = KgPair(src, tgt)
@@ -625,7 +647,7 @@ class TestFactorModel:
         stats = estimate_relation_stats(pair, assignment)
         rows = np.arange(500, 756)
         cands = np.random.default_rng(0).integers(0, tgt.n_entities, (len(rows), 10))
-        _ = src.edges, tgt.edges.pairs  # built once per KG, on first use
+        _ = src.edges, tgt.edges  # built once per KG, on first use
         tracemalloc.start()
         try:
             compatibility._FactorModel(pair, stats, assignment).factor_sums(rows, cands)
@@ -633,7 +655,7 @@ class TestFactorModel:
         finally:
             tracemalloc.stop()
         log_surv_bytes = (2 * 400) ** 2 * 8
-        assert peak < 6 * log_surv_bytes, f"peak {peak / log_surv_bytes:.1f} x L"
+        assert peak < 4 * log_surv_bytes, f"peak {peak / log_surv_bytes:.1f} x L"
 
 
 class TestStoryScenarios:

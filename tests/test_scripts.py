@@ -51,6 +51,9 @@ def test_bench_collects_every_workload_untraced_and_traced(tmp_path):
     assert earlier == {"earlier": "record"}
     assert {"commit", "nproc", "python", "numpy"} <= set(record)
     assert isinstance(record["dirty"], bool)
+    src_lines = sum(p.read_bytes().count(b"\n")
+                    for p in (SCRIPTS.parent / "src" / "kgalign").glob("*.py"))
+    assert type(record["src_lines"]) is int and record["src_lines"] == src_lines > 0
     spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
     assert list(record["workloads"]) == [w["name"] for w in spec["workloads"]]
     for result in record["workloads"].values():

@@ -61,18 +61,40 @@ class ProbRow:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", p)
-        if len(self.cand_ids) != p.shape[0]:
-            raise ValueError("cand_ids / probs length mismatch")
-        if len(set(self.cand_ids)) != len(self.cand_ids):
-            raise ValueError("duplicate candidate ids")
-        # a NaN minimum fails ``>= 0`` (every NaN comparison is False), and an
-        # infinity fails the sum; ``initial`` lets an empty row reach the sum
-        if not (p.min(initial=0.0) >= 0 and abs(float(p.sum()) - 1.0) <= 1e-9):
-            raise ValueError("probabilities must be finite, nonnegative and sum to 1")
+        _check_rows([self.entity], np.array(self.cand_ids, dtype=np.int64)[None], p[None])
+
+    @classmethod
+    def block(cls, entities, cand_ids: np.ndarray, probs: np.ndarray) -> list[ProbRow]:
+        """Rows from 2-d blocks of candidate ids and probabilities, checked at once."""
+        p = np.asarray(probs, dtype=np.float64)
+        _check_rows(entities, cand_ids, p)
+        rows = []
+        for u, c, pr in zip(entities, cand_ids.tolist(), p):
+            # one at a time, as __init__ sets them: on Python 3.11 rows all
+            # made first would each hold a dict.  No __post_init__
+            rows.append(row := object.__new__(cls))
+            object.__setattr__(row, "entity", u)
+            object.__setattr__(row, "cand_ids", tuple(c))
+            object.__setattr__(row, "probs", pr)
+        return rows
 
     def argmax_candidate(self) -> int:
         """Highest-probability candidate; ties break to the lowest id."""
         return argmax_lowest_id(self.cand_ids, self.probs)
+
+
+def _check_rows(entities, cand_ids: np.ndarray, p: np.ndarray) -> None:
+    """``ProbRow``'s checks over 2-d blocks: the first bad row's error is raised."""
+    if cand_ids.shape != p.shape or len(entities) != len(p):
+        raise ValueError("cand_ids / probs length mismatch")
+    dup = (np.diff(np.sort(cand_ids, axis=1), axis=1) == 0).any(axis=1)
+    # NaN fails ``>= 0``, inf the sum (inf - inf is NaN); ``initial`` passes empty rows
+    with np.errstate(invalid="ignore"):
+        ok = (p.min(axis=1, initial=0.0) >= 0) & (np.abs(p.sum(axis=1) - 1.0) <= 1e-9)
+    bad = np.flatnonzero(dup | ~ok)
+    if len(bad):
+        raise ValueError("duplicate candidate ids" if dup[bad[0]] else
+                         "probabilities must be finite, nonnegative and sum to 1")
 
 
 def argmax_lowest_id(cand_ids, values) -> int:

@@ -132,7 +132,7 @@ def local_compatibility(
     the score is 0.
     """
     f = _FactorModel(kg_pair, stats, assignment)
-    log_surv = f.own_log_survival(np.array([e]), np.array([[candidate]]))
+    log_surv = f.own_log_survival(np.array([e]), np.array([[candidate]]))[0]
     return float(1.0 - np.exp(log_surv[0, 0]))
 
 
@@ -231,9 +231,10 @@ def refine_rows(
         q_block, ids = _by_id(q_matrix[lo:lo + len(block)], col_arr, axis=1)
         cands = _top_candidates(q_block, ids, k)
         sums = factors.factor_sums(block, cands)
-        for u, c, s, p in zip(block.tolist(), cands.tolist(), sums, _softmax(sums)):
-            out.append(ProbRow(entity=u, cand_ids=tuple(c), probs=p))
-            if debug_sink is not None:
+        probs = _softmax(sums)
+        out.extend(ProbRow.block(block.tolist(), cands, probs))
+        if debug_sink is not None:
+            for u, c, s, p in zip(block.tolist(), cands.tolist(), sums, probs):
                 debug_sink.extend((u, ci, float(si), float(pi)) for ci, si, pi in zip(c, s, p))
     return out
 
@@ -318,6 +319,8 @@ class _FactorModel:
     one matched pair of directed relations.  A factor's log survival is the
     sum of ``log_surv`` entries over its source edges and the target edges
     joining their mapped endpoints, so ``1 - exp(sum)`` is its score.
+    ``edge_surv[i]`` is that sum for source edge ``i`` under the assignment,
+    compiled in one join, so an anchor's other edges read it with no join.
     """
 
     def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
@@ -326,6 +329,7 @@ class _FactorModel:
         self.y = _assigned(assignment, src.n_entities)
         self.log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
         self.tgt = tgt.edges
+        self.edge_surv = self.edge_log_survival(self.rel, self.y[src.edges.near], self.y[self.far])
 
     def edge_log_survival(self, rel, y_near, y_far) -> np.ndarray:
         """Log survival of source edges with relation ``rel`` whose
@@ -333,52 +337,60 @@ class _FactorModel:
         or no target relation joins the pair); broadcasts.  Each sums its
         target edges' terms left to right in edge-table order."""
         rel, y_near, y_far = np.broadcast_arrays(rel, y_near, y_far)
-        pos, hit = self.tgt.find(y_near, y_far)
+        return self._pair_sums(rel, *self.tgt.find(y_near, y_far))
+
+    def _pair_sums(self, rel, pos, hit) -> np.ndarray:
+        """``edge_log_survival`` given ``tgt.find``'s ``(pos, hit)``; ``rel`` broadcasts."""
+        rel = np.broadcast_to(rel, hit.shape)
         owner, idx = _ranges(self.tgt.bounds, pos[hit])
         terms = self.log_surv[rel[hit][owner], self.tgt.rel[idx]]
         # an empty bincount is integer, whatever its weights
         out = np.bincount(np.flatnonzero(hit)[owner], terms, minlength=hit.size)
         return out.reshape(hit.shape).astype(float, copy=False)
 
-    def own_log_survival(self, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    def own_log_survival(self, rows: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, ...]:
         """``(len(rows), k)``: log survival of the factor anchored at each
-        row's entity ``u`` with ``u`` mapped to each of its candidates."""
+        row's entity ``u`` with ``u`` mapped to each of its candidates; then
+        the join it reads: the rows' edges ``(owner, far)`` and, per edge and
+        candidate ``c``, ``tgt.find``'s ``(pos, hit)`` for the target pair
+        ``(c, y[far])`` (``(c, c)`` on a self-loop)."""
         owner, edge = _ranges(self.ptr, rows)
         far = self.far[edge]
         c = cands[owner]
         y_far = np.where((far == rows[owner])[:, None], c, self.y[far][:, None])
-        vals = self.edge_log_survival(self.rel[edge][:, None], c, y_far)
-        return _row_sums(owner, vals, len(rows))
+        pos, hit = self.tgt.find(c, y_far)
+        vals = self._pair_sums(self.rel[edge][:, None], pos, hit)
+        return _row_sums(owner, vals, len(rows)), owner, far, pos, hit
 
     def factor_sums(self, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
         """``(len(rows), k)``: per row entity ``u`` and candidate ``c``, the
         scores of the factors anchored at ``u`` and at its assigned
-        neighbours, summed with ``u`` mapped to ``c``."""
+        neighbours, summed with ``u`` mapped to ``c``.  The rows' own join
+        also serves each anchor ``a``'s edges to ``u``: they join ``(y[a],
+        c)``, the reverse of the row's ``(c, y[a])``, searched at its hits."""
         n_rows, n_src = len(rows), len(self.y)
-        own = 1.0 - np.exp(self.own_log_survival(rows, cands))
+        own, owner, far, pos, hit = self.own_log_survival(rows, cands)
+        own = 1.0 - np.exp(own)
 
-        owner, edge = _ranges(self.ptr, rows)
-        far = self.far[edge]
-        nbr = far != rows[owner]
+        nbr = np.flatnonzero(far != rows[owner])
         keys = owner[nbr] * n_src + far[nbr]  # ascending: edges run by far end
-        a_row, a_ent = np.divmod(keys[_run_starts(keys)], n_src)
-        assigned = self.y[a_ent] >= 0
-        a_row, a_ent = a_row[assigned], a_ent[assigned]
-        a_y = self.y[a_ent]
+        first = nbr[_run_starts(keys)]  # each (row, neighbour)'s first edge
+        first = first[self.y[far[first]] >= 0]
+        a_row, a_ent = owner[first], far[first]
+        # each triple is stored both ways: (y[a], c) joins where (c, y[a]) does
+        a_pos, a_hit = pos[first], hit[first]
+        hit_row, hit_col = np.divmod(np.flatnonzero(a_hit), a_hit.shape[1])
+        a_pos[a_hit] = self.tgt.find(self.y[a_ent[hit_row]], cands[a_row[hit_row], hit_col])[0]
 
         owner, edge = _ranges(self.ptr, a_ent)
-        far = self.far[edge]
-        to_u = far == rows[a_row[owner]]
+        to_u = self.far[edge] == rows[a_row[owner]]
         # an anchor's edges to entities other than u do not depend on the
         # candidate.  They are summed directly: the anchor's total minus its
         # edges to u would be -inf - -inf = nan where a survival term is 0
-        o, e = owner[~to_u], edge[~to_u]
-        rest = np.bincount(
-            o, self.edge_log_survival(self.rel[e], a_y[o], self.y[self.far[e]]),
-            minlength=len(a_ent))
+        rest = np.bincount(owner[~to_u], self.edge_surv[edge[~to_u]], minlength=len(a_ent))
         o, e = owner[to_u], edge[to_u]
-        term = _row_sums(o, self.edge_log_survival(
-            self.rel[e][:, None], a_y[o][:, None], cands[a_row[o]]), len(a_ent))
+        term = _row_sums(o, self._pair_sums(self.rel[e][:, None], a_pos[o], a_hit[o]),
+                         len(a_ent))
         anchored = 1.0 - np.exp(rest[:, None] + term)
 
         # each row adds its own factor first, then its neighbours' by id

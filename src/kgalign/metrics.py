@@ -39,6 +39,10 @@ def truth_ranks(rows: np.ndarray, truth_cols: np.ndarray) -> np.ndarray:
         raise ValueError("rows/truths shape mismatch")
     if np.any(truth_cols < 0) or np.any(truth_cols >= rows.shape[1]):
         raise ValueError("truth column out of range")
+    ranks = np.ones(len(rows), dtype=np.int64)
+    # the lowest-id maximum ranks first: only the other rows are counted
+    rest = np.flatnonzero(rows.argmax(axis=1) != truth_cols) if rows.size else ranks[:0]
+    rows, truth_cols = rows[rest], truth_cols[rest]
     truth_scores = rows[np.arange(rows.shape[0]), truth_cols][:, None]
     ahead = _row_counts(rows > truth_scores)
     # only a row whose truth score occurs more than once has a lower-id tie
@@ -46,7 +50,8 @@ def truth_ranks(rows: np.ndarray, truth_cols: np.ndarray) -> np.ndarray:
     multi = np.flatnonzero(_row_counts(tied) > 1)
     lower = np.arange(rows.shape[1]) < truth_cols[multi, None]
     ahead[multi] += _row_counts(tied[multi] & lower)
-    return 1 + ahead.astype(np.int64)
+    ranks[rest] += ahead
+    return ranks
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

@@ -20,6 +20,11 @@ The calibration references compute every step into a fresh temporary;
 the package's in-place versions must match them bit for bit.  The fit of
 β is checked against a golden-section search over log β.
 
+``factor_sums`` and ``factor_own_log_survival`` are the compiled factor
+model's sums with a separate join for each group of edges, as the package
+computed them before its factor sums shared one join; the package must
+match them bit for bit.
+
 ``refine_one_block`` is the refinement as one block over the gathered
 ``(row_ids, col_ids)`` similarities; the package reads row slabs in place
 and must return the same assignment and rows.
@@ -40,7 +45,7 @@ from hypothesis import strategies as st
 from kgalign import compatibility
 from kgalign.calibration import argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
-from kgalign.kg import Kg, MappingSet
+from kgalign.kg import Kg, MappingSet, _ranges, _run_starts
 from kgalign.models import SimMatrix, TopKSimMatrix
 from kgalign.strategies import OneToOneState
 
@@ -149,6 +154,47 @@ def refine_rows(q, row_ids, col_ids, kg_pair, stats, assignment: Assignment, top
         cands = tuple(col_ids[j] for j in order[:top_k])
         out.append((cands, compatibility_sums(u, cands, assignment, kg_pair, stats)))
     return out
+
+
+def factor_own_log_survival(f, rows, cands) -> np.ndarray:
+    """``_FactorModel.own_log_survival`` as it was written before the
+    factor sums shared its join: a join of its own."""
+    owner, edge = _ranges(f.ptr, rows)
+    far = f.far[edge]
+    c = cands[owner]
+    y_far = np.where((far == rows[owner])[:, None], c, f.y[far][:, None])
+    vals = f.edge_log_survival(f.rel[edge][:, None], c, y_far)
+    return compatibility._row_sums(owner, vals, len(rows))
+
+
+def factor_sums(f, rows, cands) -> np.ndarray:
+    """``_FactorModel.factor_sums`` with three joins per call: the rows'
+    own edges, each anchor's edges to other entities, and each anchor's
+    edges to the row.  The package must match it bit for bit."""
+    n_rows, n_src = len(rows), len(f.y)
+    own = 1.0 - np.exp(factor_own_log_survival(f, rows, cands))
+
+    owner, edge = _ranges(f.ptr, rows)
+    far = f.far[edge]
+    nbr = far != rows[owner]
+    keys = owner[nbr] * n_src + far[nbr]
+    a_row, a_ent = np.divmod(keys[_run_starts(keys)], n_src)
+    assigned = f.y[a_ent] >= 0
+    a_row, a_ent = a_row[assigned], a_ent[assigned]
+    a_y = f.y[a_ent]
+
+    owner, edge = _ranges(f.ptr, a_ent)
+    far = f.far[edge]
+    to_u = far == rows[a_row[owner]]
+    o, e = owner[~to_u], edge[~to_u]
+    rest = np.bincount(
+        o, f.edge_log_survival(f.rel[e], a_y[o], f.y[f.far[e]]), minlength=len(a_ent))
+    o, e = owner[to_u], edge[to_u]
+    term = compatibility._row_sums(o, f.edge_log_survival(
+        f.rel[e][:, None], a_y[o][:, None], cands[a_row[o]]), len(a_ent))
+    anchored = 1.0 - np.exp(rest[:, None] + term)
+    return compatibility._row_sums(np.concatenate([np.arange(n_rows), a_row]),
+                                   np.concatenate([own, anchored]), n_rows)
 
 
 def refine_one_block(oriented, sims: SimMatrix, labelled, row_ids, col_ids, top_k,

@@ -129,6 +129,68 @@ class TestProbRow:
         assert row.argmax_candidate() == 3
 
 
+class TestProbRowBlock:
+    """``ProbRow.block`` checks a whole block at once: it raises the
+    message the per-row constructor raises for the first bad row, and
+    otherwise builds the rows the constructor builds."""
+
+    @staticmethod
+    def per_row(entities, cand_ids, probs):
+        return [ProbRow(entity=u, cand_ids=tuple(c), probs=p)
+                for u, c, p in zip(entities, cand_ids.tolist(), probs)]
+
+    @staticmethod
+    def message(build, *args):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        return str(err.value)
+
+    @pytest.mark.parametrize("bad", ["duplicate", "negative", "nan", "inf", "sum"])
+    def test_bad_row_raises_the_row_message(self, bad):
+        cand_ids = np.array([[3, 1, 2], [4, 5, 6], [7, 8, 9]])
+        probs = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+        if bad == "duplicate":
+            cand_ids[1, 2] = 4
+        elif bad == "sum":
+            probs[1, 0] += 2e-9
+        else:
+            probs[1, 0] = {"negative": -0.1, "nan": np.nan, "inf": np.inf}[bad]
+        want = self.message(self.per_row, [0, 1, 2], cand_ids, probs)
+        assert self.message(ProbRow.block, [0, 1, 2], cand_ids, probs) == want
+
+    def test_mismatched_shapes_raise_the_row_message(self):
+        cand_ids, probs = np.array([[1, 2, 3]]), np.array([[0.5, 0.5]])
+        want = self.message(self.per_row, [0], cand_ids, probs)
+        assert self.message(ProbRow.block, [0], cand_ids, probs) == want
+        with pytest.raises(ValueError, match="length mismatch"):
+            ProbRow.block([0, 1], cand_ids, np.full((1, 3), 1 / 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_equals_per_row_construction(self, data):
+        n, k = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cand_ids = rng.integers(0, 2 * k + 1, size=(n, k))  # duplicates happen
+        probs = rng.dirichlet(np.ones(k), size=n) if k else np.zeros((n, 0))
+        for i in range(n):  # rows spoiled like the single-case test's
+            bad = data.draw(st.sampled_from([None, None, -0.1, np.nan, np.inf, 2e-9]))
+            if bad is not None and k:
+                probs[i, 0] = probs[i, 0] + bad if bad == 2e-9 else bad
+        entities = rng.permutation(n).tolist()
+        try:
+            want = self.per_row(entities, cand_ids, probs)
+        except ValueError as err:
+            assert self.message(ProbRow.block, entities, cand_ids, probs) == str(err)
+            return
+        got = ProbRow.block(entities, cand_ids, probs)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is ProbRow
+            assert (g.entity, g.cand_ids) == (w.entity, w.cand_ids)
+            assert g.probs.dtype == w.probs.dtype and g.probs.tobytes() == w.probs.tobytes()
+            assert g.argmax_candidate() == w.argmax_candidate()
+
+
 class TestFit:
     def idealized(self, n=20, c=10, seed=0):
         rng = np.random.default_rng(seed)

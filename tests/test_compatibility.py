@@ -658,6 +658,93 @@ class TestFactorModel:
         assert peak < 4 * log_surv_bytes, f"peak {peak / log_surv_bytes:.1f} x L"
 
 
+def hub_kg(data, prefix: str, n_rel: int) -> Kg:
+    """A star around entity 0 plus random edges, self-loops and pairs
+    joined in both orientations, over up to ``n_rel`` relations."""
+    n = data.draw(st.integers(2, 8))
+    rel = st.integers(0, n_rel - 1)
+    star = [(0, r, i) if out else (i, r, 0) for i, (r, out) in enumerate(
+        data.draw(st.lists(st.tuples(rel, st.booleans()), min_size=n - 1, max_size=n - 1)), 1)]
+    ent = st.integers(0, n - 1)
+    extra = data.draw(st.lists(st.tuples(ent, rel, ent), max_size=2 * n))
+    both = [x for h, r1, r2, t in data.draw(st.lists(st.tuples(ent, rel, rel, ent), max_size=n))
+            for x in ((h, r1, t), (t, r2, h))]
+    return kg_of([(f"{prefix}{h}", f"r{r}", f"{prefix}{t}") for h, r, t in star + extra + both],
+                 extra=tuple(f"{prefix}{i}" for i in range(n)))
+
+
+def wide_stats(pair: KgPair, rng) -> RelationStats:
+    """Statistics whose survival terms span twelve orders of magnitude, so
+    any change in the order of the adds shows; a term is 0 (log -inf)
+    where an inverse functionality and a sub-relation probability are 1."""
+    n_src, n_tgt = 2 * pair.source.n_relations, 2 * pair.target.n_relations
+
+    def p(size):
+        return np.where(rng.random(size) < 0.3, 1.0, 10.0 ** -rng.uniform(0, 12, size)).tolist()
+
+    def subrel(n_a, n_b):
+        keys = [(a, b) for a in range(n_a) for b in range(n_b) if rng.random() < 0.5]
+        return dict(zip(keys, p(len(keys))))
+
+    return RelationStats(
+        src_inv_fun=dict(enumerate(p(n_src))), tgt_inv_fun=dict(enumerate(p(n_tgt))),
+        subrel_tgt_in_src=subrel(n_tgt, n_src), subrel_src_in_tgt=subrel(n_src, n_tgt),
+        tgt_trials=dict(enumerate(rng.integers(0, 3, n_tgt).tolist())),
+        src_trials=dict(enumerate(rng.integers(0, 3, n_src).tolist())))
+
+
+class TestSharedJoin:
+    """``factor_sums`` joins the rows' own edges once and serves the
+    anchors' edges to the row from that join's reversed hits and their
+    other edges from the survival compiled with the assignment.  It must
+    equal the three-join reference bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_factor_sums_equal_the_three_join_reference(self, data):
+        n_rel = data.draw(st.integers(1, 12))  # often more relations than entities
+        pair = KgPair(hub_kg(data, "a", n_rel), hub_kg(data, "b", n_rel))
+        n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # hub to hub, so the hub's edges join; unassigned neighbours too
+        ys = data.draw(st.lists(st.one_of(st.none(), st.integers(0, n_tgt - 1)),
+                                min_size=n_src, max_size=n_src))
+        mapping = {e: y for e, y in enumerate([0] + ys[1:] if ys[0] is None else ys)
+                   if y is not None}
+        f = compatibility._FactorModel(pair, wide_stats(pair, rng), Assignment(mapping))
+        rows = np.array(data.draw(st.permutations(range(n_src))), dtype=np.int64)
+        rows = rows[:data.draw(st.integers(1, n_src))]
+        cands = rng.integers(0, n_tgt, (len(rows), data.draw(st.integers(1, 4))))
+        got = f.factor_sums(rows, cands)
+        assert np.array_equal(got, oracle.factor_sums(f, rows, cands))
+        assert np.array_equal(f.own_log_survival(rows, cands)[0],
+                              oracle.factor_own_log_survival(f, rows, cands))
+
+    def test_one_join_per_call_plus_one_at_compile(self):
+        base, twin, links = twin_label_data(300, 1200, 8, 0.1, 11)
+        src, tgt = Kg.from_label_triples(base), Kg.from_label_triples(twin)
+        pair = KgPair(src, tgt)
+        assignment = Assignment({src.entity_ids[a]: tgt.entity_ids[b] for a, b in links[:250]})
+        stats = estimate_relation_stats(pair, assignment)
+        rows = np.arange(200, 300)
+        cands = np.random.default_rng(0).integers(0, tgt.n_entities, (len(rows), 10))
+        calls = []
+        find = kg_module.EdgeTable.find
+
+        def spy(self, near, far):
+            calls.append(np.size(near))
+            return find(self, near, far)
+
+        with mock.patch.object(kg_module.EdgeTable, "find", spy):
+            f = compatibility._FactorModel(pair, stats, assignment)
+            got = f.factor_sums(rows, cands)
+            assert len(calls) <= 3, calls
+            del calls[:]
+            want = oracle.factor_sums(f, rows, cands)
+        assert len(calls) == 3  # the spy sees the reference's three joins
+        assert np.array_equal(got, want)
+
+
 class TestStoryScenarios:
     """The two-plot neighborhood-evidence story: a candidate whose
     neighborhood mirrors the source entity's mapped neighbors scores higher

@@ -80,6 +80,40 @@ class TestRanks:
         got = truth_ranks(rows, truths)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_argmax_shortcut_matches_brute_force(self, data):
+        # a row whose truth is its lowest-id maximum skips the counting
+        # passes; every other row is counted and written back in place
+        n, width = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = rng.integers(0, 3, size=(n, width)).astype(float)
+        truths = rng.integers(0, width, size=n)
+        for i in range(n):
+            t, top = truths[i], rows[i].max()
+            case = data.draw(st.sampled_from(
+                ["sole max", "tied lower", "tied higher", "all equal", "below max"]))
+            if case == "all equal":
+                rows[i] = top
+            elif case == "below max":
+                rows[i, t] = top - 1
+                rows[i, (t + 1) % width] = top
+            else:
+                rows[i, t] = top + 1
+                if case == "tied lower" and t > 0:
+                    rows[i, rng.integers(0, t)] = top + 1
+                if case == "tied higher" and t < width - 1:
+                    rows[i, rng.integers(t + 1, width)] = top + 1
+        expected = np.array([naive_rank(rows[i], truths[i]) for i in range(n)])
+        got = truth_ranks(rows, truths)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert evaluate_rows(rows, truths).mrr == float((1.0 / expected).mean())
+
+    def test_empty_blocks_rank_nothing(self):
+        for rows in (np.zeros((0, 0)), np.zeros((0, 3))):
+            got = truth_ranks(rows, np.zeros(0, dtype=np.int64))
+            assert got.dtype == np.int64 and got.shape == (0,)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_metric_ordering_invariants(self, seed):

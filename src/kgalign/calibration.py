@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
+
 MAX_PASSES = 100  # Newton passes of one fit
 STEP_TOL = 1e-10  # a fit stops once its step in log β is this small
 
@@ -212,33 +214,53 @@ def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, li
     log β from β = 1, with steps clamped to ±1, a step of ±1 toward the
     minimum where the loss is concave in log β, and at most ``MAX_PASSES``
     passes.  A non-finite loss raises.
+
+    Besides ``sims`` the fit holds a few per-row vectors and two buffers of
+    ``models.slab_rows`` rows, into which each pass writes a slab's gaps to
+    its row maxima and their exponentials.
     """
     sims = np.asarray(sims, dtype=np.float64)
-    if sims.ndim != 2 or sims.shape[0] == 0:
+    if sims.ndim != 2:
+        raise ValueError(f"labelled similarities must be 2-d, got shape {sims.shape}")
+    if sims.shape[0] == 0:
         raise ValueError("need at least one labelled row")
-    rows = np.arange(sims.shape[0])
+    n_rows, n_cols = sims.shape
     truth_cols = np.asarray(truth_cols, dtype=np.int64)
-    d = sims - sims.max(axis=1, keepdims=True)  # <= 0, and 0 at each row's max
-    d_truth = d[rows, truth_cols]
+    if truth_cols.shape != (n_rows,):
+        raise ValueError("rows/truths shape mismatch")
+    if np.any(truth_cols < 0) or np.any(truth_cols >= n_cols):
+        raise ValueError("truth column out of range")
+    truth_sims = sims[np.arange(n_rows), truth_cols]
+    row_max = sims.max(axis=1)
+    d_truth = truth_sims - row_max  # <= 0, and 0 at a truth on its row max
     if not d_truth.any():
-        return np.inf, [float(np.log((d == 0).sum(axis=1)).sum())]
-    slope = float((sims.mean(axis=1) - sims[rows, truth_cols]).sum())
+        return np.inf, [float(np.log((sims == row_max[:, None]).sum(axis=1)).sum())]
+    slope = float((sims.mean(axis=1) - truth_sims).sum())
     if slope >= 0:
         raise CalibrationError("reverses the similarity order: the loss slope at "
                                f"beta = 0 is {slope!r}, not < 0")
 
     truth_sum = float(d_truth.sum())
-    e = np.empty_like(d)
+    step_rows = models.slab_rows(n_cols)
+    d = np.empty((min(step_rows, n_rows), n_cols))  # a slab of sims - row max
+    e = np.empty_like(d)                            # and of exp(β d)
+    s0, mean, square = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
     log_beta = 0.0
     trace: list[float] = []
     for n_pass in range(1, MAX_PASSES + 1):
         beta = float(np.exp(log_beta))
-        np.multiply(d, beta, out=e)
-        np.exp(e, out=e)
-        s0 = e.sum(axis=1)
-        # E_p[d] and E_p[d²] per row, each in one pass without a temporary
-        mean = np.einsum("ij,ij->i", e, d) / s0
-        square = np.einsum("ij,ij,ij->i", e, d, d) / s0
+        for lo in range(0, n_rows, step_rows):
+            hi = min(lo + step_rows, n_rows)
+            ds, es = d[:hi - lo], e[:hi - lo]
+            np.subtract(sims[lo:hi], row_max[lo:hi, None], out=ds)
+            np.multiply(ds, beta, out=es)
+            np.exp(es, out=es)
+            s0[lo:hi] = es.sum(axis=1)
+            # Σ e·d and Σ e·d² per row, each in one pass without a temporary
+            mean[lo:hi] = np.einsum("ij,ij->i", es, ds)
+            square[lo:hi] = np.einsum("ij,ij,ij->i", es, ds, ds)
+        mean /= s0  # E_p[d] and E_p[d²] per row
+        square /= s0
         loss = float(np.log(s0).sum() - beta * truth_sum)
         # slope and curvature of the loss in log β
         grad = beta * float((mean - d_truth).sum())

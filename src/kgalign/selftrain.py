@@ -341,10 +341,10 @@ class SelfTrainRun:
     ) -> list[ProbRow]:
         cfg = self.config
         lab_rows = sorted(labelled)
-        lab_sims = sims.scores[lab_rows]
         truth_cols = np.array([labelled[e] for e in lab_rows])
         try:
-            beta, _ = fit_calibration(lab_sims, truth_cols)
+            # the gathered block is the fit's alone, freed before refinement
+            beta, _ = fit_calibration(sims.scores[lab_rows], truth_cols)
         except CalibrationError as err:
             raise CalibrationError(
                 f"{tag} calibration at iteration {iteration}: {err}") from None

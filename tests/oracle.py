@@ -18,7 +18,10 @@ reproduce them bit for bit.
 
 The calibration references compute every step into a fresh temporary;
 the package's in-place versions must match them bit for bit.  The fit of
-β is checked against a golden-section search over log β.
+β is checked against a golden-section search over log β, and against
+``fit_calibration``, the fit as it was computed over whole labelled blocks
+before it wrote its gaps and exponentials one slab at a time: β, the loss
+trace and any error must be the same.
 
 ``factor_sums`` and ``factor_own_log_survival`` are the compiled factor
 model's sums with a separate join for each group of edges, as the package
@@ -42,8 +45,8 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
-from kgalign import compatibility
-from kgalign.calibration import argmax_lowest_id
+from kgalign import calibration, compatibility
+from kgalign.calibration import CalibrationError, argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet, _ranges, _run_starts
 from kgalign.models import SimMatrix, TopKSimMatrix
@@ -371,6 +374,45 @@ def cross_entropy_and_grad(sims, truth_cols, params) -> tuple[float, np.ndarray]
     g_scale = float((d * sims).sum() / tau)
     g_logtau = float(-(d * z).sum())
     return loss, np.array([g_offset, g_scale, g_logtau])
+
+
+def fit_calibration(sims, truth_cols) -> tuple[float, list[float]]:
+    """The Newton fit of β with ``sims - row max`` and ``exp(β d)`` each
+    held as one block the size of ``sims``."""
+    sims = np.asarray(sims, dtype=np.float64)
+    rows = np.arange(sims.shape[0])
+    truth_cols = np.asarray(truth_cols, dtype=np.int64)
+    d = sims - sims.max(axis=1, keepdims=True)
+    d_truth = d[rows, truth_cols]
+    if not d_truth.any():
+        return np.inf, [float(np.log((d == 0).sum(axis=1)).sum())]
+    slope = float((sims.mean(axis=1) - sims[rows, truth_cols]).sum())
+    if slope >= 0:
+        raise CalibrationError("reverses the similarity order: the loss slope at "
+                               f"beta = 0 is {slope!r}, not < 0")
+    truth_sum = float(d_truth.sum())
+    e = np.empty_like(d)
+    log_beta = 0.0
+    trace: list[float] = []
+    for n_pass in range(1, calibration.MAX_PASSES + 1):
+        beta = float(np.exp(log_beta))
+        np.multiply(d, beta, out=e)
+        np.exp(e, out=e)
+        s0 = e.sum(axis=1)
+        mean = np.einsum("ij,ij->i", e, d) / s0
+        square = np.einsum("ij,ij,ij->i", e, d, d) / s0
+        loss = float(np.log(s0).sum() - beta * truth_sum)
+        grad = beta * float((mean - d_truth).sum())
+        if not (np.isfinite(loss) and np.isfinite(grad)):
+            raise CalibrationError(f"non-finite loss or slope at pass {n_pass}")
+        trace.append(loss)
+        curv = beta * beta * float(np.maximum(square - mean * mean, 0.0).sum()) + grad
+        step = -grad / curv if curv > 0 else -np.sign(grad)
+        step = min(max(step, -1.0), 1.0)
+        if not abs(step) > calibration.STEP_TOL:
+            break
+        log_beta += step
+    return beta, trace
 
 
 def calibration_loss(sims, truth_cols, beta: float) -> float:

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from kgalign import calibration
+from kgalign import calibration, models
 from kgalign.calibration import (
     CalibrationError,
     CalibrationParams,
@@ -266,6 +268,20 @@ class TestFit:
         with pytest.raises(CalibrationError, match="non-finite loss or slope at pass 1"):
             fit_calibration(sims, np.array([0, 0]))
 
+    @pytest.mark.parametrize("truth, message", [
+        ([-2, 0], "truth column out of range"),  # would index column 1 from the end
+        ([3, 0], "truth column out of range"),
+        ([1], "rows/truths shape mismatch"),     # would broadcast over both rows
+        ([1, 0, 0], "rows/truths shape mismatch"),
+    ])
+    def test_bad_truths_raise(self, truth, message):
+        with pytest.raises(ValueError, match=message):
+            fit_calibration(np.array([[0.0, 1.0, 0.5], [1.0, 0.5, 0.0]]), np.array(truth))
+
+    def test_one_dimensional_sims_name_their_shape(self):
+        with pytest.raises(ValueError, match=r"must be 2-d, got shape \(3,\)"):
+            fit_calibration(np.array([0.0, 1.0, 0.5]), np.array([1]))
+
     def test_gradcheck_random_instances(self):
         rng = np.random.default_rng(11)
         worst = 0.0
@@ -357,3 +373,76 @@ class TestAgainstOracle:
         assume(not ties_at_max(sims, truth)[0] and slope_at_zero(sims, truth) > 1e-9)
         with pytest.raises(CalibrationError, match="reverses the similarity order"):
             fit_calibration(sims, truth)
+
+
+def fit_outcome(fit, sims, truth):
+    """``(repr(β), reprs of the trace)`` of a fit, or its error's type and
+    message."""
+    try:
+        with np.errstate(all="ignore"):  # inf - inf on rows holding -inf
+            beta, trace = fit(sims, truth)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return repr(beta), [repr(loss) for loss in trace]
+
+
+def draw_fit_case(data, max_rows=12, max_cols=40):
+    """Labelled rows of one of the fit's cases, their truths and the case:
+    tied rows, truths leaning high, truths on their row maxima (β = inf),
+    truths on their row minima (order reversed), rows holding -inf, or a
+    row whose gaps overflow."""
+    m, n = data.draw(st.integers(1, max_rows)), data.draw(st.integers(1, max_cols))
+    case = data.draw(st.sampled_from(
+        ["ties", "leaning", "separable", "reversing", "neg_inf", "overflow"]), label="case")
+    # a coarse grid makes ties at the max and repeated rows common
+    grid = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+    value = grid if case in ("ties", "separable") else st.one_of(grid, finite_floats)
+    sims = np.array(data.draw(st.lists(value, min_size=m * n, max_size=m * n))).reshape(m, n)
+    if case == "neg_inf":
+        sims[sims < 0.5] = -np.inf
+    if case == "separable":
+        truth = [data.draw(st.sampled_from(np.flatnonzero(row == row.max()).tolist()))
+                 for row in sims]
+    elif case == "reversing":
+        truth = [int(row.argmin()) for row in sims]
+    else:
+        truth = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    if case == "leaning":
+        # truths lean high but rarely all lead their rows: a finite β
+        sims[np.arange(m), truth] += 2.0
+    if case == "overflow" and n > 1:
+        # the row spans more than the float range: its gaps reach -inf
+        sims[0, :2], truth[0] = [1e308, -1e308], 0
+    return sims, np.array(truth), case
+
+
+class TestSlabbedFitAgainstBlockFit:
+    """The fit, writing its gaps and exponentials one slab at a time,
+    against the reference that holds each as one labelled block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_outcome_equals_block_fit(self, data):
+        sims, truth, case = draw_fit_case(data)
+        m, n = sims.shape
+        # one slab, two, three, or one row each
+        slab = data.draw(st.sampled_from([m, -(-m // 2), -(-m // 3), 1]), label="slab rows")
+        want = fit_outcome(oracle.fit_calibration, sims, truth)
+        with mock.patch.object(models, "SLAB_BYTES", 8 * n * slab):
+            got = fit_outcome(fit_calibration, sims, truth)
+        assert got == want
+        if case == "separable":
+            assert want[0] == "inf"
+
+    @pytest.mark.parametrize("slab", [150, 75, 43, 1])
+    def test_benchmark_sized_fit_equals_block_fit(self, slab):
+        # 150 labelled rows of 3000 columns, as at ratio 0.05 on n=3000;
+        # 43 rows fill a 1 MiB slab.  Rows this wide sum pairwise in blocks
+        rng = np.random.default_rng(5)
+        sims = rng.uniform(-1.0, 1.0, size=(150, 3000))
+        truth = rng.integers(0, 3000, size=150)
+        sims[np.arange(150), truth] += 0.8
+        want = fit_outcome(oracle.fit_calibration, sims, truth)
+        assert want[0] != "inf" and len(want[1]) > 1
+        with mock.patch.object(models, "SLAB_BYTES", 8 * 3000 * slab):
+            assert fit_outcome(fit_calibration, sims, truth) == want

@@ -533,21 +533,26 @@ class TestSlabbedRefinement:
             (r.entity, r.cand_ids, r.probs.tobytes()) for r in ref_rows]
         assert sink == ref_sink
 
-    @pytest.mark.parametrize("strategy, theta, bound", [
-        ("MutHighestProb", None, 0.3), ("OneToOne", 0.45, 0.15),
-        ("SimThr", 0.45, 0.06), ("MutNearest", None, 0.06)])
-    def test_memory_stays_below_half_a_matrix(self, tmp_path, strategy, theta, bound):
+    @pytest.mark.parametrize("strategy, theta, bound, ratio", [
+        ("MutHighestProb", None, 0.17, 0.05), ("MutHighestProb", None, 0.45, 0.3),
+        ("OneToOne", 0.45, 0.15, 0.05), ("SimThr", 0.45, 0.06, 0.05),
+        ("MutNearest", None, 0.06, 0.05),
+    ], ids=["MutHighestProb-None-0.17", "MutHighestProb-None-0.45-ratio0.3",
+            "OneToOne-0.45-0.15", "SimThr-0.45-0.06", "MutNearest-None-0.06"])
+    def test_memory_stays_below_half_a_matrix(self, tmp_path, strategy, theta, bound, ratio):
         # one iteration's pseudo generation and evaluation on the benchmark's
         # n=3000 oracle twin; one gathered n x n block of either pass alone
         # would exceed the bound.  The raw-similarity strategies read slabs
-        # and gather no more than what OneToOne's slab pass leaves.  Measured
-        # peaks: 0.22, 0.10, 0.03 and 0.03 x n*n; 256-row slabs of 6 MB
-        # peaked at 0.37, 0.17, 0.17 and 0.18
+        # and gather no more than what OneToOne's slab pass leaves; the
+        # calibration fit gathers its labelled rows once (0.3 n x n at ratio
+        # 0.3) and writes its gaps one slab at a time.  Measured peaks: 0.137
+        # and 0.376 (ratio 0.3), 0.10, 0.03 and 0.03 x n*n; with the fit's
+        # gaps as whole blocks MutHighestProb peaked at 0.207 and 0.947
         n = 3000
         data = write_twin_dataset(tmp_path / "ds", n_entities=n, n_triples=4 * n,
                                   n_relations=8, perturbation=0.1, seed=11)
         run = SelfTrainRun(RunConfig(
-            dataset_dir=str(data), model="oracle", oracle_noise=0.3, ratio=0.05,
+            dataset_dir=str(data), model="oracle", oracle_noise=0.3, ratio=ratio,
             strategy=strategy, theta=theta, iterations=1, epochs=1,
             out_dir=str(tmp_path / "runs")))
         sim_fwd = run.model.similarities(SRC_TO_TGT)

@@ -211,7 +211,7 @@ class MappingSet:
     """Entity pairs between the two KGs, labelled or pseudo.
 
     ``scores`` optionally carries a per-pair confidence (used by pseudo
-    generation for provenance dumps and the one-to-one accumulator).
+    generation for provenance dumps and the one-to-one baseline's held pairs).
     """
 
     pairs: tuple[tuple[int, int], ...]

@@ -441,6 +441,8 @@ class EmbeddingAligner:
             table -= grad
         # all rows: renormalizing only touched ones would change the others' bits
         norms = _row_norms(self._ent, buf, buf.row_norm)
+        if not (np.isfinite(loss) and np.isfinite(norms.max())):
+            raise ValueError(f"training overflowed: lower lr ({p.lr}) or margin ({p.margin})")
         self._ent /= np.maximum(norms, 1e-12, out=norms)[:, None]
         return loss
 

@@ -273,7 +273,8 @@ def refine_slabs(
     all_cols = np.arange(sims.scores.shape[1])
     mapping = dict(labelled)
     for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
-        mapping.update(compatibility.build_assignment(q, ids, all_cols, labelled).mapping)
+        # the rows are unlabelled, so a slab's argmaxes need no labelled copy
+        mapping.update(compatibility.build_assignment(q, ids, all_cols, {}).mapping)
     assignment = compatibility.Assignment(mapping=mapping)
     stats = compatibility.estimate_relation_stats(oriented, assignment)
     # compiled once: each slab's call would otherwise build its own
@@ -308,7 +309,6 @@ class SelfTrainRun:
             self.run_dir.mkdir(parents=True, exist_ok=True)
         else:
             self.run_dir = prepare_run_dir(config)
-        self.one_to_one_state = strategies.OneToOneState()
         self.reports: list[IterationReport] = []
         self._calibration_log: list[tuple[str, float]] = []
 
@@ -363,7 +363,10 @@ class SelfTrainRun:
             for u, c, s, p in sink:
                 fh.write(f"{u}\t{c}\t{s:.6g}\t{p:.6g}\n")
 
-    def _generate_pseudo(self, sim_fwd: SimMatrix, iteration: int) -> MappingSet:
+    def _generate_pseudo(self, sim_fwd: SimMatrix, iteration: int,
+                         held: MappingSet) -> MappingSet:
+        """This iteration's pseudo set; ``held`` is the previous one, which
+        only ``OneToOne`` reads."""
         cfg = self.config
         if cfg.strategy in strategies.PROBABILITY_STRATEGIES:
             sim_rev = self.model.similarities(TGT_TO_SRC)
@@ -389,8 +392,7 @@ class SelfTrainRun:
             )
         if cfg.strategy == "OneToOne":
             return strategies.one_to_one_matching(
-                sim_fwd.scores, self.unlab_src, self.unlab_tgt, cfg.theta,
-                self.one_to_one_state,
+                sim_fwd.scores, self.unlab_src, self.unlab_tgt, cfg.theta, held,
             )
         sim_rev = self.model.similarities(TGT_TO_SRC)
         return strategies.mutual_nearest(
@@ -421,7 +423,7 @@ class SelfTrainRun:
         for name in ("metrics.jsonl", "timings.jsonl"):
             (self.run_dir / name).write_text("", encoding="utf-8")
         train = self.partition.labelled
-        pseudo = MappingSet((), kind="pseudo")
+        pseudo = MappingSet((), kind="pseudo", scores=())
         for iteration in range(cfg.iterations):
             t0 = time.perf_counter()
             trace = self.model.fit(self.pair, train, cfg.epochs)
@@ -429,7 +431,7 @@ class SelfTrainRun:
             sim_fwd = self.model.similarities(SRC_TO_TGT)
             report_kwargs: dict = {}
             if cfg.mode == "selftrain":
-                pseudo = self._generate_pseudo(sim_fwd, iteration)
+                pseudo = self._generate_pseudo(sim_fwd, iteration, pseudo)
                 precision, recall, empty = pseudo_quality(pseudo, self.test)
                 train = self.partition.labelled.union(pseudo)
                 report_kwargs = dict(

@@ -16,12 +16,14 @@ A raw-similarity strategy takes a model's whole matrix and the distinct
 rows in ascending id order in ``models.masked_slabs``, cache-sized row slabs
 with the columns outside ``col_ids`` at -inf, so an ``argmax``'s first index
 is the lowest id and the ``(row_ids, col_ids)`` block is never gathered.
+``OneToOne`` keeps no state between calls: it takes the previous call's
+scored result as held pairs and returns the next, from one greedy walk
+over the held pairs and the fresh matching.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,20 +149,6 @@ def similarity_threshold(
     return _threshold_pick(*_raw_best(sims, row_ids, col_ids), theta)
 
 
-@dataclass
-class OneToOneState:
-    """Cross-iteration accumulator for the one-to-one baseline.
-
-    Holds the retained pairs with the similarity that admitted them so
-    later, higher-similarity conflicts can displace them.
-    """
-
-    scores: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def as_mapping_set(self) -> MappingSet:
-        return _sorted_mapping(self.scores)
-
-
 def _dominant_edges(sims, src, tgt, theta: float):
     """``(i, j, rows, cols)``: positions in ``src`` and ``tgt`` of the
     block's locally dominant edges above ``theta``, each first at both its
@@ -188,6 +176,19 @@ def _dominant_edges(sims, src, tgt, theta: float):
     return i, j, np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
 
 
+def _greedy(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Positions of the edges ``(r[k], c[k])``, walked in order, that greedy
+    matching keeps: each edge whose two ends are still free."""
+    free_r = [True] * (int(r.max(initial=-1)) + 1)
+    free_c = [True] * (int(c.max(initial=-1)) + 1)
+    kept = []
+    for k, (a, b) in enumerate(zip(r.tolist(), c.tolist())):
+        if free_r[a] and free_c[b]:
+            free_r[a] = free_c[b] = False
+            kept.append(k)
+    return np.array(kept, dtype=np.int64)
+
+
 def _sorted_finish(block: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of ``block`` that greedy matching pairs, walking its
     edges above ``theta`` by descending score, then row, then column."""
@@ -200,56 +201,39 @@ def _sorted_finish(block: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndar
     if np.any(ranked[1:] == ranked[:-1]):
         order = np.argsort(score, kind="stable")
     r, c = np.divmod(flat[order], block.shape[1])
-    free_r, free_c = [True] * len(block), [True] * block.shape[1]
-    pairs = []
-    for a, b in zip(r.tolist(), c.tolist()):
-        if free_r[a] and free_c[b]:
-            free_r[a] = free_c[b] = False
-            pairs.append((a, b))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    kept = _greedy(r, c)
+    return r[kept], c[kept]
 
 
 def one_to_one_matching(
-    sims: np.ndarray, row_ids, col_ids, theta: float, state: OneToOneState
+    sims: np.ndarray, row_ids, col_ids, theta: float, held: MappingSet
 ) -> MappingSet:
-    """Baseline: greedy one-to-one matching merged into the accumulator.
+    """Baseline: greedy one-to-one matching over the ``held`` pairs, the
+    previous call's result with its scores, and a fresh matching.
 
     Greedy matching keeps each edge above ``theta`` whose ends are both
     free, walking by descending similarity, then source id, then target id.
     It keeps every locally dominant edge, first at both its row and its
     column, so a slab pass over ``sims`` settles those; the sorted greedy
     loop then matches the block of rows and columns left with an edge above
-    ``theta``, the only part gathered.  The matching is merged into the
-    accumulated store in greedy order, resolving conflicts in favor of the
-    higher-similarity pair (existing pairs win ties).
+    ``theta``, the only part gathered.  The held pairs and the fresh
+    matching are each one-to-one, so a held pair conflicts only with fresh
+    pairs: one more greedy walk over both, by descending score with held
+    pairs first among equal scores, lets a higher-similarity fresh pair
+    displace the held pairs it conflicts with.
     """
+    if held.scores is None:
+        raise ValueError("held pairs need their scores")
     sims, src, tgt = _checked(sims, row_ids, col_ids)
     i, j, rows, cols = _dominant_edges(sims, src, tgt, theta)
     r, c = _sorted_finish(sims[np.ix_(src[rows], tgt[cols])], theta)
-    r, c = np.concatenate([i, rows[r]]), np.concatenate([j, cols[c]])
-    score = sims[src[r], tgt[c]]
-    # sources are distinct and ascend with ``r``: by descending similarity,
-    # then ``r``, is the greedy order
-    order = np.lexsort((r, -score))
-    fresh = zip(score[order].tolist(), src[r[order]].tolist(), tgt[c[order]].tolist())
-    # fresh pairs are one-to-one, so one that the store already holds at the
-    # same or a higher score conflicts only with itself, and would lose
-    fresh = [(s, u, t) for s, u, t in fresh if state.scores.get((u, t), -np.inf) < s]
-
-    by_src = {u: (u, t) for (u, t) in state.scores}
-    by_tgt = {t: (u, t) for (u, t) in state.scores}
-    for score, u, t in fresh:  # already in descending-score order
-        conflicts = {p for p in (by_src.get(u), by_tgt.get(t)) if p is not None}
-        if any(state.scores[p] >= score for p in conflicts):
-            continue
-        for p in conflicts:
-            del state.scores[p]
-            by_src.pop(p[0], None)
-            by_tgt.pop(p[1], None)
-        state.scores[(u, t)] = score
-        by_src[u] = (u, t)
-        by_tgt[t] = (u, t)
-    return state.as_mapping_set()
+    held_u, held_t = np.array(held.pairs, dtype=np.int64).reshape(-1, 2).T
+    u = np.concatenate([held_u, src[i], src[rows[r]]])
+    t = np.concatenate([held_t, tgt[j], tgt[cols[c]]])
+    score = np.concatenate([held.scores, sims[u[len(held):], t[len(held):]]])
+    order = np.argsort(-score, kind="stable")  # held pairs come first
+    kept = order[_greedy(u[order], t[order])]
+    return _picked(u, t, score, kept)
 
 
 def mutual_nearest(

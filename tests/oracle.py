@@ -50,7 +50,6 @@ from kgalign.calibration import CalibrationError, argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet, _ranges, _run_starts
 from kgalign.models import SimMatrix, TopKSimMatrix
-from kgalign.strategies import OneToOneState
 
 JOINT_ENUMERATION_CAP = 10**5
 
@@ -604,9 +603,11 @@ def mutual_nearest(sims_forward, fwd_row_ids, fwd_col_ids,
 
 
 def one_to_one_matching(sims, row_ids, col_ids, theta: float,
-                        state: OneToOneState) -> MappingSet:
+                        held: MappingSet) -> MappingSet:
     """Greedy one-to-one matching over Python-sorted ``(score, u, t)``
-    edges, merged into the accumulator ``state``."""
+    edges, merged pair by pair into the scored ``held`` set: a fresh pair
+    displaces the held pairs it conflicts with when it scores higher than
+    all of them."""
     sims = np.asarray(sims, dtype=np.float64)
     row_ids = list(row_ids)
     col_ids = list(col_ids)
@@ -625,17 +626,18 @@ def one_to_one_matching(sims, row_ids, col_ids, theta: float,
         used_tgt.add(t)
         fresh.append((score, u, t))
 
-    by_src = {u: (u, t) for (u, t) in state.scores}
-    by_tgt = {t: (u, t) for (u, t) in state.scores}
+    scores = dict(zip(held.pairs, held.scores))
+    by_src = {u: (u, t) for (u, t) in scores}
+    by_tgt = {t: (u, t) for (u, t) in scores}
     for score, u, t in fresh:
         conflicts = {p for p in (by_src.get(u), by_tgt.get(t)) if p is not None}
-        if any(state.scores[p] >= score for p in conflicts):
+        if any(scores[p] >= score for p in conflicts):
             continue
         for p in conflicts:
-            del state.scores[p]
+            del scores[p]
             by_src.pop(p[0], None)
             by_tgt.pop(p[1], None)
-        state.scores[(u, t)] = score
+        scores[(u, t)] = score
         by_src[u] = (u, t)
         by_tgt[t] = (u, t)
-    return _pseudo(state.scores)
+    return _pseudo(scores)

@@ -104,6 +104,18 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("flags", [["--margin", "1e308"], ["--lr", "1e300"]])
+    def test_overflowing_training_exits_one(self, dbp_sample_dir, tmp_path, capsys,
+                                            flags):
+        # finite settings that overflow the first step: the loss is inf, or
+        # the entity norms are, and every row would be divided to zero
+        code = main(["run", "--dataset-dir", str(dbp_sample_dir), "--model", "embedding",
+                     "--epochs", "2", "--iterations", "2",
+                     "--out-dir", str(tmp_path / "runs")] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "lr (" in err and "margin (" in err
+
     @pytest.mark.parametrize("flags, message", [
         (["--ratio", "0.999"], "empty test set"),
         (["--seed", "-1"], "seed"),

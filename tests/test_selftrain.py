@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracle
 from kgalign import compatibility, models, selftrain
 from kgalign import kg as kg_module
-from kgalign.kg import KgPair
+from kgalign.kg import KgPair, MappingSet
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import (
     ConfigError,
@@ -388,7 +388,7 @@ class TestLoopContracts:
         run = SelfTrainRun(cfg)
         reports = run.run()
         counts = [r.pseudo_count for r in reports]
-        assert counts == sorted(counts)  # the accumulated store never shrinks
+        assert counts == sorted(counts)  # on this twin the held set never shrinks
 
     def test_model_failure_leaves_partial_metrics(self, twin_dataset_dir, tmp_path):
         cfg = base_config(twin_dataset_dir, tmp_path, iterations=3)
@@ -558,7 +558,7 @@ class TestSlabbedRefinement:
         sim_fwd = run.model.similarities(SRC_TO_TGT)
         tracemalloc.start()
         try:
-            run._generate_pseudo(sim_fwd, 0)
+            run._generate_pseudo(sim_fwd, 0, MappingSet((), kind="pseudo", scores=()))
             run._evaluate(sim_fwd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

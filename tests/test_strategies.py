@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracle
 from kgalign import models, strategies
 from kgalign.calibration import ProbRow
+from kgalign.kg import MappingSet
 from kgalign.strategies import (
-    OneToOneState,
     bi_threshold,
     mutual_highest_probability,
     mutual_nearest,
@@ -149,30 +149,57 @@ class TestSimilarityThreshold:
             assert smaller <= larger
 
 
+def held(scores: dict[tuple[int, int], float]) -> MappingSet:
+    """A scored pseudo set, as ``one_to_one_matching`` returns."""
+    return MappingSet(tuple(scores), kind="pseudo", scores=tuple(scores.values()))
+
+
+NONE_HELD = held({})
+
+
 class TestOneToOne:
     def test_greedy_trace(self):
         sims = embed([[0.9, 0.8], [0.85, 0.2]], [0, 1], [10, 11])
-        got = one_to_one_matching(sims, [0, 1], [10, 11], theta=0.5, state=OneToOneState())
+        got = one_to_one_matching(sims, [0, 1], [10, 11], theta=0.5, held=NONE_HELD)
         assert got.as_set() == {(0, 10)}
 
     def test_conflict_resolved_by_similarity(self):
-        state = OneToOneState(scores={(0, 12): 0.6})
         got = one_to_one_matching(embed([[0.9]], [0], [10]), [0], [10], theta=0.5,
-                                  state=state)
-        assert got.as_set() == {(0, 10)}
-        assert state.scores == {(0, 10): 0.9}
+                                  held=held({(0, 12): 0.6}))
+        assert (got.pairs, got.scores) == (((0, 10),), (0.9,))
 
     def test_lower_scored_newcomer_dropped(self):
-        state = OneToOneState(scores={(0, 12): 0.8})
         got = one_to_one_matching(embed([[0.7]], [0], [10]), [0], [10], theta=0.5,
-                                  state=state)
-        assert got.as_set() == {(0, 12)}
+                                  held=held({(0, 12): 0.8}))
+        assert (got.pairs, got.scores) == (((0, 12),), (0.8,))
 
     def test_theta_above_all_returns_accumulated(self):
-        state = OneToOneState(scores={(3, 13): 0.9})
         got = one_to_one_matching(embed([[0.2]], [0], [10]), [0], [10], theta=0.5,
-                                  state=state)
-        assert got.as_set() == {(3, 13)}
+                                  held=held({(3, 13): 0.9}))
+        assert (got.pairs, got.scores) == (((3, 13),), (0.9,))
+
+    @pytest.mark.parametrize("held_pair", [(0, 12), (3, 10)], ids=["source", "target"])
+    def test_held_pair_wins_a_tie(self, held_pair):
+        # the fresh pair (0, 10) conflicts with the held pair at one end
+        got = one_to_one_matching(embed([[0.7]], [0], [10]), [0], [10], theta=0.5,
+                                  held=held({held_pair: 0.7}))
+        assert (got.pairs, got.scores) == ((held_pair,), (0.7,))
+
+    def test_held_pairs_win_many_ties(self):
+        # each fresh pair (u, n + u) ties the held pair (u, 2n + u); on
+        # enough edges of mixed scores an unstable sort reorders the ties
+        n = 40
+        scores = 0.6 + 0.1 * (np.arange(n) % 3)
+        fresh = embed(np.diag(scores), range(n), range(n, 2 * n))
+        kept = held({(u, 2 * n + u): s for u, s in enumerate(scores.tolist())})
+        got = one_to_one_matching(fresh, range(n), range(n, 2 * n), theta=0.5, held=kept)
+        assert_same(got, kept)
+
+    def test_held_pairs_without_scores_rejected(self):
+        unscored = MappingSet(((0, 10),), kind="pseudo")
+        with pytest.raises(ValueError, match="scores"):
+            one_to_one_matching(embed([[0.7]], [0], [10]), [0], [10], theta=0.5,
+                                held=unscored)
 
     def test_staircase_settles_one_edge_per_round(self):
         # every row and every column prefers its lowest free partner, so the
@@ -181,7 +208,7 @@ class TestOneToOne:
         n = 6
         sims = 1.0 - (np.arange(n)[:, None] + np.arange(n)) / 20
         got = one_to_one_matching(embed(sims, range(n), range(10, 10 + n)), range(n),
-                                  range(10, 10 + n), theta=0.0, state=OneToOneState())
+                                  range(10, 10 + n), theta=0.0, held=NONE_HELD)
         assert got.pairs == tuple((i, 10 + i) for i in range(n))
         assert got.scores == tuple(sims.diagonal().tolist())
 
@@ -193,11 +220,11 @@ class TestOneToOne:
         with mock.patch.object(strategies, "_sorted_finish",
                                wraps=strategies._sorted_finish) as finish:
             got = one_to_one_matching(embed(sims, range(n), range(10, 10 + n)), range(n),
-                                      range(10, 10 + n), theta=0.0, state=OneToOneState())
+                                      range(10, 10 + n), theta=0.0, held=NONE_HELD)
         assert finish.call_count == 1
         assert finish.call_args.args[0].shape == (n - 1, n - 1)
         assert_same(got, oracle.one_to_one_matching(sims, range(n), range(10, 10 + n),
-                                                    0.0, OneToOneState()))
+                                                    0.0, NONE_HELD))
         assert got.pairs == tuple((i, 10 + i) for i in range(n))
 
     @settings(max_examples=200, deadline=None)
@@ -212,7 +239,7 @@ class TestOneToOne:
         theta = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 0.5]))
         r, c = strategies._sorted_finish(block, theta)
         want = oracle.one_to_one_matching(block, range(n_rows), range(n_cols), theta,
-                                          OneToOneState())
+                                          NONE_HELD)
         assert sorted(zip(r.tolist(), c.tolist())) == list(want.pairs)
         # greedy order: by descending score, then row, then column
         keys = list(zip((-block[r, c]).tolist(), r.tolist(), c.tolist()))
@@ -223,11 +250,10 @@ class TestOneToOne:
     def test_one_to_one_after_accumulation(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        state = OneToOneState()
+        got = NONE_HELD
         for _ in range(3):
             sims = embed(rng.uniform(0, 1, size=(5, 5)), range(5), range(10, 15))
-            got = one_to_one_matching(sims, range(5), range(10, 15), theta=0.4,
-                                      state=state)
+            got = one_to_one_matching(sims, range(5), range(10, 15), theta=0.4, held=got)
             srcs = [s for s, _ in got.pairs]
             tgts = [t for _, t in got.pairs]
             assert len(set(srcs)) == len(srcs)
@@ -271,7 +297,7 @@ class TestMutualNearest:
 RAW_SIMILARITY_STRATEGIES = {
     "SimThr": lambda sims, rows, cols: similarity_threshold(sims, rows, cols, 0.5),
     "OneToOne": lambda sims, rows, cols: one_to_one_matching(sims, rows, cols, 0.5,
-                                                             OneToOneState()),
+                                                             NONE_HELD),
     "MutNearest": lambda sims, rows, cols: mutual_nearest(sims, rows, cols,
                                                           sims.T, cols, rows),
 }
@@ -393,11 +419,12 @@ class TestAgainstOracle:
 
     @staticmethod
     def check_one_to_one(data, max_ids: int, pool: int, levels: int):
-        """Calls sharing one state on three matrices, each matched once or
-        twice in a row; each is a ``levels``-valued grid embedded in a
-        decoy-filled matrix and read in drawn slabs."""
+        """Chained calls on three matrices, each matched once or twice in a
+        row, each call holding the set the previous one returned; each
+        matrix is a ``levels``-valued grid embedded in a decoy-filled matrix
+        and read in drawn slabs."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        state, reference = OneToOneState(), OneToOneState()
+        got = NONE_HELD
         for _ in range(3):
             src = drawn_ids(data, data.draw(st.integers(0, max_ids)), pool=pool)
             tgt = drawn_ids(data, data.draw(st.integers(0, max_ids)), pool=pool)
@@ -406,12 +433,11 @@ class TestAgainstOracle:
             full = embed(sims, src, tgt)
             # a repeated call finds every fresh pair already held
             for _ in range(data.draw(st.integers(1, 2))):
+                want = oracle.one_to_one_matching(sims, src, tgt, theta, got)
                 with mock.patch.object(models, "SLAB_BYTES",
                                        draw_slab_bytes(data, src, full.shape[1])):
-                    got = one_to_one_matching(full, src, tgt, theta, state)
-                assert_same(got, oracle.one_to_one_matching(sims, src, tgt, theta,
-                                                            reference))
-        assert list(state.scores.items()) == list(reference.scores.items())
+                    got = one_to_one_matching(full, src, tgt, theta, got)
+                assert_same(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -182,7 +182,7 @@ def _greedy(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     free_r = [True] * (int(r.max(initial=-1)) + 1)
     free_c = [True] * (int(c.max(initial=-1)) + 1)
     kept = []
-    for k, (a, b) in enumerate(zip(r.tolist(), c.tolist())):
+    for k, a, b in zip(range(len(r)), r.tolist(), c.tolist()):
         if free_r[a] and free_c[b]:
             free_r[a] = free_c[b] = False
             kept.append(k)
@@ -233,7 +233,8 @@ def one_to_one_matching(
     score = np.concatenate([held.scores, sims[u[len(held):], t[len(held):]]])
     order = np.argsort(-score, kind="stable")  # held pairs come first
     kept = order[_greedy(u[order], t[order])]
-    return _picked(u, t, score, kept)
+    # in position order the held pairs come sorted, so ``_picked`` sorts fast
+    return _picked(u, t, score, np.sort(kept))
 
 
 def mutual_nearest(

@@ -25,7 +25,6 @@ from .models import (
     ExternalSimilarityModel,
     SimMatrix,
     SyntheticOracle,
-    TopKSimMatrix,
 )
 from .selftrain import IterationReport, RunConfig, run_selftrain, run_supervised
 

@@ -247,30 +247,33 @@ def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, li
     s0, mean, square = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
     log_beta = 0.0
     trace: list[float] = []
-    for n_pass in range(1, MAX_PASSES + 1):
-        beta = float(np.exp(log_beta))
-        for lo in range(0, n_rows, step_rows):
-            hi = min(lo + step_rows, n_rows)
-            ds, es = d[:hi - lo], e[:hi - lo]
-            np.subtract(sims[lo:hi], row_max[lo:hi, None], out=ds)
-            np.multiply(ds, beta, out=es)
-            np.exp(es, out=es)
-            s0[lo:hi] = es.sum(axis=1)
-            # Σ e·d and Σ e·d² per row, each in one pass without a temporary
-            mean[lo:hi] = np.einsum("ij,ij->i", es, ds)
-            square[lo:hi] = np.einsum("ij,ij,ij->i", es, ds, ds)
-        mean /= s0  # E_p[d] and E_p[d²] per row
-        square /= s0
-        loss = float(np.log(s0).sum() - beta * truth_sum)
-        # slope and curvature of the loss in log β
-        grad = beta * float((mean - d_truth).sum())
-        if not (np.isfinite(loss) and np.isfinite(grad)):
-            raise CalibrationError(f"non-finite loss or slope at pass {n_pass}")
-        trace.append(loss)
-        curv = beta * beta * float(np.maximum(square - mean * mean, 0.0).sum()) + grad
-        step = -grad / curv if curv > 0 else -np.sign(grad)
-        step = min(max(step, -1.0), 1.0)
-        if not abs(step) > STEP_TOL:
-            break
-        log_beta += step
+    # a pass that overflows raises from the finiteness check below, so
+    # numpy's warnings would only precede that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_pass in range(1, MAX_PASSES + 1):
+            beta = float(np.exp(log_beta))
+            for lo in range(0, n_rows, step_rows):
+                hi = min(lo + step_rows, n_rows)
+                ds, es = d[:hi - lo], e[:hi - lo]
+                np.subtract(sims[lo:hi], row_max[lo:hi, None], out=ds)
+                np.multiply(ds, beta, out=es)
+                np.exp(es, out=es)
+                s0[lo:hi] = es.sum(axis=1)
+                # Σ e·d and Σ e·d² per row, each in one pass without a temporary
+                mean[lo:hi] = np.einsum("ij,ij->i", es, ds)
+                square[lo:hi] = np.einsum("ij,ij,ij->i", es, ds, ds)
+            mean /= s0  # E_p[d] and E_p[d²] per row
+            square /= s0
+            loss = float(np.log(s0).sum() - beta * truth_sum)
+            # slope and curvature of the loss in log β
+            grad = beta * float((mean - d_truth).sum())
+            if not (np.isfinite(loss) and np.isfinite(grad)):
+                raise CalibrationError(f"non-finite loss or slope at pass {n_pass}")
+            trace.append(loss)
+            curv = beta * beta * float(np.maximum(square - mean * mean, 0.0).sum()) + grad
+            step = -grad / curv if curv > 0 else -np.sign(grad)
+            step = min(max(step, -1.0), 1.0)
+            if not abs(step) > STEP_TOL:
+                break
+            log_beta += step
     return beta, trace

@@ -34,7 +34,7 @@ from .selftrain import (
     config_from_mapping,
     parse_config_file,
 )
-from .models import SRC_TO_TGT, TopKSimMatrix, row_slabs
+from .models import SRC_TO_TGT, row_slabs
 from .simio import (
     SimFormatError,
     read_dense_sim,
@@ -125,11 +125,9 @@ def _cmd_import_sim(args) -> int:
     pair, _ = load_dataset(args.dataset_dir)
     matrix = read_sim_matrix(args.sim_file)
     validate_against(matrix, pair.source.n_entities, pair.target.n_entities)
-    layout = "topk" if isinstance(matrix, TopKSimMatrix) else "dense"
-    print(f"ok: {args.sim_file} ({layout}, direction {matrix.direction})")
+    print(f"ok: {args.sim_file} (direction {matrix.direction})")
     if args.to_dense:
-        dense = matrix.to_dense() if isinstance(matrix, TopKSimMatrix) else matrix
-        write_sim_matrix(args.to_dense, dense)
+        write_sim_matrix(args.to_dense, matrix)
         print(f"wrote dense copy to {args.to_dense}")
     return 0
 

@@ -30,8 +30,9 @@ class KgFormatError(ValueError):
 
 
 def _numbered_rows(path: str | Path, n_fields: int):
-    """``(line number, fields)`` of each nonempty line of ``path``."""
-    with open(path, encoding="utf-8") as fh:
+    """``(line number, fields)`` of each nonempty line of ``path``; a UTF-8
+    byte-order mark is not part of the first line."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line:

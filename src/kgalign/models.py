@@ -121,42 +121,6 @@ class SimMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class TopKSimMatrix:
-    """Top-K sparse similarity rows with a shared fill score for the tail.
-
-    Rows are sorted by descending score and hold distinct candidate ids in
-    ``[0, n_cols)``; ``n_cols`` is the full candidate count of the dense
-    equivalent.
-    """
-
-    cand_ids: np.ndarray   # (n_rows, k) int
-    scores: np.ndarray     # (n_rows, k) float, descending per row
-    fill: float
-    n_cols: int
-    direction: str = SRC_TO_TGT
-
-    def __post_init__(self):
-        if self.cand_ids.shape != self.scores.shape:
-            raise ValueError("cand_ids / scores shape mismatch")
-        if not (np.all(np.isfinite(self.scores)) and np.isfinite(self.fill)):
-            raise ValueError("top-k scores and fill must be finite")
-        if np.any(np.diff(self.scores, axis=1) > 0):
-            raise ValueError("top-k rows must be sorted descending")
-        ids = np.sort(self.cand_ids, axis=1)
-        bad = ((ids < 0) | (ids >= self.n_cols)).any(axis=1)
-        bad |= (np.diff(ids, axis=1) == 0).any(axis=1)
-        if bad.any():
-            raise ValueError(f"row {int(np.argmax(bad))}: candidate ids must be "
-                             f"distinct and in [0, {self.n_cols})")
-
-    def to_dense(self) -> SimMatrix:
-        dense = np.full((self.cand_ids.shape[0], self.n_cols), self.fill)
-        rows = np.arange(self.cand_ids.shape[0])[:, None]
-        dense[rows, self.cand_ids] = self.scores
-        return SimMatrix(scores=dense, direction=self.direction)
-
-
 class AlignmentModel(Protocol):
     """What the self-training loop needs from a model."""
 
@@ -394,15 +358,18 @@ class EmbeddingAligner:
         self._buf = _StepBuffers(self._ent.shape[0], self._rel.shape[0], p.dim,
                                  min(p.batch_size, trip.shape[0]), p.negatives)
         try:
-            for _ in range(epochs):
-                order = self._rng.permutation(trip.shape[0])
-                epoch_loss = 0.0
-                n_pairs = 0
-                for start in range(0, trip.shape[0], p.batch_size):
-                    batch = trip[order[start : start + p.batch_size]]
-                    epoch_loss += self._step(batch, kg_pair, root)
-                    n_pairs += batch.shape[0] * p.negatives
-                trace.append(epoch_loss / max(n_pairs, 1))
+            # an overflowing step raises from its own finiteness check, so
+            # numpy's warnings would only precede that error
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(epochs):
+                    order = self._rng.permutation(trip.shape[0])
+                    epoch_loss = 0.0
+                    n_pairs = 0
+                    for start in range(0, trip.shape[0], p.batch_size):
+                        batch = trip[order[start : start + p.batch_size]]
+                        epoch_loss += self._step(batch, kg_pair, root)
+                        n_pairs += batch.shape[0] * p.negatives
+                    trace.append(epoch_loss / max(n_pairs, 1))
         finally:
             self._buf = None
         # flatten: every entity row holds its effective (root) vector so the

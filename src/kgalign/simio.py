@@ -16,7 +16,9 @@ Dense layout::
 
 Top-K sparse layout replaces ``#layout dense`` with ``#layout topk`` plus a
 ``#fill <score>`` line for the implicit tail, and each row holds
-``target_id:score`` pairs sorted by descending score.
+``target_id:score`` pairs sorted by descending score.  It is an input
+only: the reader returns the dense matrix it stands for, every cell outside
+a row's candidates at ``#fill``.
 """
 
 from __future__ import annotations
@@ -25,34 +27,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix, TopKSimMatrix
+from .models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 
 FORMAT_TAG = "#sim-format v1"
 _HEADER_TYPES = {"rows": int, "cols": int, "fill": float}
+_FINITE = "similarities must be finite"
 
 
 class SimFormatError(ValueError):
     """Raised for malformed or inconsistent similarity files."""
 
 
-def write_sim_matrix(path: str | Path, matrix: SimMatrix | TopKSimMatrix) -> None:
+def write_sim_matrix(path: str | Path, matrix: SimMatrix) -> None:
+    """Write ``matrix`` in the dense layout; every float round-trips."""
+    n_rows, n_cols = matrix.scores.shape
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FORMAT_TAG + "\n")
-        fh.write(f"#direction {matrix.direction}\n")
-        if isinstance(matrix, SimMatrix):
-            n_rows, n_cols = matrix.scores.shape
-            fh.write(f"#rows {n_rows}\n#cols {n_cols}\n#layout dense\n")
-            for row in matrix.scores:
-                fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-        else:
-            n_rows = matrix.cand_ids.shape[0]
-            fh.write(f"#rows {n_rows}\n#cols {matrix.n_cols}\n#layout topk\n")
-            fh.write(f"#fill {matrix.fill!r}\n")
-            for ids, scores in zip(matrix.cand_ids, matrix.scores):
-                fh.write(
-                    "\t".join(f"{int(i)}:{float(v)!r}" for i, v in zip(ids, scores))
-                    + "\n"
-                )
+        fh.write(f"{FORMAT_TAG}\n#direction {matrix.direction}\n"
+                 f"#rows {n_rows}\n#cols {n_cols}\n#layout dense\n")
+        for row in matrix.scores:
+            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
 
 
 def _parse_header(lines: list[str], path) -> tuple[dict, int]:
@@ -78,12 +71,53 @@ def _parse_header(lines: list[str], path) -> tuple[dict, int]:
     return header, i
 
 
-def _require_finite(scores, path, lineno: int) -> None:
-    if not np.all(np.isfinite(scores)):
-        raise SimFormatError(f"{path}:{lineno}: similarities must be finite")
+def _check_rows(bad: np.ndarray, what: str, body: list[tuple[int, str]], path) -> None:
+    """Raise for the first body row that ``bad`` flags, naming its line."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SimFormatError(f"{path}:{body[i][0]}: row {i}: {what}")
 
 
-def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
+def _read_topk(body: list[tuple[int, str]], header: dict, path) -> np.ndarray:
+    """The dense scores a top-K body stands for: ``#fill`` everywhere but at
+    each row's candidates.  The parsed ``(rows, k)`` id and score blocks
+    are checked as one block; an error names the first bad row's line."""
+    if "fill" not in header:
+        raise SimFormatError(f"{path}: topk layout requires #fill")
+    ids, scores = [], []
+    for lineno, ln in body:
+        try:
+            toks = [tok.split(":") for tok in ln.split("\t")]
+            ids.append([int(ident) for ident, _ in toks])
+            scores.append([float(val) for _, val in toks])
+        except ValueError as exc:
+            raise SimFormatError(
+                f"{path}:{lineno}: expected id:score pairs ({exc})") from None
+        if len(toks) != len(ids[0]):
+            raise SimFormatError(f"{path}:{lineno}: row has {len(toks)} candidates, "
+                                 f"the first row {len(ids[0])}")
+    n_rows, n_cols = len(body), header["cols"]
+    shape = (n_rows, len(ids[0]) if ids else 0)
+    try:
+        ids = np.array(ids, dtype=np.int64).reshape(shape)
+    except OverflowError:  # an id past int64 is out of range: clamp it to one that is
+        ids = np.array([[min(max(i, -1), n_cols) for i in r] for r in ids]).reshape(shape)
+    scores = np.array(scores).reshape(shape)
+    _check_rows(~np.isfinite(scores).all(axis=1), _FINITE, body, path)
+    _check_rows((np.diff(scores, axis=1) > 0).any(axis=1),
+                "candidates must be sorted by descending score", body, path)
+    ordered = np.sort(ids, axis=1)
+    _check_rows(((ordered < 0) | (ordered >= n_cols)).any(axis=1)
+                | (np.diff(ordered, axis=1) == 0).any(axis=1),
+                f"candidate ids must be distinct and in [0, {n_cols})", body, path)
+    dense = np.full((n_rows, n_cols), header["fill"])
+    dense[np.arange(n_rows)[:, None], ids] = scores
+    return dense
+
+
+def read_sim_matrix(path: str | Path) -> SimMatrix:
+    """The similarity matrix a file holds; a top-K file is read into the
+    dense matrix it stands for."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header, body_start = _parse_header(lines, path)
@@ -102,45 +136,17 @@ def read_sim_matrix(path: str | Path) -> SimMatrix | TopKSimMatrix:
                 scores[i] = [float(v) for v in vals]
             except ValueError as exc:
                 raise SimFormatError(f"{path}:{lineno}: {exc}") from None
-            _require_finite(scores[i], path, lineno)
-        return SimMatrix(scores=scores, direction=header["direction"])
-
-    if header["layout"] == "topk":
-        if "fill" not in header:
-            raise SimFormatError(f"{path}: topk layout requires #fill")
-        rows_ids, rows_scores = [], []
-        for lineno, ln in body:
-            toks = [tok.split(":") for tok in ln.split("\t")]
-            try:
-                rows_ids.append([int(ident) for ident, _ in toks])
-                rows_scores.append([float(val) for _, val in toks])
-            except ValueError as exc:
-                raise SimFormatError(
-                    f"{path}:{lineno}: expected id:score pairs ({exc})") from None
-            _require_finite(rows_scores[-1], path, lineno)
-        widths = {len(r) for r in rows_ids}
-        if len(widths) != 1:
-            raise SimFormatError(f"{path}: inconsistent top-k row widths {widths}")
-        try:
-            return TopKSimMatrix(
-                cand_ids=np.array(rows_ids, dtype=np.int64),
-                scores=np.array(rows_scores),
-                fill=header["fill"],
-                n_cols=n_cols,
-                direction=header["direction"],
-            )
-        except ValueError as exc:
-            raise SimFormatError(f"{path}: {exc}") from None
-
-    raise SimFormatError(f"{path}: unknown layout {header['layout']!r}")
-
-
-def validate_against(matrix: SimMatrix | TopKSimMatrix, n_src: int, n_tgt: int) -> None:
-    """Check matrix dimensions against a loaded KG pair."""
-    if isinstance(matrix, SimMatrix):
-        rows, cols = matrix.scores.shape
+        _check_rows(~np.isfinite(scores).all(axis=1), _FINITE, body, path)
+    elif header["layout"] == "topk":
+        scores = _read_topk(body, header, path)
     else:
-        rows, cols = matrix.cand_ids.shape[0], matrix.n_cols
+        raise SimFormatError(f"{path}: unknown layout {header['layout']!r}")
+    return SimMatrix(scores=scores, direction=header["direction"])
+
+
+def validate_against(matrix: SimMatrix, n_src: int, n_tgt: int) -> None:
+    """Check matrix dimensions against a loaded KG pair."""
+    rows, cols = matrix.scores.shape
     want = (n_src, n_tgt) if matrix.direction == "src_to_tgt" else (n_tgt, n_src)
     if (rows, cols) != want:
         raise SimFormatError(
@@ -150,12 +156,12 @@ def validate_against(matrix: SimMatrix | TopKSimMatrix, n_src: int, n_tgt: int) 
 
 
 def read_dense_sim(path: str | Path, direction: str, n_src: int, n_tgt: int) -> SimMatrix:
-    """Read a similarity file that must hold ``direction``, check it against
-    the loaded KG sizes and return it dense."""
+    """Read a similarity file that must hold ``direction`` and check it
+    against the loaded KG sizes."""
     matrix = read_sim_matrix(path)
     if matrix.direction != direction:
         raise SimFormatError(
             f"{path}: direction is {matrix.direction}, expected {direction}"
         )
     validate_against(matrix, n_src, n_tgt)
-    return matrix.to_dense() if isinstance(matrix, TopKSimMatrix) else matrix
+    return matrix

@@ -5,8 +5,8 @@ sets and never touches the package's directed-edge arrays, so it checks them
 as well as the code that reads them.  It is slow by design and only usable
 on tiny instances, such as those ``random_kg`` draws.  The add-one
 fallback of the sub-relation probabilities is stated here too, in
-``prob_tgt_in_src`` and ``prob_src_in_tgt``, and ``top_k_of`` truncates
-dense matrices for the top-K file-format tests.
+``prob_tgt_in_src`` and ``prob_src_in_tgt``, and ``write_top_k`` writes a
+matrix's top-K file and returns the dense matrix that file stands for.
 
 The trainer's parameter-sharing roots are checked against ``UnionFind``,
 a path-halving union-find that roots every class at its smallest id.
@@ -32,9 +32,15 @@ match them bit for bit.
 ``(row_ids, col_ids)`` similarities; the package reads row slabs in place
 and must return the same assignment and rows.
 
-The strategy references at the end pick pairs one strategy at a time, by
-dict lookups and rescans, and order the one-to-one edges with Python's
-``sorted``.  The package's strategies must return the same pairs and scores.
+The strategy references pick pairs one strategy at a time, by dict lookups
+and rescans, and order the one-to-one edges with Python's ``sorted``.  The
+package's strategies must return the same pairs and scores.
+
+``reference_iteration`` composes the assignment, statistics, refinement
+and strategy references above into one self-training iteration over
+gathered dense blocks, with the evaluation's ranks counted cell by cell; a
+run must give the same pseudo pairs, their scores within 1e-12, and the
+same hit@1, hit@10 and MRR.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from kgalign import calibration, compatibility
 from kgalign.calibration import CalibrationError, argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
 from kgalign.kg import Kg, MappingSet, _ranges, _run_starts
-from kgalign.models import SimMatrix, TopKSimMatrix
+from kgalign.models import SimMatrix
 
 JOINT_ENUMERATION_CAP = 10**5
 
@@ -335,16 +341,23 @@ def conditional_from_joint(
     return {c: w / total for c, w in probs.items()}
 
 
-def top_k_of(matrix: SimMatrix, k: int, fill: float | None = None) -> TopKSimMatrix:
-    """The k best-scoring candidates per row (ties to lower ids); ``fill``
-    defaults to the matrix minimum."""
+def write_top_k(path, matrix: SimMatrix, k: int, fill: float | None = None) -> SimMatrix:
+    """Write the k best-scoring candidates of each row of ``matrix`` (ties to
+    lower ids) in the top-K layout, with ``fill`` (default: the matrix
+    minimum) for the tail, and return the dense matrix the file stands for."""
     s = matrix.scores
+    fill = float(s.min() if fill is None else fill)
     ids = np.argsort(-s, axis=1, kind="stable")[:, :k]
-    return TopKSimMatrix(
-        cand_ids=ids, scores=np.take_along_axis(s, ids, axis=1),
-        fill=float(s.min() if fill is None else fill),
-        n_cols=s.shape[1], direction=matrix.direction,
-    )
+    top = np.take_along_axis(s, ids, axis=1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#sim-format v1\n#direction {matrix.direction}\n#rows {s.shape[0]}\n"
+                 f"#cols {s.shape[1]}\n#layout topk\n#fill {fill!r}\n")
+        for row_ids, row in zip(ids, top):
+            fh.write("\t".join(f"{int(i)}:{float(v)!r}" for i, v in zip(row_ids, row))
+                     + "\n")
+    dense = np.full(s.shape, fill)
+    np.put_along_axis(dense, ids, top, axis=1)
+    return SimMatrix(scores=dense, direction=matrix.direction)
 
 
 def calibrate_matrix(sims, params) -> np.ndarray:
@@ -641,3 +654,60 @@ def one_to_one_matching(sims, row_ids, col_ids, theta: float,
         by_src[u] = (u, t)
         by_tgt[t] = (u, t)
     return _pseudo(scores)
+
+
+def reference_iteration(pair, sims_fwd, sims_rev, labelled: MappingSet, test: MappingSet,
+                        held: MappingSet, config) -> dict:
+    """One self-training iteration over fixed similarities, composed of the
+    references above over gathered dense blocks.
+
+    ``sims_fwd`` is the ``(n_src, n_tgt)`` and ``sims_rev`` the
+    ``(n_tgt, n_src)`` score array, ``held`` the previous pseudo set and
+    ``config`` a ``RunConfig``.  The probability strategies fit β on each
+    direction's labelled rows, then refine its unlabelled rows over the
+    unlabelled columns against the argmax assignment.  Returns the
+    ``pseudo`` set with its scores, the ``betas`` fitted (forward first)
+    and ``hit1``, ``hit10`` and ``mrr`` of the test truths' ranks in their
+    forward rows, each tie ranked ahead when its id is lower.
+    """
+    fwd = dict(labelled.pairs)
+    rev = {t: s for s, t in labelled.pairs}
+    src = [u for u in range(pair.source.n_entities) if u not in fwd]
+    tgt = [t for t in range(pair.target.n_entities) if t not in rev]
+    strategy, alpha, theta = config.strategy, config.alpha, config.theta
+    betas: list[float] = []
+    if strategy in ("UniThr", "BiThr", "MutHighestProb"):
+        refined = []
+        for oriented, sims, lab, row_ids, col_ids in (
+                (pair, sims_fwd, fwd, src, tgt), (pair.swapped(), sims_rev, rev, tgt, src)):
+            lab_rows = sorted(lab)
+            betas.append(fit_calibration(sims[lab_rows], [lab[e] for e in lab_rows])[0])
+            block = sims[np.ix_(row_ids, col_ids)]
+            assignment = build_assignment(block, row_ids, col_ids, lab)
+            stats = estimate_relation_stats(oriented, assignment)
+            refined.append([
+                calibration.ProbRow(u, cands, softmax(sums)) for u, (cands, sums) in zip(
+                    row_ids, refine_rows(block, row_ids, col_ids, oriented, stats,
+                                         assignment, config.top_k))])
+        fwd_rows, rev_rows = refined
+        if strategy == "UniThr" and config.uni_source == "kg1":
+            pseudo = uni_threshold(fwd_rows, alpha)
+        elif strategy == "UniThr":
+            pseudo = uni_threshold(rev_rows, alpha).flipped()
+        elif strategy == "BiThr":
+            pseudo = bi_threshold(fwd_rows, rev_rows, alpha)
+        else:
+            pseudo = mutual_highest_probability(fwd_rows, rev_rows)
+    else:
+        block_fwd = sims_fwd[np.ix_(src, tgt)]
+        if strategy == "SimThr":
+            pseudo = similarity_threshold(block_fwd, src, tgt, theta)
+        elif strategy == "OneToOne":
+            pseudo = one_to_one_matching(block_fwd, src, tgt, theta, held)
+        else:
+            pseudo = mutual_nearest(block_fwd, src, tgt, sims_rev[np.ix_(tgt, src)], tgt, src)
+    ranks = np.array([1 + sum(v > sims_fwd[u, t] for v in sims_fwd[u])
+                      + sum(v == sims_fwd[u, t] for v in sims_fwd[u, :t])
+                      for u, t in test.pairs])
+    return dict(pseudo=pseudo, betas=betas, hit1=float((ranks <= 1).mean()),
+                hit10=float((ranks <= 10).mean()), mrr=float((1.0 / ranks).mean()))

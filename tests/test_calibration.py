@@ -262,11 +262,12 @@ class TestFit:
         with pytest.raises(CalibrationError, match="reverses the similarity order"):
             fit_calibration(np.tile([1.0, 0.0], (2, 1)), np.array([0, 1]))
 
-    def test_nonfinite_loss_reports_pass(self):
+    def test_nonfinite_loss_reports_pass(self, recwarn):
         # the first row spans more than the float range: sims - max is -inf
         sims = np.array([[1e308, -1e308], [0.0, 1.0]])
         with pytest.raises(CalibrationError, match="non-finite loss or slope at pass 1"):
             fit_calibration(sims, np.array([0, 0]))
+        assert not recwarn.list  # the error, and no numpy warning before it
 
     @pytest.mark.parametrize("truth, message", [
         ([-2, 0], "truth column out of range"),  # would index column 1 from the end

@@ -11,7 +11,7 @@ from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import config_from_mapping
 from kgalign.simio import read_sim_matrix, write_sim_matrix
 from kgalign.synth import write_twin_dataset
-from oracle import top_k_of
+from oracle import write_top_k
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -106,7 +106,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flags", [["--margin", "1e308"], ["--lr", "1e300"]])
     def test_overflowing_training_exits_one(self, dbp_sample_dir, tmp_path, capsys,
-                                            flags):
+                                            recwarn, flags):
         # finite settings that overflow the first step: the loss is inf, or
         # the entity norms are, and every row would be divided to zero
         code = main(["run", "--dataset-dir", str(dbp_sample_dir), "--model", "embedding",
@@ -115,6 +115,8 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "lr (" in err and "margin (" in err
+        # the one-line error is the only output: numpy warned nothing before it
+        assert not recwarn.list
 
     @pytest.mark.parametrize("flags, message", [
         (["--ratio", "0.999"], "empty test set"),
@@ -191,9 +193,10 @@ class TestImportSim:
             scores=rng.uniform(-1, 1, (pair.source.n_entities, pair.target.n_entities)),
             direction=direction,
         )
-        matrix = top_k_of(dense, k=5) if topk else dense
         path = tmp_path / f"sims-{direction}.tsv"
-        write_sim_matrix(path, matrix)
+        if topk:
+            return path, write_top_k(path, dense, k=5)
+        write_sim_matrix(path, dense)
         return path, dense
 
     def test_dense_roundtrip(self, twin_dataset_dir, tmp_path):
@@ -204,11 +207,12 @@ class TestImportSim:
                      "--sim-file", str(path)]) == 0
 
     def test_topk_validate_and_convert(self, twin_dataset_dir, tmp_path, capsys):
-        path, _ = self.make_sim_file(twin_dataset_dir, tmp_path, topk=True)
+        path, dense = self.make_sim_file(twin_dataset_dir, tmp_path, topk=True)
         dense_out = tmp_path / "dense.tsv"
         assert main(["import-sim", "--dataset-dir", str(twin_dataset_dir),
                      "--sim-file", str(path), "--to-dense", str(dense_out)]) == 0
-        assert dense_out.exists()
+        assert f"ok: {path} (direction {SRC_TO_TGT})" in capsys.readouterr().out
+        assert np.array_equal(read_sim_matrix(dense_out).scores, dense.scores)
 
     def test_dimension_mismatch_rejected(self, twin_dataset_dir, tmp_path, capsys):
         bad = SimMatrix(scores=np.zeros((3, 4)), direction=SRC_TO_TGT)
@@ -227,6 +231,18 @@ class TestImportSim:
                      "--sim-file", str(path)])
         assert code == 1
         assert f"{path}:7: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, line", [
+        ("0:0.9\t1:0.5\n1:nan\t0:0.5\n", 8), ("0:0.9\t1:0.5\n0:0.5\t1:0.9\n", 8),
+        ("0:0.9\t1:0.5\n0:0.9\n", 8), ("0:0.9\t1:0.5\n0:0.9\t0:0.5\n", 8),
+    ], ids=["nan", "unsorted", "unequal-widths", "duplicate-id"])
+    def test_malformed_topk_fails_external_run(self, twin_dataset_dir, tmp_path, capsys,
+                                               body, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#sim-format v1\n#direction src_to_tgt\n#rows 2\n#cols 2\n"
+                        "#layout topk\n#fill 0.0\n" + body, encoding="utf-8")
+        assert self.run_external(twin_dataset_dir, tmp_path, path) == 1
+        assert f"{path}:{line}: " in capsys.readouterr().err
 
     def test_import_accepts_either_direction(self, twin_dataset_dir, tmp_path):
         path, _ = self.make_sim_file(twin_dataset_dir, tmp_path, direction=TGT_TO_SRC)

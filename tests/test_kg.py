@@ -200,6 +200,16 @@ class TestLoadDataset:
         assert pair.target.n_entities >= 40
         assert len(links) == 40
 
+    def test_byte_order_marks_are_not_label_text(self, dbp_sample_dir, tmp_path):
+        # a UTF-8 BOM before each file must not make a phantom first entity
+        d = tmp_path / "bom"
+        d.mkdir()
+        for name in ("rel_triples_1", "rel_triples_2", "ent_links"):
+            (d / name).write_bytes(b"\xef\xbb\xbf" + (dbp_sample_dir / name).read_bytes())
+        (pair, links), (want_pair, want_links) = load_dataset(d), load_dataset(dbp_sample_dir)
+        assert pair == want_pair
+        assert links == want_links
+
     def test_link_only_entities_interned(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()

@@ -16,7 +16,6 @@ from kgalign.models import (
     ExternalSimilarityModel,
     SimMatrix,
     SyntheticOracle,
-    TopKSimMatrix,
     _component_roots,
     _StepBuffers,
     margin_ranking_loss_and_grad,
@@ -430,24 +429,6 @@ class TestSimMatrix:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_matrix_is_finite(self, shape):
         assert SimMatrix(scores=np.zeros(shape)).scores.shape == shape
-
-    def test_topk_roundtrip_dense(self):
-        rng = np.random.default_rng(0)
-        dense = SimMatrix(scores=rng.normal(size=(6, 9)))
-        top = oracle.top_k_of(dense, k=3, fill=-5.0)
-        assert isinstance(top, TopKSimMatrix)
-        back = top.to_dense()
-        rows = np.arange(6)[:, None]
-        np.testing.assert_allclose(
-            back.scores[rows, top.cand_ids], dense.scores[rows, top.cand_ids]
-        )
-        # argmax survives the truncation
-        assert np.array_equal(back.scores.argmax(axis=1), dense.scores.argmax(axis=1))
-
-    def test_topk_rows_sorted_descending(self):
-        dense = SimMatrix(scores=np.array([[0.1, 0.5, 0.3], [0.9, 0.2, 0.4]]))
-        top = oracle.top_k_of(dense, k=2)
-        assert np.all(np.diff(top.scores, axis=1) <= 0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -1,18 +1,20 @@
 import dataclasses
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from kgalign import compatibility, models, selftrain
+from kgalign import compatibility, models, selftrain, strategies
 from kgalign import kg as kg_module
-from kgalign.kg import KgPair, MappingSet
+from kgalign.calibration import CalibrationError
+from kgalign.kg import KgPair, MappingSet, load_dataset
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import (
     ConfigError,
@@ -26,6 +28,7 @@ from kgalign.selftrain import (
     run_selftrain,
     run_supervised,
 )
+from kgalign.simio import write_sim_matrix
 from kgalign.synth import write_twin_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -565,3 +568,115 @@ class TestSlabbedRefinement:
             tracemalloc.stop()
         matrix_bytes = sim_fwd.scores.size * sim_fwd.scores.itemsize
         assert peak < bound * matrix_bytes, f"peak {peak / matrix_bytes:.2f} x n*n"
+
+
+def write_kg_dataset(d: Path, source, target, links) -> None:
+    """Two KGs' triples and the ``(source label, target label)`` links in the
+    dataset layout."""
+    d.mkdir()
+    for kg, name in ((source, "rel_triples_1"), (target, "rel_triples_2")):
+        (d / name).write_text("".join(
+            f"{kg.entity_labels[h]}\t{kg.relation_labels[r]}\t{kg.entity_labels[t]}\n"
+            for h, r, t in kg.triples), encoding="utf-8")
+    (d / "ent_links").write_text("".join(f"{s}\t{t}\n" for s, t in links),
+                                 encoding="utf-8")
+
+
+def write_drawn_sim_file(data, path: Path, scores: np.ndarray, direction: str) -> np.ndarray:
+    """``scores`` in the dense layout, or its top-K file with a drawn k and
+    fill; returns the dense scores the file stands for."""
+    matrix = SimMatrix(scores, direction=direction)
+    if data.draw(st.booleans(), label=f"{direction} top-K"):
+        k = data.draw(st.integers(1, scores.shape[1]), label="k")
+        fill = data.draw(st.sampled_from([None, 0.0, 0.5]), label="fill")
+        return oracle.write_top_k(path, matrix, k, fill).scores
+    write_sim_matrix(path, matrix)
+    return scores
+
+
+class TestReferenceIteration:
+    """Two-iteration runs of the external model against chains of
+    ``oracle.reference_iteration`` on random KG pairs, every strategy, and
+    tie-heavy score grids read back from dense and top-K files."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_matches_reference(self, data):
+        source, target = oracle.random_kg(data, "a"), oracle.random_kg(data, "b")
+        assume(min(source.n_entities, target.n_entities) >= 2)
+        n_links = data.draw(st.integers(2, min(source.n_entities, target.n_entities)))
+        links = list(zip(data.draw(st.permutations(source.entity_labels))[:n_links],
+                         data.draw(st.permutations(target.entity_labels))[:n_links]))
+        strategy = data.draw(st.sampled_from(strategies.ALL_STRATEGIES))
+        wanted = strategies.THRESHOLD_FIELD.get(strategy)
+        threshold = {} if wanted is None else {wanted: data.draw(st.sampled_from(
+            [0.25, 0.5, 0.75] if wanted == "alpha" else [0.0, 0.25, 0.5]), label=wanted)}
+        seed = data.draw(st.integers(0, 2**32 - 1), label="grid seed")
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp) / "ds"
+            write_kg_dataset(d, source, target, links)
+            pair, id_links = load_dataset(d)
+            n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
+            # a 0.25-step grid makes ties common everywhere; most truths
+            # score the grid's top, so most calibration fits succeed
+            rng = np.random.default_rng(seed)
+            grid_fwd = rng.integers(0, 5, (n_src, n_tgt)) / 4.0
+            grid_rev = rng.integers(0, 5, (n_tgt, n_src)) / 4.0
+            for (u, t), top in zip(id_links.pairs, rng.random(len(id_links)) < 0.8):
+                if top:
+                    grid_fwd[u, t] = grid_rev[t, u] = 1.0
+            fwd = write_drawn_sim_file(data, d / "fwd.tsv", grid_fwd, SRC_TO_TGT)
+            reverse_file = data.draw(st.booleans(), label="reverse file")
+            rev = (write_drawn_sim_file(data, d / "rev.tsv", grid_rev, TGT_TO_SRC)
+                   if reverse_file else fwd.T)
+            cfg = RunConfig(
+                dataset_dir=str(d), model="external", sim_file=str(d / "fwd.tsv"),
+                sim_file_reverse=str(d / "rev.tsv") if reverse_file else None,
+                strategy=strategy, **threshold,
+                uni_source=data.draw(st.sampled_from(["kg1", "kg2"]), label="uni_source"),
+                ratio=data.draw(st.sampled_from([0.3, 0.5]), label="ratio"),
+                seed=data.draw(st.integers(0, 3), label="seed"),
+                top_k=data.draw(st.sampled_from([1, 2, 3, 10]), label="top_k"),
+                iterations=2, epochs=1, out_dir=str(Path(tmp) / "runs"))
+            run = SelfTrainRun(cfg)
+
+            expected, held = [], MappingSet((), kind="pseudo", scores=())
+            try:
+                for _ in range(cfg.iterations):
+                    expected.append(oracle.reference_iteration(
+                        run.pair, fwd, rev, run.partition.labelled, run.test, held, cfg))
+                    held = expected[-1]["pseudo"]
+            except CalibrationError:
+                with pytest.raises(CalibrationError):
+                    run.run()
+                return
+            generated = []
+
+            def generate(self, *args):
+                generated.append(real_generate(self, *args))
+                return generated[-1]
+
+            real_generate = SelfTrainRun._generate_pseudo
+            with mock.patch.object(SelfTrainRun, "_generate_pseudo", generate):
+                reports = run.run()
+            # fixed scores make a chain's held set its own fresh matching, so
+            # one more iteration starts from a drawn scored one-to-one set
+            held_pairs = list(zip(data.draw(st.permutations(run.unlab_src)),
+                                  data.draw(st.permutations(run.unlab_tgt))))
+            held_pairs = held_pairs[:data.draw(st.integers(0, len(held_pairs)))]
+            held = MappingSet(tuple(held_pairs), kind="pseudo", scores=tuple(
+                data.draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])) for _ in held_pairs))
+            expected.append(oracle.reference_iteration(
+                run.pair, fwd, rev, run.partition.labelled, run.test, held, cfg))
+            sim_fwd = run.model.similarities(SRC_TO_TGT)
+            generated.append(run._generate_pseudo(sim_fwd, cfg.iterations, held))
+            reports.append(run._evaluate(sim_fwd))
+
+        for report, pseudo, want in zip(reports, generated, expected, strict=True):
+            assert pseudo.pairs == want["pseudo"].pairs
+            np.testing.assert_allclose(pseudo.scores, want["pseudo"].scores,
+                                       rtol=0, atol=1e-12)
+            assert (report.hit1, report.hit10, report.mrr) == (
+                want["hit1"], want["hit10"], want["mrr"])
+        betas = [beta for want in expected for beta in want["betas"]]
+        assert [beta for _, beta in run._calibration_log] == pytest.approx(betas, rel=1e-12)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from kgalign.models import SimMatrix, TopKSimMatrix
+from kgalign.models import SimMatrix
 from kgalign.simio import (
     SimFormatError,
     read_sim_matrix,
     validate_against,
     write_sim_matrix,
 )
-from oracle import top_k_of
+from oracle import write_top_k
 
 
 def test_dense_roundtrip_exact(tmp_path):
@@ -22,16 +22,20 @@ def test_dense_roundtrip_exact(tmp_path):
 
 
 def test_topk_roundtrip_exact(tmp_path):
+    # a top-K file reads as exactly the dense matrix it stands for: the
+    # kept candidates' scores, and the fill everywhere else
     rng = np.random.default_rng(1)
-    top = top_k_of(SimMatrix(scores=rng.normal(size=(5, 9))), k=3, fill=-2.0)
+    m = SimMatrix(scores=rng.normal(size=(5, 9)), direction="tgt_to_src")
     p = tmp_path / "m.tsv"
-    write_sim_matrix(p, top)
+    dense = write_top_k(p, m, k=3, fill=-2.0)
     back = read_sim_matrix(p)
-    assert isinstance(back, TopKSimMatrix)
-    assert np.array_equal(back.cand_ids, top.cand_ids)
-    assert np.array_equal(back.scores, top.scores)
-    assert back.fill == top.fill
-    assert back.n_cols == 9
+    assert back.direction == "tgt_to_src"
+    assert np.array_equal(back.scores, dense.scores)
+    kept = back.scores != -2.0
+    assert np.array_equal(kept.sum(axis=1), [3] * 5)
+    assert np.array_equal(back.scores[kept], m.scores[kept])
+    # the argmax survives the truncation
+    assert np.array_equal(back.scores.argmax(axis=1), m.scores.argmax(axis=1))
 
 
 def test_missing_header_rejected(tmp_path):
@@ -113,19 +117,23 @@ HEADER = "#sim-format v1\n#direction {direction}\n#rows {rows}\n#cols 2\n#layout
     # non-finite #fill
     (HEADER.format(direction="src_to_tgt", rows=1, layout="topk")
      + "#fill nan\n0:0.9\t1:0.5\n", 6),
+    # a NaN top-K score
+    (HEADER.format(direction="src_to_tgt", rows=2, layout="topk")
+     + "#fill 0.0\n0:0.9\t1:0.5\n1:nan\t0:0.5\n", 8),
+    # a top-K row not sorted by descending score
+    (HEADER.format(direction="src_to_tgt", rows=2, layout="topk")
+     + "#fill 0.0\n0:0.9\t1:0.5\n0:0.5\t1:0.9\n", 8),
+    # top-K rows of unequal widths
+    (HEADER.format(direction="src_to_tgt", rows=2, layout="topk")
+     + "#fill 0.0\n0:0.9\t1:0.5\n0:0.9\n", 8),
+    # a candidate id past int64
+    (HEADER.format(direction="src_to_tgt", rows=2, layout="topk")
+     + "#fill 0.0\n0:0.9\t1:0.5\n99999999999999999999:0.9\t1:0.5\n", 8),
 ], ids=["topk-missing-score", "dense-non-numeric", "rows-not-int", "fill-not-float",
-        "unknown-direction", "dense-nan", "topk-inf", "fill-nan"])
+        "unknown-direction", "dense-nan", "topk-inf", "fill-nan", "topk-nan",
+        "topk-unsorted", "topk-unequal-widths", "topk-id-past-int64"])
 def test_malformed_file_names_file_and_line(tmp_path, text, line):
     p = tmp_path / "m.tsv"
     p.write_text(text, encoding="utf-8")
     with pytest.raises(SimFormatError, match=f"m.tsv:{line}: "):
         read_sim_matrix(p)
-
-
-@pytest.mark.parametrize("scores, fill", [
-    ([[0.9, np.nan]], 0.0), ([[np.inf, 0.5]], 0.0), ([[0.9, 0.5]], np.nan),
-], ids=["nan-score", "inf-score", "nan-fill"])
-def test_topk_matrix_rejects_nonfinite(scores, fill):
-    with pytest.raises(ValueError, match="finite"):
-        TopKSimMatrix(cand_ids=np.array([[0, 1]]), scores=np.array(scores),
-                      fill=fill, n_cols=2)

@@ -650,13 +650,12 @@ class TestReferenceIteration:
                 with pytest.raises(CalibrationError):
                     run.run()
                 return
-            generated = []
+            generated, real_generate = [], SelfTrainRun._generate_pseudo
 
             def generate(self, *args):
                 generated.append(real_generate(self, *args))
                 return generated[-1]
 
-            real_generate = SelfTrainRun._generate_pseudo
             with mock.patch.object(SelfTrainRun, "_generate_pseudo", generate):
                 reports = run.run()
             # fixed scores make a chain's held set its own fresh matching, so

@@ -60,10 +60,10 @@ def _parse_header(lines: list[str], path) -> tuple[dict, int]:
             if key == "direction" and value not in (SRC_TO_TGT, TGT_TO_SRC):
                 raise ValueError
             header[key] = _HEADER_TYPES.get(key, str)(value)
-            if key == "fill" and not np.isfinite(header[key]):
-                raise ValueError
         except ValueError:
             raise SimFormatError(f"{path}:{i + 1}: bad #{key} {value!r}") from None
+        if key == "fill" and not np.isfinite(header[key]):
+            raise SimFormatError(f"{path}:{i + 1}: bad #fill {value!r}: {_FINITE}")
         i += 1
     for required in ("direction", "rows", "cols", "layout"):
         if required not in header:

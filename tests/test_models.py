@@ -20,6 +20,7 @@ from kgalign.models import (
     _StepBuffers,
     margin_ranking_loss_and_grad,
 )
+from kgalign.simio import read_sim_matrix
 from kgalign.synth import write_twin_dataset
 
 
@@ -425,6 +426,19 @@ class TestSimMatrix:
         scores[cell] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         with pytest.raises(ValueError, match="finite"):
             SimMatrix(scores=scores)
+
+    def test_topk_roundtrip_dense(self, tmp_path):
+        rng = np.random.default_rng(0)
+        dense = SimMatrix(scores=rng.normal(size=(6, 9)))
+        path = tmp_path / "top.tsv"
+        expected = oracle.write_top_k(path, dense, k=3, fill=-5.0)
+        back = read_sim_matrix(path)
+        assert isinstance(back, SimMatrix)
+        assert np.array_equal(back.scores, expected.scores)
+        kept = back.scores != -5.0
+        np.testing.assert_allclose(back.scores[kept], dense.scores[kept])
+        # argmax survives the truncation
+        assert np.array_equal(back.scores.argmax(axis=1), dense.scores.argmax(axis=1))
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_matrix_is_finite(self, shape):

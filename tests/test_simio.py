@@ -89,6 +89,20 @@ def test_topk_rejects_bad_candidate_ids(tmp_path, row):
         read_sim_matrix(p)
 
 
+@pytest.mark.parametrize("scores, fill", [
+    ("0:0.9\t1:nan", "0.0"), ("0:inf\t1:0.5", "0.0"), ("0:0.9\t1:0.5", "nan"),
+], ids=["nan-score", "inf-score", "nan-fill"])
+def test_topk_matrix_rejects_nonfinite(tmp_path, scores, fill):
+    p = tmp_path / "m.tsv"
+    p.write_text(
+        "#sim-format v1\n#direction src_to_tgt\n#rows 1\n#cols 2\n#layout topk\n"
+        f"#fill {fill}\n{scores}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SimFormatError, match="finite"):
+        read_sim_matrix(p)
+
+
 HEADER = "#sim-format v1\n#direction {direction}\n#rows {rows}\n#cols 2\n#layout {layout}\n"
 
 

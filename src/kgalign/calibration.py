@@ -235,7 +235,10 @@ def fit_calibration(sims: np.ndarray, truth_cols: np.ndarray) -> tuple[float, li
     d_truth = truth_sims - row_max  # <= 0, and 0 at a truth on its row max
     if not d_truth.any():
         return np.inf, [float(np.log((sims == row_max[:, None]).sum(axis=1)).sum())]
-    slope = float((sims.mean(axis=1) - truth_sims).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = float((sims.mean(axis=1) - truth_sims).sum())
+        if not np.isfinite(slope):  # a row sum overflowed: average the gaps instead
+            slope = float(((sims - row_max[:, None]).mean(axis=1) - d_truth).sum())
     if slope >= 0:
         raise CalibrationError("reverses the similarity order: the loss slope at "
                                f"beta = 0 is {slope!r}, not < 0")

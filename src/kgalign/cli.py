@@ -90,9 +90,7 @@ def _cmd_partition(args) -> int:
     labels_t = list(dict.fromkeys(t for _, t in rows))
     ids_s = {s: i for i, s in enumerate(labels_s)}
     ids_t = {t: i for i, t in enumerate(labels_t)}
-    links = MappingSet(
-        tuple(dict.fromkeys((ids_s[s], ids_t[t]) for s, t in rows)), kind="labelled"
-    )
+    links = MappingSet(tuple(dict.fromkeys((ids_s[s], ids_t[t]) for s, t in rows)))
     part = partition_mappings(links, args.ratio, args.seed)
     write_partition(args.out, part, labels_s, labels_t)
     print(
@@ -177,7 +175,7 @@ def _cmd_eval(args) -> int:
                         f"target labels, tab-separated; got {line.strip()!r}"
                     )
                 id_pairs.append((pair.source.entity_ids[s], pair.target.entity_ids[t]))
-        pseudo = MappingSet(tuple(dict.fromkeys(id_pairs)), kind="pseudo")
+        pseudo = MappingSet(tuple(dict.fromkeys(id_pairs)))
         precision, recall, empty = pseudo_quality(pseudo, part.test)
         out.update(
             pseudo_count=len(pseudo), pseudo_precision=precision,

@@ -46,10 +46,6 @@ def _numbered_rows(path: str | Path, n_fields: int):
             yield lineno, tuple(fields)
 
 
-def _read_rows(path: str | Path, n_fields: int) -> list[tuple[str, ...]]:
-    return [fields for _, fields in _numbered_rows(path, n_fields)]
-
-
 @dataclass(frozen=True)
 class Kg:
     """One knowledge graph: interned labels and its unique id triples."""
@@ -87,39 +83,19 @@ class Kg:
         """
         ent_ids: dict[str, int] = {}
         rel_ids: dict[str, int] = {}
-
-        def ent(label: str) -> int:
-            if label not in ent_ids:
-                ent_ids[label] = len(ent_ids)
-            return ent_ids[label]
-
-        def rel(label: str) -> int:
-            if label not in rel_ids:
-                rel_ids[label] = len(rel_ids)
-            return rel_ids[label]
-
-        seen: set[tuple[int, int, int]] = set()
-        id_triples: list[tuple[int, int, int]] = []
-        dropped = 0
-        for h, r, t in triples:
-            trip = (ent(h), rel(r), ent(t))
-            if trip in seen:
-                dropped += 1
-                continue
-            seen.add(trip)
-            id_triples.append(trip)
-        if not id_triples:
+        ent, rel = ent_ids.setdefault, rel_ids.setdefault
+        id_triples = [(ent(h, len(ent_ids)), rel(r, len(rel_ids)), ent(t, len(ent_ids)))
+                      for h, r, t in triples]
+        unique = tuple(dict.fromkeys(id_triples))
+        if not unique:
             raise KgFormatError("no triples")
         for label in extra_entities:
-            ent(label)
-
-        ent_labels = tuple(sorted(ent_ids, key=ent_ids.get))
-        rel_labels = tuple(sorted(rel_ids, key=rel_ids.get))
+            ent(label, len(ent_ids))
         return Kg(
-            entity_labels=ent_labels,
-            relation_labels=rel_labels,
-            triples=tuple(id_triples),
-            duplicates_dropped=dropped,
+            entity_labels=tuple(ent_ids),
+            relation_labels=tuple(rel_ids),
+            triples=unique,
+            duplicates_dropped=len(id_triples) - len(unique),
             entity_ids=ent_ids,
             relation_ids=rel_ids,
         )
@@ -189,7 +165,7 @@ def load_kg(triples_path: str | Path) -> Kg:
     empty file.  Exact duplicate triples are dropped; the count is kept in
     ``Kg.duplicates_dropped``.
     """
-    rows = _read_rows(triples_path, 3)
+    rows = [fields for _, fields in _numbered_rows(triples_path, 3)]
     if not rows:
         raise KgFormatError(f"{triples_path}: empty triple file")
     return Kg.from_label_triples(rows)  # type: ignore[arg-type]
@@ -216,12 +192,9 @@ class MappingSet:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    kind: str  # "labelled" | "pseudo"
     scores: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("labelled", "pseudo"):
-            raise ValueError(f"bad MappingSet kind: {self.kind!r}")
         if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("duplicate pairs in MappingSet")
         if self.scores is not None and len(self.scores) != len(self.pairs):
@@ -234,29 +207,11 @@ class MappingSet:
         return set(self.pairs)
 
     def flipped(self) -> "MappingSet":
-        return MappingSet(
-            pairs=tuple((t, s) for s, t in self.pairs),
-            kind=self.kind,
-            scores=self.scores,
-        )
+        return MappingSet(tuple((t, s) for s, t in self.pairs), self.scores)
 
-    def union(self, other: "MappingSet", kind: str | None = None) -> "MappingSet":
-        merged = list(self.pairs)
-        present = set(self.pairs)
-        for p in other.pairs:
-            if p not in present:
-                merged.append(p)
-                present.add(p)
-        return MappingSet(pairs=tuple(merged), kind=kind or self.kind)
-
-
-def validate_mappings(mappings: MappingSet, pair: KgPair) -> None:
-    """Check that all ids are valid in their respective KGs."""
-    for s, t in mappings.pairs:
-        if not (0 <= s < pair.source.n_entities):
-            raise ValueError(f"source id {s} out of range")
-        if not (0 <= t < pair.target.n_entities):
-            raise ValueError(f"target id {t} out of range")
+    def union(self, other: "MappingSet") -> "MappingSet":
+        """This set's pairs, then ``other``'s new ones; no scores."""
+        return MappingSet(tuple(dict.fromkeys(self.pairs + other.pairs)))
 
 
 @dataclass(frozen=True)
@@ -290,8 +245,8 @@ def partition_mappings(links: MappingSet, ratio: float, seed: int) -> Partition:
     order = rng.permutation(len(links))
     shuffled = [links.pairs[i] for i in order]
     return Partition(
-        labelled=MappingSet(tuple(shuffled[:n_labelled]), kind="labelled"),
-        test=MappingSet(tuple(shuffled[n_labelled:]), kind="labelled"),
+        labelled=MappingSet(tuple(shuffled[:n_labelled])),
+        test=MappingSet(tuple(shuffled[n_labelled:])),
         ratio=ratio,
         seed=seed,
     )
@@ -327,24 +282,14 @@ def load_dataset(dataset_dir: str | Path) -> tuple[KgPair, MappingSet]:
     for name in ("rel_triples_1", "rel_triples_2", "ent_links"):
         if not (d / name).exists():
             raise KgFormatError(f"missing {name} in {d}")
-    t1 = _read_rows(d / "rel_triples_1", 3)
-    t2 = _read_rows(d / "rel_triples_2", 3)
+    t1, t2 = ([fields for _, fields in _numbered_rows(d / name, 3)]
+              for name in ("rel_triples_1", "rel_triples_2"))
     raw_links = load_links_file(d / "ent_links")
-    extra1 = tuple(dict.fromkeys(s for s, _ in raw_links))
-    extra2 = tuple(dict.fromkeys(t for _, t in raw_links))
-    kg1 = Kg.from_label_triples(t1, extra_entities=extra1)  # type: ignore[arg-type]
-    kg2 = Kg.from_label_triples(t2, extra_entities=extra2)  # type: ignore[arg-type]
-    pairs = []
-    seen = set()
-    for s, t in raw_links:
-        p = (kg1.entity_ids[s], kg2.entity_ids[t])
-        if p not in seen:
-            seen.add(p)
-            pairs.append(p)
-    links = MappingSet(tuple(pairs), kind="labelled")
-    pair = KgPair(source=kg1, target=kg2)
-    validate_mappings(links, pair)
-    return pair, links
+    kg1 = Kg.from_label_triples(t1, tuple(s for s, _ in raw_links))  # type: ignore[arg-type]
+    kg2 = Kg.from_label_triples(t2, tuple(t for _, t in raw_links))  # type: ignore[arg-type]
+    links = MappingSet(tuple(dict.fromkeys(
+        (kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in raw_links)))
+    return KgPair(source=kg1, target=kg2), links
 
 
 def write_links(

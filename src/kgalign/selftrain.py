@@ -20,6 +20,7 @@ is exempt from the reproducibility contract.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -304,6 +305,7 @@ class SelfTrainRun:
         self.unlab_tgt = sorted(set(range(n_tgt)) - set(self.labelled_rev))
         self.model = self._build_model()
         # made only now, so a failed set-up leaves no empty run directory
+        self._made_run_dir = not run_dir
         if run_dir:
             self.run_dir = Path(run_dir)
             self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -410,20 +412,29 @@ class SelfTrainRun:
         return evaluate_rows(row_slabs(sim_fwd.scores, test_src), truth_cols)
 
     def _emit(self, report: IterationReport, fit_s: float) -> None:
+        # the first report starts both streams, in a run directory reused too
+        mode = "a" if self.reports else "w"
         self.reports.append(report)
-        with open(self.run_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
+        with open(self.run_dir / "metrics.jsonl", mode, encoding="utf-8") as fh:
             fh.write(metrics_line(report) + "\n")
-        with open(self.run_dir / "timings.jsonl", "a", encoding="utf-8") as fh:
+        with open(self.run_dir / "timings.jsonl", mode, encoding="utf-8") as fh:
             fh.write(json.dumps({"iter": report.iteration, "seconds": report.seconds,
                                  "fit_s": fit_s}) + "\n")
 
     def run(self) -> list[IterationReport]:
+        try:
+            return self._iterate()
+        except BaseException:
+            if self._made_run_dir and not self.reports:
+                # nothing reported: remove the directory unless a debug dump is in it
+                with contextlib.suppress(OSError):
+                    self.run_dir.rmdir()
+            raise
+
+    def _iterate(self) -> list[IterationReport]:
         cfg = self.config
-        # _emit appends, and a run directory may be reused: start both empty
-        for name in ("metrics.jsonl", "timings.jsonl"):
-            (self.run_dir / name).write_text("", encoding="utf-8")
         train = self.partition.labelled
-        pseudo = MappingSet((), kind="pseudo", scores=())
+        pseudo = MappingSet((), scores=())
         for iteration in range(cfg.iterations):
             t0 = time.perf_counter()
             trace = self.model.fit(self.pair, train, cfg.epochs)

@@ -40,11 +40,7 @@ THRESHOLD_FIELD = {"UniThr": "alpha", "BiThr": "alpha", "SimThr": "theta", "OneT
 
 def _sorted_mapping(pairs_scores: dict[tuple[int, int], float]) -> MappingSet:
     items = sorted(pairs_scores.items())
-    return MappingSet(
-        pairs=tuple(p for p, _ in items),
-        kind="pseudo",
-        scores=tuple(s for _, s in items),
-    )
+    return MappingSet(tuple(p for p, _ in items), tuple(s for _, s in items))
 
 
 def _row_best(rows: list[ProbRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

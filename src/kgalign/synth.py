@@ -13,26 +13,25 @@ from pathlib import Path
 import numpy as np
 
 
-def _random_label_triples(
+def _draw_edges(
     rng: np.random.Generator,
+    edges: set[tuple[int, int, int]],
+    size: int,
     n_entities: int,
-    n_triples: int,
     n_relations: int,
-    ent_prefix: str,
-    rel_prefix: str,
-) -> list[tuple[str, str, str]]:
-    triples: set[tuple[int, int, int]] = set()
-    while len(triples) < n_triples:
+    forbidden: frozenset | set = frozenset(),
+) -> set[tuple[int, int, int]]:
+    """Add random edges ``(h, r, t)`` with ``h != t``, none in ``forbidden``,
+    to ``edges`` until it holds ``size`` of them."""
+    while len(edges) < size:
         h = int(rng.integers(0, n_entities))
         t = int(rng.integers(0, n_entities))
         if h == t:
             continue
         r = int(rng.integers(0, n_relations))
-        triples.add((h, r, t))
-    return [
-        (f"{ent_prefix}{h}", f"{rel_prefix}{r}", f"{ent_prefix}{t}")
-        for h, r, t in sorted(triples)
-    ]
+        if (h, r, t) not in forbidden:
+            edges.add((h, r, t))
+    return edges
 
 
 def twin_label_data(
@@ -46,36 +45,20 @@ def twin_label_data(
 ) -> tuple[list, list, list]:
     """String triples for both graphs plus ground-truth label links."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    base = _random_label_triples(
-        rng, n_entities, n_triples, n_relations, ent_prefixes[0], rel_prefixes[0]
-    )
+    base = sorted(_draw_edges(rng, set(), n_triples, n_entities, n_relations))
     # twin: same structure, relabelled; then drop and add a perturbation share
-    twin_idx = [
-        (int(h[len(ent_prefixes[0]):]), int(r[len(rel_prefixes[0]):]),
-         int(t[len(ent_prefixes[0]):]))
-        for h, r, t in base
-    ]
-    n_perturb = round(perturbation * len(twin_idx))
-    keep = rng.permutation(len(twin_idx))[: len(twin_idx) - n_perturb]
-    original = set(twin_idx)
-    kept = {twin_idx[i] for i in keep.tolist()}
-    while len(kept) < len(twin_idx):
-        h = int(rng.integers(0, n_entities))
-        t = int(rng.integers(0, n_entities))
-        if h == t:
-            continue
-        r = int(rng.integers(0, n_relations))
-        if (h, r, t) in original:  # replacements must be genuinely new edges
-            continue
-        kept.add((h, r, t))
-    twin = [
-        (f"{ent_prefixes[1]}{h}", f"{rel_prefixes[1]}{r}", f"{ent_prefixes[1]}{t}")
-        for h, r, t in sorted(kept)
-    ]
+    n_perturb = round(perturbation * len(base))
+    keep = rng.permutation(len(base))[: len(base) - n_perturb]
+    # replacements must be genuinely new edges
+    twin = sorted(_draw_edges(rng, {base[i] for i in keep.tolist()}, len(base),
+                              n_entities, n_relations, forbidden=set(base)))
+    base_labels, twin_labels = (
+        [(f"{ent}{h}", f"{rel}{r}", f"{ent}{t}") for h, r, t in triples]
+        for triples, ent, rel in zip((base, twin), ent_prefixes, rel_prefixes))
     links = [
         (f"{ent_prefixes[0]}{i}", f"{ent_prefixes[1]}{i}") for i in range(n_entities)
     ]
-    return base, twin, links
+    return base_labels, twin_labels, links
 
 
 def write_twin_dataset(

@@ -8,6 +8,11 @@ fallback of the sub-relation probabilities is stated here too, in
 ``prob_tgt_in_src`` and ``prob_src_in_tgt``, and ``write_top_k`` writes a
 matrix's top-K file and returns the dense matrix that file stands for.
 
+``kg_from_label_triples`` is the interning as it was written before it
+became a ``setdefault`` per label and one ``dict.fromkeys`` over the id
+triples: two interning closures, a set of seen triples and a counter of
+the repeats.  The package must build an equal ``Kg``.
+
 The trainer's parameter-sharing roots are checked against ``UnionFind``,
 a path-halving union-find that roots every class at its smallest id.
 
@@ -70,6 +75,43 @@ def random_kg(data, prefix: str, max_entities: int = 7) -> Kg:
     return Kg.from_label_triples(
         [(f"{prefix}{h}", f"r{r}", f"{prefix}{t}") for h, r, t in edges],
         extra_entities=tuple(f"{prefix}{i}" for i in range(n)),
+    )
+
+
+def kg_from_label_triples(triples, extra_entities=()) -> Kg:
+    """``Kg.from_label_triples`` by explicit loops."""
+    ent_ids: dict[str, int] = {}
+    rel_ids: dict[str, int] = {}
+
+    def ent(label: str) -> int:
+        if label not in ent_ids:
+            ent_ids[label] = len(ent_ids)
+        return ent_ids[label]
+
+    def rel(label: str) -> int:
+        if label not in rel_ids:
+            rel_ids[label] = len(rel_ids)
+        return rel_ids[label]
+
+    seen: set[tuple[int, int, int]] = set()
+    id_triples: list[tuple[int, int, int]] = []
+    dropped = 0
+    for h, r, t in triples:
+        trip = (ent(h), rel(r), ent(t))
+        if trip in seen:
+            dropped += 1
+            continue
+        seen.add(trip)
+        id_triples.append(trip)
+    for label in extra_entities:
+        ent(label)
+    return Kg(
+        entity_labels=tuple(sorted(ent_ids, key=ent_ids.get)),
+        relation_labels=tuple(sorted(rel_ids, key=rel_ids.get)),
+        triples=tuple(id_triples),
+        duplicates_dropped=dropped,
+        entity_ids=ent_ids,
+        relation_ids=rel_ids,
     )
 
 
@@ -539,7 +581,7 @@ def embedding_step(model, batch, pair, root) -> float:
 
 def _pseudo(picked: dict[tuple[int, int], float]) -> MappingSet:
     items = sorted(picked.items())
-    return MappingSet(pairs=tuple(p for p, _ in items), kind="pseudo",
+    return MappingSet(pairs=tuple(p for p, _ in items),
                       scores=tuple(s for _, s in items))
 
 

@@ -269,6 +269,13 @@ class TestFit:
             fit_calibration(sims, np.array([0, 0]))
         assert not recwarn.list  # the error, and no numpy warning before it
 
+    def test_overflowing_row_mean_keeps_a_finite_slope(self, recwarn):
+        # the first row's sum overflows; its gaps to the row max do not
+        beta, _ = fit_calibration(np.array([[1e308, 1e308, 0.0], [0.0, 1.0, 0.5]]),
+                                  np.array([0, 2]))
+        assert np.isfinite(beta) and beta > 0
+        assert not recwarn.list
+
     @pytest.mark.parametrize("truth, message", [
         ([-2, 0], "truth column out of range"),  # would index column 1 from the end
         ([3, 0], "truth column out of range"),

@@ -117,6 +117,8 @@ class TestRunCommand:
         assert "lr (" in err and "margin (" in err
         # the one-line error is the only output: numpy warned nothing before it
         assert not recwarn.list
+        # the first iteration failed, so no run directory stays behind
+        assert not any((tmp_path / "runs").iterdir())
 
     @pytest.mark.parametrize("flags, message", [
         (["--ratio", "0.999"], "empty test set"),

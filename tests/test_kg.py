@@ -13,7 +13,7 @@ from kgalign.kg import (
     load_kg,
     partition_mappings,
 )
-from oracle import neighbors, random_kg
+from oracle import kg_from_label_triples, neighbors, random_kg
 
 
 def two_hop(kg: Kg, u: int) -> set[int]:
@@ -71,6 +71,20 @@ class TestLoadKg:
         kg = load_kg(dbp_sample_dir / "rel_triples_1")
         assert kg.n_entities == len(labels)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        triples=st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("rs"),
+                                   st.sampled_from("abcd")), min_size=1, max_size=12),
+        extra=st.lists(st.sampled_from("abcdxyz"), max_size=6),
+    )
+    def test_interning_matches_reference(self, triples, extra):
+        # repeats, self-loops and extra labels that already occur or repeat
+        kg = Kg.from_label_triples(triples, extra_entities=tuple(extra))
+        want = kg_from_label_triples(triples, extra_entities=tuple(extra))
+        assert kg == want
+        assert list(kg.entity_ids.items()) == list(want.entity_ids.items())
+        assert list(kg.relation_ids.items()) == list(want.relation_ids.items())
+
     def test_roundtrip_triples(self, tmp_path):
         lines = ["a\tr\tb", "b\tq\tc", "a\tr\tb", "c\tr\ta"]
         kg = load_kg(write_triples(tmp_path / "t.tsv", lines))
@@ -83,7 +97,7 @@ class TestLoadKg:
 
 class TestPartition:
     def make_links(self, n):
-        return MappingSet(tuple((i, i) for i in range(n)), kind="labelled")
+        return MappingSet(tuple((i, i) for i in range(n)))
 
     def test_thirty_percent_of_15000(self):
         part = partition_mappings(self.make_links(15000), 0.30, seed=1)
@@ -184,13 +198,13 @@ class TestKgPair:
 
     def test_mapping_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            MappingSet(((0, 1), (0, 1)), kind="labelled")
+            MappingSet(((0, 1), (0, 1)))
 
     def test_union_keeps_labelled_pairs(self):
-        a = MappingSet(((0, 1), (2, 3)), kind="labelled")
-        b = MappingSet(((2, 3), (4, 5)), kind="pseudo")
+        a = MappingSet(((0, 1), (2, 3)))
+        b = MappingSet(((2, 3), (4, 5)))
         merged = a.union(b)
-        assert merged.as_set() == {(0, 1), (2, 3), (4, 5)}
+        assert merged.pairs == ((0, 1), (2, 3), (4, 5))
 
 
 class TestLoadDataset:

@@ -172,7 +172,7 @@ class TestRanks:
 
 class TestPseudoQuality:
     def truth(self):
-        return MappingSet(tuple((i, i) for i in range(10)), kind="labelled")
+        return MappingSet(tuple((i, i) for i in range(10)))
 
     def test_perfect(self):
         p, r, empty = pseudo_quality(self.truth(), self.truth())
@@ -180,12 +180,12 @@ class TestPseudoQuality:
 
     def test_half_plus_one_wrong(self):
         pseudo = MappingSet(
-            tuple((i, i) for i in range(5)) + ((7, 8),), kind="pseudo"
+            tuple((i, i) for i in range(5)) + ((7, 8),)
         )
         p, r, _ = pseudo_quality(pseudo, self.truth())
         assert p == pytest.approx(5 / 6)
         assert r == pytest.approx(0.5)
 
     def test_empty_convention(self):
-        p, r, empty = pseudo_quality(MappingSet((), kind="pseudo"), self.truth())
+        p, r, empty = pseudo_quality(MappingSet(()), self.truth())
         assert (p, r, empty) == (1.0, 0.0, True)

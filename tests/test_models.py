@@ -43,7 +43,7 @@ class TestEmbeddingAligner:
         pair, _ = small_twins
         model = EmbeddingAligner(seed=1)
         with pytest.raises(ValueError):
-            model.fit(pair, MappingSet((), kind="labelled"), epochs=1)
+            model.fit(pair, MappingSet(()), epochs=1)
 
     def test_zero_epochs_rejected(self, small_twins):
         pair, links = small_twins
@@ -95,7 +95,7 @@ class TestEmbeddingAligner:
         part = partition_mappings(links, 0.2, seed=7)
         model = EmbeddingAligner(seed=1)
         model.fit(pair, part.labelled, epochs=1)
-        pseudo = MappingSet(part.test.pairs[:5], kind="pseudo")
+        pseudo = MappingSet(part.test.pairs[:5])
         model.fit(pair, part.labelled.union(pseudo), epochs=1)
 
     def test_deterministic_for_fixed_seed(self, small_twins):
@@ -111,7 +111,7 @@ class TestEmbeddingAligner:
     def test_step_bit_identical_to_pairwise_reference(self, small_twins, monkeypatch):
         pair, links = small_twins
         part = partition_mappings(links, 0.2, seed=7)
-        pseudo = MappingSet(part.test.pairs[:8], kind="pseudo")
+        pseudo = MappingSet(part.test.pairs[:8])
 
         def train():
             model = EmbeddingAligner(EmbeddingAlignerParams(batch_size=64), seed=4)
@@ -163,8 +163,8 @@ class TestBufferedFit:
             min_size=2, max_size=6, unique=True))
         cut = data.draw(st.integers(1, len(links) - 1))
         # successive fits on training sets of different sizes
-        trains = [MappingSet(tuple(links), kind="labelled"),
-                  MappingSet(tuple(links[:cut]), kind="labelled")]
+        trains = [MappingSet(tuple(links)),
+                  MappingSet(tuple(links[:cut]))]
         if data.draw(st.booleans()):
             trains.reverse()
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -408,7 +408,7 @@ class TestSyntheticOracle:
         oracle.fit(pair, links, epochs=3)
         assert np.array_equal(before, oracle.similarities(SRC_TO_TGT).scores)
         with pytest.raises(ValueError):
-            oracle.fit(pair, MappingSet((), kind="labelled"), epochs=1)
+            oracle.fit(pair, MappingSet(()), epochs=1)
 
 
 class TestSimMatrix:
@@ -531,7 +531,7 @@ class TestFitArguments:
         pair, links = small_twins
         model = MODEL_BUILDERS[name](pair, links)
         with pytest.raises(ValueError, match="nonempty"):
-            model.fit(pair, MappingSet((), kind="labelled"), epochs=1)
+            model.fit(pair, MappingSet(()), epochs=1)
 
 
 class TestReadOnlySimilarities:

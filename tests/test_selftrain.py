@@ -561,7 +561,7 @@ class TestSlabbedRefinement:
         sim_fwd = run.model.similarities(SRC_TO_TGT)
         tracemalloc.start()
         try:
-            run._generate_pseudo(sim_fwd, 0, MappingSet((), kind="pseudo", scores=()))
+            run._generate_pseudo(sim_fwd, 0, MappingSet((), scores=()))
             run._evaluate(sim_fwd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -640,7 +640,7 @@ class TestReferenceIteration:
                 iterations=2, epochs=1, out_dir=str(Path(tmp) / "runs"))
             run = SelfTrainRun(cfg)
 
-            expected, held = [], MappingSet((), kind="pseudo", scores=())
+            expected, held = [], MappingSet((), scores=())
             try:
                 for _ in range(cfg.iterations):
                     expected.append(oracle.reference_iteration(
@@ -663,7 +663,7 @@ class TestReferenceIteration:
             held_pairs = list(zip(data.draw(st.permutations(run.unlab_src)),
                                   data.draw(st.permutations(run.unlab_tgt))))
             held_pairs = held_pairs[:data.draw(st.integers(0, len(held_pairs)))]
-            held = MappingSet(tuple(held_pairs), kind="pseudo", scores=tuple(
+            held = MappingSet(tuple(held_pairs), scores=tuple(
                 data.draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])) for _ in held_pairs))
             expected.append(oracle.reference_iteration(
                 run.pair, fwd, rev, run.partition.labelled, run.test, held, cfg))

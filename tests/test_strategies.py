@@ -151,7 +151,7 @@ class TestSimilarityThreshold:
 
 def held(scores: dict[tuple[int, int], float]) -> MappingSet:
     """A scored pseudo set, as ``one_to_one_matching`` returns."""
-    return MappingSet(tuple(scores), kind="pseudo", scores=tuple(scores.values()))
+    return MappingSet(tuple(scores), scores=tuple(scores.values()))
 
 
 NONE_HELD = held({})
@@ -196,7 +196,7 @@ class TestOneToOne:
         assert_same(got, kept)
 
     def test_held_pairs_without_scores_rejected(self):
-        unscored = MappingSet(((0, 10),), kind="pseudo")
+        unscored = MappingSet(((0, 10),))
         with pytest.raises(ValueError, match="scores"):
             one_to_one_matching(embed([[0.7]], [0], [10]), [0], [10], theta=0.5,
                                 held=unscored)

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Sweep the labelled-data share and record how each method degrades.
+"""Compare supervised training and self-training strategies on a synthetic
+twin, across labelled shares and seeds.
 
-For every ratio in the sweep, runs supervised training plus the selected
-strategies and appends one JSON line per (ratio, method) to the output
-file, ready for plotting.
+Generates a structural-twin KG pair, then, for every ratio and seed, runs
+supervised training and each selected strategy under the same iteration and
+epoch budget.  Writes one JSON line per (ratio, seed, method) run to
+``--out``, ready for plotting, and prints one table row per (ratio, method)
+with the means over the seeds.
 
 Usage:
-    python scripts/sweep_annotation.py --out sweep.jsonl
-    python scripts/sweep_annotation.py --ratios 0.01 0.05 0.1 --strategies MutHighestProb SimThr
+    python scripts/sweep_annotation.py --ratios 0.05
+    python scripts/sweep_annotation.py --ratios 0.01 0.05 0.1 --seeds 0 1 2 --strategies MutHighestProb SimThr
 """
 
 import argparse
@@ -22,60 +25,74 @@ from kgalign.selftrain import RunConfig, run_selftrain, run_supervised
 from kgalign.strategies import THRESHOLD_FIELD
 from kgalign.synth import write_twin_dataset
 
+STRATEGIES = ["MutHighestProb", "BiThr", "UniThr", "SimThr", "OneToOne", "MutNearest"]
+RECORDED = ("hit1", "hit10", "mrr", "pseudo_precision", "pseudo_recall")
 
-def parse_args():
+
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--entities", type=int, default=300)
     ap.add_argument("--triples", type=int, default=1200)
+    ap.add_argument("--relations", type=int, default=8)
+    ap.add_argument("--perturbation", type=float, default=0.1)
     ap.add_argument("--ratios", type=float, nargs="+",
-                    default=[0.01, 0.05, 0.1, 0.2, 0.3])
-    ap.add_argument("--strategies", nargs="+",
-                    default=["MutHighestProb", "SimThr", "MutNearest"])
+                    default=[0.01, 0.05, 0.1, 0.2, 0.3], help="labelled shares")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--strategies", nargs="+", default=STRATEGIES)
     ap.add_argument("--threshold", type=float, default=0.5,
                     help="value used for whichever threshold a strategy needs")
     ap.add_argument("--iterations", type=int, default=6)
     ap.add_argument("--epochs", type=int, default=40)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="sweep.jsonl")
-    return ap.parse_args()
+    ap.add_argument("--out", default="sweep.jsonl", help="JSON lines, one per run")
+    ap.add_argument("--out-dir", default=None, help="run output root (default: temp)")
+    return ap.parse_args(argv)
+
+
+def mean(reports, key):
+    return sum(getattr(r, key) for r in reports) / len(reports)
 
 
 def main():
     args = parse_args()
-    root = Path(tempfile.mkdtemp(prefix="kgalign-sweep-"))
+    root = Path(args.out_dir) if args.out_dir else Path(tempfile.mkdtemp(prefix="kgalign-"))
     ds = write_twin_dataset(
         root / "dataset", n_entities=args.entities, n_triples=args.triples,
-        perturbation=0.1, seed=11,
+        n_relations=args.relations, perturbation=args.perturbation, seed=11,
     )
-
-    def record(fh, ratio, method, report):
-        fh.write(json.dumps({
-            "ratio": ratio,
-            "method": method,
-            "hit1": report.hit1,
-            "hit10": report.hit10,
-            "mrr": report.mrr,
-            "pseudo_precision": report.pseudo_precision,
-            "pseudo_recall": report.pseudo_recall,
-        }) + "\n")
-        fh.flush()
-        print(f"ratio={ratio:<5} {method:>16s} hit1={report.hit1:.3f}")
-
+    print(f"dataset: {ds} ({args.entities} entities, {args.triples} triples)")
+    methods = ["Supervised", *args.strategies]
+    finals = {}  # (ratio, method) -> final report of each seed's run
     with open(args.out, "w", encoding="utf-8") as fh:
         for ratio in args.ratios:
-            base = dict(
-                dataset_dir=str(ds), ratio=ratio, seed=args.seed,
-                iterations=args.iterations, epochs=args.epochs,
-                out_dir=str(root / "runs"),
-            )
-            record(fh, ratio, "Supervised",
-                   run_supervised(RunConfig(mode="supervised", **base)))
-            for strategy in args.strategies:
-                cfg = RunConfig(mode="selftrain", strategy=strategy, **base)
-                if strategy in THRESHOLD_FIELD:
-                    setattr(cfg, THRESHOLD_FIELD[strategy], args.threshold)
-                record(fh, ratio, strategy, run_selftrain(cfg)[-1])
-    print(f"wrote {args.out}")
+            for seed in args.seeds:
+                base = dict(dataset_dir=str(ds), ratio=ratio, seed=seed,
+                            iterations=args.iterations, epochs=args.epochs,
+                            out_dir=str(root / "runs"))
+                for method in methods:
+                    if method == "Supervised":
+                        report = run_supervised(RunConfig(mode="supervised", **base))
+                    else:
+                        threshold = ({THRESHOLD_FIELD[method]: args.threshold}
+                                     if method in THRESHOLD_FIELD else {})
+                        report = run_selftrain(RunConfig(strategy=method, **threshold,
+                                                         **base))[-1]
+                    finals.setdefault((ratio, method), []).append(report)
+                    fh.write(json.dumps({"ratio": ratio, "seed": seed, "method": method,
+                                         **{k: getattr(report, k) for k in RECORDED}}) + "\n")
+                    fh.flush()
+                    print(f"ratio={ratio:<5} seed={seed} {method:>16s} hit1={report.hit1:.3f}")
+
+    header = (f"{'ratio':>6s} {'method':>16s} {'hit@1':>7s} {'hit@10':>7s} {'mrr':>7s} "
+              f"{'pseudo':>7s} {'prec':>6s} {'rec':>6s}")
+    print(header)
+    print("-" * len(header))
+    for (ratio, method), rs in finals.items():
+        pseudo = ("-",) * 3 if method == "Supervised" else (
+            f"{mean(rs, 'pseudo_count'):.0f}", f"{mean(rs, 'pseudo_precision'):.3f}",
+            f"{mean(rs, 'pseudo_recall'):.3f}")
+        print(f"{ratio:>6g} {method:>16s} {mean(rs, 'hit1'):7.3f} {mean(rs, 'hit10'):7.3f} "
+              f"{mean(rs, 'mrr'):7.3f} {pseudo[0]:>7} {pseudo[1]:>6} {pseudo[2]:>6}")
+    print(f"\nwrote {args.out}; run artifacts under {root / 'runs'}")
 
 
 if __name__ == "__main__":

@@ -85,14 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partition(args) -> int:
-    rows = load_links_file(args.links)
-    labels_s = list(dict.fromkeys(s for s, _ in rows))
-    labels_t = list(dict.fromkeys(t for _, t in rows))
-    ids_s = {s: i for i, s in enumerate(labels_s)}
-    ids_t = {t: i for i, t in enumerate(labels_t)}
-    links = MappingSet(tuple(dict.fromkeys((ids_s[s], ids_t[t]) for s, t in rows)))
+    links = MappingSet(tuple(dict.fromkeys(load_links_file(args.links))))
     part = partition_mappings(links, args.ratio, args.seed)
-    write_partition(args.out, part, labels_s, labels_t)
+    write_partition(args.out, part)
     print(
         f"wrote {len(part.labelled)} labelled / {len(part.test)} test links to {args.out}"
     )

@@ -158,6 +158,15 @@ def _ranges(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
+def _read_triples(path: str | Path) -> list[tuple[str, str, str]]:
+    """The label triples of a triple file; ``KgFormatError`` names the file
+    when it has none."""
+    rows = [fields for _, fields in _numbered_rows(path, 3)]
+    if not rows:
+        raise KgFormatError(f"{path}: empty triple file")
+    return rows  # type: ignore[return-value]
+
+
 def load_kg(triples_path: str | Path) -> Kg:
     """Load a triple file into a Kg; ids assigned by first appearance.
 
@@ -165,10 +174,7 @@ def load_kg(triples_path: str | Path) -> Kg:
     empty file.  Exact duplicate triples are dropped; the count is kept in
     ``Kg.duplicates_dropped``.
     """
-    rows = [fields for _, fields in _numbered_rows(triples_path, 3)]
-    if not rows:
-        raise KgFormatError(f"{triples_path}: empty triple file")
-    return Kg.from_label_triples(rows)  # type: ignore[arg-type]
+    return Kg.from_label_triples(_read_triples(triples_path))
 
 
 @dataclass(frozen=True)
@@ -282,26 +288,20 @@ def load_dataset(dataset_dir: str | Path) -> tuple[KgPair, MappingSet]:
     for name in ("rel_triples_1", "rel_triples_2", "ent_links"):
         if not (d / name).exists():
             raise KgFormatError(f"missing {name} in {d}")
-    t1, t2 = ([fields for _, fields in _numbered_rows(d / name, 3)]
-              for name in ("rel_triples_1", "rel_triples_2"))
+    t1, t2 = (_read_triples(d / name) for name in ("rel_triples_1", "rel_triples_2"))
     raw_links = load_links_file(d / "ent_links")
-    kg1 = Kg.from_label_triples(t1, tuple(s for s, _ in raw_links))  # type: ignore[arg-type]
-    kg2 = Kg.from_label_triples(t2, tuple(t for _, t in raw_links))  # type: ignore[arg-type]
+    kg1 = Kg.from_label_triples(t1, tuple(s for s, _ in raw_links))
+    kg2 = Kg.from_label_triples(t2, tuple(t for _, t in raw_links))
     links = MappingSet(tuple(dict.fromkeys(
         (kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in raw_links)))
     return KgPair(source=kg1, target=kg2), links
 
 
-def write_links(
-    path: str | Path,
-    mappings: MappingSet,
-    source_labels,
-    target_labels,
-) -> None:
-    """Serialize a MappingSet back to the two-column links format."""
+def write_links(path: str | Path, mappings: MappingSet) -> None:
+    """Write a MappingSet's pairs, as given, in the two-column links format."""
     with open(path, "w", encoding="utf-8") as fh:
         for s, t in mappings.pairs:
-            fh.write(f"{source_labels[s]}\t{target_labels[t]}\n")
+            fh.write(f"{s}\t{t}\n")
 
 
 def write_pseudo_tsv(
@@ -321,17 +321,12 @@ def write_pseudo_tsv(
             )
 
 
-def write_partition(
-    out_dir: str | Path,
-    part: Partition,
-    source_labels,
-    target_labels,
-) -> None:
+def write_partition(out_dir: str | Path, part: Partition) -> None:
     """Write labelled.tsv, test.tsv and a small key-value manifest."""
     out = Path(out_dir)
     os.makedirs(out, exist_ok=True)
-    write_links(out / "labelled.tsv", part.labelled, source_labels, target_labels)
-    write_links(out / "test.tsv", part.test, source_labels, target_labels)
+    write_links(out / "labelled.tsv", part.labelled)
+    write_links(out / "test.tsv", part.test)
     with open(out / "partition_manifest.txt", "w", encoding="utf-8") as fh:
         fh.write(f"ratio = {part.ratio}\n")
         fh.write(f"seed = {part.seed}\n")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Protocol
+from typing import Iterator
 
 import numpy as np
 
@@ -119,17 +119,6 @@ class SimMatrix:
         object.__setattr__(out, "direction",
                            TGT_TO_SRC if self.direction == SRC_TO_TGT else SRC_TO_TGT)
         return out
-
-
-class AlignmentModel(Protocol):
-    """What the self-training loop needs from a model."""
-
-    def fit(self, kg_pair: KgPair, train: MappingSet, epochs: int) -> list[float]:
-        """Update parameters on the given training mappings; returns the
-        per-epoch loss trace."""
-
-    def similarities(self, direction: str) -> SimMatrix:
-        """Read-only similarity matrix for the requested direction."""
 
 
 def _both_directions(forward: SimMatrix,

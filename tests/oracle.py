@@ -12,6 +12,9 @@ matrix's top-K file and returns the dense matrix that file stands for.
 became a ``setdefault`` per label and one ``dict.fromkeys`` over the id
 triples: two interning closures, a set of seen triples and a counter of
 the repeats.  The package must build an equal ``Kg``.
+``write_partition_by_ids`` is ``kgalign partition`` as it interned the link
+labels to ids before it split the label pairs themselves; the command must
+write the same bytes.
 
 The trainer's parameter-sharing roots are checked against ``UnionFind``,
 a path-halving union-find that roots every class at its smallest id.
@@ -59,7 +62,7 @@ from hypothesis import strategies as st
 from kgalign import calibration, compatibility
 from kgalign.calibration import CalibrationError, argmax_lowest_id
 from kgalign.compatibility import Assignment, RelationStats
-from kgalign.kg import Kg, MappingSet, _ranges, _run_starts
+from kgalign.kg import Kg, MappingSet, _ranges, _run_starts, partition_mappings
 from kgalign.models import SimMatrix
 
 JOINT_ENUMERATION_CAP = 10**5
@@ -113,6 +116,27 @@ def kg_from_label_triples(triples, extra_entities=()) -> Kg:
         entity_ids=ent_ids,
         relation_ids=rel_ids,
     )
+
+
+def write_partition_by_ids(rows, ratio: float, seed: int, out) -> None:
+    """``kgalign partition`` as it was written when it interned the link
+    labels itself: ids per side by first appearance, the id pairs
+    deduplicated and partitioned, and each pair written back through the
+    label lists, then the manifest."""
+    labels_s = list(dict.fromkeys(s for s, _ in rows))
+    labels_t = list(dict.fromkeys(t for _, t in rows))
+    ids_s = {s: i for i, s in enumerate(labels_s)}
+    ids_t = {t: i for i, t in enumerate(labels_t)}
+    links = MappingSet(tuple(dict.fromkeys((ids_s[s], ids_t[t]) for s, t in rows)))
+    part = partition_mappings(links, ratio, seed)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, mappings in (("labelled.tsv", part.labelled), ("test.tsv", part.test)):
+        with open(out / name, "w", encoding="utf-8") as fh:
+            for s, t in mappings.pairs:
+                fh.write(f"{labels_s[s]}\t{labels_t[t]}\n")
+    (out / "partition_manifest.txt").write_text(
+        f"ratio = {part.ratio}\nseed = {part.seed}\n"
+        f"n_labelled = {len(part.labelled)}\nn_test = {len(part.test)}\n", encoding="utf-8")
 
 
 def directed_adjacency(kg, e: int) -> list[tuple[int, int]]:

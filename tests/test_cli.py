@@ -1,9 +1,13 @@
 import json
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgalign.cli import main
 from kgalign.kg import load_dataset
@@ -11,7 +15,7 @@ from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import config_from_mapping
 from kgalign.simio import read_sim_matrix, write_sim_matrix
 from kgalign.synth import write_twin_dataset
-from oracle import write_top_k
+from oracle import write_partition_by_ids, write_top_k
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -59,6 +63,34 @@ class TestPartitionCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_interning_reference(self, data):
+        """The label pairs split directly give the bytes the id interning gave,
+        with repeated rows and labels used on both sides."""
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                   min_size=2, max_size=7,
+                                   unique_by=(lambda p: p[0], lambda p: p[1])))
+        rows = data.draw(st.permutations(
+            pairs + data.draw(st.lists(st.sampled_from(pairs), max_size=4))))
+        rows = [(f"e{s}", f"e{t}") for s, t in rows]
+        ratio = data.draw(st.sampled_from([0.2, 0.3, 0.5, 0.7]))
+        seed = data.draw(st.integers(0, 2**32))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            links = tmp / "ent_links"
+            links.write_text("".join(f"{s}\t{t}\n" for s, t in rows), encoding="utf-8")
+            code = main(["partition", "--links", str(links), "--ratio", str(ratio),
+                         "--seed", str(seed), "--out", str(tmp / "got")])
+            try:
+                write_partition_by_ids(rows, ratio, seed, tmp / "want")
+            except ValueError:  # a split with an empty side
+                assert code == 1
+                return
+            assert code == 0
+            for name in ("labelled.tsv", "test.tsv", "partition_manifest.txt"):
+                assert (tmp / "got" / name).read_bytes() == (tmp / "want" / name).read_bytes()
+
 
 class TestRunCommand:
     def test_config_file_run(self, run_conf, tmp_path, capsys):
@@ -80,6 +112,16 @@ class TestRunCommand:
         assert code == 0
         newest = max((tmp_path / "runs").glob("*/metrics.jsonl"))
         assert len(newest.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["rel_triples_1", "rel_triples_2"])
+    def test_empty_triple_file_exits_one_naming_it(self, dbp_sample_dir, tmp_path,
+                                                   capsys, name):
+        d = tmp_path / "ds"
+        shutil.copytree(dbp_sample_dir, d)
+        (d / name).write_text("", encoding="utf-8")
+        assert main(["run", "--dataset-dir", str(d), "--model", "oracle",
+                     "--iterations", "1", "--out-dir", str(tmp_path / "runs")]) == 1
+        assert f"{d / name}: empty triple file" in capsys.readouterr().err
 
     def test_missing_threshold_names_field(self, run_conf, capsys):
         code = main(["run", "--config", str(run_conf), "--strategy", "UniThr"])

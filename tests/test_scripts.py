@@ -1,43 +1,86 @@
-"""The README quick-start scripts run end to end on a tiny synthetic twin."""
+"""The README's commands parse, and its scripts run end to end on a tiny
+synthetic twin."""
 
+import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from kgalign.cli import _build_parser
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 TINY = ["--entities", "60", "--triples", "240", "--iterations", "1", "--epochs", "1"]
 SWEEP_KEYS = {"ratio", "method", "hit1", "hit10", "mrr",
               "pseudo_precision", "pseudo_recall"}
+METHODS = ["Supervised", "MutHighestProb", "BiThr", "UniThr", "SimThr", "OneToOne",
+           "MutNearest"]
+
+
+def readme_commands() -> list[list[str]]:
+    """Each ``python scripts/...`` and ``kgalign ...`` line of README's code
+    blocks, split as a shell would."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    lines = (line.strip() for block in blocks for line in block.splitlines())
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith(("python scripts/", "kgalign "))]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    """A renamed script or flag fails here rather than in a reader's shell."""
+    if argv[0] == "kgalign":
+        parse = _build_parser().parse_args
+        argv = argv[1:]
+    else:
+        spec = importlib.util.spec_from_file_location("readme_script",
+                                                      SCRIPTS.parent / argv[1])
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        parse = script.parse_args
+        argv = argv[2:]
+    try:
+        parse(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {argv}")
+
+
+def test_readme_shows_every_script_and_command():
+    shown = {argv[1] for argv in readme_commands()}
+    assert {f"scripts/{p.name}" for p in SCRIPTS.glob("*.py")} <= shown
+    assert {"partition", "run", "import-sim", "stats", "eval"} <= shown
 
 
 def test_quick_start_scripts_run(tmp_path):
-    # both scripts put their run roots under mkdtemp; keep them in tmp_path
-    env = dict(os.environ, TMPDIR=str(tmp_path))
-
-    def run(script, *args):
-        return subprocess.run([sys.executable, str(SCRIPTS / script), *TINY, *args],
-                              cwd=tmp_path, env=env, capture_output=True, text=True)
-
-    exp = run("run_synthetic_experiment.py")
-    assert exp.returncode == 0, exp.stderr
-    lines = exp.stdout.splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
-    table = lines[start:lines.index("", start)]
-    assert [row.split()[0] for row in table] == [
-        "Supervised", "MutHighestProb", "BiThr", "UniThr", "SimThr", "OneToOne",
-        "MutNearest",
-    ]
-
+    """The sweep writes one record per (ratio, seed, method) run and one
+    table row per (ratio, method), the mean over the seeds."""
     out = tmp_path / "sweep.jsonl"
-    sweep = run("sweep_annotation.py", "--ratios", "0.1", "--out", str(out))
-    assert sweep.returncode == 0, sweep.stderr
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "sweep_annotation.py"), *TINY,
+         "--ratios", "0.1", "0.2", "--seeds", "0", "1", "--out", str(out)],
+        cwd=tmp_path, env=dict(os.environ, TMPDIR=str(tmp_path)),  # runs go under mkdtemp
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["method"] for r in records] == [
-        "Supervised", "MutHighestProb", "SimThr", "MutNearest",
-    ]
-    assert all(set(r) == SWEEP_KEYS for r in records)
+    assert [(r["ratio"], r["seed"], r["method"]) for r in records] == [
+        (ratio, seed, method) for ratio in (0.1, 0.2) for seed in (0, 1)
+        for method in METHODS]
+    assert all(set(r) == SWEEP_KEYS | {"seed"} for r in records)
+    lines = proc.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
+    table = [row.split() for row in lines[start:lines.index("", start)]]
+    assert [row[:2] for row in table] == [
+        [ratio, method] for ratio in ("0.1", "0.2") for method in METHODS]
+    for ratio, method, hit1, *_ in table:
+        runs = [r["hit1"] for r in records if (str(r["ratio"]), r["method"]) == (ratio, method)]
+        assert hit1 == f"{sum(runs) / len(runs):.3f}"
 
 
 def test_bench_collects_every_workload_untraced_and_traced(tmp_path):

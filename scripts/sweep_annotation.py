@@ -26,6 +26,8 @@ from kgalign.strategies import THRESHOLD_FIELD
 from kgalign.synth import write_twin_dataset
 
 STRATEGIES = ["MutHighestProb", "BiThr", "UniThr", "SimThr", "OneToOne", "MutNearest"]
+ALPHA = 0.2  # default thresholds
+THETA = 0.5
 RECORDED = ("hit1", "hit10", "mrr", "pseudo_precision", "pseudo_recall")
 
 
@@ -39,8 +41,10 @@ def parse_args(argv=None):
                     default=[0.01, 0.05, 0.1, 0.2, 0.3], help="labelled shares")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     ap.add_argument("--strategies", nargs="+", default=STRATEGIES)
-    ap.add_argument("--threshold", type=float, default=0.5,
-                    help="value used for whichever threshold a strategy needs")
+    ap.add_argument("--alpha", type=float, default=ALPHA,
+                    help="refined-probability threshold of UniThr and BiThr")
+    ap.add_argument("--theta", type=float, default=THETA,
+                    help="cosine-similarity threshold of SimThr and OneToOne")
     ap.add_argument("--iterations", type=int, default=6)
     ap.add_argument("--epochs", type=int, default=40)
     ap.add_argument("--out", default="sweep.jsonl", help="JSON lines, one per run")
@@ -69,15 +73,19 @@ def main():
                             iterations=args.iterations, epochs=args.epochs,
                             out_dir=str(root / "runs"))
                 for method in methods:
+                    # the threshold this method's runs use; the other stays None
+                    threshold = {"alpha": None, "theta": None}
+                    if method in THRESHOLD_FIELD:
+                        field = THRESHOLD_FIELD[method]
+                        threshold[field] = getattr(args, field)
                     if method == "Supervised":
                         report = run_supervised(RunConfig(mode="supervised", **base))
                     else:
-                        threshold = ({THRESHOLD_FIELD[method]: args.threshold}
-                                     if method in THRESHOLD_FIELD else {})
                         report = run_selftrain(RunConfig(strategy=method, **threshold,
                                                          **base))[-1]
                     finals.setdefault((ratio, method), []).append(report)
                     fh.write(json.dumps({"ratio": ratio, "seed": seed, "method": method,
+                                         **threshold,
                                          **{k: getattr(report, k) for k in RECORDED}}) + "\n")
                     fh.flush()
                     print(f"ratio={ratio:<5} seed={seed} {method:>16s} hit1={report.hit1:.3f}")

@@ -119,20 +119,34 @@ def _edge_table(kg: Kg) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class EdgeTable:
     """One KG's directed-edge table (see ``_edge_table``).  Sorted by
     endpoint pair, it is its own join on pairs: ``bounds[i]:bounds[i + 1]``
-    are the edges of the pair ``keys[i]``."""
+    are the edges of the pair ``keys[i]``.
+
+    ``sig[e]`` is a membership filter on ``e``'s neighbours: bit ``f & 63``
+    is set for each far end ``f`` of ``e``'s edges.  A pair whose bit is
+    clear has no edge, so ``find`` searches only the pairs that pass."""
 
     def __init__(self, near, rel, far, ptr, n: int):
         self.near, self.rel, self.far, self.ptr, self.n = near, rel, far, ptr, n
         keys = near * n + far
         starts = _run_starts(keys)
         self.keys, self.bounds = keys[starts], np.append(starts, len(keys))
+        self.sig = np.zeros(n, np.int64)
+        np.bitwise_or.at(self.sig, near, 1 << (far & 63))
 
     def find(self, near, far) -> tuple[np.ndarray, np.ndarray]:
         """``(pair index, hit)`` per queried pair; ``hit`` is False where
-        ``far`` is -1 or no edge joins the pair."""
+        ``far`` is -1 or no edge joins the pair.  The pair index is defined
+        only where ``hit`` is True."""
         keys = near * self.n + far
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return pos, (far >= 0) & (self.keys[pos] == keys)
+        bit = self.sig[near]
+        bit >>= far & 63
+        maybe = np.flatnonzero((far >= 0) & (bit & 1).astype(bool))
+        wanted = keys.ravel()[maybe]
+        found = np.minimum(np.searchsorted(self.keys, wanted), len(self.keys) - 1)
+        pos, hit = np.zeros(keys.shape, np.intp), np.zeros(keys.shape, bool)
+        pos.ravel()[maybe] = found
+        hit.ravel()[maybe] = self.keys[found] == wanted
+        return pos, hit
 
     def matches(self, near, far) -> tuple[np.ndarray, np.ndarray]:
         """``(query index, edge id)`` per edge joining each queried pair."""

@@ -81,9 +81,38 @@ class TestEdgeTable:
     @given(st.data())
     def test_find_and_matches_equal_a_scan(self, data):
         kg = oracle.random_kg(data, "e", max_entities=8)
-        table, n = kg.edges, kg.n_entities
+        n = kg.n_entities
         queries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)),
                                      max_size=20))
+        self.check_find_and_matches(kg.edges, queries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_find_and_matches_equal_a_scan_past_one_filter_word(self, data):
+        """More than 64 entities, so neighbours share filter bits, and a hub
+        whose 64 consecutive neighbours set every bit of its word."""
+        n = data.draw(st.integers(65, 160), label="n")
+        hub = data.draw(st.integers(0, n - 1), label="hub")
+        first = data.draw(st.integers(0, n - 64), label="first hub neighbour")
+        triples = {(hub, 0, first + i) for i in range(64)}
+        triples |= set(data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, 2), st.integers(0, n - 1)), max_size=2 * n)))
+        kg = Kg(entity_labels=tuple(f"e{i}" for i in range(n)),
+                relation_labels=("r0", "r1", "r2"), triples=tuple(sorted(triples)))
+        table = kg.edges
+        assert table.sig[hub] == -1  # all 64 bits
+        edge = st.integers(0, len(table.near) - 1)
+        queries = data.draw(st.lists(st.one_of(
+            st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)),
+            st.tuples(st.just(hub), st.integers(-1, n - 1)),
+            # a true pair, and one that shares its filter bit
+            edge.map(lambda e: (int(table.near[e]), int(table.far[e]))),
+            edge.map(lambda e: (int(table.near[e]), int(table.far[e]) ^ 64)).filter(
+                lambda ab: ab[1] < n)), max_size=40))
+        self.check_find_and_matches(table, queries)
+
+    @staticmethod
+    def check_find_and_matches(table, queries):
         near = np.array([a for a, _ in queries], dtype=np.int64)
         far = np.array([b for _, b in queries], dtype=np.int64)
         scan = [[e for e in range(len(table.near)) if (table.near[e], table.far[e]) == ab]

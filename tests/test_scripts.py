@@ -17,7 +17,7 @@ from kgalign.cli import _build_parser
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 README = SCRIPTS.parent / "README.md"
 TINY = ["--entities", "60", "--triples", "240", "--iterations", "1", "--epochs", "1"]
-SWEEP_KEYS = {"ratio", "method", "hit1", "hit10", "mrr",
+SWEEP_KEYS = {"ratio", "method", "alpha", "theta", "hit1", "hit10", "mrr",
               "pseudo_precision", "pseudo_recall"}
 METHODS = ["Supervised", "MutHighestProb", "BiThr", "UniThr", "SimThr", "OneToOne",
            "MutNearest"]
@@ -73,6 +73,10 @@ def test_quick_start_scripts_run(tmp_path):
         (ratio, seed, method) for ratio in (0.1, 0.2) for seed in (0, 1)
         for method in METHODS]
     assert all(set(r) == SWEEP_KEYS | {"seed"} for r in records)
+    assert {r["method"]: (r["alpha"], r["theta"]) for r in records} == {
+        "Supervised": (None, None), "MutHighestProb": (None, None),
+        "BiThr": (0.2, None), "UniThr": (0.2, None), "SimThr": (None, 0.5),
+        "OneToOne": (None, 0.5), "MutNearest": (None, None)}
     lines = proc.stdout.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
     table = [row.split() for row in lines[start:lines.index("", start)]]
@@ -81,6 +85,31 @@ def test_quick_start_scripts_run(tmp_path):
     for ratio, method, hit1, *_ in table:
         runs = [r["hit1"] for r in records if (str(r["ratio"]), r["method"]) == (ratio, method)]
         assert hit1 == f"{sum(runs) / len(runs):.3f}"
+
+
+def test_sweep_passes_each_threshold_to_its_strategies_only(tmp_path):
+    """``--alpha`` reaches the probability thresholds and ``--theta`` the
+    similarity ones; each record and run manifest says which was used."""
+    out = tmp_path / "sweep.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "sweep_annotation.py"), *TINY, "--ratios", "0.1",
+         "--strategies", "BiThr", "UniThr", "SimThr", "OneToOne", "MutHighestProb",
+         "--alpha", "0.3", "--theta", "0.1", "--out", str(out),
+         "--out-dir", str(tmp_path / "root")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    used = {"BiThr": (0.3, None), "UniThr": (0.3, None), "SimThr": (None, 0.1),
+            "OneToOne": (None, 0.1), "MutHighestProb": (None, None),
+            "Supervised": (None, None)}
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {r["method"]: (r["alpha"], r["theta"]) for r in records} == used
+    manifests = [dict(line.split(" = ", 1) for line in m.read_text().splitlines()
+                      if line.split(" = ")[0] in ("mode", "strategy", "alpha", "theta"))
+                 for m in (tmp_path / "root" / "runs").glob("*/manifest.txt")]
+    assert sorted((m["strategy"], m["alpha"], m["theta"]) for m in manifests
+                  if m["mode"] == "'selftrain'") == sorted(
+        (repr(method), repr(alpha), repr(theta))
+        for method, (alpha, theta) in used.items() if method != "Supervised")
 
 
 def test_bench_collects_every_workload_untraced_and_traced(tmp_path):
@@ -103,3 +132,36 @@ def test_bench_collects_every_workload_untraced_and_traced(tmp_path):
         assert result["end_to_end"]["correct"] and result["per_layer"]["correct"]
         assert "wall_s" in result["end_to_end"]["metrics"]
         assert "calibration.fit_s" in result["per_layer"]["metrics"]
+
+
+def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
+    """``--against`` runs both sides untraced once per pair and records,
+    per end-to-end metric, both sides' values and their paired summary."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent,
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    out = tmp_path / "ab.json"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--tiny",
+                           "--seconds", "0", "--pairs", "1", "--against", "HEAD",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    [record] = json.loads(out.read_text())
+    assert record["against"] == head.stdout.strip() and record["pairs"] == 1
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    assert list(record["workloads"]) == [w["name"] for w in spec["workloads"]]
+    for metrics in record["workloads"].values():
+        assert list(metrics) == [m["name"] for m in spec["end_to_end"]]
+        for m in metrics.values():
+            assert set(m) == {"base", "change", "base_median", "change_median",
+                              "base_quartiles", "change_quartiles", "median_ratio",
+                              "change_won"}
+            assert len(m["base"]) == len(m["change"]) == 1
+            assert m["base_quartiles"] == [m["base_median"]] * 2 == m["base"] * 2
+            assert m["change_quartiles"] == [m["change_median"]] * 2 == m["change"] * 2
+            assert m["change_won"] in (0, 1)
+    wall = record["workloads"]["refine-oracle-n3000"]["wall_s"]
+    assert wall["median_ratio"] == wall["change"][0] / wall["base"][0]
+    worktrees = subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS.parent,
+                               capture_output=True, text=True).stdout
+    assert "kgalign-bench-" not in worktrees

@@ -337,16 +337,30 @@ class _FactorModel:
         or no target relation joins the pair); broadcasts.  Each sums its
         target edges' terms left to right in edge-table order."""
         rel, y_near, y_far = np.broadcast_arrays(rel, y_near, y_far)
-        return self._pair_sums(rel, *self.tgt.find(y_near, y_far))
+        pos, hit = self.tgt.find(y_near, y_far)
+        out = np.zeros(hit.shape)
+        out[hit] = self._run_sums(rel[hit], pos[hit])
+        return out
 
-    def _pair_sums(self, rel, pos, hit) -> np.ndarray:
-        """``edge_log_survival`` given ``tgt.find``'s ``(pos, hit)``; ``rel`` broadcasts."""
-        rel = np.broadcast_to(rel, hit.shape)
-        owner, idx = _ranges(self.tgt.bounds, pos[hit])
-        terms = self.log_surv[rel[hit][owner], self.tgt.rel[idx]]
+    def _run_sums(self, rel, pos) -> np.ndarray:
+        """Per target pair ``pos[i]`` of ``tgt``, the ``log_surv`` terms of
+        source relation ``rel[i]`` and its target edges, summed left to right
+        in edge-table order."""
+        owner, idx = _ranges(self.tgt.bounds, pos)
+        terms = self.log_surv[rel[owner], self.tgt.rel[idx]]
         # an empty bincount is integer, whatever its weights
-        out = np.bincount(np.flatnonzero(hit)[owner], terms, minlength=hit.size)
-        return out.reshape(hit.shape).astype(float, copy=False)
+        return np.bincount(owner, terms, minlength=len(pos)).astype(float, copy=False)
+
+    def _owner_sums(self, owner, rel, pos, hit, n: int) -> np.ndarray:
+        """``(n, k)``: ``_row_sums(owner, vals, n)`` of the log survivals
+        ``vals`` that ``tgt.find``'s ``(pos, hit)`` give source edges with
+        relations ``rel``, one row per edge, reading only the hits.  Leaving
+        out a miss's 0 changes no bit, since no sum is ever -0.0."""
+        k = hit.shape[1]
+        edge, col = np.divmod(np.flatnonzero(hit), k)
+        sums = self._run_sums(rel[edge], pos[edge, col])
+        out = np.bincount(owner[edge] * k + col, sums, minlength=n * k)
+        return out.reshape(n, k).astype(float, copy=False)
 
     def own_log_survival(self, rows: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, ...]:
         """``(len(rows), k)``: log survival of the factor anchored at each
@@ -359,8 +373,8 @@ class _FactorModel:
         c = cands[owner]
         y_far = np.where((far == rows[owner])[:, None], c, self.y[far][:, None])
         pos, hit = self.tgt.find(c, y_far)
-        vals = self._pair_sums(self.rel[edge][:, None], pos, hit)
-        return _row_sums(owner, vals, len(rows)), owner, far, pos, hit
+        own = self._owner_sums(owner, self.rel[edge], pos, hit, len(rows))
+        return own, owner, far, pos, hit
 
     def factor_sums(self, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
         """``(len(rows), k)``: per row entity ``u`` and candidate ``c``, the
@@ -389,8 +403,7 @@ class _FactorModel:
         # edges to u would be -inf - -inf = nan where a survival term is 0
         rest = np.bincount(owner[~to_u], self.edge_surv[edge[~to_u]], minlength=len(a_ent))
         o, e = owner[to_u], edge[to_u]
-        term = _row_sums(o, self._pair_sums(self.rel[e][:, None], a_pos[o], a_hit[o]),
-                         len(a_ent))
+        term = self._owner_sums(o, self.rel[e], a_pos[o], a_hit[o], len(a_ent))
         anchored = 1.0 - np.exp(rest[:, None] + term)
 
         # each row adds its own factor first, then its neighbours' by id

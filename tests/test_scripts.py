@@ -141,6 +141,11 @@ def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
                           capture_output=True, text=True)
     if head.returncode != 0:
         pytest.skip("not a git checkout")
+    def worktrees():
+        return subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS.parent,
+                              capture_output=True, text=True).stdout
+
+    before = worktrees()
     out = tmp_path / "ab.json"
     proc = subprocess.run([sys.executable, str(SCRIPTS / "bench.py"), "--tiny",
                            "--seconds", "0", "--pairs", "1", "--against", "HEAD",
@@ -162,6 +167,4 @@ def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
             assert m["change_won"] in (0, 1)
     wall = record["workloads"]["refine-oracle-n3000"]["wall_s"]
     assert wall["median_ratio"] == wall["change"][0] / wall["base"][0]
-    worktrees = subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS.parent,
-                               capture_output=True, text=True).stdout
-    assert "kgalign-bench-" not in worktrees
+    assert worktrees() == before  # the temporary worktree is gone

@@ -26,8 +26,6 @@ from kgalign.strategies import THRESHOLD_FIELD
 from kgalign.synth import write_twin_dataset
 
 STRATEGIES = ["MutHighestProb", "BiThr", "UniThr", "SimThr", "OneToOne", "MutNearest"]
-ALPHA = 0.2  # default thresholds
-THETA = 0.5
 RECORDED = ("hit1", "hit10", "mrr", "pseudo_precision", "pseudo_recall")
 
 
@@ -41,9 +39,9 @@ def parse_args(argv=None):
                     default=[0.01, 0.05, 0.1, 0.2, 0.3], help="labelled shares")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     ap.add_argument("--strategies", nargs="+", default=STRATEGIES)
-    ap.add_argument("--alpha", type=float, default=ALPHA,
+    ap.add_argument("--alpha", type=float, default=0.2,
                     help="refined-probability threshold of UniThr and BiThr")
-    ap.add_argument("--theta", type=float, default=THETA,
+    ap.add_argument("--theta", type=float, default=0.5,
                     help="cosine-similarity threshold of SimThr and OneToOne")
     ap.add_argument("--iterations", type=int, default=6)
     ap.add_argument("--epochs", type=int, default=40)

@@ -25,12 +25,19 @@ medians and quartiles, the median paired ratio (this checkout over
 ``REV``) and how many pairs this checkout won, by the metric's ``better``
 direction in ``BENCHMARK.json``.  All timing is the benchmark's own; this
 script adds none.
+
+Each ``perfbench/run.py`` runs in a session of its own.  When this script is
+interrupted (Ctrl-C included), it sends that session SIGINT, so ``run.py``
+removes its ``.perfbench_work/`` directory, and SIGKILLs whatever is left
+after ``STOP_GRACE_S`` seconds.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -40,6 +47,7 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
+STOP_GRACE_S = 10.0
 
 
 def parse_args(argv):
@@ -84,13 +92,29 @@ def _perfbench(root: Path, args, workload: str, trace: int) -> dict | None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(trace)] + (["--tiny"] if args.tiny else [])
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        _stop_session(proc)
+        raise
     if proc.returncode != 0:
-        sys.stderr.write(proc.stdout + proc.stderr)
+        sys.stderr.write(stdout + stderr)
         print(f"bench: {' '.join(cmd[1:])} in {root} exited {proc.returncode}",
               file=sys.stderr)
         return None
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(stdout.splitlines()[-1])
+
+
+def _stop_session(proc: subprocess.Popen) -> None:
+    """Stop the session ``proc`` leads: SIGINT, so ``run.py``'s ``finally``
+    removes its work directory, then SIGKILL for what is left."""
+    for sig in (signal.SIGINT, signal.SIGKILL):
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, sig)
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.communicate(timeout=STOP_GRACE_S)  # drains the pipes as it waits
 
 
 def _quartiles(values: list[float]) -> list[float]:

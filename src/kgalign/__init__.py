@@ -2,7 +2,6 @@
 
 from .calibration import CalibrationParams, ProbRow, calibrate_row, fit_calibration
 from .compatibility import (
-    Assignment,
     RelationStats,
     conditional_distribution,
     estimate_relation_stats,

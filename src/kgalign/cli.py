@@ -128,7 +128,9 @@ def _cmd_import_sim(args) -> int:
 def _cmd_stats(args) -> int:
     pair, links = load_dataset(args.dataset_dir)
     part = partition_mappings(links, args.ratio, args.seed)
-    assignment = compatibility.Assignment(mapping=dict(part.labelled.pairs))
+    src, tgt = np.array(part.labelled.pairs, dtype=np.int64).T
+    assignment = np.full(pair.source.n_entities, -1, dtype=np.int64)
+    assignment[src] = tgt
     stats = compatibility.estimate_relation_stats(pair, assignment)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("kind\tkey\tvalue\n")

@@ -18,11 +18,13 @@ Incoming triples take part as inverse relations: directed relation id
 inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
-a frozen assignment).  They read each KG's directed edges from its
-``Kg.edges`` table, sorted by endpoint pair and so its own join on pairs:
-the statistics count over the target table's join, and ``_FactorModel``
-reads each factor's relation evidence through it from one dense matrix
-over pairs of directed relations.  ``tests/oracle.py`` keeps the readable
+a frozen assignment).  The assignment is one ``int64`` array over the
+source entities: ``assignment[e]`` is the counterpart of ``e``, or -1 where
+``e`` has none.  They read each KG's directed edges from its ``Kg.edges``
+table, sorted by endpoint pair and so its own join on pairs: the
+statistics count over the target table's join, and ``_FactorModel`` reads
+each factor's relation evidence through it from one dense matrix over
+pairs of directed relations.  ``tests/oracle.py`` keeps the readable
 triple-scanning versions they are checked against.
 """
 
@@ -35,14 +37,6 @@ import numpy as np
 from . import models
 from .calibration import ProbRow, _by_id, _sim_best, _sim_block, _softmax
 from .kg import Kg, KgPair, _ranges, _run_starts
-
-
-@dataclass
-class Assignment:
-    """Frozen counterpart choices for source entities: labelled truths,
-    which an iteration never touches, plus the current predictions."""
-
-    mapping: dict[int, int]
 
 
 def _inverse_functionality(kg: Kg, rel: np.ndarray, far: np.ndarray) -> dict[int, float]:
@@ -71,7 +65,7 @@ class RelationStats:
     src_trials: dict[int, int] = field(default_factory=dict)
 
 
-def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> RelationStats:
+def estimate_relation_stats(kg_pair: KgPair, assignment: np.ndarray) -> RelationStats:
     """Estimate inverse functionalities and sub-relation probabilities.
 
     Sub-relation trials for a source relation count its directed triples
@@ -84,7 +78,7 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> Relation
     n_src, n_tgt = 2 * src.n_relations, 2 * tgt.n_relations
     s_near, s_rel, s_far = src.edges.near, src.edges.rel, src.edges.far
     t_near, t_rel, t_far = tgt.edges.near, tgt.edges.rel, tgt.edges.far
-    y = _assigned(assignment, src.n_entities)
+    y = assignment
     trial = np.flatnonzero((y[s_near] >= 0) & (y[s_far] >= 0))
     # every (source edge, target edge) pair joining counterpart endpoints
     i, j = tgt.edges.matches(y[s_near[trial]], y[s_far[trial]])
@@ -119,7 +113,7 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: Assignment) -> Relation
 def local_compatibility(
     e: int,
     candidate: int,
-    assignment: Assignment,
+    assignment: np.ndarray,
     kg_pair: KgPair,
     stats: RelationStats,
 ) -> float:
@@ -139,7 +133,7 @@ def local_compatibility(
 def compatibility_sums(
     u: int,
     candidates,
-    assignment: Assignment,
+    assignment: np.ndarray,
     kg_pair: KgPair,
     stats: RelationStats,
 ) -> np.ndarray:
@@ -156,7 +150,7 @@ def compatibility_sums(
 def conditional_distribution(
     u: int,
     candidates,
-    assignment: Assignment,
+    assignment: np.ndarray,
     kg_pair: KgPair,
     stats: RelationStats,
 ) -> ProbRow:
@@ -170,21 +164,13 @@ def conditional_distribution(
     return ProbRow(entity=u, cand_ids=tuple(candidates), probs=_softmax(sums))
 
 
-def build_assignment(
-    q_matrix: np.ndarray,
-    row_ids,
-    col_ids,
-    labelled: dict[int, int],
-) -> Assignment:
-    """Labelled truths plus the per-row argmax of ``q_matrix``, lowest id on
-    ties (the single-sample approximation of the expectation); any scores in
-    the order of the current distributions will do.  ``q_matrix`` must be
-    ``len(row_ids) × len(col_ids)``."""
-    rows, best, _ = _sim_best(q_matrix, row_ids, col_ids)
-    mapping = dict(labelled)
-    mapping.update((u, c) for u, c in zip(rows.tolist(), best.tolist())
-                   if u not in labelled)
-    return Assignment(mapping=mapping)
+def build_assignment(q_matrix: np.ndarray, row_ids, col_ids) -> np.ndarray:
+    """Each row's argmax column id of ``q_matrix``, lowest id on ties (the
+    single-sample approximation of the expectation); any scores in the order
+    of the current distributions will do.  ``q_matrix`` must be
+    ``len(row_ids) × len(col_ids)``.  The caller writes the argmaxes of its
+    unlabelled rows into the assignment array, ``y[row_ids] = ...``."""
+    return _sim_best(q_matrix, row_ids, col_ids)[1]
 
 
 def refine_rows(
@@ -193,7 +179,7 @@ def refine_rows(
     col_ids,
     kg_pair: KgPair,
     stats: RelationStats,
-    assignment: Assignment,
+    assignment: np.ndarray,
     top_k: int = 10,
     debug_sink: list | None = None,
     *,
@@ -206,11 +192,12 @@ def refine_rows(
     conditional over them, which reads no score.  ``q_matrix`` must be
     ``len(row_ids) × len(col_ids)``; its row slabs of ``models.slab_rows``
     rows are read in place when the column ids ascend, which bounds the
-    temporaries.  The caller's ``assignment`` (see ``build_assignment``)
-    stays fixed for the whole block, so the result does not depend on how
-    the rows are split.  ``factors`` is the ``_FactorModel`` of ``kg_pair``,
-    ``stats`` and ``assignment``, compiled here when not given; a caller
-    that refines one assignment in many calls compiles it once.
+    temporaries.  The caller's ``assignment`` array, with the rows'
+    ``build_assignment`` argmaxes written in, stays fixed for the whole
+    block, so the result does not depend on how the rows are split.
+    ``factors`` is the ``_FactorModel`` of ``kg_pair``, ``stats`` and
+    ``assignment``, compiled here when not given; a caller that refines one
+    assignment in many calls compiles it once.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -258,15 +245,6 @@ def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     rr, cc, vals = rr[keep], cc[keep], vals[keep]
     order = np.lexsort((cc, -vals, rr))
     return ids[cc[order]].reshape(len(q), k)
-
-
-def _assigned(assignment: Assignment, n: int) -> np.ndarray:
-    """The counterpart of each of ``n`` source entities, or -1."""
-    y = np.full(n, -1, dtype=np.int64)
-    mapping = assignment.mapping
-    y[np.fromiter(mapping.keys(), np.int64, len(mapping))] = np.fromiter(
-        mapping.values(), np.int64, len(mapping))
-    return y
 
 
 def _log_survival_table(stats: RelationStats, n_src: int, n_tgt: int) -> np.ndarray:
@@ -323,10 +301,10 @@ class _FactorModel:
     compiled in one join, so an anchor's other edges read it with no join.
     """
 
-    def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: Assignment):
+    def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: np.ndarray):
         src, tgt = kg_pair.source, kg_pair.target
         self.rel, self.far, self.ptr = src.edges.rel, src.edges.far, src.edges.ptr
-        self.y = _assigned(assignment, src.n_entities)
+        self.y = assignment
         self.log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
         self.tgt = tgt.edges
         self.edge_surv = self.edge_log_survival(self.rel, self.y[src.edges.near], self.y[self.far])

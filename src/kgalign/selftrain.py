@@ -220,7 +220,6 @@ class IterationReport:
     pseudo_count: int
     pseudo_precision: float | None
     pseudo_recall: float | None
-    pseudo_empty: bool
     loss: float
     seconds: float
 
@@ -255,34 +254,34 @@ def _file_sha256(path: Path) -> str:
 
 
 def refine_slabs(
-    oriented: KgPair, sims: SimMatrix, labelled: dict[int, int],
-    row_ids: list[int], col_ids: list[int], top_k: int,
-    debug_sink: list | None = None,
+    oriented: KgPair, sims: SimMatrix, labelled: np.ndarray,
+    row_ids, col_ids, top_k: int, debug_sink: list | None = None,
 ) -> list[ProbRow]:
     """The refined ``row_ids`` rows over the candidates ``col_ids``, read
     from ``sims`` one row slab at a time.
 
-    A first pass builds the assignment, a second refines against it.  Both
-    are row-independent, so they equal one pass over the
+    ``labelled[e]`` is source entity ``e``'s labelled counterpart or -1, and
+    the ``row_ids`` are unlabelled.  A first pass writes the rows' argmaxes
+    into a copy of ``labelled``, the frozen assignment; a second refines
+    against it.  Both are row-independent, so they equal one pass over the
     ``(row_ids, col_ids)`` block, which is never built.  Each slab spans all
     columns, those outside ``col_ids`` at -inf, so ``top_k`` is capped by
     the number of ``col_ids``.
     """
     top_k = min(top_k, len(col_ids))
-    if row_ids and not top_k:
+    if len(row_ids) and not top_k:
         raise ValueError("candidates must be nonempty")
     all_cols = np.arange(sims.scores.shape[1])
-    mapping = dict(labelled)
+    y = labelled.copy()
     for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
-        # the rows are unlabelled, so a slab's argmaxes need no labelled copy
-        mapping.update(compatibility.build_assignment(q, ids, all_cols, {}).mapping)
-    assignment = compatibility.Assignment(mapping=mapping)
-    stats = compatibility.estimate_relation_stats(oriented, assignment)
+        y[ids] = compatibility.build_assignment(q, ids, all_cols)
+    y.flags.writeable = False
+    stats = compatibility.estimate_relation_stats(oriented, y)
     # compiled once: each slab's call would otherwise build its own
-    factors = compatibility._FactorModel(oriented, stats, assignment)
+    factors = compatibility._FactorModel(oriented, stats, y)
     rows: list[ProbRow] = []
     for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
-        rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, assignment,
+        rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, y,
                                           top_k=top_k, debug_sink=debug_sink,
                                           factors=factors)
     return rows
@@ -296,13 +295,15 @@ class SelfTrainRun:
         self.config = config
         self.pair, self.links = load_dataset(config.dataset_dir)
         self.partition = partition_mappings(self.links, config.ratio, config.seed)
-        self.labelled_fwd = dict(self.partition.labelled.pairs)
-        self.labelled_rev = {t: s for s, t in self.partition.labelled.pairs}
         self.test = self.partition.test
-        n_src = self.pair.source.n_entities
-        n_tgt = self.pair.target.n_entities
-        self.unlab_src = sorted(set(range(n_src)) - set(self.labelled_fwd))
-        self.unlab_tgt = sorted(set(range(n_tgt)) - set(self.labelled_rev))
+        # each direction's labelled counterparts, -1 where there is none
+        src, tgt = np.array(self.partition.labelled.pairs, dtype=np.int64).T
+        self.labelled_fwd = np.full(self.pair.source.n_entities, -1, dtype=np.int64)
+        self.labelled_fwd[src] = tgt
+        self.labelled_rev = np.full(self.pair.target.n_entities, -1, dtype=np.int64)
+        self.labelled_rev[tgt] = src
+        self.unlab_src = np.flatnonzero(self.labelled_fwd < 0)
+        self.unlab_tgt = np.flatnonzero(self.labelled_rev < 0)
         self.model = self._build_model()
         # made only now, so a failed set-up leaves no empty run directory
         self._made_run_dir = not run_dir
@@ -338,12 +339,12 @@ class SelfTrainRun:
     # ------------------------------------------------------------------
 
     def _refined_direction(
-        self, oriented: KgPair, sims: SimMatrix, labelled: dict[int, int],
-        row_ids: list[int], col_ids: list[int], iteration: int, tag: str,
+        self, oriented: KgPair, sims: SimMatrix, labelled: np.ndarray,
+        row_ids, col_ids, iteration: int, tag: str,
     ) -> list[ProbRow]:
         cfg = self.config
-        lab_rows = sorted(labelled)
-        truth_cols = np.array([labelled[e] for e in lab_rows])
+        lab_rows = np.flatnonzero(labelled >= 0)
+        truth_cols = labelled[lab_rows]
         try:
             # the gathered block is the fit's alone, freed before refinement
             beta, _ = fit_calibration(sims.scores[lab_rows], truth_cols)
@@ -440,20 +441,14 @@ class SelfTrainRun:
             trace = self.model.fit(self.pair, train, cfg.epochs)
             fit_s = time.perf_counter() - t0
             sim_fwd = self.model.similarities(SRC_TO_TGT)
-            report_kwargs: dict = {}
             if cfg.mode == "selftrain":
                 pseudo = self._generate_pseudo(sim_fwd, iteration, pseudo)
-                precision, recall, empty = pseudo_quality(pseudo, self.test)
+                precision, recall, _ = pseudo_quality(pseudo, self.test)
                 train = self.partition.labelled.union(pseudo)
-                report_kwargs = dict(
-                    pseudo_count=len(pseudo), pseudo_precision=precision,
-                    pseudo_recall=recall, pseudo_empty=empty,
-                )
+                report_kwargs = dict(pseudo_count=len(pseudo), pseudo_precision=precision,
+                                     pseudo_recall=recall)
             else:
-                report_kwargs = dict(
-                    pseudo_count=0, pseudo_precision=None,
-                    pseudo_recall=None, pseudo_empty=True,
-                )
+                report_kwargs = dict(pseudo_count=0, pseudo_precision=None, pseudo_recall=None)
             ev = self._evaluate(sim_fwd)
             report = IterationReport(
                 iteration=iteration, hit1=ev.hit1, hit10=ev.hit10, mrr=ev.mrr,

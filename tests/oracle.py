@@ -40,6 +40,11 @@ match them bit for bit.
 ``(row_ids, col_ids)`` similarities; the package reads row slabs in place
 and must return the same assignment and rows.
 
+The references take an assignment as a dict from source entity to
+counterpart; the package takes one ``int64`` array with -1 where an entity
+has none.  ``assignment_array`` and ``assignment_mapping`` convert between
+the two.
+
 The strategy references pick pairs one strategy at a time, by dict lookups
 and rescans, and order the one-to-one edges with Python's ``sorted``.  The
 package's strategies must return the same pairs and scores.
@@ -61,7 +66,7 @@ from hypothesis import strategies as st
 
 from kgalign import calibration, compatibility
 from kgalign.calibration import CalibrationError, argmax_lowest_id
-from kgalign.compatibility import Assignment, RelationStats
+from kgalign.compatibility import RelationStats
 from kgalign.kg import Kg, MappingSet, _ranges, _run_starts, partition_mappings
 from kgalign.models import SimMatrix
 
@@ -184,14 +189,28 @@ def local_compatibility(e, candidate, assigned, kg_pair, stats) -> float:
     return 1.0 - survivor
 
 
-def compatibility_sums(u, candidates, assignment: Assignment, kg_pair, stats) -> np.ndarray:
+def assignment_array(mapping: dict[int, int], n: int) -> np.ndarray:
+    """The package's assignment over ``n`` source entities: ``mapping[e]``
+    at ``e``, -1 where ``e`` has no counterpart."""
+    y = np.full(n, -1, dtype=np.int64)
+    for e, c in mapping.items():
+        y[e] = c
+    return y
+
+
+def assignment_mapping(y) -> dict[int, int]:
+    """The dict of the package's assignment array ``y``."""
+    return {e: c for e, c in enumerate(np.asarray(y).tolist()) if c >= 0}
+
+
+def compatibility_sums(u, candidates, assigned: dict[int, int], kg_pair, stats) -> np.ndarray:
     """Per candidate, the factor scores summed over ``u`` and its one-hop
     neighbors with ``u`` mapped to the candidate."""
     neighbors = {n for _, n in directed_adjacency(kg_pair.source, u)} - {u}
     anchors = [u] + sorted(neighbors)
     sums = np.zeros(len(candidates))
     for i, c in enumerate(candidates):
-        mapping = dict(assignment.mapping)
+        mapping = dict(assigned)
         mapping[u] = c
         sums[i] = sum(
             local_compatibility(e, mapping[e], mapping.get, kg_pair, stats)
@@ -206,7 +225,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def build_assignment(q, row_ids, col_ids, labelled) -> Assignment:
+def build_assignment(q, row_ids, col_ids, labelled) -> dict[int, int]:
     """Labelled truths plus each unlabelled row's most probable column, ties
     to the lower id."""
     q = np.asarray(q, dtype=np.float64)
@@ -215,18 +234,18 @@ def build_assignment(q, row_ids, col_ids, labelled) -> Assignment:
         if u not in labelled:
             best = min(range(len(col_ids)), key=lambda j: (-q[i, j], col_ids[j]))
             mapping[u] = col_ids[best]
-    return Assignment(mapping=mapping)
+    return mapping
 
 
-def refine_rows(q, row_ids, col_ids, kg_pair, stats, assignment: Assignment, top_k):
+def refine_rows(q, row_ids, col_ids, kg_pair, stats, assigned: dict[int, int], top_k):
     """``(candidates, sums)`` per row: the ``top_k`` columns by probability
-    (ties to the lower id) and their reference sums against ``assignment``."""
+    (ties to the lower id) and their reference sums against ``assigned``."""
     q = np.asarray(q, dtype=np.float64)
     out = []
     for i, u in enumerate(row_ids):
         order = sorted(range(len(col_ids)), key=lambda j: (-q[i, j], col_ids[j]))
         cands = tuple(col_ids[j] for j in order[:top_k])
-        out.append((cands, compatibility_sums(u, cands, assignment, kg_pair, stats)))
+        out.append((cands, compatibility_sums(u, cands, assigned, kg_pair, stats)))
     return out
 
 
@@ -272,13 +291,16 @@ def factor_sums(f, rows, cands) -> np.ndarray:
 
 
 def refine_one_block(oriented, sims: SimMatrix, labelled, row_ids, col_ids, top_k,
-                     debug_sink=None) -> tuple[Assignment, list]:
-    """The assignment and refined rows from one gathered block, with the
-    package's array kernels, as the run computed them before it read slabs."""
+                     debug_sink=None) -> tuple[dict[int, int], list]:
+    """The assignment, as a dict, and the refined rows from one gathered
+    block, with the package's array kernels, as the run computed them before
+    it read slabs.  ``labelled`` is a dict; the ``row_ids`` are unlabelled."""
     block = sims.scores[np.ix_(row_ids, col_ids)]
-    assignment = compatibility.build_assignment(block, row_ids, col_ids, labelled)
+    best = compatibility.build_assignment(block, row_ids, col_ids)
+    mapping = {**dict(zip(row_ids, best.tolist())), **labelled}
+    assignment = assignment_array(mapping, oriented.source.n_entities)
     stats = compatibility.estimate_relation_stats(oriented, assignment)
-    return assignment, compatibility.refine_rows(
+    return mapping, compatibility.refine_rows(
         block, row_ids, col_ids, oriented, stats, assignment, top_k=top_k,
         debug_sink=debug_sink)
 
@@ -300,9 +322,9 @@ def relation_inverse_functionality(kg) -> dict[int, float]:
     return inv_fun
 
 
-def estimate_relation_stats(kg_pair, assignment: Assignment) -> RelationStats:
+def estimate_relation_stats(kg_pair, assigned: dict[int, int]) -> RelationStats:
     """PARIS statistics counted over every directed triple of each side."""
-    fwd = dict(assignment.mapping)
+    fwd = dict(assigned)
     rev: dict[int, set[int]] = defaultdict(set)
     for e, t in fwd.items():
         rev[t].add(e)

@@ -19,7 +19,6 @@ from kgalign.calibration import (
 )
 from kgalign.cli import main as cli_main
 from kgalign.compatibility import (
-    Assignment,
     RelationStats,
     conditional_distribution,
     estimate_relation_stats,
@@ -36,6 +35,7 @@ from kgalign.strategies import (
 )
 from kgalign.synth import write_twin_dataset
 from oracle import (
+    assignment_array,
     conditional_from_joint,
     enumerate_joint,
     local_compatibility as reference_compatibility,
@@ -154,7 +154,8 @@ def test_criterion_2_local_compatibility_oracle():
         Kg.from_label_triples([("e", "r", "n")]),
         Kg.from_label_triples([("e'", "r'", "n'")]),
     )
-    g1 = local_compatibility(0, 0, Assignment(mapping={1: 1}), pair, _hand_stats())
+    one = assignment_array({1: 1}, pair.source.n_entities)
+    g1 = local_compatibility(0, 0, one, pair, _hand_stats())
     assert g1 == pytest.approx(0.616, abs=1e-12)
 
     pair2 = KgPair(
@@ -162,7 +163,7 @@ def test_criterion_2_local_compatibility_oracle():
         Kg.from_label_triples([("e'", "r'", "n'"), ("e'", "r'", "m'")]),
     )
     g2 = local_compatibility(
-        0, 0, Assignment(mapping={1: 1, 2: 2}), pair2, _hand_stats()
+        0, 0, assignment_array({1: 1, 2: 2}, pair2.source.n_entities), pair2, _hand_stats()
     )
     assert g2 == pytest.approx(0.852544, abs=1e-12)
 
@@ -177,7 +178,8 @@ def test_criterion_2_local_compatibility_oracle():
                 src.entity_ids[f"n{i}"]: tgt.entity_ids[f"n{i}'"]
                 for i in range(matched)
             }
-            g = local_compatibility(0, 0, Assignment(mapping=mapping), pair, stats)
+            assignment = assignment_array(mapping, src.n_entities)
+            g = local_compatibility(0, 0, assignment, pair, stats)
             assert 0.0 <= g < 1.0
             assert abs(g - reference_compatibility(0, 0, mapping.get, pair, stats)) < 1e-12
             scores.append(g)
@@ -223,7 +225,7 @@ def test_criterion_3_conditional_joint_consistency():
         mapping = dict(labelled)
         for u in unlabelled:
             mapping[u] = grids[u][rng.integers(0, 4)]
-        assignment = Assignment(mapping=mapping)
+        assignment = assignment_array(mapping, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
         joint = enumerate_joint(pair, stats, labelled, grids)
         assert abs(sum(joint.values()) - 1.0) < 1e-12
@@ -251,7 +253,7 @@ def test_criterion_4_scenario_compatibility_ordering():
     pair_a = KgPair(src, tgt_a)
     lab_a = {src.entity_ids["e1"]: tgt_a.entity_ids["e1'"],
              src.entity_ids["e3"]: tgt_a.entity_ids["e3'"]}
-    assign_a = Assignment(mapping=lab_a)
+    assign_a = assignment_array(lab_a, src.n_entities)
     g_a = local_compatibility(
         src.entity_ids["e2"], tgt_a.entity_ids["e2'"], assign_a, pair_a,
         estimate_relation_stats(pair_a, assign_a),
@@ -261,7 +263,7 @@ def test_criterion_4_scenario_compatibility_ordering():
     pair_b = KgPair(src, tgt_b)
     lab_b = {src.entity_ids["e1"]: tgt_b.entity_ids["e1'"],
              src.entity_ids["e3"]: tgt_b.entity_ids["e3'"]}
-    assign_b = Assignment(mapping=lab_b)
+    assign_b = assignment_array(lab_b, src.n_entities)
     g_b = local_compatibility(
         src.entity_ids["e2"], tgt_b.entity_ids["e4'"], assign_b, pair_b,
         estimate_relation_stats(pair_b, assign_b),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.compatibility import Assignment, compatibility_sums, estimate_relation_stats
+from kgalign.compatibility import compatibility_sums, estimate_relation_stats
 from kgalign.kg import (
     Kg,
     KgFormatError,
@@ -13,7 +13,7 @@ from kgalign.kg import (
     load_kg,
     partition_mappings,
 )
-from oracle import kg_from_label_triples, neighbors, random_kg
+from oracle import assignment_array, kg_from_label_triples, neighbors, random_kg
 
 
 def two_hop(kg: Kg, u: int) -> set[int]:
@@ -173,7 +173,7 @@ class TestNeighborhoods:
         n_src, n_tgt = pair.source.n_entities, pair.target.n_entities
         mapping = data.draw(st.dictionaries(
             st.integers(0, n_src - 1), st.integers(0, n_tgt - 1)))
-        assignment = Assignment(mapping=mapping)
+        assignment = assignment_array(mapping, n_src)
         stats = estimate_relation_stats(pair, assignment)
         u = data.draw(st.integers(0, n_src - 1))
         cands = tuple(range(n_tgt))
@@ -185,7 +185,7 @@ class TestNeighborhoods:
                 if moved is not None:
                     changed[v] = moved
                 after = compatibility_sums(
-                    u, cands, Assignment(mapping=changed), pair, stats
+                    u, cands, assignment_array(changed, n_src), pair, stats
                 )
                 assert np.array_equal(before, after)
 

@@ -6,8 +6,12 @@ import json
 import os
 import re
 import shlex
+import shutil
+import signal
 import subprocess
 import sys
+import time
+import uuid
 from pathlib import Path
 
 import pytest
@@ -168,3 +172,63 @@ def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
     wall = record["workloads"]["refine-oracle-n3000"]["wall_s"]
     assert wall["median_ratio"] == wall["change"][0] / wall["base"][0]
     assert worktrees() == before  # the temporary worktree is gone
+
+
+def marked_processes(mark: str) -> dict[int, str]:
+    """The command line of each live process whose environment holds
+    ``mark``, by process id."""
+    found = {}
+    for proc in Path("/proc").iterdir():
+        try:
+            if proc.name.isdigit() and mark.encode() in (proc / "environ").read_bytes():
+                found[int(proc.name)] = (proc / "cmdline").read_bytes().replace(b"\0", b" ")
+        except OSError:  # gone, or not ours to read
+            pass
+    return {pid: cmd.decode() for pid, cmd in found.items()}
+
+
+def test_interrupted_bench_stops_its_runs_and_removes_their_work(tmp_path):
+    """SIGINT to ``bench.py --against`` alone, while this checkout's side of
+    the first pair runs: no ``perfbench/run.py`` or ``child.py`` it started
+    outlives it, and no ``.perfbench_work/`` entry is left behind."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent,
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    if not Path("/proc/self/environ").exists():
+        pytest.skip("reads processes' environments from /proc")
+    key, value = "KGALIGN_BENCH_STOP_TEST", uuid.uuid4().hex
+    mark = f"{key}={value}"
+    checkout_work = SCRIPTS.parent / ".perfbench_work"
+    before = set(checkout_work.glob("*"))
+
+    def checkout_entries():
+        return set(checkout_work.glob("*")) - before
+
+    # the first pair runs the revision first, in a worktree under TMPDIR
+    bench = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--tiny", "--seconds", "0",
+         "--against", "HEAD", "--pairs", "1", "--workload", "onetoone-oracle-n3000",
+         "--out", str(tmp_path / "ab.json")],
+        env=dict(os.environ, TMPDIR=str(tmp_path), **{key: value}),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not checkout_entries():
+            assert bench.poll() is None, "bench.py ended before this checkout's run"
+            assert time.monotonic() < deadline, "no run in this checkout within 120 s"
+            time.sleep(0.01)
+        bench.send_signal(signal.SIGINT)
+        bench.wait(timeout=60)
+        left, work_left = marked_processes(mark), checkout_entries()
+        work_left |= set(tmp_path.glob("**/.perfbench_work/*"))
+    finally:
+        if bench.poll() is None:
+            bench.kill()
+            bench.wait()
+        for pid in marked_processes(mark):
+            os.kill(pid, signal.SIGKILL)
+        for entry in checkout_entries():
+            shutil.rmtree(entry, ignore_errors=True)
+    assert sorted(left.values()) == []
+    assert work_left == set()

@@ -449,7 +449,7 @@ class TestLoopContracts:
         for line in lines[1:]:
             entity, candidate, _, _ = line.split("\t")
             dumped.setdefault(int(entity), []).append(int(candidate))
-        assert sorted(dumped) == run.unlab_src
+        assert sorted(dumped) == run.unlab_src.tolist()
         for u, cands in dumped.items():
             by_similarity = sorted(run.unlab_tgt, key=lambda c: (-scores[u, c], c))
             assert cands == by_similarity[:cfg.top_k]
@@ -480,7 +480,7 @@ class TestMetricsLine:
 
         report = IterationReport(
             iteration=1, hit1=0.5, hit10=0.9, mrr=0.6, pseudo_count=3,
-            pseudo_precision=0.8, pseudo_recall=0.4, pseudo_empty=False,
+            pseudo_precision=0.8, pseudo_recall=0.4,
             loss=0.12, seconds=3.4,
         )
         obj = json.loads(metrics_line(report))
@@ -514,24 +514,32 @@ class TestSlabbedRefinement:
         top_k = data.draw(st.integers(1, 5))
         slab = data.draw(st.sampled_from([1, 2, 3, n_rows + 1]), label="slab rows")
 
+        labelled_ids = oracle.assignment_array(labelled, n_rows)
+
         ref_sink: list = []
         try:
-            ref_assignment, ref_rows = oracle.refine_one_block(
+            ref_mapping, ref_rows = oracle.refine_one_block(
                 oriented, sims, labelled, row_ids, col_ids, top_k, ref_sink)
         except ValueError as exc:  # unlabelled rows but no unlabelled column
             with pytest.raises(ValueError, match=str(exc)):
-                refine_slabs(oriented, sims, labelled, row_ids, col_ids, top_k)
+                refine_slabs(oriented, sims, labelled_ids, row_ids, col_ids, top_k)
             return
         sink: list = []
         with mock.patch.object(models, "SLAB_BYTES", 8 * n_cols * slab), mock.patch.object(
                 compatibility, "estimate_relation_stats",
-                wraps=compatibility.estimate_relation_stats) as stats_of:
-            rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids, top_k,
+                wraps=compatibility.estimate_relation_stats) as stats_of, mock.patch.object(
+                compatibility, "_FactorModel", wraps=compatibility._FactorModel) as factors_of:
+            rows = refine_slabs(oriented, sims, labelled_ids, row_ids, col_ids, top_k,
                                 debug_sink=sink)
-        # the statistics are estimated once, from the merged frozen assignment
+        # the statistics are estimated once, from the merged frozen assignment,
+        # and the factor model reads that same array, which nothing can write
         stats_of.assert_called_once()
         assignment = stats_of.call_args.args[1]
-        assert list(assignment.mapping.items()) == list(ref_assignment.mapping.items())
+        assert oracle.assignment_mapping(assignment) == ref_mapping
+        factors_of.assert_called_once()
+        assert factors_of.call_args.args[2] is assignment
+        with pytest.raises(ValueError, match="read-only"):
+            assignment[:1] = -1
         assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in rows] == [
             (r.entity, r.cand_ids, r.probs.tobytes()) for r in ref_rows]
         assert sink == ref_sink
@@ -660,8 +668,8 @@ class TestReferenceIteration:
                 reports = run.run()
             # fixed scores make a chain's held set its own fresh matching, so
             # one more iteration starts from a drawn scored one-to-one set
-            held_pairs = list(zip(data.draw(st.permutations(run.unlab_src)),
-                                  data.draw(st.permutations(run.unlab_tgt))))
+            held_pairs = list(zip(data.draw(st.permutations(run.unlab_src.tolist())),
+                                  data.draw(st.permutations(run.unlab_tgt.tolist()))))
             held_pairs = held_pairs[:data.draw(st.integers(0, len(held_pairs)))]
             held = MappingSet(tuple(held_pairs), scores=tuple(
                 data.draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])) for _ in held_pairs))

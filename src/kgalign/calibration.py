@@ -7,8 +7,10 @@ temperature, so the fit has one parameter: β minimises the cross-entropy
 of the labelled rows, found by Newton's method on log β, and is ``inf``
 when every truth is a maximum of its row.
 
-The refinement's assignment takes its lowest-id argmax over a checked
-``len(row_ids) × len(col_ids)`` similarity block read in ascending id order.
+The refinement's assignment and the raw-similarity strategies take their
+lowest-id argmaxes in ``_sim_best``, one pass over a model's whole matrix in
+``models.masked_slabs`` row slabs.  ``refine_rows`` reads a block it is
+handed through the ``_sim_block`` check and the ``_by_id`` column order.
 """
 
 from __future__ import annotations
@@ -125,16 +127,31 @@ def _by_id(sims: np.ndarray, ids, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return sims.take(order, axis=axis), ids[order]
 
 
+def _ids_in(ids, n: int, axis: str) -> np.ndarray:
+    """``ids`` as int64, checked to index an axis of length ``n``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"{axis} ids must be in [0, {n})")
+    return ids
+
+
 def _sim_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row ids, argmax column ids, maxima)`` of a similarity block's rows,
-    lowest column id on ties; no rows when there is no column to pick."""
-    sims, cols = _by_id(_sim_block(sims, row_ids, col_ids), col_ids, axis=1)
-    rows = np.asarray(row_ids, dtype=np.int64)
-    if not sims.size:
-        rows = rows[:0]
-        return rows, rows, np.zeros(0)
-    best = sims.argmax(axis=1)
-    return rows, cols[best], sims[np.arange(len(sims)), best]
+    """``(row ids, argmax column ids, maxima)`` of the ``row_ids`` rows of a
+    model's whole matrix ``sims`` over its ``col_ids`` columns, lowest
+    column id on ties; rows in ``row_ids`` order, none when there is no
+    column to pick.  One pass of ``models.masked_slabs``, whose slabs hold
+    every column in id order, so a row's first maximum is its lowest id."""
+    sims = np.asarray(sims, dtype=np.float64)
+    rows = _ids_in(row_ids, sims.shape[0], "row")
+    cols = _ids_in(col_ids, sims.shape[1], "column")
+    rows = rows if len(cols) else rows[:0]
+    best, top = np.empty(len(rows), dtype=np.int64), np.empty(len(rows))
+    lo = 0
+    for _, q in models.masked_slabs(sims, rows, cols):
+        best[lo:lo + len(q)] = b = q.argmax(axis=1)
+        top[lo:lo + len(q)] = q[np.arange(len(q)), b]
+        lo += len(q)
+    return rows, best, top
 
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

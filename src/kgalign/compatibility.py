@@ -26,6 +26,9 @@ statistics count over the target table's join, and ``_FactorModel`` reads
 each factor's relation evidence through it from one dense matrix over
 pairs of directed relations.  ``tests/oracle.py`` keeps the readable
 triple-scanning versions they are checked against.
+
+``build_assignment`` walks a model's whole matrix in row slabs, as the
+raw-similarity strategies do; ``refine_rows`` refines the block it is handed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
 from .calibration import ProbRow, _by_id, _sim_best, _sim_block, _softmax
 from .kg import Kg, KgPair, _ranges, _run_starts
 
@@ -164,13 +166,15 @@ def conditional_distribution(
     return ProbRow(entity=u, cand_ids=tuple(candidates), probs=_softmax(sums))
 
 
-def build_assignment(q_matrix: np.ndarray, row_ids, col_ids) -> np.ndarray:
-    """Each row's argmax column id of ``q_matrix``, lowest id on ties (the
+def build_assignment(sims: np.ndarray, row_ids, col_ids) -> np.ndarray:
+    """Each ``row_ids`` row's argmax over the ``col_ids`` columns of a
+    model's whole matrix ``sims``, as a column id, lowest id on ties (the
     single-sample approximation of the expectation); any scores in the order
-    of the current distributions will do.  ``q_matrix`` must be
-    ``len(row_ids) × len(col_ids)``.  The caller writes the argmaxes of its
+    of the current distributions will do.  The ids index ``sims``; an id
+    outside it raises ``ValueError``.  One pass over ``sims`` in row slabs
+    (``calibration._sim_best``).  The caller writes the argmaxes of its
     unlabelled rows into the assignment array, ``y[row_ids] = ...``."""
-    return _sim_best(q_matrix, row_ids, col_ids)[1]
+    return _sim_best(sims, row_ids, col_ids)[1]
 
 
 def refine_rows(
@@ -181,29 +185,27 @@ def refine_rows(
     stats: RelationStats,
     assignment: np.ndarray,
     top_k: int = 10,
-    debug_sink: list | None = None,
     *,
     factors: _FactorModel | None = None,
 ) -> list[ProbRow]:
-    """One block update of all unlabelled rows against a frozen assignment.
+    """One block update of the given rows against a frozen assignment.
 
     Every row independently keeps its ``top_k`` candidates by descending
     ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
     conditional over them, which reads no score.  ``q_matrix`` must be
-    ``len(row_ids) × len(col_ids)``; its row slabs of ``models.slab_rows``
-    rows are read in place when the column ids ascend, which bounds the
-    temporaries.  The caller's ``assignment`` array, with the rows'
-    ``build_assignment`` argmaxes written in, stays fixed for the whole
-    block, so the result does not depend on how the rows are split.
-    ``factors`` is the ``_FactorModel`` of ``kg_pair``, ``stats`` and
-    ``assignment``, compiled here when not given; a caller that refines one
-    assignment in many calls compiles it once.
+    ``len(row_ids) × len(col_ids)``; it is read in place when the column
+    ids ascend, else copied in id order, and the temporaries scale with the
+    block, so a caller bounds them by handing in one row slab per call.  The
+    caller's ``assignment`` array, with the rows' ``build_assignment``
+    argmaxes written in, stays fixed, so the result does not depend on how
+    the rows are split.  ``factors`` is the ``_FactorModel`` of
+    ``kg_pair``, ``stats`` and ``assignment``, compiled here when not given;
+    a caller that refines one assignment in many calls compiles it once.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     row_ids = np.asarray(row_ids, dtype=np.int64)
-    col_arr = np.asarray(col_ids, dtype=np.int64)
-    q_matrix = _sim_block(q_matrix, row_ids, col_arr)
+    q_matrix = _sim_block(q_matrix, row_ids, col_ids)
     if not len(row_ids):
         return []
     k = min(top_k, q_matrix.shape[1])
@@ -211,19 +213,9 @@ def refine_rows(
         raise ValueError("candidates must be nonempty")
     if factors is None:
         factors = _FactorModel(kg_pair, stats, assignment)
-    out: list[ProbRow] = []
-    step = models.slab_rows(q_matrix.shape[1])
-    for lo in range(0, len(row_ids), step):
-        block = row_ids[lo:lo + step]
-        q_block, ids = _by_id(q_matrix[lo:lo + len(block)], col_arr, axis=1)
-        cands = _top_candidates(q_block, ids, k)
-        sums = factors.factor_sums(block, cands)
-        probs = _softmax(sums)
-        out.extend(ProbRow.block(block.tolist(), cands, probs))
-        if debug_sink is not None:
-            for u, c, s, p in zip(block.tolist(), cands.tolist(), sums, probs):
-                debug_sink.extend((u, ci, float(si), float(pi)) for ci, si, pi in zip(c, s, p))
-    return out
+    cands = _top_candidates(*_by_id(q_matrix, col_ids, axis=1), k)
+    probs = _softmax(factors.factor_sums(row_ids, cands))
+    return ProbRow.block(row_ids.tolist(), cands, probs)
 
 
 def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:

@@ -77,7 +77,6 @@ class RunConfig:
     oracle_noise: float = 0.3
     sim_file: str | None = None
     sim_file_reverse: str | None = None
-    debug_dump: bool = False
     out_dir: str = "runs"
 
     def validate(self) -> None:
@@ -136,8 +135,6 @@ class RunConfig:
             raise ConfigError("uni_source must be kg1 or kg2")
 
 
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
-                 "yes": True, "no": False}
 _NUMBER_TYPES = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
@@ -181,11 +178,6 @@ def _coerce(key: str, value, type_str: str):
             return convert(value)
         except ValueError:
             raise ConfigError(f"{key}: expected {what}, got {value!r}") from None
-    if type_str == "bool":
-        try:
-            return _BOOL_STRINGS[value.lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {value!r}") from None
     return value
 
 
@@ -255,35 +247,34 @@ def _file_sha256(path: Path) -> str:
 
 def refine_slabs(
     oriented: KgPair, sims: SimMatrix, labelled: np.ndarray,
-    row_ids, col_ids, top_k: int, debug_sink: list | None = None,
+    row_ids, col_ids, top_k: int,
 ) -> list[ProbRow]:
     """The refined ``row_ids`` rows over the candidates ``col_ids``, read
     from ``sims`` one row slab at a time.
 
     ``labelled[e]`` is source entity ``e``'s labelled counterpart or -1, and
-    the ``row_ids`` are unlabelled.  A first pass writes the rows' argmaxes
-    into a copy of ``labelled``, the frozen assignment; a second refines
-    against it.  Both are row-independent, so they equal one pass over the
-    ``(row_ids, col_ids)`` block, which is never built.  Each slab spans all
-    columns, those outside ``col_ids`` at -inf, so ``top_k`` is capped by
-    the number of ``col_ids``.
+    the ``row_ids`` are unlabelled.  One ``build_assignment`` pass over the
+    whole matrix writes the rows' argmaxes into a copy of ``labelled``, the
+    frozen assignment; a second pass refines against it, one
+    ``refine_rows`` call per slab.  Both are row-independent, so they equal
+    one pass over the ``(row_ids, col_ids)`` block, which is never built.
+    Each slab spans all columns, those outside ``col_ids`` at -inf, so
+    ``top_k`` is capped by the number of ``col_ids``.
     """
     top_k = min(top_k, len(col_ids))
     if len(row_ids) and not top_k:
         raise ValueError("candidates must be nonempty")
-    all_cols = np.arange(sims.scores.shape[1])
     y = labelled.copy()
-    for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
-        y[ids] = compatibility.build_assignment(q, ids, all_cols)
+    y[row_ids] = compatibility.build_assignment(sims.scores, row_ids, col_ids)
     y.flags.writeable = False
     stats = compatibility.estimate_relation_stats(oriented, y)
     # compiled once: each slab's call would otherwise build its own
     factors = compatibility._FactorModel(oriented, stats, y)
+    all_cols = np.arange(sims.scores.shape[1])
     rows: list[ProbRow] = []
     for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
         rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, y,
-                                          top_k=top_k, debug_sink=debug_sink,
-                                          factors=factors)
+                                          top_k=top_k, factors=factors)
     return rows
 
 
@@ -352,19 +343,7 @@ class SelfTrainRun:
             raise CalibrationError(
                 f"{tag} calibration at iteration {iteration}: {err}") from None
         self._calibration_log.append((f"iter{iteration}.{tag}", beta))
-        sink: list | None = [] if cfg.debug_dump else None
-        rows = refine_slabs(oriented, sims, labelled, row_ids, col_ids,
-                            cfg.top_k, debug_sink=sink)
-        if sink is not None:
-            self._write_debug(sink, iteration, tag)
-        return rows
-
-    def _write_debug(self, sink: list, iteration: int, tag: str) -> None:
-        path = self.run_dir / f"refine_debug_iter{iteration}_{tag}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("entity\tcandidate\tscore_sum\tprobability\n")
-            for u, c, s, p in sink:
-                fh.write(f"{u}\t{c}\t{s:.6g}\t{p:.6g}\n")
+        return refine_slabs(oriented, sims, labelled, row_ids, col_ids, cfg.top_k)
 
     def _generate_pseudo(self, sim_fwd: SimMatrix, iteration: int,
                          held: MappingSet) -> MappingSet:
@@ -427,7 +406,7 @@ class SelfTrainRun:
             return self._iterate()
         except BaseException:
             if self._made_run_dir and not self.reports:
-                # nothing reported: remove the directory unless a debug dump is in it
+                # nothing reported, so nothing was written: remove the directory
                 with contextlib.suppress(OSError):
                     self.run_dir.rmdir()
             raise

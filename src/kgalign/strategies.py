@@ -12,10 +12,13 @@ score) and picks pairs through a shared threshold core or a shared
 mutual-best core.  Refined rows are reduced over their concatenated
 candidates with segmented maxima, so rows of any lengths share one path.
 A raw-similarity strategy takes a model's whole matrix and the distinct
-``row_ids`` and ``col_ids`` to match over, which index it.  It reads the
-rows in ascending id order in ``models.masked_slabs``, cache-sized row slabs
-with the columns outside ``col_ids`` at -inf, so an ``argmax``'s first index
-is the lowest id and the ``(row_ids, col_ids)`` block is never gathered.
+``row_ids`` and ``col_ids`` to match over, which index it, as
+``compatibility.build_assignment`` does.  It reads the rows in ascending id
+order in ``models.masked_slabs``, cache-sized row slabs with the columns
+outside ``col_ids`` at -inf, so an ``argmax``'s first index is the lowest id
+and the ``(row_ids, col_ids)`` block is never gathered; ``SimThr`` and
+``MutNearest`` take their argmaxes in ``calibration._sim_best``, the pass
+the assignment takes.
 ``OneToOne`` keeps no state between calls: it takes the previous call's
 scored result as held pairs and returns the next, from one greedy walk
 over the held pairs and the fresh matching.
@@ -28,7 +31,7 @@ import itertools
 import numpy as np
 
 from . import models
-from .calibration import ProbRow, _sim_best
+from .calibration import ProbRow, _ids_in, _sim_best
 from .kg import MappingSet
 
 PROBABILITY_STRATEGIES = ("UniThr", "BiThr", "MutHighestProb")
@@ -110,9 +113,7 @@ def mutual_highest_probability(
 
 def _checked_ids(ids, n: int, axis: str) -> np.ndarray:
     """``ids`` ascending, checked to be distinct and in ``[0, n)``."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
-    if len(ids) and not (0 <= ids[0] and ids[-1] < n):
-        raise ValueError(f"{axis} ids must be in [0, {n})")
+    ids = np.sort(_ids_in(ids, n, axis))
     if np.any(ids[1:] == ids[:-1]):
         raise ValueError(f"{axis} ids must be distinct")
     return ids
@@ -127,22 +128,11 @@ def _checked(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return sims, rows if len(cols) else rows[:0], cols
 
 
-def _raw_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row ids, argmax column ids, maxima)`` of the rows, lowest column id
-    on ties; no rows when there is no column to pick."""
-    sims, rows, cols = _checked(sims, row_ids, col_ids)
-    all_cols = np.arange(sims.shape[1])
-    parts = [_sim_best(q, ids, all_cols) for ids, q in models.masked_slabs(sims, rows, cols)]
-    if not parts:
-        return rows[:0], rows[:0], np.zeros(0)
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def similarity_threshold(
     sims: np.ndarray, row_ids, col_ids, theta: float
 ) -> MappingSet:
     """Baseline: keep each row's argmax pair when its similarity > theta."""
-    return _threshold_pick(*_raw_best(sims, row_ids, col_ids), theta)
+    return _threshold_pick(*_sim_best(*_checked(sims, row_ids, col_ids)), theta)
 
 
 def _dominant_edges(sims, src, tgt, theta: float):
@@ -150,13 +140,13 @@ def _dominant_edges(sims, src, tgt, theta: float):
     block's locally dominant edges above ``theta``, each first at both its
     row and its column, and of the rows and columns left unmatched with an
     edge above ``theta``; the rows are read in slabs."""
-    all_cols = np.arange(sims.shape[1])
     row_max, row_best = np.empty(len(src)), np.empty(len(src), dtype=np.int64)
     col_max = np.full(sims.shape[1], -np.inf)
     col_first = np.zeros(sims.shape[1], dtype=np.int64)
     lo = 0
-    for ids, q in models.masked_slabs(sims, src, tgt):
-        _, row_best[lo:lo + len(q)], row_max[lo:lo + len(q)] = _sim_best(q, ids, all_cols)
+    for _, q in models.masked_slabs(sims, src, tgt):
+        best = row_best[lo:lo + len(q)] = q.argmax(axis=1)
+        row_max[lo:lo + len(q)] = q[np.arange(len(q)), best]
         # a later slab's rows are higher, so only a strictly larger max moves
         # a column's first row; only those columns are searched for it, and
         # ``max(axis=0)`` reads the slab in place where ``argmax`` copies it
@@ -242,6 +232,6 @@ def mutual_nearest(
     rev_col_ids,
 ) -> MappingSet:
     """Baseline: pairs that are mutually nearest under raw similarity."""
-    rev_entities, rev_best, _ = _raw_best(sims_reverse, rev_row_ids, rev_col_ids)
-    return _mutual_pick(*_raw_best(sims_forward, fwd_row_ids, fwd_col_ids),
+    rev_entities, rev_best, _ = _sim_best(*_checked(sims_reverse, rev_row_ids, rev_col_ids))
+    return _mutual_pick(*_sim_best(*_checked(sims_forward, fwd_row_ids, fwd_col_ids)),
                         rev_entities, rev_best)

@@ -40,8 +40,6 @@ def twin_label_data(
     n_relations: int = 8,
     perturbation: float = 0.1,
     seed: int = 0,
-    ent_prefixes: tuple[str, str] = ("a", "b"),
-    rel_prefixes: tuple[str, str] = ("r", "s"),
 ) -> tuple[list, list, list]:
     """String triples for both graphs plus ground-truth label links."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -54,10 +52,8 @@ def twin_label_data(
                               n_entities, n_relations, forbidden=set(base)))
     base_labels, twin_labels = (
         [(f"{ent}{h}", f"{rel}{r}", f"{ent}{t}") for h, r, t in triples]
-        for triples, ent, rel in zip((base, twin), ent_prefixes, rel_prefixes))
-    links = [
-        (f"{ent_prefixes[0]}{i}", f"{ent_prefixes[1]}{i}") for i in range(n_entities)
-    ]
+        for triples, ent, rel in zip((base, twin), "ab", "rs"))
+    links = [(f"a{i}", f"b{i}") for i in range(n_entities)]
     return base_labels, twin_labels, links
 
 
@@ -68,15 +64,10 @@ def write_twin_dataset(
     n_relations: int = 8,
     perturbation: float = 0.1,
     seed: int = 0,
-    ent_prefixes: tuple[str, str] = ("a", "b"),
-    rel_prefixes: tuple[str, str] = ("r", "s"),
     n_links: int | None = None,
 ) -> Path:
     """Write a benchmark-layout dataset directory; returns its path."""
-    base, twin, links = twin_label_data(
-        n_entities, n_triples, n_relations, perturbation, seed,
-        ent_prefixes, rel_prefixes,
-    )
+    base, twin, links = twin_label_data(n_entities, n_triples, n_relations, perturbation, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, triples in (("rel_triples_1", base), ("rel_triples_2", twin)):

@@ -37,8 +37,8 @@ computed them before its factor sums shared one join; the package must
 match them bit for bit.
 
 ``refine_one_block`` is the refinement as one block over the gathered
-``(row_ids, col_ids)`` similarities; the package reads row slabs in place
-and must return the same assignment and rows.
+``(row_ids, col_ids)`` similarities, with the reference assignment; the
+package reads row slabs and must return the same assignment and rows.
 
 The references take an assignment as a dict from source entity to
 counterpart; the package takes one ``int64`` array with -1 where an entity
@@ -290,19 +290,21 @@ def factor_sums(f, rows, cands) -> np.ndarray:
                                    np.concatenate([own, anchored]), n_rows)
 
 
-def refine_one_block(oriented, sims: SimMatrix, labelled, row_ids, col_ids, top_k,
-                     debug_sink=None) -> tuple[dict[int, int], list]:
+def refine_one_block(oriented, sims: SimMatrix, labelled, row_ids, col_ids,
+                     top_k) -> tuple[dict[int, int], list]:
     """The assignment, as a dict, and the refined rows from one gathered
-    block, with the package's array kernels, as the run computed them before
-    it read slabs.  ``labelled`` is a dict; the ``row_ids`` are unlabelled."""
+    block, as the run computed them before it read slabs: the assignment by
+    the reference ``build_assignment``, the rows by the package's
+    ``refine_rows``.  ``labelled`` is a dict; the ``row_ids`` are
+    unlabelled."""
+    if len(row_ids) and not len(col_ids):
+        raise ValueError("candidates must be nonempty")
     block = sims.scores[np.ix_(row_ids, col_ids)]
-    best = compatibility.build_assignment(block, row_ids, col_ids)
-    mapping = {**dict(zip(row_ids, best.tolist())), **labelled}
+    mapping = build_assignment(block, row_ids, col_ids, labelled)
     assignment = assignment_array(mapping, oriented.source.n_entities)
     stats = compatibility.estimate_relation_stats(oriented, assignment)
     return mapping, compatibility.refine_rows(
-        block, row_ids, col_ids, oriented, stats, assignment, top_k=top_k,
-        debug_sink=debug_sink)
+        block, row_ids, col_ids, oriented, stats, assignment, top_k=top_k)
 
 
 def relation_inverse_functionality(kg) -> dict[int, float]:

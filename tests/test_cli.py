@@ -189,7 +189,6 @@ class TestRunCommand:
         ("--seed", "seed: expected an integer, got 'none'"),
         ("--ratio", "ratio: expected a number, got 'none'"),
         ("--oracle-noise", "oracle_noise: expected a number, got 'none'"),
-        ("--debug-dump", "debug_dump: expected a boolean, got 'none'"),
         # a path field keeps the word, and names the missing file
         ("--dataset-dir", "dataset file missing: none"),
     ])

@@ -42,13 +42,24 @@ def random_tiny_pair(rng, n=6, t=10, r=2):
     return KgPair(k1, k2)
 
 
+def whole(q, row_ids, col_ids) -> np.ndarray:
+    """A whole matrix with the block ``q`` at ``(row_ids, col_ids)``; every
+    other cell scores above the block, so an argmax read outside the ids
+    shows."""
+    sims = np.full((max(row_ids, default=-1) + 1, max(col_ids, default=-1) + 1),
+                   np.max(q, initial=0.0) + 1.0)
+    sims[np.ix_(row_ids, col_ids)] = q
+    return sims
+
+
 def assigned(q, row_ids, col_ids, labelled: dict[int, int], n: int) -> np.ndarray:
-    """The frozen assignment over ``n`` source entities: ``labelled``, and
-    ``build_assignment``'s argmax written in at each other row."""
+    """The frozen assignment over ``n`` source entities from the block
+    ``q``: ``labelled``, and ``build_assignment``'s argmax written in at
+    each other row."""
     y = oracle.assignment_array(labelled, n)
     rows = np.asarray(row_ids, dtype=np.int64)
     free = y[rows] < 0
-    y[rows[free]] = build_assignment(q, row_ids, col_ids)[free]
+    y[rows[free]] = build_assignment(whole(q, row_ids, col_ids), row_ids, col_ids)[free]
     return y
 
 
@@ -470,15 +481,6 @@ class TestRefineRows:
             assert ra.cand_ids == rr.cand_ids
             np.testing.assert_allclose(ra.probs, rr.probs, atol=0)
 
-    def test_debug_sink_rows(self):
-        pair, assignment, stats, row_ids, col_ids, q = self.scenario()
-        sink: list = []
-        refined = refine_rows(q, row_ids, col_ids, pair, stats, assignment,
-                              top_k=3, debug_sink=sink)
-        assert len(sink) == 3 * len(refined)
-        for u, c, s, p in sink:
-            assert u in row_ids and 0.0 <= p <= 1.0
-
 
 def assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u):
     """Factor score, sums and refined rows against the triple-scanning
@@ -508,10 +510,10 @@ def assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k
 
 
 def assert_assignment_matches_reference(q, row_ids, col_ids, labelled, n):
-    """``build_assignment``'s argmax of every row, labelled rows included,
-    and the array with the other rows' argmaxes written over ``labelled``,
-    against the reference's dicts."""
-    best = build_assignment(q, row_ids, col_ids)
+    """``build_assignment``'s argmax of every row of the block ``q``,
+    labelled rows included, and the array with the other rows' argmaxes
+    written over ``labelled``, against the reference's dicts."""
+    best = build_assignment(whole(q, row_ids, col_ids), row_ids, col_ids)
     assert best.dtype == np.int64
     assert dict(zip(row_ids, best.tolist())) == oracle.build_assignment(q, row_ids, col_ids, {})
     assert oracle.assignment_mapping(assigned(q, row_ids, col_ids, labelled, n)) == \
@@ -865,23 +867,33 @@ class TestStoryScenarios:
 
 
 class TestIdOrderedBlocks:
-    """The assignment and the refinement read a block whose columns may come
-    in any id order; both must keep the lowest id among tied columns."""
+    """The assignment reads a model's whole matrix over ids in any order,
+    and the refinement a block whose columns may come in any id order; both
+    must keep the lowest id among tied columns."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_assignment_matches_reference_on_permuted_ids(self, data):
-        n_rows = data.draw(st.integers(0, 8))
-        col_ids = data.draw(st.permutations(range(data.draw(st.integers(1, 9)))))
-        col_ids = [3 * c + 1 for c in col_ids]  # ids that are not positions
+        n_rows, n_cols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 12))
         row_ids = data.draw(st.permutations(range(n_rows)))
+        row_ids = row_ids[:data.draw(st.integers(0, n_rows))]
+        col_ids = data.draw(st.permutations(range(n_cols)))
+        col_ids = col_ids[:data.draw(st.integers(1, n_cols))]
         labelled = data.draw(st.dictionaries(st.integers(0, 9), st.integers(0, 9),
                                              max_size=3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # two or three levels: most rows tie at their maximum
+        # two or three levels: most rows tie at their maximum, and the
+        # columns outside col_ids often score at it too
         levels = data.draw(st.integers(2, 3))
-        q = rng.integers(0, levels, size=(n_rows, len(col_ids))).astype(float)
-        assert_assignment_matches_reference(q, row_ids, col_ids, labelled, 10)
+        sims = rng.integers(0, levels, size=(n_rows, n_cols)).astype(float)
+        slab = data.draw(st.sampled_from([1, 2, n_rows + 1]), label="slab rows")
+        with mock.patch.object(models, "SLAB_BYTES", 8 * n_cols * slab):
+            best = build_assignment(sims, row_ids, col_ids)
+        assert best.dtype == np.int64
+        block = sims[np.ix_(row_ids, col_ids)]
+        assert dict(zip(row_ids, best.tolist())) == \
+            oracle.build_assignment(block, row_ids, col_ids, {})
+        assert_assignment_matches_reference(block, row_ids, col_ids, labelled, 10)
 
     def test_refined_rows_equal_for_any_column_order(self):
         rng = np.random.default_rng(5)
@@ -889,8 +901,9 @@ class TestIdOrderedBlocks:
         row_ids, cols = [2, 3, 4, 5, 6], list(range(pair.target.n_entities))
         q = rng.integers(0, 3, size=(len(row_ids), len(cols))).astype(float)
         perm = rng.permutation(len(cols))
-        assert np.array_equal(build_assignment(q[:, perm], row_ids, [cols[j] for j in perm]),
-                              build_assignment(q, row_ids, cols))
+        sims = whole(q, row_ids, cols)
+        assert np.array_equal(build_assignment(sims, row_ids, [cols[j] for j in perm]),
+                              build_assignment(sims, row_ids, cols))
         assignment = assigned(q, row_ids, cols, {0: 0, 1: 1}, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
         refined = [refine_rows(block, row_ids, ids, pair, stats, assignment, top_k=4)
@@ -898,27 +911,20 @@ class TestIdOrderedBlocks:
         assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[0]] == \
                [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[1]]
 
-    def test_tall_block_is_refined_in_slabs(self):
-        rng = np.random.default_rng(7)
-        pair = random_tiny_pair(rng, n=7, t=12, r=2)
-        row_ids, cols = [2, 3, 4, 5, 6], list(range(pair.target.n_entities))[::-1]
-        q = rng.integers(0, 3, size=(len(row_ids), len(cols))).astype(float)
-        assignment = assigned(q, row_ids, cols, {0: 0, 1: 1}, pair.source.n_entities)
-        stats = estimate_relation_stats(pair, assignment)
-        whole = refine_rows(q, row_ids, cols, pair, stats, assignment, top_k=4)
-        with mock.patch.object(models, "SLAB_BYTES", 2 * 8 * len(cols)), mock.patch.object(
-                compatibility, "_top_candidates",
-                wraps=compatibility._top_candidates) as top:
-            slabbed = refine_rows(q, row_ids, cols, pair, stats, assignment, top_k=4)
-        assert [len(c.args[0]) for c in top.call_args_list] == [2, 2, 1]
-        assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in slabbed] == \
-               [(r.entity, r.cand_ids, r.probs.tobytes()) for r in whole]
+    @pytest.mark.parametrize("row_ids, col_ids, message", [
+        ([0, 2], [0], r"row ids must be in \[0, 2\)"),
+        ([-1], [0], r"row ids must be in \[0, 2\)"),
+        ([0], [1, 3], r"column ids must be in \[0, 3\)"),
+        ([0], [-1], r"column ids must be in \[0, 3\)"),
+    ], ids=["row-past-end", "row-negative", "column-past-end", "column-negative"])
+    def test_id_outside_the_matrix_rejected(self, row_ids, col_ids, message):
+        # a negative id would otherwise wrap to the matrix's far end
+        with pytest.raises(ValueError, match=message):
+            build_assignment(np.ones((2, 3)), row_ids, col_ids)
 
     def test_mis_shaped_block_rejected(self):
         pair = random_tiny_pair(np.random.default_rng(6))
         q = np.ones((2, 3))
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            build_assignment(q, [0, 1], [10, 11])
         assignment = oracle.assignment_array({}, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):

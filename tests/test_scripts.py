@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from kgalign.cli import _build_parser
+from kgalign.selftrain import config_from_mapping, parse_config_file
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -60,6 +61,20 @@ def test_readme_shows_every_script_and_command():
     shown = {argv[1] for argv in readme_commands()}
     assert {f"scripts/{p.name}" for p in SCRIPTS.glob("*.py")} <= shown
     assert {"partition", "run", "import-sim", "stats", "eval"} <= shown
+
+
+def test_readme_config_block_loads(tmp_path):
+    """The ``run.conf`` example under the README's config section loads as
+    written: a comment takes a line of its own, since ``#`` inside a value
+    is part of it."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^### Config format\n.*?^```[^\n]*\n(.*?)^```", text,
+                      re.M | re.S).group(1)
+    conf = tmp_path / "run.conf"
+    conf.write_text(block, encoding="utf-8")
+    config = config_from_mapping(parse_config_file(conf))
+    assert (config.strategy, config.ratio, config.model, config.top_k) == \
+        ("MutHighestProb", 0.05, "embedding", 10)
 
 
 def test_quick_start_scripts_run(tmp_path):

@@ -134,15 +134,13 @@ class TestConfig:
             "mode = selftrain\n"
             "strategy = UniThr\n"
             "alpha = 0.6\n"
-            "iterations = 3\n"
-            "debug_dump = true\n",
+            "iterations = 3\n",
             encoding="utf-8",
         )
         cfg = config_from_mapping(parse_config_file(conf))
         assert cfg.strategy == "UniThr"
         assert cfg.alpha == 0.6
         assert cfg.iterations == 3
-        assert cfg.debug_dump is True
 
     def test_unknown_key_rejected(self):
         for key in ("bogus", "refine_passes", "rank_with_refined",
@@ -417,20 +415,6 @@ class TestLoopContracts:
         flushed = (run.run_dir / "metrics.jsonl").read_text().splitlines()
         assert len(flushed) == 1  # iteration 0 was flushed before the abort
 
-    def test_debug_dump_writes_refinement_tsv(self, twin_dataset_dir, tmp_path):
-        cfg = base_config(twin_dataset_dir, tmp_path, iterations=1,
-                          debug_dump=True)
-        run = SelfTrainRun(cfg)
-        run.run()
-        dumps = sorted(run.run_dir.glob("refine_debug_iter0_*.tsv"))
-        assert [p.name for p in dumps] == [
-            "refine_debug_iter0_fwd.tsv", "refine_debug_iter0_rev.tsv",
-        ]
-        header, first, *_ = dumps[0].read_text().splitlines()
-        assert header == "entity\tcandidate\tscore_sum\tprobability"
-        assert len(first.split("\t")) == 4
-
-
     def test_saturated_calibration_keeps_similarity_candidates(
         self, twin_dataset_dir, tmp_path, monkeypatch
     ):
@@ -439,18 +423,21 @@ class TestLoopContracts:
         def saturated(sims, truth_cols):
             return 1e300, [0.0]
 
+        refined: list[list] = []  # each direction's rows, forward first
+
+        def recording(*args, **kwargs):
+            refined.append(rows := refine_slabs(*args, **kwargs))
+            return rows
+
         monkeypatch.setattr(selftrain, "fit_calibration", saturated)
-        cfg = base_config(twin_dataset_dir, tmp_path, iterations=1, debug_dump=True)
+        monkeypatch.setattr(selftrain, "refine_slabs", recording)
+        cfg = base_config(twin_dataset_dir, tmp_path, iterations=1)
         run = SelfTrainRun(cfg)
         run.run()
         scores = run.model.similarities(SRC_TO_TGT).scores
-        dumped: dict[int, list[int]] = {}
-        lines = (run.run_dir / "refine_debug_iter0_fwd.tsv").read_text().splitlines()
-        for line in lines[1:]:
-            entity, candidate, _, _ = line.split("\t")
-            dumped.setdefault(int(entity), []).append(int(candidate))
-        assert sorted(dumped) == run.unlab_src.tolist()
-        for u, cands in dumped.items():
+        candidates = {row.entity: list(row.cand_ids) for row in refined[0]}
+        assert sorted(candidates) == run.unlab_src.tolist()
+        for u, cands in candidates.items():
             by_similarity = sorted(run.unlab_tgt, key=lambda c: (-scores[u, c], c))
             assert cands == by_similarity[:cfg.top_k]
 
@@ -516,23 +503,25 @@ class TestSlabbedRefinement:
 
         labelled_ids = oracle.assignment_array(labelled, n_rows)
 
-        ref_sink: list = []
         try:
             ref_mapping, ref_rows = oracle.refine_one_block(
-                oriented, sims, labelled, row_ids, col_ids, top_k, ref_sink)
+                oriented, sims, labelled, row_ids, col_ids, top_k)
         except ValueError as exc:  # unlabelled rows but no unlabelled column
             with pytest.raises(ValueError, match=str(exc)):
                 refine_slabs(oriented, sims, labelled_ids, row_ids, col_ids, top_k)
             return
-        sink: list = []
         with mock.patch.object(models, "SLAB_BYTES", 8 * n_cols * slab), mock.patch.object(
+                compatibility, "build_assignment",
+                wraps=compatibility.build_assignment) as assign_of, mock.patch.object(
                 compatibility, "estimate_relation_stats",
                 wraps=compatibility.estimate_relation_stats) as stats_of, mock.patch.object(
                 compatibility, "_FactorModel", wraps=compatibility._FactorModel) as factors_of:
-            rows = refine_slabs(oriented, sims, labelled_ids, row_ids, col_ids, top_k,
-                                debug_sink=sink)
+            rows = refine_slabs(oriented, sims, labelled_ids, row_ids, col_ids, top_k)
+        # one assignment pass over the whole matrix, however small the slabs;
         # the statistics are estimated once, from the merged frozen assignment,
         # and the factor model reads that same array, which nothing can write
+        assign_of.assert_called_once()
+        assert assign_of.call_args.args[0] is sims.scores
         stats_of.assert_called_once()
         assignment = stats_of.call_args.args[1]
         assert oracle.assignment_mapping(assignment) == ref_mapping
@@ -542,7 +531,6 @@ class TestSlabbedRefinement:
             assignment[:1] = -1
         assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in rows] == [
             (r.entity, r.cand_ids, r.probs.tobytes()) for r in ref_rows]
-        assert sink == ref_sink
 
     @pytest.mark.parametrize("strategy, theta, bound, ratio", [
         ("MutHighestProb", None, 0.17, 0.05), ("MutHighestProb", None, 0.45, 0.3),

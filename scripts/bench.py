@@ -23,8 +23,10 @@ in both, ``--pairs`` times, alternating which side runs first.  For each
 end-to-end metric the record holds both sides' values per pair, their
 medians and quartiles, the median paired ratio (this checkout over
 ``REV``) and how many pairs this checkout won, by the metric's ``better``
-direction in ``BENCHMARK.json``.  All timing is the benchmark's own; this
-script adds none.
+direction in ``BENCHMARK.json``.  The record also holds ``REV``'s line
+count of ``src/kgalign/*.py`` (``against_src_lines``), so ``src_lines -
+against_src_lines`` is the change's net src delta.  All timing is the
+benchmark's own; this script adds none.
 
 Each ``perfbench/run.py`` runs in a session of its own.  When this script is
 interrupted (Ctrl-C included), it sends that session SIGINT, so ``run.py``
@@ -81,9 +83,9 @@ def _dirty() -> bool:
     return status.returncode != 0 or bool(status.stdout.strip())
 
 
-def _src_lines() -> int:
-    """Total line count of ``src/kgalign/*.py``, as ``wc -l`` counts."""
-    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "kgalign").glob("*.py"))
+def _src_lines(root: Path = ROOT) -> int:
+    """Total line count of ``root``'s ``src/kgalign/*.py``, as ``wc -l`` counts."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "kgalign").glob("*.py"))
 
 
 def _perfbench(root: Path, args, workload: str, trace: int) -> dict | None:
@@ -160,6 +162,7 @@ def _paired(args, spec: dict, record: dict, workloads: list[str]) -> bool:
         if add.returncode != 0:
             sys.stderr.write(add.stderr)
             return False
+        record["against_src_lines"] = _src_lines(tree)
         try:
             for workload in workloads:
                 runs = {"base": [], "change": []}

@@ -2,6 +2,7 @@
 
 from .calibration import CalibrationParams, ProbRow, calibrate_row, fit_calibration
 from .compatibility import (
+    FactorModel,
     RelationStats,
     conditional_distribution,
     estimate_relation_stats,

@@ -9,8 +9,7 @@ when every truth is a maximum of its row.
 
 The refinement's assignment and the raw-similarity strategies take their
 lowest-id argmaxes in ``_sim_best``, one pass over a model's whole matrix in
-``models.masked_slabs`` row slabs.  ``refine_rows`` reads a block it is
-handed through the ``_sim_block`` check and the ``_by_id`` column order.
+``models.masked_slabs`` row slabs.
 """
 
 from __future__ import annotations
@@ -107,30 +106,10 @@ def argmax_lowest_id(cand_ids, values) -> int:
     return min(cand_ids[i] for i in np.flatnonzero(values == values.max()))
 
 
-def _sim_block(sims, row_ids, col_ids) -> np.ndarray:
-    """``sims`` as float64, checked to hold one row per row id and one
-    column per column id."""
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.shape != (len(row_ids), len(col_ids)):
-        raise ValueError(f"similarity block has shape {sims.shape}, but the ids "
-                         f"give shape {(len(row_ids), len(col_ids))}")
-    return sims
-
-
-def _by_id(sims: np.ndarray, ids, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sims`` and ``ids`` reordered along ``axis`` so the ids ascend; no
-    copy when they already do, else a C-ordered copy."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.all(ids[1:] > ids[:-1]):
-        return sims, ids
-    order = np.argsort(ids, kind="stable")
-    return sims.take(order, axis=axis), ids[order]
-
-
 def _ids_in(ids, n: int, axis: str) -> np.ndarray:
     """``ids`` as int64, checked to index an axis of length ``n``."""
     ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) and not (0 <= ids.min() and ids.max() < n):
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
         raise ValueError(f"{axis} ids must be in [0, {n})")
     return ids
 
@@ -151,6 +130,8 @@ def _sim_best(sims, row_ids, col_ids) -> tuple[np.ndarray, np.ndarray, np.ndarra
         best[lo:lo + len(q)] = b = q.argmax(axis=1)
         top[lo:lo + len(q)] = q[np.arange(len(q)), b]
         lo += len(q)
+    if len(rows):  # a row all -inf ties with the masked columns, too
+        best[top == -np.inf] = cols.min()
     return rows, best, top
 
 

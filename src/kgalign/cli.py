@@ -160,7 +160,7 @@ def _cmd_eval(args) -> int:
         out.update(hit1=report.hit1, hit10=report.hit10, mrr=report.mrr)
     if args.pseudo_file:
         id_pairs = []
-        with open(args.pseudo_file, encoding="utf-8") as fh:
+        with open(args.pseudo_file, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

@@ -22,13 +22,15 @@ a frozen assignment).  The assignment is one ``int64`` array over the
 source entities: ``assignment[e]`` is the counterpart of ``e``, or -1 where
 ``e`` has none.  They read each KG's directed edges from its ``Kg.edges``
 table, sorted by endpoint pair and so its own join on pairs: the
-statistics count over the target table's join, and ``_FactorModel`` reads
-each factor's relation evidence through it from one dense matrix over
-pairs of directed relations.  ``tests/oracle.py`` keeps the readable
-triple-scanning versions they are checked against.
+statistics count over the target table's join, and ``FactorModel``, one
+assignment's factor model compiled to arrays, reads each factor's relation
+evidence through it from one dense matrix over pairs of directed relations.
+``tests/oracle.py`` keeps the readable triple-scanning versions they are
+checked against.
 
-``build_assignment`` walks a model's whole matrix in row slabs, as the
-raw-similarity strategies do; ``refine_rows`` refines the block it is handed.
+``refine_slabs`` refines one direction of a run: one ``build_assignment``
+pass over the model's whole matrix, one ``FactorModel`` of that
+assignment, and one ``refine_rows`` call per row slab.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ProbRow, _by_id, _sim_best, _sim_block, _softmax
+from . import models
+from .calibration import ProbRow, _ids_in, _sim_best, _softmax
 from .kg import Kg, KgPair, _ranges, _run_starts
 
 
@@ -80,7 +83,7 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: np.ndarray) -> Relation
     n_src, n_tgt = 2 * src.n_relations, 2 * tgt.n_relations
     s_near, s_rel, s_far = src.edges.near, src.edges.rel, src.edges.far
     t_near, t_rel, t_far = tgt.edges.near, tgt.edges.rel, tgt.edges.far
-    y = assignment
+    y = _checked_assignment(kg_pair, assignment)
     trial = np.flatnonzero((y[s_near] >= 0) & (y[s_far] >= 0))
     # every (source edge, target edge) pair joining counterpart endpoints
     i, j = tgt.edges.matches(y[s_near[trial]], y[s_far[trial]])
@@ -112,6 +115,15 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: np.ndarray) -> Relation
     )
 
 
+def _checked_assignment(kg_pair: KgPair, assignment: np.ndarray) -> np.ndarray:
+    """``assignment``, checked to hold one entry per source entity."""
+    n = kg_pair.source.n_entities
+    if len(assignment) != n:
+        raise ValueError(f"assignment has length {len(assignment)}, but the source KG "
+                         f"has {n} entities")
+    return assignment
+
+
 def local_compatibility(
     e: int,
     candidate: int,
@@ -127,26 +139,9 @@ def local_compatibility(
     without an assignment contribute nothing; with no matched pair at all
     the score is 0.
     """
-    f = _FactorModel(kg_pair, stats, assignment)
+    f = FactorModel(kg_pair, stats, assignment)
     log_surv = f.own_log_survival(np.array([e]), np.array([[candidate]]))[0]
     return float(1.0 - np.exp(log_surv[0, 0]))
-
-
-def compatibility_sums(
-    u: int,
-    candidates,
-    assignment: np.ndarray,
-    kg_pair: KgPair,
-    stats: RelationStats,
-) -> np.ndarray:
-    """For each candidate ``c``: the sum of factor scores over all factors
-    containing ``u``, evaluated with ``u`` mapped to ``c`` and everything
-    else frozen.  The factors containing ``u`` are anchored at ``u`` and at
-    its one-hop neighbors; the others cancel in the conditional and are
-    never evaluated."""
-    cands = np.asarray(candidates, dtype=np.int64).reshape(1, -1)
-    f = _FactorModel(kg_pair, stats, assignment)
-    return f.factor_sums(np.array([u]), cands)[0]
 
 
 def conditional_distribution(
@@ -158,11 +153,13 @@ def conditional_distribution(
 ) -> ProbRow:
     """Conditional of ``u``'s counterpart given its Markov blanket.
 
-    Softmax over the candidate set of the per-candidate factor-score sums.
+    Softmax over the candidate set of the per-candidate factor-score sums
+    (``FactorModel.factor_sums``); the factors without ``u`` cancel.
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
-    sums = compatibility_sums(u, candidates, assignment, kg_pair, stats)
+    cands = np.asarray(candidates, dtype=np.int64).reshape(1, -1)
+    sums = FactorModel(kg_pair, stats, assignment).factor_sums(np.array([u]), cands)[0]
     return ProbRow(entity=u, cand_ids=tuple(candidates), probs=_softmax(sums))
 
 
@@ -177,18 +174,41 @@ def build_assignment(sims: np.ndarray, row_ids, col_ids) -> np.ndarray:
     return _sim_best(sims, row_ids, col_ids)[1]
 
 
-def refine_rows(
-    q_matrix: np.ndarray,
-    row_ids,
-    col_ids,
-    kg_pair: KgPair,
-    stats: RelationStats,
-    assignment: np.ndarray,
-    top_k: int = 10,
-    *,
-    factors: _FactorModel | None = None,
+def refine_slabs(
+    oriented: KgPair, sims: models.SimMatrix, labelled: np.ndarray,
+    row_ids, col_ids, top_k: int,
 ) -> list[ProbRow]:
-    """One block update of the given rows against a frozen assignment.
+    """The refined ``row_ids`` rows over the candidates ``col_ids``, read
+    from ``sims`` one row slab at a time.
+
+    ``labelled[e]`` is source entity ``e``'s labelled counterpart or -1, and
+    the ``row_ids`` are unlabelled.  One ``build_assignment`` pass over the
+    whole matrix writes the rows' argmaxes into a copy of ``labelled``, the
+    frozen assignment, and one ``FactorModel`` is compiled from it; a
+    second pass refines against that model, one ``refine_rows`` call per
+    slab.  Both are row-independent, so they equal one pass over the
+    ``(row_ids, col_ids)`` block, which is never built.  Each slab spans all
+    columns, those outside ``col_ids`` at -inf, so ``top_k`` is capped by
+    the number of ``col_ids``.
+    """
+    top_k = min(top_k, len(col_ids))
+    if len(row_ids) and not top_k:
+        raise ValueError("candidates must be nonempty")
+    y = labelled.copy()
+    y[row_ids] = build_assignment(sims.scores, row_ids, col_ids)
+    y.flags.writeable = False
+    factors = FactorModel(oriented, estimate_relation_stats(oriented, y), y)
+    all_cols = np.arange(sims.scores.shape[1])
+    rows: list[ProbRow] = []
+    for ids, q in models.masked_slabs(sims.scores, row_ids, col_ids):
+        rows += refine_rows(q, ids, all_cols, factors, top_k=top_k)
+    return rows
+
+
+def refine_rows(q_matrix: np.ndarray, row_ids, col_ids, factors: FactorModel,
+                top_k: int = 10) -> list[ProbRow]:
+    """One block update of the given rows against the frozen assignment
+    that ``factors`` was compiled from.
 
     Every row independently keeps its ``top_k`` candidates by descending
     ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
@@ -196,11 +216,9 @@ def refine_rows(
     ``len(row_ids) × len(col_ids)``; it is read in place when the column
     ids ascend, else copied in id order, and the temporaries scale with the
     block, so a caller bounds them by handing in one row slab per call.  The
-    caller's ``assignment`` array, with the rows' ``build_assignment``
-    argmaxes written in, stays fixed, so the result does not depend on how
-    the rows are split.  ``factors`` is the ``_FactorModel`` of
-    ``kg_pair``, ``stats`` and ``assignment``, compiled here when not given;
-    a caller that refines one assignment in many calls compiles it once.
+    assignment, with the rows' ``build_assignment`` argmaxes written in,
+    stays fixed, so the result does not depend on how the rows are split,
+    and a caller that refines it in many calls compiles one ``FactorModel``.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -211,11 +229,29 @@ def refine_rows(
     k = min(top_k, q_matrix.shape[1])
     if k == 0:
         raise ValueError("candidates must be nonempty")
-    if factors is None:
-        factors = _FactorModel(kg_pair, stats, assignment)
     cands = _top_candidates(*_by_id(q_matrix, col_ids, axis=1), k)
     probs = _softmax(factors.factor_sums(row_ids, cands))
     return ProbRow.block(row_ids.tolist(), cands, probs)
+
+
+def _sim_block(sims, row_ids, col_ids) -> np.ndarray:
+    """``sims`` as float64, checked to hold one row per row id and one
+    column per column id."""
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.shape != (len(row_ids), len(col_ids)):
+        raise ValueError(f"similarity block has shape {sims.shape}, but the ids "
+                         f"give shape {(len(row_ids), len(col_ids))}")
+    return sims
+
+
+def _by_id(sims: np.ndarray, ids, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sims`` and ``ids`` reordered along ``axis`` so the ids ascend; no
+    copy when they already do, else a C-ordered copy."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if np.all(ids[1:] > ids[:-1]):
+        return sims, ids
+    order = np.argsort(ids, kind="stable")
+    return sims.take(order, axis=axis), ids[order]
 
 
 def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -280,23 +316,25 @@ def _row_sums(owner: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(idx, vals.ravel(), minlength=n * k).reshape(n, k)
 
 
-class _FactorModel:
+class FactorModel:
     """The factor model of one assignment compiled to arrays.
 
     ``ptr``, ``rel`` and ``far`` are the source KG's edge table, ``tgt``
     the target KG's, and ``y[e]`` is the counterpart assigned to source
-    entity ``e`` or -1.  ``log_surv[rho_s, rho_t]`` is the log survival of
-    one matched pair of directed relations.  A factor's log survival is the
-    sum of ``log_surv`` entries over its source edges and the target edges
-    joining their mapped endpoints, so ``1 - exp(sum)`` is its score.
-    ``edge_surv[i]`` is that sum for source edge ``i`` under the assignment,
-    compiled in one join, so an anchor's other edges read it with no join.
+    entity ``e`` or -1; an assignment whose length is not the source KG's
+    entity count raises ``ValueError``.  ``log_surv[rho_s, rho_t]`` is the
+    log survival of one matched pair of directed relations.  A factor's log
+    survival is the sum of ``log_surv`` entries over its source edges and
+    the target edges joining their mapped endpoints, so ``1 - exp(sum)`` is
+    its score.  ``edge_surv[i]`` is that sum for source edge ``i`` under the
+    assignment, compiled in one join, so an anchor's other edges read it
+    with no join.
     """
 
     def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: np.ndarray):
         src, tgt = kg_pair.source, kg_pair.target
         self.rel, self.far, self.ptr = src.edges.rel, src.edges.far, src.edges.ptr
-        self.y = assignment
+        self.y = _checked_assignment(kg_pair, assignment)
         self.log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
         self.tgt = tgt.edges
         self.edge_surv = self.edge_log_survival(self.rel, self.y[src.edges.near], self.y[self.far])
@@ -337,7 +375,9 @@ class _FactorModel:
         row's entity ``u`` with ``u`` mapped to each of its candidates; then
         the join it reads: the rows' edges ``(owner, far)`` and, per edge and
         candidate ``c``, ``tgt.find``'s ``(pos, hit)`` for the target pair
-        ``(c, y[far])`` (``(c, c)`` on a self-loop)."""
+        ``(c, y[far])`` (``(c, c)`` on a self-loop).  Ids outside the KGs raise."""
+        rows = _ids_in(rows, len(self.y), "row")
+        cands = _ids_in(cands, self.tgt.n, "candidate")
         owner, edge = _ranges(self.ptr, rows)
         far = self.far[edge]
         c = cands[owner]

@@ -4,8 +4,8 @@ Each self-training iteration (a) fits the model on the current training
 set (labelled mappings plus the previous iteration's pseudo mappings),
 (b) computes the forward similarities (the reverse ones only for strategies
 that read them), (c) fits the similarity calibration on labelled rows and
-records it, (d) estimates relation statistics and, for both source-role
-choices, refines each unlabelled row's top-k candidates by similarity,
+records it, (d) for both source-role choices, refines each unlabelled
+row's top-k candidates by similarity (``compatibility.refine_slabs``),
 (e) generates pseudo mappings with the configured strategy and evaluates.
 The first pseudo-generation pass counts as iteration 0.
 
@@ -43,7 +43,6 @@ from .models import (
     ExternalSimilarityModel,
     SimMatrix,
     SyntheticOracle,
-    masked_slabs,
     row_slabs,
 )
 from .simio import read_dense_sim
@@ -245,39 +244,6 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def refine_slabs(
-    oriented: KgPair, sims: SimMatrix, labelled: np.ndarray,
-    row_ids, col_ids, top_k: int,
-) -> list[ProbRow]:
-    """The refined ``row_ids`` rows over the candidates ``col_ids``, read
-    from ``sims`` one row slab at a time.
-
-    ``labelled[e]`` is source entity ``e``'s labelled counterpart or -1, and
-    the ``row_ids`` are unlabelled.  One ``build_assignment`` pass over the
-    whole matrix writes the rows' argmaxes into a copy of ``labelled``, the
-    frozen assignment; a second pass refines against it, one
-    ``refine_rows`` call per slab.  Both are row-independent, so they equal
-    one pass over the ``(row_ids, col_ids)`` block, which is never built.
-    Each slab spans all columns, those outside ``col_ids`` at -inf, so
-    ``top_k`` is capped by the number of ``col_ids``.
-    """
-    top_k = min(top_k, len(col_ids))
-    if len(row_ids) and not top_k:
-        raise ValueError("candidates must be nonempty")
-    y = labelled.copy()
-    y[row_ids] = compatibility.build_assignment(sims.scores, row_ids, col_ids)
-    y.flags.writeable = False
-    stats = compatibility.estimate_relation_stats(oriented, y)
-    # compiled once: each slab's call would otherwise build its own
-    factors = compatibility._FactorModel(oriented, stats, y)
-    all_cols = np.arange(sims.scores.shape[1])
-    rows: list[ProbRow] = []
-    for ids, q in masked_slabs(sims.scores, row_ids, col_ids):
-        rows += compatibility.refine_rows(q, ids, all_cols, oriented, stats, y,
-                                          top_k=top_k, factors=factors)
-    return rows
-
-
 class SelfTrainRun:
     """One experiment: loads data, partitions, builds the model, iterates."""
 
@@ -343,7 +309,8 @@ class SelfTrainRun:
             raise CalibrationError(
                 f"{tag} calibration at iteration {iteration}: {err}") from None
         self._calibration_log.append((f"iter{iteration}.{tag}", beta))
-        return refine_slabs(oriented, sims, labelled, row_ids, col_ids, cfg.top_k)
+        return compatibility.refine_slabs(oriented, sims, labelled, row_ids, col_ids,
+                                          cfg.top_k)
 
     def _generate_pseudo(self, sim_fwd: SimMatrix, iteration: int,
                          held: MappingSet) -> MappingSet:

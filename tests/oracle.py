@@ -250,7 +250,7 @@ def refine_rows(q, row_ids, col_ids, kg_pair, stats, assigned: dict[int, int], t
 
 
 def factor_own_log_survival(f, rows, cands) -> np.ndarray:
-    """``_FactorModel.own_log_survival`` as it was written before the
+    """``FactorModel.own_log_survival`` as it was written before the
     factor sums shared its join: a join of its own."""
     owner, edge = _ranges(f.ptr, rows)
     far = f.far[edge]
@@ -261,7 +261,7 @@ def factor_own_log_survival(f, rows, cands) -> np.ndarray:
 
 
 def factor_sums(f, rows, cands) -> np.ndarray:
-    """``_FactorModel.factor_sums`` with three joins per call: the rows'
+    """``FactorModel.factor_sums`` with three joins per call: the rows'
     own edges, each anchor's edges to other entities, and each anchor's
     edges to the row.  The package must match it bit for bit."""
     n_rows, n_src = len(rows), len(f.y)
@@ -303,8 +303,8 @@ def refine_one_block(oriented, sims: SimMatrix, labelled, row_ids, col_ids,
     mapping = build_assignment(block, row_ids, col_ids, labelled)
     assignment = assignment_array(mapping, oriented.source.n_entities)
     stats = compatibility.estimate_relation_stats(oriented, assignment)
-    return mapping, compatibility.refine_rows(
-        block, row_ids, col_ids, oriented, stats, assignment, top_k=top_k)
+    factors = compatibility.FactorModel(oriented, stats, assignment)
+    return mapping, compatibility.refine_rows(block, row_ids, col_ids, factors, top_k=top_k)
 
 
 def relation_inverse_functionality(kg) -> dict[int, float]:

@@ -436,6 +436,21 @@ class TestStatsAndEval:
         out = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert 0.0 <= out["pseudo_precision"] <= 1.0
 
+    def test_eval_pseudo_file_with_bom(self, twin_dataset_dir, tmp_path, capsys):
+        # a UTF-8 BOM before the first label is read as the triple and link
+        # readers read it, not as part of the label
+        pair, links = load_dataset(twin_dataset_dir)
+        text = "".join(f"{pair.source.entity_labels[s]}\t{pair.target.entity_labels[t]}\n"
+                       for s, t in links.pairs[:5])
+        lines = []
+        for name, prefix in (("plain.tsv", ""), ("bom.tsv", "\ufeff")):
+            (tmp_path / name).write_text(prefix + text, encoding="utf-8")
+            assert main(["eval", "--dataset-dir", str(twin_dataset_dir),
+                         "--pseudo-file", str(tmp_path / name)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert json.loads(lines[0])["pseudo_count"] == 5
+
     def test_eval_without_inputs_fails(self, twin_dataset_dir, capsys):
         code = main(["eval", "--dataset-dir", str(twin_dataset_dir)])
         assert code == 1

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 import oracle
 from kgalign.calibration import CalibrationParams, calibrate_matrix
 from kgalign.compatibility import (
+    FactorModel,
     RelationStats,
     build_assignment,
-    compatibility_sums,
     conditional_distribution,
     estimate_relation_stats,
     local_compatibility,
     refine_rows,
 )
-from kgalign import compatibility, models
+from kgalign import models
 from kgalign import kg as kg_module
 from kgalign.kg import Kg, KgPair, _edge_table
 from kgalign.synth import twin_label_data
@@ -341,8 +341,8 @@ def exact_sum_scenario():
 class TestConditionalDistribution:
     def test_softmax_of_hand_built_sums(self):
         pair, stats, assignment, u, cands = exact_sum_scenario()
-        sums = compatibility_sums(u, cands, assignment, pair, stats)
-        np.testing.assert_allclose(sums, [0.6, 0.1], atol=1e-12)
+        sums = FactorModel(pair, stats, assignment).factor_sums(np.array([u]), np.array([cands]))
+        np.testing.assert_allclose(sums[0], [0.6, 0.1], atol=1e-12)
         row = conditional_distribution(u, cands, assignment, pair, stats)
         np.testing.assert_allclose(row.probs, [0.62246, 0.37754], atol=1e-5)
 
@@ -439,7 +439,7 @@ class TestRefineRows:
     def test_full_width_equals_conditional(self):
         pair, assignment, stats, row_ids, col_ids, q = self.scenario()
         refined = refine_rows(
-            q, row_ids, col_ids, pair, stats, assignment, top_k=len(col_ids)
+            q, row_ids, col_ids, FactorModel(pair, stats, assignment), top_k=len(col_ids)
         )
         for i, row in enumerate(refined):
             full = conditional_distribution(
@@ -450,10 +450,10 @@ class TestRefineRows:
 
     def test_top_k_is_renormalized_restriction(self):
         pair, assignment, stats, row_ids, col_ids, q = self.scenario()
-        full = refine_rows(q, row_ids, col_ids, pair, stats, assignment,
-                           top_k=len(col_ids))
+        factors = FactorModel(pair, stats, assignment)
+        full = refine_rows(q, row_ids, col_ids, factors, top_k=len(col_ids))
         k = 2
-        truncated = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=k)
+        truncated = refine_rows(q, row_ids, col_ids, factors, top_k=k)
         for full_row, trunc_row in zip(full, truncated):
             dist = dict(zip(full_row.cand_ids, full_row.probs))
             kept = list(trunc_row.cand_ids)
@@ -468,11 +468,11 @@ class TestRefineRows:
 
     def test_deterministic_and_order_invariant(self):
         pair, assignment, stats, row_ids, col_ids, q = self.scenario()
-        a = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=3)
-        b = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=3)
+        factors = FactorModel(pair, stats, assignment)
+        a = refine_rows(q, row_ids, col_ids, factors, top_k=3)
+        b = refine_rows(q, row_ids, col_ids, factors, top_k=3)
         # reversed row order computes against the same frozen assignment
-        rev = refine_rows(q[::-1], row_ids[::-1], col_ids, pair, stats,
-                          assignment, top_k=3)
+        rev = refine_rows(q[::-1], row_ids[::-1], col_ids, factors, top_k=3)
         by_entity = {r.entity: r for r in rev}
         for ra, rb in zip(a, b):
             assert ra.cand_ids == rb.cand_ids
@@ -491,13 +491,14 @@ def assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k
             oracle.local_compatibility(u, c, mapping.get, pair, stats),
             rel=0, abs=1e-12,
         )
+    factors = FactorModel(pair, stats, assignment)
     np.testing.assert_allclose(
-        compatibility_sums(u, col_ids, assignment, pair, stats),
+        factors.factor_sums(np.array([u]), np.array([col_ids]))[0],
         oracle.compatibility_sums(u, col_ids, mapping, pair, stats),
         rtol=0, atol=1e-12,
     )
 
-    refined = refine_rows(q, row_ids, col_ids, pair, stats, assignment, top_k=top_k)
+    refined = refine_rows(q, row_ids, col_ids, factors, top_k=top_k)
     reference = oracle.refine_rows(q, row_ids, col_ids, pair, stats, mapping, top_k)
     assert [row.entity for row in refined] == list(row_ids)
     assert len(refined) == len(reference)
@@ -607,8 +608,8 @@ class TestRawOrderEqualsCalibratedOrder:
         for block in (q, raw):
             assignment = assigned(block, row_ids, col_ids, labelled, n_src)
             stats = estimate_relation_stats(pair, assignment)
-            rows = refine_rows(block, row_ids, col_ids, pair, stats, assignment,
-                               top_k=top_k)
+            rows = refine_rows(block, row_ids, col_ids,
+                               FactorModel(pair, stats, assignment), top_k=top_k)
             results.append((assignment.tolist(), [(r.entity, r.cand_ids, r.probs.tobytes())
                                          for r in rows]))
         assert results[0] == results[1]
@@ -638,7 +639,8 @@ class TestZeroSurvival:
 
     def test_compatibility_sums(self):
         pair, stats, assignment = self.scenario()
-        sums = compatibility_sums(1, (0, 1, 2), assignment, pair, stats)
+        [sums] = FactorModel(pair, stats, assignment).factor_sums(
+            np.array([1]), np.array([[0, 1, 2]]))
         assert np.array_equal(sums, [0.0, 3.0, 0.0])
         assert np.array_equal(
             sums, oracle.compatibility_sums(1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, pair, stats))
@@ -646,7 +648,7 @@ class TestZeroSurvival:
     def test_refine_rows(self):
         pair, stats, assignment = self.scenario()
         q = np.full((1, 3), 1.0 / 3)
-        [row] = refine_rows(q, [1], [0, 1, 2], pair, stats, assignment, top_k=3)
+        [row] = refine_rows(q, [1], [0, 1, 2], FactorModel(pair, stats, assignment), top_k=3)
         assert row.cand_ids == (0, 1, 2)
         np.testing.assert_allclose(row.probs, oracle.softmax(np.array([0.0, 3.0, 0.0])),
                                    rtol=0, atol=1e-12)
@@ -654,7 +656,7 @@ class TestZeroSurvival:
 
 
 class TestFactorModel:
-    """``_FactorModel`` reads relation evidence through the target KG's pair
+    """``FactorModel`` reads relation evidence through the target KG's pair
     join: no table with a per-target-pair dimension."""
 
     def test_edge_log_survival_sums_left_to_right(self):
@@ -668,7 +670,7 @@ class TestFactorModel:
         src = kg_of([("a0", "r0", "a1"), ("a1", "r1", "a2")])
         pair = KgPair(src, tgt)
         none = oracle.assignment_array({}, src.n_entities)
-        f = compatibility._FactorModel(pair, estimate_relation_stats(pair, none), none)
+        f = FactorModel(pair, estimate_relation_stats(pair, none), none)
         edges = tgt.edges
         counts = np.diff(edges.bounds)
         assert sorted(counts.tolist()) == [1, 1, 2, 2, 3, 3, 5, 5]
@@ -708,7 +710,7 @@ class TestFactorModel:
         _ = src.edges, tgt.edges  # built once per KG, on first use
         tracemalloc.start()
         try:
-            compatibility._FactorModel(pair, stats, assignment).factor_sums(rows, cands)
+            FactorModel(pair, stats, assignment).factor_sums(rows, cands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -769,8 +771,7 @@ class TestSharedJoin:
                                 min_size=n_src, max_size=n_src))
         mapping = {e: y for e, y in enumerate([0] + ys[1:] if ys[0] is None else ys)
                    if y is not None}
-        f = compatibility._FactorModel(pair, wide_stats(pair, rng),
-                                       oracle.assignment_array(mapping, n_src))
+        f = FactorModel(pair, wide_stats(pair, rng), oracle.assignment_array(mapping, n_src))
         rows = np.array(data.draw(st.permutations(range(n_src))), dtype=np.int64)
         rows = rows[:data.draw(st.integers(1, n_src))]
         cands = rng.integers(0, n_tgt, (len(rows), data.draw(st.integers(1, 4))))
@@ -796,7 +797,7 @@ class TestSharedJoin:
             return find(self, near, far)
 
         with mock.patch.object(kg_module.EdgeTable, "find", spy):
-            f = compatibility._FactorModel(pair, stats, assignment)
+            f = FactorModel(pair, stats, assignment)
             got = f.factor_sums(rows, cands)
             assert len(calls) <= 3, calls
             del calls[:]
@@ -851,7 +852,8 @@ class TestStoryScenarios:
         q_a = np.full((1, len(cols_a)), 1.0 / len(cols_a))
         assign_a = assigned(q_a, [e2_a], cols_a, labelled_a, pair_a.source.n_entities)
         stats_a = estimate_relation_stats(pair_a, assign_a)
-        rows_a = refine_rows(q_a, [e2_a], cols_a, pair_a, stats_a, assign_a, top_k=3)
+        rows_a = refine_rows(q_a, [e2_a], cols_a, FactorModel(pair_a, stats_a, assign_a),
+                             top_k=3)
         p_a = dict(zip(rows_a[0].cand_ids, rows_a[0].probs))[cand_a]
 
         pair_b, labelled_b, e2_b, cand_b = self.scenario_b()
@@ -859,7 +861,8 @@ class TestStoryScenarios:
         q_b = np.full((1, len(cols_b)), 1.0 / len(cols_b))
         assign_b = assigned(q_b, [e2_b], cols_b, labelled_b, pair_b.source.n_entities)
         stats_b = estimate_relation_stats(pair_b, assign_b)
-        rows_b = refine_rows(q_b, [e2_b], cols_b, pair_b, stats_b, assign_b, top_k=3)
+        rows_b = refine_rows(q_b, [e2_b], cols_b, FactorModel(pair_b, stats_b, assign_b),
+                             top_k=3)
         p_b = dict(zip(rows_b[0].cand_ids, rows_b[0].probs))[cand_b]
 
         assert p_a > p_b
@@ -906,7 +909,8 @@ class TestIdOrderedBlocks:
                               build_assignment(sims, row_ids, cols))
         assignment = assigned(q, row_ids, cols, {0: 0, 1: 1}, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
-        refined = [refine_rows(block, row_ids, ids, pair, stats, assignment, top_k=4)
+        factors = FactorModel(pair, stats, assignment)
+        refined = [refine_rows(block, row_ids, ids, factors, top_k=4)
                    for block, ids in ((q, cols), (q[:, perm], [cols[j] for j in perm]))]
         assert [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[0]] == \
                [(r.entity, r.cand_ids, r.probs.tobytes()) for r in refined[1]]
@@ -922,10 +926,61 @@ class TestIdOrderedBlocks:
         with pytest.raises(ValueError, match=message):
             build_assignment(np.ones((2, 3)), row_ids, col_ids)
 
+    def test_all_minus_inf_row_picks_its_lowest_requested_column(self):
+        # the masked columns are -inf as well; the row must not pick one
+        sims = np.array([[0.5, -np.inf, -np.inf], [0.2, 0.1, 0.3]])
+        assert build_assignment(sims[:, :2], [0, 1], [1]).tolist() == [1, 1]
+        assert build_assignment(sims, [0, 1], [2, 1]).tolist() == [1, 2]
+
     def test_mis_shaped_block_rejected(self):
         pair = random_tiny_pair(np.random.default_rng(6))
         q = np.ones((2, 3))
         assignment = oracle.assignment_array({}, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            refine_rows(q, [0, 1], [4, 5], pair, stats, assignment, top_k=2)
+            refine_rows(q, [0, 1], [4, 5], FactorModel(pair, stats, assignment), top_k=2)
+
+
+class TestIdsOutsideTheKgs:
+    """Every score reads its ids through ``FactorModel.own_log_survival``,
+    which rejects a row id outside the source KG and a candidate outside
+    the target KG; the model and the statistics reject an assignment that
+    is not one entry per source entity."""
+
+    SCORES = {
+        "refine_rows": lambda pair, stats, y, u, cands: refine_rows(
+            np.ones((1, len(cands))), [u], cands, FactorModel(pair, stats, y)),
+        "conditional_distribution": lambda pair, stats, y, u, cands:
+            conditional_distribution(u, cands, y, pair, stats),
+        "local_compatibility": lambda pair, stats, y, u, cands:
+            [local_compatibility(u, c, y, pair, stats) for c in cands],
+    }
+
+    def scenario(self):
+        pair = random_tiny_pair(np.random.default_rng(8))  # 6 entities a side
+        assignment = oracle.assignment_array({0: 0, 1: 1}, pair.source.n_entities)
+        return pair, estimate_relation_stats(pair, assignment), assignment
+
+    @pytest.mark.parametrize("score", SCORES)
+    @pytest.mark.parametrize("u, cands, message", [
+        (6, [2, 3], r"row ids must be in \[0, 6\)"),
+        (-1, [2, 3], r"row ids must be in \[0, 6\)"),
+        (2, [3, 6], r"candidate ids must be in \[0, 6\)"),
+        (2, [3, -1], r"candidate ids must be in \[0, 6\)"),
+    ], ids=["row-past-end", "row-negative", "candidate-past-end", "candidate-negative"])
+    def test_id_outside_the_kgs_rejected(self, score, u, cands, message):
+        # -1 is the no-counterpart sentinel, never a candidate
+        pair, stats, assignment = self.scenario()
+        with pytest.raises(ValueError, match=message):
+            self.SCORES[score](pair, stats, assignment, u, cands)
+
+    @pytest.mark.parametrize("target", ["estimate_relation_stats", "FactorModel"])
+    @pytest.mark.parametrize("extra", [-1, 10], ids=["one-short", "ten-long"])
+    def test_assignment_of_another_length_rejected(self, target, extra):
+        pair, stats, _ = self.scenario()
+        y = oracle.assignment_array({0: 0, 1: 1}, 6 + extra)
+        build = {"estimate_relation_stats": lambda: estimate_relation_stats(pair, y),
+                 "FactorModel": lambda: FactorModel(pair, stats, y)}[target]
+        with pytest.raises(ValueError, match=f"assignment has length {6 + extra}, "
+                                             "but the source KG has 6 entities"):
+            build()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.compatibility import compatibility_sums, estimate_relation_stats
+from kgalign.compatibility import FactorModel, estimate_relation_stats
 from kgalign.kg import (
     Kg,
     KgFormatError,
@@ -176,17 +176,16 @@ class TestNeighborhoods:
         assignment = assignment_array(mapping, n_src)
         stats = estimate_relation_stats(pair, assignment)
         u = data.draw(st.integers(0, n_src - 1))
-        cands = tuple(range(n_tgt))
-        before = compatibility_sums(u, cands, assignment, pair, stats)
+        rows, cands = np.array([u]), np.arange(n_tgt)[None]
+        before = FactorModel(pair, stats, assignment).factor_sums(rows, cands)
         for v in sorted(set(range(n_src)) - two_hop(pair.source, u)):
             for moved in (None, data.draw(st.integers(0, n_tgt - 1))):
                 changed = dict(mapping)
                 changed.pop(v, None)
                 if moved is not None:
                     changed[v] = moved
-                after = compatibility_sums(
-                    u, cands, assignment_array(changed, n_src), pair, stats
-                )
+                changed_y = assignment_array(changed, n_src)
+                after = FactorModel(pair, stats, changed_y).factor_sums(rows, cands)
                 assert np.array_equal(before, after)
 
 

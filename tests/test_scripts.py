@@ -186,6 +186,15 @@ def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
             assert m["change_won"] in (0, 1)
     wall = record["workloads"]["refine-oracle-n3000"]["wall_s"]
     assert wall["median_ratio"] == wall["change"][0] / wall["base"][0]
+    # the revision's src line count, read from the object store
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=SCRIPTS.parent, capture_output=True,
+                              check=True).stdout
+    paths = git("ls-tree", "--name-only", "HEAD", "src/kgalign/").decode().split()
+    src_lines = sum(git("show", f"HEAD:{path}").count(b"\n")
+                    for path in paths if path.endswith(".py"))
+    assert type(record["against_src_lines"]) is int
+    assert record["against_src_lines"] == src_lines > 0
     assert worktrees() == before  # the temporary worktree is gone
 
 

@@ -14,6 +14,7 @@ import oracle
 from kgalign import compatibility, models, selftrain, strategies
 from kgalign import kg as kg_module
 from kgalign.calibration import CalibrationError
+from kgalign.compatibility import refine_slabs
 from kgalign.kg import KgPair, MappingSet, load_dataset
 from kgalign.models import SRC_TO_TGT, TGT_TO_SRC, SimMatrix
 from kgalign.selftrain import (
@@ -24,7 +25,6 @@ from kgalign.selftrain import (
     config_hash,
     metrics_line,
     parse_config_file,
-    refine_slabs,
     run_selftrain,
     run_supervised,
 )
@@ -430,7 +430,7 @@ class TestLoopContracts:
             return rows
 
         monkeypatch.setattr(selftrain, "fit_calibration", saturated)
-        monkeypatch.setattr(selftrain, "refine_slabs", recording)
+        monkeypatch.setattr(compatibility, "refine_slabs", recording)
         cfg = base_config(twin_dataset_dir, tmp_path, iterations=1)
         run = SelfTrainRun(cfg)
         run.run()
@@ -515,7 +515,7 @@ class TestSlabbedRefinement:
                 wraps=compatibility.build_assignment) as assign_of, mock.patch.object(
                 compatibility, "estimate_relation_stats",
                 wraps=compatibility.estimate_relation_stats) as stats_of, mock.patch.object(
-                compatibility, "_FactorModel", wraps=compatibility._FactorModel) as factors_of:
+                compatibility, "FactorModel", wraps=compatibility.FactorModel) as factors_of:
             rows = refine_slabs(oriented, sims, labelled_ids, row_ids, col_ids, top_k)
         # one assignment pass over the whole matrix, however small the slabs;
         # the statistics are estimated once, from the merged frozen assignment,

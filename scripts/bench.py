@@ -28,17 +28,28 @@ count of ``src/kgalign/*.py`` (``against_src_lines``), so ``src_lines -
 against_src_lines`` is the change's net src delta.  All timing is the
 benchmark's own; this script adds none.
 
-Each ``perfbench/run.py`` runs in a session of its own.  When this script is
-interrupted (Ctrl-C included), it sends that session SIGINT, so ``run.py``
-removes its ``.perfbench_work/`` directory, and SIGKILLs whatever is left
-after ``STOP_GRACE_S`` seconds.
+With ``--against`` it also records whether the two trees write the same
+outputs.  For each workload (or only ``--workload``) at seeds 0 and 1,
+``perfbench/run.py``'s ``Bench`` writes the dataset and the run config once
+(``--tiny`` shrinks them as it does the benchmark's), and each tree's own
+``perfbench/child.py`` runs it once, untraced, into the same run directory.
+``outputs_identical[workload][seed][file]`` says whether ``metrics.jsonl``,
+``manifest.txt`` and ``pseudo_final.tsv`` are byte-identical; a difference
+is recorded, not an error.
+
+Each ``perfbench/run.py`` and ``child.py`` runs in a session of its own.
+When this script is interrupted (Ctrl-C included), it sends that session
+SIGINT, so ``run.py`` removes its ``.perfbench_work/`` directory, and
+SIGKILLs whatever is left after ``STOP_GRACE_S`` seconds.
 """
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -50,6 +61,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 STOP_GRACE_S = 10.0
+IDENTITY_SEEDS = (0, 1)
 
 
 def parse_args(argv):
@@ -88,14 +100,11 @@ def _src_lines(root: Path = ROOT) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "kgalign").glob("*.py"))
 
 
-def _perfbench(root: Path, args, workload: str, trace: int) -> dict | None:
-    """The JSON object that ``perfbench/run.py`` in ``root`` prints last,
-    or None (its output on stderr) when it fails."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(trace)] + (["--tiny"] if args.tiny else [])
-    proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
+def _run(cmd: list[str], root: Path, env: dict | None = None) -> str | None:
+    """The standard output of ``cmd``, run in ``root`` in a session of its
+    own, or None (its output on stderr) when it fails."""
+    proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
         stdout, stderr = proc.communicate()
     except BaseException:
@@ -106,7 +115,57 @@ def _perfbench(root: Path, args, workload: str, trace: int) -> dict | None:
         print(f"bench: {' '.join(cmd[1:])} in {root} exited {proc.returncode}",
               file=sys.stderr)
         return None
-    return json.loads(stdout.splitlines()[-1])
+    return stdout
+
+
+def _perfbench(root: Path, args, workload: str, trace: int) -> dict | None:
+    """The JSON object that ``perfbench/run.py`` in ``root`` prints last,
+    or None when it fails."""
+    stdout = _run([sys.executable, "perfbench/run.py", "--workload", workload,
+                   "--seed", str(args.seed), "--seconds", str(args.seconds),
+                   "--trace", str(trace)] + (["--tiny"] if args.tiny else []), root)
+    return None if stdout is None else json.loads(stdout.splitlines()[-1])
+
+
+def _perfbench_run():
+    """This checkout's ``perfbench/run.py`` as a module, with this
+    checkout's ``src`` importable for its ``Bench``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _outputs_identical(args, trees: list[Path], work: Path,
+                       workloads: list[str]) -> dict | None:
+    """Per workload, seed and deterministic file, whether the ``trees``
+    wrote the same bytes on one dataset and run config; None when a run
+    fails."""
+    run = _perfbench_run()
+    work.mkdir()
+    run_dir, spec_path = work / "run", work / "spec.json"
+    identical: dict = {}
+    for workload in workloads:
+        for seed in IDENTITY_SEEDS:
+            bench = run.Bench(argparse.Namespace(workload=workload, seed=seed, tiny=args.tiny),
+                              work / f"{workload}-{seed}")
+            spec_path.write_text(json.dumps(dict(
+                config=bench.config, run_dir=str(run_dir), run_id=0, traced=False,
+                setup_reps=1)), encoding="utf-8")
+            outputs = []
+            for tree in trees:
+                env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+                if _run([sys.executable, "perfbench/child.py", str(spec_path)], tree,
+                        env) is None:
+                    return None
+                outputs.append([(run_dir / name).read_bytes()
+                                for name in run.DETERMINISTIC_FILES])
+                shutil.rmtree(run_dir)
+            same = {name: a == b for name, a, b in zip(run.DETERMINISTIC_FILES, *outputs)}
+            identical.setdefault(workload, {})[str(seed)] = same
+            print(f"{workload} seed {seed}: outputs identical {same}", flush=True)
+    return identical
 
 
 def _stop_session(proc: subprocess.Popen) -> None:
@@ -154,7 +213,8 @@ def _untraced_and_traced(args, record: dict, workloads: list[str]) -> bool:
 
 def _paired(args, spec: dict, record: dict, workloads: list[str]) -> bool:
     """Fill ``record`` with ``--pairs`` alternating runs of ``args.against``
-    and this checkout; False when a run fails."""
+    and this checkout, and whether their outputs are identical; False when a
+    run fails."""
     with tempfile.TemporaryDirectory(prefix="kgalign-bench-") as tmp:
         tree = Path(tmp) / "base"
         add = subprocess.run(["git", "worktree", "add", "--detach", str(tree),
@@ -185,6 +245,10 @@ def _paired(args, spec: dict, record: dict, workloads: list[str]) -> bool:
                                         [r[m["name"]]["value"] for r in runs["change"]],
                                         m["better"])
                     for m in spec["end_to_end"]}
+            record["outputs_identical"] = _outputs_identical(
+                args, [tree, ROOT], Path(tmp) / "identity", workloads)
+            if record["outputs_identical"] is None:
+                return False
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
                            capture_output=True)

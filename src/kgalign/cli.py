@@ -134,14 +134,13 @@ def _cmd_stats(args) -> int:
     stats = compatibility.estimate_relation_stats(pair, assignment)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("kind\tkey\tvalue\n")
-        for r, v in sorted(stats.src_inv_fun.items()):
-            fh.write(f"src_inv_fun\t{r}\t{v:.6g}\n")
-        for r, v in sorted(stats.tgt_inv_fun.items()):
-            fh.write(f"tgt_inv_fun\t{r}\t{v:.6g}\n")
-        for (a, b), v in sorted(stats.subrel_src_in_tgt.items()):
+        for side, inv in (("src", stats.src_inv_fun), ("tgt", stats.tgt_inv_fun)):
+            fh.writelines(f"{side}_inv_fun\t{r}\t{v:.6g}\n" for r, v in enumerate(inv.tolist()))
+        rs, rt = stats.pairs.T.tolist()
+        for a, b, v in zip(rs, rt, stats.subrel_src_in_tgt.tolist()):
             fh.write(f"subrel_src_in_tgt\t{a}:{b}\t{v:.6g}\n")
-        for (a, b), v in sorted(stats.subrel_tgt_in_src.items()):
-            fh.write(f"subrel_tgt_in_src\t{a}:{b}\t{v:.6g}\n")
+        for b, a, v in sorted(zip(rt, rs, stats.subrel_tgt_in_src.tolist())):  # by (rt, rs)
+            fh.write(f"subrel_tgt_in_src\t{b}:{a}\t{v:.6g}\n")
     print(f"wrote relation statistics to {args.out}")
     return 0
 

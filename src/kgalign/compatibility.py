@@ -19,14 +19,14 @@ inverse functionality and sub-relation entries.
 
 All functions here are pure over immutable snapshots (graphs, statistics,
 a frozen assignment).  The assignment is one ``int64`` array over the
-source entities: ``assignment[e]`` is the counterpart of ``e``, or -1 where
-``e`` has none.  They read each KG's directed edges from its ``Kg.edges``
-table, sorted by endpoint pair and so its own join on pairs: the
-statistics count over the target table's join, and ``FactorModel``, one
-assignment's factor model compiled to arrays, reads each factor's relation
-evidence through it from one dense matrix over pairs of directed relations.
-``tests/oracle.py`` keeps the readable triple-scanning versions they are
-checked against.
+source entities, ``assignment[e]`` the counterpart of ``e`` or -1; the
+statistics are arrays, sparse over co-observed relation pairs.  They read
+each KG's directed edges from its ``Kg.edges`` table, sorted by endpoint
+pair and so its own join on pairs: the statistics count over the target
+table's join, and ``FactorModel``, one assignment's factor model compiled
+to arrays, reads each factor's relation evidence through it from one dense
+matrix over pairs of directed relations.  ``tests/oracle.py`` keeps the
+readable triple-scanning and dict versions they are checked against.
 
 ``refine_slabs`` refines one direction of a run: one ``build_assignment``
 pass over the model's whole matrix, one ``FactorModel`` of that
@@ -35,7 +35,7 @@ assignment, and one ``refine_rows`` call per row slab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,30 +44,28 @@ from .calibration import ProbRow, _ids_in, _sim_best, _softmax
 from .kg import Kg, KgPair, _ranges, _run_starts
 
 
-def _inverse_functionality(kg: Kg, rel: np.ndarray, far: np.ndarray) -> dict[int, float]:
+def _inverse_functionality(kg: Kg, rel: np.ndarray, far: np.ndarray) -> np.ndarray:
     # every relation has edges in both orientations, so the counts align
     rel_far = _key_counts(rel * kg.n_entities + far)[0]
-    return dict(enumerate((np.bincount(rel_far // kg.n_entities) / np.bincount(rel)).tolist()))
+    return np.bincount(rel_far // kg.n_entities) / np.bincount(rel)
 
 
-@dataclass
+@dataclass(eq=False)
 class RelationStats:
-    """PARIS statistics for one orientation of a KG pair.
+    """PARIS statistics for one orientation of a KG pair, as arrays over
+    directed relation ids: ``src_*`` one entry per source relation, ``tgt_*``
+    one per target relation, and ``pairs`` the m co-observed ``(rs, rt)``,
+    ascending, with the add-one smoothed ``subrel_*`` aligned to it.  Any
+    other pair reads the prior ``1 / (trials + 2)`` of the relation whose
+    trials count: 1/2 when it was never trialed."""
 
-    ``subrel_*`` maps are sparse over co-observed directed relation pairs
-    and already add-one smoothed; the refinement reads a missing pair as
-    ``1 / (trials + 2)`` of its first relation, so a pair that was never
-    trialed is the pure prior 1/2.
-    """
-
-    src_inv_fun: dict[int, float]
-    tgt_inv_fun: dict[int, float]
-    # Pr(target relation is a sub-relation of source relation)
-    subrel_tgt_in_src: dict[tuple[int, int], float] = field(default_factory=dict)
-    # Pr(source relation is a sub-relation of target relation)
-    subrel_src_in_tgt: dict[tuple[int, int], float] = field(default_factory=dict)
-    tgt_trials: dict[int, int] = field(default_factory=dict)
-    src_trials: dict[int, int] = field(default_factory=dict)
+    src_inv_fun: np.ndarray
+    src_trials: np.ndarray
+    tgt_inv_fun: np.ndarray
+    tgt_trials: np.ndarray
+    pairs: np.ndarray  # (m, 2) int64
+    subrel_tgt_in_src: np.ndarray  # Pr(rt is a sub-relation of rs)
+    subrel_src_in_tgt: np.ndarray  # Pr(rs is a sub-relation of rt)
 
 
 def estimate_relation_stats(kg_pair: KgPair, assignment: np.ndarray) -> RelationStats:
@@ -77,7 +75,8 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: np.ndarray) -> Relation
     whose endpoints both carry assignments; support counts those mirrored by
     an orientation-matched triple between the assigned counterparts.  The
     target-side statistics use the inverted assignment (a set-valued inverse:
-    predictions need not be injective).
+    predictions need not be injective).  Every mirrored (source edge, target
+    edge) pair counts toward both supports, so both share the ``pairs``.
     """
     src, tgt = kg_pair.source, kg_pair.target
     n_src, n_tgt = 2 * src.n_relations, 2 * tgt.n_relations
@@ -92,27 +91,16 @@ def estimate_relation_stats(kg_pair: KgPair, assignment: np.ndarray) -> Relation
     image[y[y >= 0]] = True
     src_trials = np.bincount(s_rel[trial], minlength=n_src)
     tgt_trials = np.bincount(t_rel[image[t_near] & image[t_far]], minlength=n_tgt)
-    src_pairs, src_support = _key_counts(rho_s * n_tgt + t_rel[j])
+    pairs, src_support = _key_counts(rho_s * n_tgt + t_rel[j])
     # a target edge supports each source relation mirrored onto it once
     edge, rho = np.divmod(_key_counts(j * n_src + rho_s)[0], n_src)
-    tgt_pairs, tgt_support = _key_counts(t_rel[edge] * n_src + rho)
-
-    def subrel(pairs, support, n_other, trials):
-        a, b = np.divmod(pairs, n_other)
-        return dict(zip(zip(a.tolist(), b.tolist()),
-                        ((support + 1) / (trials[a] + 2)).tolist()))
-
-    def nonzero(trials):
-        return {r: n for r, n in enumerate(trials.tolist()) if n}
-
+    tgt_support = _key_counts(rho * n_tgt + t_rel[edge])[1]
+    rs, rt = np.divmod(pairs, n_tgt)
     return RelationStats(
-        src_inv_fun=_inverse_functionality(src, s_rel, s_far),
-        tgt_inv_fun=_inverse_functionality(tgt, t_rel, t_far),
-        subrel_tgt_in_src=subrel(tgt_pairs, tgt_support, n_src, tgt_trials),
-        subrel_src_in_tgt=subrel(src_pairs, src_support, n_tgt, src_trials),
-        tgt_trials=nonzero(tgt_trials),
-        src_trials=nonzero(src_trials),
-    )
+        _inverse_functionality(src, s_rel, s_far), src_trials,
+        _inverse_functionality(tgt, t_rel, t_far), tgt_trials, np.stack([rs, rt], axis=1),
+        subrel_tgt_in_src=(tgt_support + 1) / (tgt_trials[rt] + 2),
+        subrel_src_in_tgt=(src_support + 1) / (src_trials[rs] + 2))
 
 
 def _checked_assignment(kg_pair: KgPair, assignment: np.ndarray) -> np.ndarray:
@@ -122,6 +110,21 @@ def _checked_assignment(kg_pair: KgPair, assignment: np.ndarray) -> np.ndarray:
         raise ValueError(f"assignment has length {len(assignment)}, but the source KG "
                          f"has {n} entities")
     return assignment
+
+
+def _checked_stats(kg_pair: KgPair, stats: RelationStats) -> RelationStats:
+    """``stats``, checked to fit ``kg_pair``."""
+    n_src, n_tgt = 2 * kg_pair.source.n_relations, 2 * kg_pair.target.n_relations
+    m = len(stats.pairs)
+    for name, want in (("src_inv_fun", (n_src,)), ("src_trials", (n_src,)),
+                       ("tgt_inv_fun", (n_tgt,)), ("tgt_trials", (n_tgt,)), ("pairs", (m, 2)),
+                       ("subrel_tgt_in_src", (m,)), ("subrel_src_in_tgt", (m,))):
+        if np.shape(getattr(stats, name)) != want:
+            raise ValueError(f"{name} has shape {np.shape(getattr(stats, name))}, not {want}: "
+                             f"the KGs have {n_src} and {n_tgt} directed relations")
+    _ids_in(stats.pairs[:, 0], n_src, "pair source relation")
+    _ids_in(stats.pairs[:, 1], n_tgt, "pair target relation")
+    return stats
 
 
 def local_compatibility(
@@ -213,17 +216,18 @@ def refine_rows(q_matrix: np.ndarray, row_ids, col_ids, factors: FactorModel,
     Every row independently keeps its ``top_k`` candidates by descending
     ``q_matrix`` score, lowest id on ties, and receives the Markov-blanket
     conditional over them, which reads no score.  ``q_matrix`` must be
-    ``len(row_ids) × len(col_ids)``; it is read in place when the column
-    ids ascend, else copied in id order, and the temporaries scale with the
-    block, so a caller bounds them by handing in one row slab per call.  The
-    assignment, with the rows' ``build_assignment`` argmaxes written in,
-    stays fixed, so the result does not depend on how the rows are split,
-    and a caller that refines it in many calls compiles one ``FactorModel``.
+    ``len(row_ids) × len(col_ids)``, and every column id a target entity; it
+    is read in place when the ids ascend, else copied in id order.  The
+    temporaries scale with the block, so a caller bounds them by passing one
+    row slab per call.  The assignment, with the rows' ``build_assignment``
+    argmaxes written in, stays fixed: the result does not depend on how the
+    rows are split, and many calls share one ``FactorModel``.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     row_ids = np.asarray(row_ids, dtype=np.int64)
     q_matrix = _sim_block(q_matrix, row_ids, col_ids)
+    col_ids = _ids_in(col_ids, factors.tgt.n, "candidate")
     if not len(row_ids):
         return []
     k = min(top_k, q_matrix.shape[1])
@@ -275,30 +279,18 @@ def _top_candidates(q: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return ids[cc[order]].reshape(len(q), k)
 
 
-def _log_survival_table(stats: RelationStats, n_src: int, n_tgt: int) -> np.ndarray:
+def _log_survival_table(stats: RelationStats) -> np.ndarray:
     """``L[rho_s, rho_t]``: the log of both survival terms of one matched
     pair of directed relations, ``-inf`` where a term is 0.  Each term is a
-    broadcast of per-relation defaults, written over at co-observed pairs."""
-    src_if = np.array([stats.src_inv_fun[r] for r in range(n_src)])
-    tgt_if = np.array([stats.tgt_inv_fun[r] for r in range(n_tgt)])
-    # a pair missing from subrel_* has no support: (0 + 1) / (trials + 2)
-    p_ts = 1.0 / (np.array([stats.tgt_trials.get(r, 0) for r in range(n_tgt)]) + 2)
-    p_st = 1.0 / (np.array([stats.src_trials.get(r, 0) for r in range(n_src)]) + 2)
-    rt_ts, rs_ts, ts = _subrel_arrays(stats.subrel_tgt_in_src, n_tgt, n_src)
-    rs_st, rt_st, st = _subrel_arrays(stats.subrel_src_in_tgt, n_src, n_tgt)
+    broadcast of per-relation priors, written over at the ``pairs``."""
+    rs, rt = stats.pairs.T
     with np.errstate(divide="ignore"):
-        table = np.log(1.0 - p_ts * src_if[:, None])
-        table[rs_ts, rt_ts] = np.log(1.0 - ts * src_if[rs_ts])
-        other = np.log(1.0 - p_st[:, None] * tgt_if)
-        other[rs_st, rt_st] = np.log(1.0 - st * tgt_if[rt_st])
+        # a pair outside ``pairs`` has no support: (0 + 1) / (trials + 2)
+        table = np.log(1.0 - 1.0 / (stats.tgt_trials + 2) * stats.src_inv_fun[:, None])
+        table[rs, rt] = np.log(1.0 - stats.subrel_tgt_in_src * stats.src_inv_fun[rs])
+        other = np.log(1.0 - 1.0 / (stats.src_trials[:, None] + 2) * stats.tgt_inv_fun)
+        other[rs, rt] = np.log(1.0 - stats.subrel_src_in_tgt * stats.tgt_inv_fun[rt])
     return table + other
-
-
-def _subrel_arrays(subrel: dict, n_a: int, n_b: int) -> tuple[np.ndarray, ...]:
-    """``(a, b, p)`` arrays of the pairs of ``subrel`` inside ``n_a × n_b``."""
-    a, b = np.array(list(subrel), dtype=np.int64).reshape(-1, 2).T
-    keep = (a < n_a) & (b < n_b)
-    return a[keep], b[keep], np.fromiter(subrel.values(), float, len(subrel))[keep]
 
 
 def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,21 +313,21 @@ class FactorModel:
 
     ``ptr``, ``rel`` and ``far`` are the source KG's edge table, ``tgt``
     the target KG's, and ``y[e]`` is the counterpart assigned to source
-    entity ``e`` or -1; an assignment whose length is not the source KG's
-    entity count raises ``ValueError``.  ``log_surv[rho_s, rho_t]`` is the
-    log survival of one matched pair of directed relations.  A factor's log
-    survival is the sum of ``log_surv`` entries over its source edges and
-    the target edges joining their mapped endpoints, so ``1 - exp(sum)`` is
-    its score.  ``edge_surv[i]`` is that sum for source edge ``i`` under the
-    assignment, compiled in one join, so an anchor's other edges read it
-    with no join.
+    entity ``e`` or -1; an assignment of another length than the source KG,
+    or statistics that do not fit the pair, raise ``ValueError``.
+    ``log_surv[rho_s, rho_t]`` is the log survival of one matched pair of
+    directed relations.  A factor's log survival is the sum of ``log_surv``
+    entries over its source edges and the target edges joining their mapped
+    endpoints, so ``1 - exp(sum)`` is its score.  ``edge_surv[i]`` is that
+    sum for source edge ``i`` under the assignment, compiled in one join, so
+    an anchor's other edges read it with no join.
     """
 
     def __init__(self, kg_pair: KgPair, stats: RelationStats, assignment: np.ndarray):
         src, tgt = kg_pair.source, kg_pair.target
         self.rel, self.far, self.ptr = src.edges.rel, src.edges.far, src.edges.ptr
         self.y = _checked_assignment(kg_pair, assignment)
-        self.log_surv = _log_survival_table(stats, 2 * src.n_relations, 2 * tgt.n_relations)
+        self.log_surv = _log_survival_table(_checked_stats(kg_pair, stats))
         self.tgt = tgt.edges
         self.edge_surv = self.edge_log_survival(self.rel, self.y[src.edges.near], self.y[self.far])
 

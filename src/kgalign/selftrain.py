@@ -224,20 +224,10 @@ class IterationReport:
 
 def metrics_line(report: IterationReport) -> str:
     """The exact nine-field metrics stream line; seconds zeroed so the
-    stream is byte-reproducible (real timing goes to timings.jsonl)."""
-    return json.dumps(
-        {
-            "iter": report.iteration,
-            "hit1": report.hit1,
-            "hit10": report.hit10,
-            "mrr": report.mrr,
-            "pseudo_count": report.pseudo_count,
-            "pseudo_precision": report.pseudo_precision,
-            "pseudo_recall": report.pseudo_recall,
-            "loss": report.loss,
-            "seconds": 0.0,
-        }
-    )
+    stream is byte-reproducible (real timing goes to timings.jsonl).  The
+    fields are ``IterationReport``'s, in its order, ``iteration`` as ``iter``."""
+    row = asdict(report)
+    return json.dumps({"iter": row.pop("iteration"), **row, "seconds": 0.0})
 
 
 def _file_sha256(path: Path) -> str:

@@ -8,6 +8,10 @@ fallback of the sub-relation probabilities is stated here too, in
 ``prob_tgt_in_src`` and ``prob_src_in_tgt``, and ``write_top_k`` writes a
 matrix's top-K file and returns the dense matrix that file stands for.
 
+The statistics references keep them as ``DictStats``, the readable dicts
+the package held before it kept them as arrays; ``stats_arrays`` turns
+them into the package's ``RelationStats``.
+
 ``kg_from_label_triples`` is the interning as it was written before it
 became a ``setdefault`` per label and one ``dict.fromkeys`` over the id
 triples: two interning closures, a set of seen triples and a counter of
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from hypothesis import strategies as st
@@ -158,14 +163,52 @@ def neighbors(kg, e: int) -> tuple[int, ...]:
     return tuple(sorted({n for _, n in directed_adjacency(kg, e)}))
 
 
-def prob_tgt_in_src(stats: RelationStats, r_tgt: int, r_src: int) -> float:
+@dataclass
+class DictStats:
+    """PARIS statistics as dicts over directed relation ids: the
+    ``subrel_*`` maps hold the co-observed pairs, add-one smoothed, keyed
+    ``(r_tgt, r_src)`` and ``(r_src, r_tgt)``; a missing trial count is 0."""
+
+    src_inv_fun: dict[int, float]
+    tgt_inv_fun: dict[int, float]
+    # Pr(target relation is a sub-relation of source relation)
+    subrel_tgt_in_src: dict[tuple[int, int], float] = field(default_factory=dict)
+    # Pr(source relation is a sub-relation of target relation)
+    subrel_src_in_tgt: dict[tuple[int, int], float] = field(default_factory=dict)
+    tgt_trials: dict[int, int] = field(default_factory=dict)
+    src_trials: dict[int, int] = field(default_factory=dict)
+
+
+def stats_arrays(pair, stats: DictStats) -> RelationStats:
+    """The package's arrays of ``stats`` for ``pair``: inverse
+    functionalities and trials by directed relation id, ``pairs`` the union
+    of both maps' keys, each map's probability at a pair it lacks its
+    prior."""
+    n_src, n_tgt = 2 * pair.source.n_relations, 2 * pair.target.n_relations
+    pairs = sorted(set(stats.subrel_src_in_tgt)
+                   | {(rs, rt) for rt, rs in stats.subrel_tgt_in_src})
+    return RelationStats(
+        src_inv_fun=np.array([stats.src_inv_fun[r] for r in range(n_src)], dtype=float),
+        src_trials=np.array([stats.src_trials.get(r, 0) for r in range(n_src)],
+                            dtype=np.int64),
+        tgt_inv_fun=np.array([stats.tgt_inv_fun[r] for r in range(n_tgt)], dtype=float),
+        tgt_trials=np.array([stats.tgt_trials.get(r, 0) for r in range(n_tgt)],
+                            dtype=np.int64),
+        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        subrel_tgt_in_src=np.array([prob_tgt_in_src(stats, rt, rs) for rs, rt in pairs],
+                                   dtype=float),
+        subrel_src_in_tgt=np.array([prob_src_in_tgt(stats, rs, rt) for rs, rt in pairs],
+                                   dtype=float))
+
+
+def prob_tgt_in_src(stats: DictStats, r_tgt: int, r_src: int) -> float:
     """Add-one smoothed Pr(r_tgt is a sub-relation of r_src): a pair without
     support reads ``1 / (trials + 2)``, the prior 1/2 when never trialed."""
     return stats.subrel_tgt_in_src.get(
         (r_tgt, r_src), 1.0 / (stats.tgt_trials.get(r_tgt, 0) + 2))
 
 
-def prob_src_in_tgt(stats: RelationStats, r_src: int, r_tgt: int) -> float:
+def prob_src_in_tgt(stats: DictStats, r_src: int, r_tgt: int) -> float:
     """The same for Pr(r_src is a sub-relation of r_tgt)."""
     return stats.subrel_src_in_tgt.get(
         (r_src, r_tgt), 1.0 / (stats.src_trials.get(r_src, 0) + 2))
@@ -324,7 +367,7 @@ def relation_inverse_functionality(kg) -> dict[int, float]:
     return inv_fun
 
 
-def estimate_relation_stats(kg_pair, assigned: dict[int, int]) -> RelationStats:
+def estimate_relation_stats(kg_pair, assigned: dict[int, int]) -> DictStats:
     """PARIS statistics counted over every directed triple of each side."""
     fwd = dict(assigned)
     rev: dict[int, set[int]] = defaultdict(set)
@@ -362,7 +405,7 @@ def estimate_relation_stats(kg_pair, assigned: dict[int, int]) -> RelationStats:
                 mirrored.update(src_rels.get((a, b), ()))
             for rho_s in mirrored:
                 tgt_support[(rho, rho_s)] += 1
-    return RelationStats(
+    return DictStats(
         src_inv_fun=relation_inverse_functionality(kg_pair.source),
         tgt_inv_fun=relation_inverse_functionality(kg_pair.target),
         subrel_tgt_in_src={(rt, rs): (n + 1) / (tgt_trials[rt] + 2)
@@ -376,7 +419,7 @@ def estimate_relation_stats(kg_pair, assigned: dict[int, int]) -> RelationStats:
 
 def enumerate_joint(
     kg_pair,
-    stats: RelationStats,
+    stats: DictStats,
     labelled: dict[int, int],
     grids: dict[int, tuple[int, ...]],
 ) -> dict[tuple[tuple[int, int], ...], float]:

@@ -19,7 +19,6 @@ from kgalign.calibration import (
 )
 from kgalign.cli import main as cli_main
 from kgalign.compatibility import (
-    RelationStats,
     conditional_distribution,
     estimate_relation_stats,
     local_compatibility,
@@ -35,10 +34,13 @@ from kgalign.strategies import (
 )
 from kgalign.synth import write_twin_dataset
 from oracle import (
+    DictStats,
     assignment_array,
     conditional_from_joint,
     enumerate_joint,
+    estimate_relation_stats as reference_stats,
     local_compatibility as reference_compatibility,
+    stats_arrays,
 )
 
 
@@ -119,7 +121,7 @@ def test_criterion_1_normalizer_correctness():
 # ---------------------------------------------------------------------------
 
 def _hand_stats():
-    return RelationStats(
+    return DictStats(
         src_inv_fun={0: 0.5, 1: 0.0},
         tgt_inv_fun={0: 0.4, 1: 0.0},
         subrel_tgt_in_src={(0, 0): 0.8},
@@ -130,7 +132,7 @@ def _hand_stats():
 def _fan_instance(d, rng):
     src = Kg.from_label_triples([("e", f"r{i}", f"n{i}") for i in range(d)])
     tgt = Kg.from_label_triples([("e'", f"s{i}", f"n{i}'") for i in range(d)])
-    stats = RelationStats(
+    stats = DictStats(
         src_inv_fun={r: float(rng.uniform(0, 1)) for r in range(2 * src.n_relations)},
         tgt_inv_fun={r: float(rng.uniform(0, 1)) for r in range(2 * tgt.n_relations)},
         subrel_tgt_in_src={
@@ -155,7 +157,7 @@ def test_criterion_2_local_compatibility_oracle():
         Kg.from_label_triples([("e'", "r'", "n'")]),
     )
     one = assignment_array({1: 1}, pair.source.n_entities)
-    g1 = local_compatibility(0, 0, one, pair, _hand_stats())
+    g1 = local_compatibility(0, 0, one, pair, stats_arrays(pair, _hand_stats()))
     assert g1 == pytest.approx(0.616, abs=1e-12)
 
     pair2 = KgPair(
@@ -163,7 +165,8 @@ def test_criterion_2_local_compatibility_oracle():
         Kg.from_label_triples([("e'", "r'", "n'"), ("e'", "r'", "m'")]),
     )
     g2 = local_compatibility(
-        0, 0, assignment_array({1: 1, 2: 2}, pair2.source.n_entities), pair2, _hand_stats()
+        0, 0, assignment_array({1: 1, 2: 2}, pair2.source.n_entities), pair2,
+        stats_arrays(pair2, _hand_stats()),
     )
     assert g2 == pytest.approx(0.852544, abs=1e-12)
 
@@ -171,6 +174,7 @@ def test_criterion_2_local_compatibility_oracle():
     for _ in range(1000):
         d = int(rng.integers(1, 6))
         pair, stats = _fan_instance(d, rng)
+        arrays = stats_arrays(pair, stats)
         src, tgt = pair.source, pair.target
         scores = []
         for matched in range(d + 1):
@@ -179,7 +183,7 @@ def test_criterion_2_local_compatibility_oracle():
                 for i in range(matched)
             }
             assignment = assignment_array(mapping, src.n_entities)
-            g = local_compatibility(0, 0, assignment, pair, stats)
+            g = local_compatibility(0, 0, assignment, pair, arrays)
             assert 0.0 <= g < 1.0
             assert abs(g - reference_compatibility(0, 0, mapping.get, pair, stats)) < 1e-12
             scores.append(g)
@@ -227,7 +231,7 @@ def test_criterion_3_conditional_joint_consistency():
             mapping[u] = grids[u][rng.integers(0, 4)]
         assignment = assignment_array(mapping, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
-        joint = enumerate_joint(pair, stats, labelled, grids)
+        joint = enumerate_joint(pair, reference_stats(pair, mapping), labelled, grids)
         assert abs(sum(joint.values()) - 1.0) < 1e-12
         for u in unlabelled:
             expected = conditional_from_joint(joint, u, mapping)

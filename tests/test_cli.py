@@ -386,6 +386,21 @@ class TestStatsAndEval:
         assert "src_inv_fun" in kinds
         assert "subrel_src_in_tgt" in kinds
 
+    def test_stats_with_no_labelled_triple_writes_only_inverse_functionalities(self, tmp_path):
+        # one of the two links is labelled, so no triple has both ends
+        # assigned: no relation pair is co-observed
+        d = tmp_path / "ds"
+        d.mkdir()
+        (d / "rel_triples_1").write_text("a\tr\tb\nc\tr\tb\n", encoding="utf-8")
+        (d / "rel_triples_2").write_text("w\ts\tx\ny\ts\tx\n", encoding="utf-8")
+        (d / "ent_links").write_text("a\tw\nc\ty\n", encoding="utf-8")
+        out = tmp_path / "stats.tsv"
+        assert main(["stats", "--dataset-dir", str(d), "--ratio", "0.5",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == ("kind\tkey\tvalue\n"
+                                   "src_inv_fun\t0\t0.5\nsrc_inv_fun\t1\t1\n"
+                                   "tgt_inv_fun\t0\t0.5\ntgt_inv_fun\t1\t1\n")
+
     def test_eval_sim_file(self, twin_dataset_dir, tmp_path, capsys):
         pair, links = load_dataset(twin_dataset_dir)
         rng = np.random.default_rng(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -50,6 +51,13 @@ def whole(q, row_ids, col_ids) -> np.ndarray:
                    np.max(q, initial=0.0) + 1.0)
     sims[np.ix_(row_ids, col_ids)] = q
     return sims
+
+
+def assert_stats_equal(got: RelationStats, want: RelationStats) -> None:
+    """Every array of ``got`` equal to ``want``'s, dtype kind included."""
+    for f in dataclasses.fields(RelationStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), f.name
 
 
 def assigned(q, row_ids, col_ids, labelled: dict[int, int], n: int) -> np.ndarray:
@@ -159,13 +167,13 @@ class TestSharedEdgeTables:
         assignment = oracle.assignment_array({0: 1, 2: 3, 4: 0}, pair.source.n_entities)
         stats = estimate_relation_stats(pair, assignment)
         assert [id(kg) for kg in built] == [id(pair.source), id(pair.target)]
-        assert estimate_relation_stats(pair, assignment) == stats
+        assert_stats_equal(estimate_relation_stats(pair, assignment), stats)
         assert pair.swapped().source.edges is pair.target.edges
         assert pair.swapped().target.edges is pair.source.edges
         assert len(built) == 2
 
 
-def inverse_functionality(kg: Kg) -> dict[int, float]:
+def inverse_functionality(kg: Kg) -> np.ndarray:
     none = oracle.assignment_array({}, kg.n_entities)
     return estimate_relation_stats(KgPair(kg, kg), none).src_inv_fun
 
@@ -181,7 +189,7 @@ class TestRelationStats:
         triples = [("a", "r", "b"), ("b", "r", "c"), ("a", "q", "c")]
         a = inverse_functionality(kg_of(triples))
         b = inverse_functionality(kg_of(triples * 2))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_subrel_add_one_smoothing(self):
         src = kg_of([("a", "r", "b")])
@@ -191,18 +199,24 @@ class TestRelationStats:
             {src.entity_ids["a"]: tgt.entity_ids["a'"],
              src.entity_ids["b"]: tgt.entity_ids["b'"]}, src.n_entities)
         stats = estimate_relation_stats(pair, assignment)
-        # one r'-trial supported by r between the counterparts: (1+1)/(1+2)
-        assert stats.subrel_tgt_in_src[(0, 0)] == pytest.approx(2 / 3)
-        assert stats.subrel_src_in_tgt[(0, 0)] == pytest.approx(2 / 3)
-        assert stats.tgt_trials[0] == stats.src_trials[0] == 1
+        # one r'-trial supported by r between the counterparts: (1+1)/(1+2),
+        # and the same for the inverse orientations
+        assert np.array_equal(stats.pairs, [[0, 0], [1, 1]])
+        assert stats.subrel_tgt_in_src == pytest.approx([2 / 3, 2 / 3])
+        assert stats.subrel_src_in_tgt == pytest.approx([2 / 3, 2 / 3])
+        assert np.array_equal(stats.tgt_trials, [1, 1])
+        assert np.array_equal(stats.src_trials, [1, 1])
 
     def test_subrel_zero_trials_is_half(self):
         src = kg_of([("a", "r", "b")])
         tgt = kg_of([("a'", "r'", "b'")])
         pair = KgPair(src, tgt)
-        stats = estimate_relation_stats(pair, oracle.assignment_array({}, src.n_entities))
-        assert stats.subrel_tgt_in_src == {} and stats.tgt_trials == {}
-        assert oracle.prob_tgt_in_src(stats, 0, 0) == pytest.approx(0.5)
+        none = oracle.assignment_array({}, src.n_entities)
+        stats = estimate_relation_stats(pair, none)
+        assert stats.pairs.shape == (0, 2) and stats.subrel_tgt_in_src.shape == (0,)
+        assert np.array_equal(stats.tgt_trials, [0, 0])
+        # both survival terms read the prior 1/2; every inverse functionality is 1
+        assert FactorModel(pair, stats, none).log_surv[0, 0] == 2 * np.log(0.5)
 
     def test_trialed_unsupported_pair_shrinks_toward_zero(self):
         src = kg_of([("a", "r", "b")])
@@ -213,9 +227,11 @@ class TestRelationStats:
              src.entity_ids["b"]: tgt.entity_ids["a'"]}, src.n_entities)
         stats = estimate_relation_stats(pair, assignment)
         # r'(a',b') maps onto (b, a): no r triple there, but q'(b',a') does map
-        assert stats.tgt_trials[0] == 1
-        assert (0, 0) not in stats.subrel_tgt_in_src
-        assert oracle.prob_tgt_in_src(stats, 0, 0) == pytest.approx(1 / 3)
+        assert stats.tgt_trials[0] == stats.src_trials[0] == 1
+        assert [0, 0] not in stats.pairs.tolist()
+        # so both terms of (r, r') read their prior 1/3; if(r) = if(r') = 1
+        log_surv = FactorModel(pair, stats, assignment).log_surv
+        assert log_surv[0, 0] == pytest.approx(2 * np.log(1 - 1 / 3), rel=1e-15)
 
     def test_all_values_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -223,18 +239,15 @@ class TestRelationStats:
         mapping = {i: i for i in range(6)}
         stats = estimate_relation_stats(
             pair, oracle.assignment_array(mapping, pair.source.n_entities))
-        values = (
-            list(stats.src_inv_fun.values()) + list(stats.tgt_inv_fun.values())
-            + list(stats.subrel_src_in_tgt.values())
-            + list(stats.subrel_tgt_in_src.values())
-        )
-        assert all(0.0 <= v <= 1.0 for v in values)
+        values = np.concatenate([stats.src_inv_fun, stats.tgt_inv_fun,
+                                 stats.subrel_src_in_tgt, stats.subrel_tgt_in_src])
+        assert len(stats.pairs) and ((0.0 <= values) & (values <= 1.0)).all()
 
 
 def hand_stats():
     """Stats for the worked single-pair example: P(r'⊆r)=0.8, if(r)=0.5,
     P(r⊆r')=0.9, if(r')=0.4; inverse orientations neutralized."""
-    return RelationStats(
+    return oracle.DictStats(
         src_inv_fun={0: 0.5, 1: 0.0},
         tgt_inv_fun={0: 0.4, 1: 0.0},
         subrel_tgt_in_src={(0, 0): 0.8},
@@ -248,7 +261,7 @@ class TestLocalCompatibility:
     def test_single_matched_pair(self):
         pair = KgPair(kg_of([("e", "r", "n")]), kg_of([("e'", "r'", "n'")]))
         a = oracle.assignment_array({1: 1}, pair.source.n_entities)  # n -> n'
-        g = local_compatibility(0, 0, a, pair, hand_stats())
+        g = local_compatibility(0, 0, a, pair, oracle.stats_arrays(pair, hand_stats()))
         assert g == pytest.approx(0.616, abs=1e-12)
 
     def test_two_matched_pairs(self):
@@ -257,20 +270,41 @@ class TestLocalCompatibility:
             kg_of([("e'", "r'", "n'"), ("e'", "r'", "m'")]),
         )
         a = oracle.assignment_array({1: 1, 2: 2}, pair.source.n_entities)
-        g = local_compatibility(0, 0, a, pair, hand_stats())
+        g = local_compatibility(0, 0, a, pair, oracle.stats_arrays(pair, hand_stats()))
         assert g == pytest.approx(0.852544, abs=1e-12)
         assert g > 0.616  # more evidence, higher score
 
     def test_no_matching_evidence_is_zero(self):
         pair = KgPair(kg_of([("e", "r", "n")]), kg_of([("e'", "r'", "n'")]))
         a = oracle.assignment_array({}, pair.source.n_entities)  # nothing assigned: 0
-        assert local_compatibility(0, 0, a, pair, hand_stats()) == 0.0
+        assert local_compatibility(0, 0, a, pair, oracle.stats_arrays(pair, hand_stats())) == 0.0
+
+    @pytest.mark.parametrize("change, message", [
+        # extra pairs outside the 2 x 2 directed relations
+        (lambda s: dict(pairs=np.vstack([s.pairs, [[7, 3], [5, 9]]]),
+                        subrel_tgt_in_src=np.append(s.subrel_tgt_in_src, [0.5, 0.5]),
+                        subrel_src_in_tgt=np.append(s.subrel_src_in_tgt, [0.5, 0.5])),
+         r"pair source relation ids must be in \[0, 2\)"),
+        (lambda s: dict(src_inv_fun=np.append(s.src_inv_fun, 0.3)),
+         r"src_inv_fun has shape \(3,\), not \(2,\): the KGs have 2 and 2 directed"),
+        (lambda s: dict(tgt_inv_fun=s.tgt_inv_fun[:1]),
+         r"tgt_inv_fun has shape \(1,\), not \(2,\)"),
+        (lambda s: dict(subrel_src_in_tgt=s.subrel_src_in_tgt[:0]),
+         r"subrel_src_in_tgt has shape \(0,\), not \(1,\)"),
+    ], ids=["pairs-outside", "third-inv-fun", "missing-inv-fun", "short-subrel"])
+    def test_statistics_that_do_not_fit_the_pair_rejected(self, change, message):
+        pair = KgPair(kg_of([("e", "r", "n")]), kg_of([("e'", "r'", "n'")]))
+        a = oracle.assignment_array({1: 1}, pair.source.n_entities)
+        stats = oracle.stats_arrays(pair, hand_stats())
+        assert local_compatibility(0, 0, a, pair, stats) == pytest.approx(0.616, abs=1e-12)
+        with pytest.raises(ValueError, match=message):
+            FactorModel(pair, dataclasses.replace(stats, **change(stats)), a)
 
     def d_neighbor_instance(self, d, rng):
         """Entity with d neighbors mirrored on the target side, random stats."""
         src = kg_of([("e", f"r{i}", f"n{i}") for i in range(d)])
         tgt = kg_of([("e'", f"s{i}", f"n{i}'") for i in range(d)])
-        stats = RelationStats(
+        stats = oracle.DictStats(
             src_inv_fun={r: float(rng.uniform(0, 1))
                          for r in range(2 * src.n_relations)},
             tgt_inv_fun={r: float(rng.uniform(0, 1))
@@ -286,7 +320,8 @@ class TestLocalCompatibility:
                 for rt in range(2 * tgt.n_relations)
             },
         )
-        return KgPair(src, tgt), stats
+        pair = KgPair(src, tgt)
+        return pair, oracle.stats_arrays(pair, stats)
 
     def test_range_and_monotonicity_randomized(self):
         rng = np.random.default_rng(42)
@@ -318,7 +353,7 @@ def exact_sum_scenario():
     tgt = kg_of([("c1", "p", "n'"), ("c2", "q", "n'")])
     pair = KgPair(src, tgt)
     # src relations: r=0, r^-1=1; tgt: p=0, q=1, p^-1=2, q^-1=3
-    stats = RelationStats(
+    stats = oracle.DictStats(
         src_inv_fun={0: 0.8, 1: 0.8},
         tgt_inv_fun={0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0},
         subrel_tgt_in_src={
@@ -335,7 +370,7 @@ def exact_sum_scenario():
                                          src.n_entities)
     u = src.entity_ids["u"]
     cands = (tgt.entity_ids["c1"], tgt.entity_ids["c2"])
-    return pair, stats, assignment, u, cands
+    return pair, oracle.stats_arrays(pair, stats), assignment, u, cands
 
 
 class TestConditionalDistribution:
@@ -382,7 +417,8 @@ class TestConditionalDistribution:
                 mapping[u] = grids[u][rng.integers(0, 3)]
             assignment = oracle.assignment_array(mapping, pair.source.n_entities)
             stats = estimate_relation_stats(pair, assignment)
-            joint = oracle.enumerate_joint(pair, stats, labelled, grids)
+            joint = oracle.enumerate_joint(
+                pair, oracle.estimate_relation_stats(pair, mapping), labelled, grids)
             for u in unlabelled:
                 expected = oracle.conditional_from_joint(joint, u, mapping)
                 row = conditional_distribution(u, grids[u], assignment, pair, stats)
@@ -395,8 +431,7 @@ class TestEnumerateJoint:
     def test_small_table_normalizes(self):
         rng = np.random.default_rng(1)
         pair = random_tiny_pair(rng)
-        stats = estimate_relation_stats(
-            pair, oracle.assignment_array({0: 0}, pair.source.n_entities))
+        stats = oracle.estimate_relation_stats(pair, {0: 0})
         grids = {2: (0, 1, 2), 3: (1, 2, 3)}
         joint = oracle.enumerate_joint(pair, stats, {0: 0}, grids)
         assert len(joint) == 9
@@ -405,8 +440,7 @@ class TestEnumerateJoint:
     def test_single_unlabelled_two_candidates(self):
         rng = np.random.default_rng(2)
         pair = random_tiny_pair(rng)
-        stats = estimate_relation_stats(
-            pair, oracle.assignment_array({0: 0}, pair.source.n_entities))
+        stats = oracle.estimate_relation_stats(pair, {0: 0})
         joint = oracle.enumerate_joint(pair, stats, {0: 0}, {1: (0, 3)})
         assert len(joint) == 2
         assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
@@ -414,8 +448,7 @@ class TestEnumerateJoint:
     def test_state_space_cap(self):
         rng = np.random.default_rng(3)
         pair = random_tiny_pair(rng)
-        stats = estimate_relation_stats(
-            pair, oracle.assignment_array({}, pair.source.n_entities))
+        stats = oracle.estimate_relation_stats(pair, {})
         grids = {u: tuple(range(6)) for u in range(6)}
         grids[0] = tuple(range(6))  # 6^6 = 46656 ok; push over with wide grids
         too_big = {u: tuple(range(6)) for u in range(6)}
@@ -484,22 +517,24 @@ class TestRefineRows:
 
 def assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u):
     """Factor score, sums and refined rows against the triple-scanning
-    reference: scores within 1e-12, candidates and argmaxes exact."""
+    reference, which reads the reference statistics: scores within 1e-12,
+    candidates and argmaxes exact."""
     mapping = oracle.assignment_mapping(assignment)
+    ref_stats = oracle.estimate_relation_stats(pair, mapping)
     for c in col_ids:
         assert local_compatibility(u, c, assignment, pair, stats) == pytest.approx(
-            oracle.local_compatibility(u, c, mapping.get, pair, stats),
+            oracle.local_compatibility(u, c, mapping.get, pair, ref_stats),
             rel=0, abs=1e-12,
         )
     factors = FactorModel(pair, stats, assignment)
     np.testing.assert_allclose(
         factors.factor_sums(np.array([u]), np.array([col_ids]))[0],
-        oracle.compatibility_sums(u, col_ids, mapping, pair, stats),
+        oracle.compatibility_sums(u, col_ids, mapping, pair, ref_stats),
         rtol=0, atol=1e-12,
     )
 
     refined = refine_rows(q, row_ids, col_ids, factors, top_k=top_k)
-    reference = oracle.refine_rows(q, row_ids, col_ids, pair, stats, mapping, top_k)
+    reference = oracle.refine_rows(q, row_ids, col_ids, pair, ref_stats, mapping, top_k)
     assert [row.entity for row in refined] == list(row_ids)
     assert len(refined) == len(reference)
     for row, (cands, sums) in zip(refined, reference):
@@ -542,8 +577,8 @@ class TestAgainstOracle:
         assert_assignment_matches_reference(q, row_ids, col_ids, labelled, n_src)
         assignment = assigned(q, row_ids, col_ids, labelled, n_src)
         stats = estimate_relation_stats(pair, assignment)
-        assert stats == oracle.estimate_relation_stats(
-            pair, oracle.build_assignment(q, row_ids, col_ids, labelled))
+        assert_stats_equal(stats, oracle.stats_arrays(pair, oracle.estimate_relation_stats(
+            pair, oracle.build_assignment(q, row_ids, col_ids, labelled))))
 
         u = data.draw(st.integers(0, n_src - 1))
         assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u)
@@ -567,7 +602,8 @@ class TestAgainstOracle:
         top_k = data.draw(st.integers(1, len(col_ids) + 3))
 
         stats = estimate_relation_stats(pair, assignment)
-        assert stats == oracle.estimate_relation_stats(pair, mapping)
+        assert_stats_equal(
+            stats, oracle.stats_arrays(pair, oracle.estimate_relation_stats(pair, mapping)))
         u = data.draw(st.integers(0, n_src - 1))
         assert_matches_reference(pair, stats, assignment, q, row_ids, col_ids, top_k, u)
 
@@ -624,31 +660,33 @@ class TestZeroSurvival:
         pair = KgPair(kg_of([("a0", "r", "a1"), ("a1", "r", "a2")]),
                       kg_of([("b0", "s", "b1"), ("b1", "s", "b2")]))
         certain = {(a, b): 1.0 for a in range(2) for b in range(2)}
-        stats = RelationStats(
+        stats = oracle.DictStats(
             src_inv_fun={0: 1.0, 1: 1.0}, tgt_inv_fun={0: 1.0, 1: 1.0},
             subrel_tgt_in_src=certain, subrel_src_in_tgt=dict(certain),
         )
         return pair, stats, oracle.assignment_array({0: 0, 1: 1, 2: 2}, 3)
 
     def test_local_compatibility(self):
-        pair, stats, assignment = self.scenario()
+        pair, ref_stats, assignment = self.scenario()
+        stats = oracle.stats_arrays(pair, ref_stats)
         assert local_compatibility(1, 1, assignment, pair, stats) == 1.0
         assert local_compatibility(1, 0, assignment, pair, stats) == 0.0
         assert local_compatibility(0, 0, assignment, pair, stats) == 1.0
         assert local_compatibility(0, 1, assignment, pair, stats) == 0.0
 
     def test_compatibility_sums(self):
-        pair, stats, assignment = self.scenario()
-        [sums] = FactorModel(pair, stats, assignment).factor_sums(
+        pair, ref_stats, assignment = self.scenario()
+        [sums] = FactorModel(pair, oracle.stats_arrays(pair, ref_stats), assignment).factor_sums(
             np.array([1]), np.array([[0, 1, 2]]))
         assert np.array_equal(sums, [0.0, 3.0, 0.0])
         assert np.array_equal(
-            sums, oracle.compatibility_sums(1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, pair, stats))
+            sums, oracle.compatibility_sums(1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, pair, ref_stats))
 
     def test_refine_rows(self):
-        pair, stats, assignment = self.scenario()
+        pair, ref_stats, assignment = self.scenario()
+        factors = FactorModel(pair, oracle.stats_arrays(pair, ref_stats), assignment)
         q = np.full((1, 3), 1.0 / 3)
-        [row] = refine_rows(q, [1], [0, 1, 2], FactorModel(pair, stats, assignment), top_k=3)
+        [row] = refine_rows(q, [1], [0, 1, 2], factors, top_k=3)
         assert row.cand_ids == (0, 1, 2)
         np.testing.assert_allclose(row.probs, oracle.softmax(np.array([0.0, 3.0, 0.0])),
                                    rtol=0, atol=1e-12)
@@ -746,11 +784,11 @@ def wide_stats(pair: KgPair, rng) -> RelationStats:
         keys = [(a, b) for a in range(n_a) for b in range(n_b) if rng.random() < 0.5]
         return dict(zip(keys, p(len(keys))))
 
-    return RelationStats(
+    return oracle.stats_arrays(pair, oracle.DictStats(
         src_inv_fun=dict(enumerate(p(n_src))), tgt_inv_fun=dict(enumerate(p(n_tgt))),
         subrel_tgt_in_src=subrel(n_tgt, n_src), subrel_src_in_tgt=subrel(n_src, n_tgt),
         tgt_trials=dict(enumerate(rng.integers(0, 3, n_tgt).tolist())),
-        src_trials=dict(enumerate(rng.integers(0, 3, n_src).tolist())))
+        src_trials=dict(enumerate(rng.integers(0, 3, n_src).tolist()))))
 
 
 class TestSharedJoin:
@@ -973,6 +1011,14 @@ class TestIdsOutsideTheKgs:
         pair, stats, assignment = self.scenario()
         with pytest.raises(ValueError, match=message):
             self.SCORES[score](pair, stats, assignment, u, cands)
+
+    def test_every_column_id_checked_not_only_the_kept_ones(self):
+        # 99 scores below 3, so top_k=1 keeps only 3; it must still raise
+        pair, stats, assignment = self.scenario()
+        factors = FactorModel(pair, stats, assignment)
+        for q in ([[1.0, 0.0]], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match=r"candidate ids must be in \[0, 6\)"):
+                refine_rows(np.array(q), [2], [3, 99], factors, top_k=1)
 
     @pytest.mark.parametrize("target", ["estimate_relation_stats", "FactorModel"])
     @pytest.mark.parametrize("extra", [-1, 10], ids=["one-short", "ten-long"])

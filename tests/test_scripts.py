@@ -155,7 +155,8 @@ def test_bench_collects_every_workload_untraced_and_traced(tmp_path):
 
 def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
     """``--against`` runs both sides untraced once per pair and records,
-    per end-to-end metric, both sides' values and their paired summary."""
+    per end-to-end metric, both sides' values and their paired summary, and
+    whether both sides' outputs are byte-identical."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent,
                           capture_output=True, text=True)
     if head.returncode != 0:
@@ -195,6 +196,12 @@ def test_bench_pairs_this_checkout_against_a_revision(tmp_path):
                     for path in paths if path.endswith(".py"))
     assert type(record["against_src_lines"]) is int
     assert record["against_src_lines"] == src_lines > 0
+    # this checkout writes the same outputs as its own commit, on every
+    # workload at both seeds
+    files = ["metrics.jsonl", "manifest.txt", "pseudo_final.tsv"]
+    assert record["outputs_identical"] == {
+        w["name"]: {seed: dict.fromkeys(files, True) for seed in ("0", "1")}
+        for w in spec["workloads"]}
     assert worktrees() == before  # the temporary worktree is gone
 
 
